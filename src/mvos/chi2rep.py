@@ -23,6 +23,7 @@ from .streams import stream_rng
 __all__ = [
     "RatioVectorSample",
     "NotPositiveSemidefiniteError",
+    "check_correlation",
     "univariate_ratio_sample",
     "correlated_ratio_sample",
     "representation_distance",
@@ -98,6 +99,18 @@ def _symmetric_sqrt(lam: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
+def check_correlation(lam) -> np.ndarray:
+    """Lambda as a float matrix after its shape checks: square, finite,
+    symmetric and unit-diagonal.  Semidefiniteness is the separate gate."""
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("lambda must be finite")
+    lam = _check_symmetric(lam, "lambda")
+    if not np.allclose(np.diag(lam), 1.0, atol=1e-9):
+        raise ValueError("lambda must have unit diagonal")
+    return lam
+
+
 def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int) -> RatioVectorSample:
     """Componentwise ratios driven by shared N(0, Lambda) draws.
 
@@ -107,9 +120,7 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int) -> RatioVect
     part of Lambda.  Draws stream through running sums, so memory stays
     O(d) per replication.
     """
-    lam = _check_symmetric(lam, "lambda")
-    if not np.allclose(np.diag(lam), 1.0, atol=1e-9):
-        raise ValueError("lambda must have unit diagonal")
+    lam = check_correlation(lam)
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     if r < 1:

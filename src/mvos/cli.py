@@ -8,10 +8,11 @@ Subcommands:
   chi2rep                        correlated order-statistic ratios to CSV
   experiment                     run a configured Monte Carlo experiment
 
-Experiment exit codes: 0 all gated criteria pass, 1 criterion failure,
-2 invalid configuration, 3 refusal because the square-root correlation
-matrix is not positive semidefinite.  MVOS_SEED overrides the configured
-seed and is flagged in the report.
+Exit codes, for every subcommand: 0 success (for experiments and
+validation, all gated criteria pass), 1 criterion failure, 2 invalid
+input, rejected before any sampling, 3 refusal because the square-root
+correlation matrix is not positive semidefinite.  MVOS_SEED overrides
+the configured seed and is flagged in the report.
 """
 from __future__ import annotations
 
@@ -23,11 +24,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chi2rep import NotPositiveSemidefiniteError, correlated_ratio_sample
-from .copula import copula_sample, model_from_json
-from .dnorm import dnorm_validate, dnorm_eval, spec_from_json
-from .margins import margin_from_name, smirnov_check, von_mises_check
-from .orderstats import KRatioMatrix, theoretical_sigma, theoretical_sigma_equal_k
+from .chi2rep import NotPositiveSemidefiniteError, check_correlation, correlated_ratio_sample
+from .copula import copula_sample
+from .dnorm import dnorm_validate, dnorm_eval, spec_dimension
+from .margins import make_k_rule, smirnov_check, von_mises_check
+from .orderstats import KRatioMatrix, theoretical_sigma
 from .experiment import (
     InvalidConfigError,
     config_from_json,
@@ -36,6 +37,7 @@ from .experiment import (
     report_text,
     run_experiment,
 )
+from .wire import FAMILIES, from_json
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
@@ -43,8 +45,36 @@ EXIT_CONFIG = 2
 EXIT_PSD = 3
 
 
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidConfigError(message)
+
+
+def _parsed(what: str, parse, text):
+    """parse(text), with any fault reported as invalid input named ``what``."""
+    try:
+        return parse(text)
+    except InvalidConfigError:
+        raise
+    except (OSError, TypeError, ValueError, KeyError) as exc:
+        raise InvalidConfigError(f"bad {what}: {exc}") from exc
+
+
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values or not all(np.isfinite(values)):
+        raise ValueError(f"expected comma-separated finite numbers, got {text!r}")
+    return values
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _matrix(text: str) -> np.ndarray:
+    obj = json.loads(text)
+    return check_correlation(obj["matrix"] if isinstance(obj, dict) else obj)
 
 
 def _write_csv_matrix(path: str, header: list[str], rows: np.ndarray) -> None:
@@ -55,21 +85,26 @@ def _write_csv_matrix(path: str, header: list[str], rows: np.ndarray) -> None:
 
 
 def _cmd_dnorm(args) -> int:
-    spec = spec_from_json(json.loads(args.spec))
+    spec = from_json("dnorm", _parsed("--spec", json.loads, args.spec))
+    _check(args.seed is None or args.seed >= 0, "--seed must be >= 0")
     if args.action == "eval":
-        if not args.x:
-            print("dnorm eval requires --x", file=sys.stderr)
-            return EXIT_CONFIG
-        value = dnorm_eval(spec, _floats(args.x), seed=args.seed)
+        _check(bool(args.x), "dnorm eval requires --x")
+        x = _parsed("--x", _floats, args.x)
+        dim = spec_dimension(spec)
+        _check(dim in (None, len(x)), f"--x has length {len(x)}, the norm has dimension {dim}")
+        value = dnorm_eval(spec, x, seed=args.seed)
         print(f"{value:.12g}")
         return EXIT_OK
+    _check(args.trials >= 1, "--trials must be >= 1")
     report = dnorm_validate(spec, trials=args.trials, seed=args.seed or 0)
     print(report)
     return EXIT_OK if report.passed else EXIT_CRITERION
 
 
 def _cmd_sample(args) -> int:
-    model = model_from_json({"kind": args.copula, "d": args.d, "p": args.p})
+    model = from_json("copula", {"kind": args.copula, "d": args.d, "p": args.p})
+    _check(args.n >= 1, "-n must be >= 1")
+    _check(args.seed >= 0, "--seed must be >= 0")
     batch = copula_sample(model, args.n, args.seed)
     header = [f"u{i + 1}" for i in range(batch.d)]
     _write_csv_matrix(args.out, header, batch.rows)
@@ -86,10 +121,12 @@ def _print_table(header: list[str], rows: list[tuple]) -> None:
 
 
 def _cmd_check(args) -> int:
-    margin = margin_from_name(args.margin, alpha=args.alpha)
+    margin = from_json("margin", {"kind": args.margin, "alpha": args.alpha})
     if args.action == "smirnov":
-        n_grid = [int(float(tok)) for tok in args.n_grid.split(",")]
-        rows = smirnov_check(margin, _floats(args.x), n_grid, args.k_rule)
+        k_rule = _parsed("--k-rule", make_k_rule, args.k_rule)
+        n_grid = [int(n) for n in _parsed("--n-grid", _floats, args.n_grid)]
+        _check(min(n_grid) >= 2, "--n-grid values must be >= 2")
+        rows = smirnov_check(margin, _parsed("--x", _floats, args.x), n_grid, k_rule)
         table = [(r.n, r.k, r.x, r.quotient, r.clipped) for r in rows]
         _print_table(["n", "k", "x", "quotient", "clipped"], table)
         if args.out:
@@ -98,8 +135,8 @@ def _cmd_check(args) -> int:
                 for r in rows:
                     fh.write(f"{r.n},{r.k},{r.x:.17g},{r.quotient:.17g},{int(r.clipped)}\n")
     else:
-        grid = _floats(args.x_grid) if args.x_grid else _default_vm_grid(margin)
-        result = von_mises_check(margin, grid)
+        grid = _parsed("--x-grid", _floats, args.x_grid) if args.x_grid else _default_vm_grid(margin)
+        result = _parsed("--x-grid", lambda g: von_mises_check(margin, g), grid)
         print(f"condition ({result.condition}), declared limit {result.limit:g}")
         _print_table(["x", "quotient"], result.rows)
         if args.out:
@@ -117,16 +154,16 @@ def _default_vm_grid(margin) -> list[float]:
 
 
 def _cmd_cov(args) -> int:
-    spec = spec_from_json(json.loads(args.dnorm))
+    spec = from_json("dnorm", _parsed("--dnorm", json.loads, args.dnorm))
     if args.equal_k:
-        sigma = theoretical_sigma_equal_k(spec, d=args.d)
+        _check(args.d >= 1, "--d must be >= 1")
+        ratios = KRatioMatrix.ones(args.d)
     else:
-        if not args.kratios:
-            print("either --kratios or --equal-k is required", file=sys.stderr)
-            return EXIT_CONFIG
-        obj = json.loads(args.kratios)
-        ratios = KRatioMatrix(np.asarray(obj["k"], dtype=float))
-        sigma = theoretical_sigma(spec, ratios)
+        _check(bool(args.kratios), "either --kratios or --equal-k is required")
+        ratios = _parsed("--kratios", lambda text: KRatioMatrix(json.loads(text)["k"]), args.kratios)
+    dim = spec_dimension(spec)
+    _check(dim in (None, ratios.d), f"the norm has dimension {dim}, the ratios {ratios.d}")
+    sigma = theoretical_sigma(spec, ratios)
     print(json.dumps({"sigma": [[float(v) for v in row] for row in sigma]}, sort_keys=True))
     for row in sigma:
         print("  ".join(f"{v:12.6f}" for v in row))
@@ -134,13 +171,11 @@ def _cmd_cov(args) -> int:
 
 
 def _cmd_chi2rep(args) -> int:
-    obj = json.loads(getattr(args, "lambda"))
-    lam = np.asarray(obj["matrix"] if isinstance(obj, dict) else obj, dtype=float)
-    try:
-        sample = correlated_ratio_sample(lam, args.n, args.k, args.R, args.seed)
-    except NotPositiveSemidefiniteError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_PSD
+    lam = _parsed("--lambda", _matrix, getattr(args, "lambda"))
+    _check(1 <= args.k < args.n, "need 1 <= -k < -n")
+    _check(args.R >= 1, "-R must be >= 1")
+    _check(args.seed >= 0, "--seed must be >= 0")
+    sample = correlated_ratio_sample(lam, args.n, args.k, args.R, args.seed)
     header = [f"r{i + 1}" for i in range(sample.d)]
     _write_csv_matrix(args.out, header, sample.ratios)
     print(f"wrote {sample.replications} ratio vectors to {args.out}")
@@ -148,23 +183,10 @@ def _cmd_chi2rep(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        with open(args.config) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    obj = _parsed("--config", _read_json, args.config)
     env_seed = os.environ.get("MVOS_SEED")
-    try:
-        config = config_from_json(obj, seed_override=int(env_seed) if env_seed else None)
-    except InvalidConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        report = run_experiment(config, threads=args.threads)
-    except NotPositiveSemidefiniteError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_PSD
+    seed = _parsed("MVOS_SEED", int, env_seed) if env_seed else None
+    report = run_experiment(config_from_json(obj, seed_override=seed), threads=args.threads)
     if args.out:
         emit_report(report, "json", args.out)
     else:
@@ -191,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dnorm)
 
     p = sub.add_parser("sample", help="draw copula observations to CSV")
-    p.add_argument("--copula", required=True, choices=["independence", "comonotone", "gumbel"])
+    p.add_argument("--copula", required=True, choices=list(FAMILIES["copula"][1]))
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("-d", type=int, default=2)
     p.add_argument("-n", type=int, required=True)
@@ -201,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="marginal tail-condition tables")
     p.add_argument("action", choices=["smirnov", "von-mises"])
-    p.add_argument("--margin", required=True, choices=["normal", "exponential", "pareto", "triangular"])
+    p.add_argument("--margin", required=True, choices=list(FAMILIES["margin"][1]))
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--n-grid", default="1e4,1e6,1e8")
     p.add_argument("--k-rule", default="sqrt")
@@ -236,8 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place errors become exit codes 2 and 3."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidConfigError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NotPositiveSemidefiniteError as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_PSD
 
 
 if __name__ == "__main__":

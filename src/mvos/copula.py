@@ -28,8 +28,6 @@ __all__ = [
     "positive_stable",
     "log_positive_stable",
     "tail_expansion_check",
-    "model_from_json",
-    "model_to_json",
 ]
 
 # rows per derived stream inside copula_sample; the chunk layout is part of
@@ -231,28 +229,3 @@ def tail_expansion_check(model: CopulaModel, x, t_grid) -> np.ndarray:
 def tail_norm_value(model: CopulaModel, x) -> float:
     """Limit of the tail-expansion quotients at x."""
     return dnorm_eval(model.tail_dnorm, x)
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format (CLI)
-
-def model_from_json(obj: dict) -> CopulaModel:
-    kind = obj.get("kind")
-    d = int(obj.get("d", 2))
-    if kind == "independence":
-        return Independence(d)
-    if kind == "comonotone":
-        return Comonotone(d)
-    if kind == "gumbel":
-        return GumbelLogistic(d, float(obj["p"]))
-    raise ValueError(f"unknown copula kind: {kind!r}")
-
-
-def model_to_json(model: CopulaModel) -> dict:
-    if isinstance(model, Independence):
-        return {"kind": "independence", "d": model.d}
-    if isinstance(model, Comonotone):
-        return {"kind": "comonotone", "d": model.d}
-    if isinstance(model, GumbelLogistic):
-        return {"kind": "gumbel", "d": model.d, "p": model.p}
-    raise TypeError(f"not a copula model: {model!r}")

@@ -35,8 +35,6 @@ __all__ = [
     "PSDResult",
     "PropertyCheck",
     "ValidationReport",
-    "spec_from_json",
-    "spec_to_json",
 ]
 
 
@@ -158,7 +156,7 @@ class GeneratorBased:
     """
 
     gen: Generator
-    mc_samples: int
+    mc_samples: int = 100_000
 
     def __post_init__(self):
         if self.mc_samples < 1:
@@ -388,48 +386,3 @@ def lambda_matrix(sigma) -> np.ndarray:
     if off.size and off.max() > 1.0 + 1e-12:
         raise ValueError("off-diagonal entries must lie in [0, 1]")
     return np.sqrt(sigma)
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format (CLI)
-
-def spec_from_json(obj: dict) -> DNormSpec:
-    """Parse {"kind": "sup"} | {"kind":"logistic","p":..} | {"kind":"generator",...}."""
-    kind = obj.get("kind")
-    if kind == "sup":
-        return SupNorm()
-    if kind == "logistic":
-        return LogisticP(float(obj["p"]))
-    if kind == "generator":
-        gen_obj = obj["gen"]
-        d = int(obj["d"])
-        gkind = gen_obj.get("kind")
-        if gkind == "constant":
-            gen: Generator = ConstantOne(d)
-        elif gkind == "random_index":
-            gen = RandomIndex(d)
-        elif gkind == "frechet":
-            gen = FrechetLogistic(d, float(gen_obj["p"]))
-        else:
-            raise ValueError(f"unknown generator kind: {gkind!r}")
-        return GeneratorBased(gen, int(obj.get("mc_samples", 100_000)))
-    raise ValueError(f"unknown D-norm kind: {kind!r}")
-
-
-def spec_to_json(spec: DNormSpec) -> dict:
-    if isinstance(spec, SupNorm):
-        return {"kind": "sup"}
-    if isinstance(spec, LogisticP):
-        return {"kind": "logistic", "p": spec.p}
-    if isinstance(spec, GeneratorBased):
-        gen = spec.gen
-        if isinstance(gen, ConstantOne):
-            g = {"kind": "constant"}
-        elif isinstance(gen, RandomIndex):
-            g = {"kind": "random_index"}
-        elif isinstance(gen, FrechetLogistic):
-            g = {"kind": "frechet", "p": gen.p}
-        else:
-            raise ValueError("custom generators have no JSON form")
-        return {"kind": "generator", "gen": g, "d": gen.d, "mc_samples": spec.mc_samples}
-    raise TypeError(f"not a D-norm spec: {spec!r}")

@@ -29,21 +29,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chi2rep import NotPositiveSemidefiniteError, correlated_ratio_sample, representation_distance
-from .copula import CopulaModel, model_from_json, model_to_json, sample_rows
+from .chi2rep import NotPositiveSemidefiniteError, check_correlation, correlated_ratio_sample, representation_distance
+from .copula import CopulaModel, sample_rows
 from .diagnostics import ks_against_standard_normal, ks_critical_value, ks_pvalue, moment_summary
 from .dnorm import is_positive_semidefinite, lambda_matrix
-from .margins import MarginalModel, margin_from_json, margin_to_json, norming_constants, quantile_transform
+from .margins import MarginalModel, norming_constants, quantile_transform
 from .orderstats import (
     IntermediateSpec,
     OSBatch,
-    PowerKRule,
     standardize_copula_case,
     standardize_general_case,
     theoretical_sigma,
     theoretical_sigma_equal_k,
 )
 from .streams import derive_seed, stream_rng
+from .wire import InvalidConfigError, from_json, to_json
 
 __all__ = [
     "TolerancePolicy",
@@ -62,10 +62,6 @@ __all__ = [
 ]
 
 DEFAULT_KS_LEVEL = 1e-3
-
-
-class InvalidConfigError(ValueError):
-    """Raised for configurations that fail validation before any sampling."""
 
 
 @dataclass(frozen=True)
@@ -99,6 +95,8 @@ class ExperimentConfig:
             raise InvalidConfigError(f"unknown experiment kind {self.kind!r}")
         if self.n < 2:
             raise InvalidConfigError("n must be >= 2")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
         if self.replications < 1:
             raise InvalidConfigError("replications must be >= 1")
         if self.kind == "general":
@@ -112,20 +110,38 @@ class ExperimentConfig:
             raise InvalidConfigError(f"{self.kind} experiments take no margins")
         inter = self.intermediate
         if inter is None:
-            convention = "n-k+1" if self.kind == "general" else "n-k"
-            inter = IntermediateSpec.equal(self.copula.d, convention=convention)
+            inter = IntermediateSpec.equal(self.copula.d, convention=_default_convention(self.kind))
             object.__setattr__(self, "intermediate", inter)
         if inter.d != self.copula.d:
             raise InvalidConfigError("intermediate spec dimension mismatch")
-        # surface out-of-band k values now rather than mid-run
+        # surface out-of-band k values and ratio limits now rather than mid-run
         try:
             inter.k_vector(self.n)
             if self.kind == "representation":
                 inter.k_vector(2 * self.n)
+            inter.ratio_matrix()
         except ValueError as exc:
             raise InvalidConfigError(str(exc)) from exc
         if self.kind == "representation" and len(set(inter.rules)) != 1:
             raise InvalidConfigError("the representation comparison needs one common k rule")
+        if self.lambda_override is not None:
+            self._check_lambda_override()
+
+    def _check_lambda_override(self) -> None:
+        """The sampler's shape checks, run early; a non-PSD override is refused at run time."""
+        if self.kind != "representation":
+            raise InvalidConfigError(f"lambda_override applies to representation experiments, not {self.kind}")
+        try:
+            lam = check_correlation(self.lambda_override)
+        except ValueError as exc:
+            raise InvalidConfigError(f"bad lambda_override: {exc}") from exc
+        if lam.shape[0] != self.copula.d:
+            raise InvalidConfigError(f"lambda_override is {lam.shape[0]}x{lam.shape[0]}, the copula has d = {self.copula.d}")
+        object.__setattr__(self, "lambda_override", lam)
+
+
+def _default_convention(kind: str) -> str:
+    return "n-k+1" if kind == "general" else "n-k"
 
 
 @dataclass(frozen=True)
@@ -163,119 +179,37 @@ class ExperimentReport:
         Wall-clock runtime is intentionally absent: emitted reports are
         byte-identical across reruns of the same configuration.
         """
-        out = {
-            "kind": self.kind,
-            "config": self.config,
-            "theoretical_sigma": _plain(self.theoretical_sigma),
-            "criteria": [
-                {
-                    "name": c.name,
-                    "observed": _plain(c.observed),
-                    "target": _plain(c.target),
-                    "tolerance": _plain(c.tolerance),
-                    "passed": c.passed,
-                    "gated": c.gated,
-                }
-                for c in self.criteria
-            ],
-            "passed": self.passed,
-        }
-        for key in (
-            "empirical_cov",
-            "cov_stderr",
-            "mean",
-            "mean_stderr",
-            "ks_stats",
-            "ks_pvalues",
-            "ks_critical",
-            "lambda_used",
-            "lambda_min_eigenvalue",
-            "distances",
-        ):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = _plain(val)
-        return out
-
-
-def _plain(obj):
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()] if obj.ndim else float(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
+        out = to_json(self)
+        del out["runtime_seconds"]
+        return {key: val for key, val in out.items() if val is not None}
 
 
 # ---------------------------------------------------------------------------
 # config wire format
 
 def config_to_json(config: ExperimentConfig) -> dict:
-    obj = {
-        "kind": config.kind,
-        "copula": model_to_json(config.copula),
-        "margins": [margin_to_json(m) for m in config.margins] if config.margins else None,
-        "intermediate": {
-            "rules": [{"c": r.c, "gamma": r.gamma} for r in config.intermediate.rules],
-            "convention": config.intermediate.convention,
-        },
-        "n": config.n,
-        "replications": config.replications,
-        "seed": config.seed,
-        "tolerance": {"abs_tol": config.tolerance.abs_tol, "z": config.tolerance.z},
-        "ks_level": config.ks_level,
-        "gate_ks": config.gate_ks,
-        "seed_overridden": config.seed_overridden,
-    }
-    if config.lambda_override is not None:
-        obj["lambda_override"] = _plain(config.lambda_override)
+    obj = to_json(config)
+    if config.lambda_override is None:
+        del obj["lambda_override"]  # an unset override is left out, not written as null
     return obj
 
 
 def config_from_json(obj: dict, seed_override: Optional[int] = None) -> ExperimentConfig:
-    try:
-        copula = model_from_json(obj["copula"])
-        margins_obj = obj.get("margins")
-        margins = tuple(margin_from_json(m) for m in margins_obj) if margins_obj else None
-        kind = obj.get("kind") or ("general" if margins else "copula")
-        inter = None
-        if "intermediate" in obj and obj["intermediate"] is not None:
-            io_ = obj["intermediate"]
-            rules = tuple(
-                PowerKRule(float(r.get("c", 1.0)), float(r.get("gamma", 0.5)))
-                for r in io_["rules"]
-            )
-            convention = io_.get("convention") or ("n-k+1" if kind == "general" else "n-k")
-            inter = IntermediateSpec(rules, convention)
-        tol_obj = obj.get("tolerance") or {}
-        tol = TolerancePolicy(float(tol_obj.get("abs_tol", 0.05)), float(tol_obj.get("z", 4.0)))
-        lam = obj.get("lambda_override")
-        seed = int(obj["seed"]) if seed_override is None else int(seed_override)
-        return ExperimentConfig(
-            copula=copula,
-            n=int(obj["n"]),
-            replications=int(obj["replications"]),
-            seed=seed,
-            kind=kind,
-            margins=margins,
-            intermediate=inter,
-            tolerance=tol,
-            ks_level=float(obj.get("ks_level", DEFAULT_KS_LEVEL)),
-            gate_ks=bool(obj.get("gate_ks", True)),
-            lambda_override=np.asarray(lam, dtype=float) if lam is not None else None,
-            seed_overridden=seed_override is not None,
-        )
-    except InvalidConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"bad experiment config: {exc}") from exc
+    """Parse a config.
+
+    A missing ``kind`` is inferred from the margins and a missing rank
+    convention from the kind; ``seed_override`` replaces the seed and flags it.
+    """
+    if not isinstance(obj, dict):
+        raise InvalidConfigError(f"an experiment config is a JSON object, got {obj!r}")
+    obj = dict(obj)
+    obj["kind"] = obj.get("kind") or ("general" if obj.get("margins") else "copula")
+    inter = obj.get("intermediate")
+    if isinstance(inter, dict) and not inter.get("convention"):
+        obj["intermediate"] = {**inter, "convention": _default_convention(obj["kind"])}
+    if seed_override is not None:
+        obj.update(seed=seed_override, seed_overridden=True)
+    return from_json(ExperimentConfig, obj)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import stats as sstats
@@ -39,20 +39,21 @@ __all__ = [
     "von_mises_check",
     "VonMisesResult",
     "quantile_transform",
-    "margin_from_name",
-    "margin_from_json",
-    "margin_to_json",
     "make_k_rule",
 ]
 
 
 class MarginalModel:
-    """Base class: a univariate df with density positive near its upper end."""
+    """Base class: a univariate df with density positive near its upper end.
 
-    name: str = "marginal"
-    upper_endpoint: float = math.inf
-    von_mises_type: int = 1
-    von_mises_alpha: Optional[float] = None
+    The tail constants below are fixed per family, so subclasses set them
+    as class attributes rather than constructor parameters.
+    """
+
+    name: ClassVar[str] = "marginal"
+    upper_endpoint: ClassVar[float] = math.inf
+    von_mises_type: ClassVar[int] = 1
+    von_mises_alpha: ClassVar[Optional[float]] = None
 
     def cdf(self, x):
         raise NotImplementedError
@@ -77,10 +78,7 @@ class MarginalModel:
 
 @dataclass(frozen=True)
 class StandardNormal(MarginalModel):
-    name: str = "normal"
-    upper_endpoint: float = math.inf
-    von_mises_type: int = 1
-    von_mises_alpha: Optional[float] = None
+    name = "normal"
 
     def cdf(self, x):
         return ndtr(np.asarray(x, dtype=float))
@@ -103,10 +101,7 @@ class StandardNormal(MarginalModel):
 
 @dataclass(frozen=True)
 class StandardExponential(MarginalModel):
-    name: str = "exponential"
-    upper_endpoint: float = math.inf
-    von_mises_type: int = 1
-    von_mises_alpha: Optional[float] = None
+    name = "exponential"
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -132,10 +127,9 @@ class StandardExponential(MarginalModel):
 class Pareto(MarginalModel):
     """F(x) = 1 - x^(-alpha) on [1, inf)."""
 
+    name = "pareto"
+    von_mises_type = 2
     alpha: float = 1.0
-    name: str = "pareto"
-    upper_endpoint: float = math.inf
-    von_mises_type: int = 2
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -176,10 +170,10 @@ class Pareto(MarginalModel):
 class Triangular(MarginalModel):
     """Density 1 - |x| on (-1, 1); finite endpoint, tail index 2."""
 
-    name: str = "triangular"
-    upper_endpoint: float = 1.0
-    von_mises_type: int = 3
-    von_mises_alpha: float = 2.0
+    name = "triangular"
+    upper_endpoint = 1.0
+    von_mises_type = 3
+    von_mises_alpha = 2.0
 
     def cdf(self, x):
         x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
@@ -204,32 +198,6 @@ class Triangular(MarginalModel):
         inner = np.where(xc >= 0, (1.0 - xc) ** 3 / 6.0, -xc + (1.0 + xc) ** 3 / 6.0)
         out = below + inner
         return float(out) if x.ndim == 0 else out
-
-
-_BUILTINS: dict[str, Callable[..., MarginalModel]] = {
-    "normal": StandardNormal,
-    "exponential": StandardExponential,
-    "pareto": Pareto,
-    "triangular": Triangular,
-}
-
-
-def margin_from_name(name: str, alpha: Optional[float] = None) -> MarginalModel:
-    if name not in _BUILTINS:
-        raise ValueError(f"unknown margin {name!r}; choose from {sorted(_BUILTINS)}")
-    if name == "pareto":
-        return Pareto(alpha if alpha is not None else 1.0)
-    return _BUILTINS[name]()
-
-
-def margin_from_json(obj: dict) -> MarginalModel:
-    return margin_from_name(obj["kind"], obj.get("alpha"))
-
-
-def margin_to_json(model: MarginalModel) -> dict:
-    if isinstance(model, Pareto):
-        return {"kind": "pareto", "alpha": model.alpha}
-    return {"kind": model.name}
 
 
 # ---------------------------------------------------------------------------

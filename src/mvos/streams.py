@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stream_rng", "derive_seed", "DEFAULT_SEED"]
-
-# used when an operation allows the seed to be omitted
-DEFAULT_SEED = 0
+__all__ = ["stream_rng", "derive_seed"]
 
 
 def stream_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Return the Philox generator addressed by (master_seed, *key)."""
-    if master_seed is None:
-        master_seed = DEFAULT_SEED
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(seq))
 

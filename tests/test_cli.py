@@ -190,3 +190,55 @@ class TestExperimentCommand:
 
         tables = read_report_csv(str(out_csv))
         assert "empirical_cov" in tables and "theoretical_sigma" in tables
+
+
+GOOD_CONFIG = {"kind": "copula", "copula": {"kind": "independence", "d": 2},
+               "n": 500, "replications": 5, "seed": 17}
+REJECTED = [
+    ("mixed-gamma", ["experiment", "--config", "{config}"],
+     {"intermediate": {"rules": [{"c": 1.0, "gamma": 0.5}, {"c": 1.0, "gamma": 0.6}]}}, {}),
+    ("mvos-seed-abc", ["experiment", "--config", "{config}"], {}, {"MVOS_SEED": "abc"}),
+    ("lambda-mismatch", ["experiment", "--config", "{config}"],
+     {"kind": "representation", "copula": {"kind": "gumbel", "d": 3, "p": 2.0},
+      "lambda_override": [[1.0, 0.5], [0.5, 1.0]]}, {}),
+    ("lambda-on-copula-kind", ["experiment", "--config", "{config}"],
+     {"lambda_override": [[1.0, 0.5], [0.5, 1.0]]}, {}),
+    ("copula-without-d", ["experiment", "--config", "{config}"],
+     {"copula": {"kind": "independence"}}, {}),
+    ("dnorm-not-json", ["dnorm", "eval", "--spec", "{kind:", "--x", "1,2"], None, {}),
+    ("dnorm-unknown-kind", ["dnorm", "eval", "--spec", '{"kind":"cauchy"}', "--x", "1,2"], None, {}),
+    ("dnorm-p-below-1", ["dnorm", "validate", "--spec", '{"kind":"logistic","p":0.5}'], None, {}),
+    ("cov-non-reciprocal", ["cov", "--dnorm", '{"kind":"sup"}', "--kratios", '{"d":2,"k":[[1,2],[2,1]]}'],
+     None, {}),
+    ("chi2rep-ragged", ["chi2rep", "--lambda", "[[1.0,0.5],[0.5]]", "-n", "100", "-k", "9", "-R", "5",
+                        "--seed", "1", "--out", "{out}"], None, {}),
+    ("chi2rep-k-not-below-n", ["chi2rep", "--lambda", "[[1.0,0.5],[0.5,1.0]]", "-n", "10", "-k", "10",
+                               "-R", "5", "--seed", "1", "--out", "{out}"], None, {}),
+    ("sample-p-below-1", ["sample", "--copula", "gumbel", "--p", "0.5", "-n", "10", "--seed", "1",
+                          "--out", "{out}"], None, {}),
+    ("sample-n-0", ["sample", "--copula", "independence", "-n", "0", "--seed", "1", "--out", "{out}"],
+     None, {}),
+    ("check-alpha-negative", ["check", "von-mises", "--margin", "pareto", "--alpha", "-1"], None, {}),
+    ("check-k-rule-2", ["check", "smirnov", "--margin", "exponential", "--k-rule", "2"], None, {}),
+    ("check-grid-past-endpoint", ["check", "von-mises", "--margin", "triangular", "--x-grid", "0.5,2"],
+     None, {}),
+    ("dnorm-x-wrong-length", ["dnorm", "eval", "--spec", '{"kind":"generator","gen":{"kind":"constant"},"d":2}',
+                              "--x", "1,2,3"], None, {}),
+    ("negative-seed", ["sample", "--copula", "independence", "-n", "5", "--seed", "-1", "--out", "{out}"],
+     None, {}),
+]
+
+
+@pytest.mark.parametrize("argv,config,env", [case[1:] for case in REJECTED], ids=[case[0] for case in REJECTED])
+def test_invalid_input_exits_2_with_one_line(argv, config, env, tmp_path, capsys, monkeypatch):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    cfg_path = tmp_path / "exp.json"
+    if config is not None:
+        cfg_path.write_text(json.dumps({**GOOD_CONFIG, **config}))
+    out_path = tmp_path / "out.csv"
+    argv = [a.replace("{config}", str(cfg_path)).replace("{out}", str(out_path)) for a in argv]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    assert not out_path.exists()

@@ -9,8 +9,6 @@ from mvos.copula import (
     copula_cdf,
     copula_sample,
     log_positive_stable,
-    model_from_json,
-    model_to_json,
     positive_stable,
     sample_rows,
     tail_expansion_check,
@@ -18,6 +16,7 @@ from mvos.copula import (
 )
 from mvos.diagnostics import ks_critical_value, ks_statistic
 from mvos.streams import stream_rng
+from mvos.wire import from_json, to_json
 
 
 class TestCdf:
@@ -185,4 +184,4 @@ class TestJson:
         "model", [Independence(2), Comonotone(4), GumbelLogistic(2, 2.0)], ids=lambda m: m.label()
     )
     def test_round_trip(self, model):
-        assert model_from_json(model_to_json(model)) == model
+        assert from_json("copula", to_json(model)) == model

@@ -17,9 +17,8 @@ from mvos.dnorm import (
     is_positive_semidefinite,
     lambda_matrix,
     mc_eval,
-    spec_from_json,
-    spec_to_json,
 )
+from mvos.wire import from_json, to_json
 
 
 class TestEval:
@@ -256,11 +255,11 @@ class TestJson:
         ids=lambda s: s.label(),
     )
     def test_round_trip(self, spec):
-        assert spec_from_json(spec_to_json(spec)) == spec
+        assert from_json("dnorm", to_json(spec)) == spec
 
     def test_example_wire_format(self):
-        spec = spec_from_json(
-            {"kind": "generator", "gen": {"kind": "frechet", "p": 2}, "d": 2, "mc_samples": 1000000}
+        spec = from_json(
+            "dnorm", {"kind": "generator", "gen": {"kind": "frechet", "p": 2}, "d": 2, "mc_samples": 1000000}
         )
         assert isinstance(spec, GeneratorBased)
         assert spec.gen == FrechetLogistic(2, 2.0)

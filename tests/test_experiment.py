@@ -81,6 +81,33 @@ class TestConfig:
             ExperimentConfig(copula=Independence(2), n=100, replications=5, seed=1,
                              intermediate=inter)
 
+    def test_mixed_growth_exponents_rejected_upfront(self):
+        inter = IntermediateSpec((PowerKRule(1.0, 0.5), PowerKRule(1.0, 0.6)))
+        with pytest.raises(InvalidConfigError, match="mixed growth exponents"):
+            ExperimentConfig(copula=Independence(2), n=1000, replications=5, seed=1,
+                             intermediate=inter)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            ExperimentConfig(copula=Independence(2), n=100, replications=5, seed=-1)
+
+    @pytest.mark.parametrize(
+        "kind,lam",
+        [
+            ("representation", np.eye(2)),
+            ("representation", [[1.0, 0.5, 0.5], [0.5, 1.0], [0.5, 0.5, 1.0]]),
+            ("representation", np.array([[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+            ("representation", np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+            ("representation", np.array([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]])),
+            ("copula", np.eye(3)),
+        ],
+        ids=["2x2-for-d3", "ragged", "asymmetric", "diagonal", "nan", "copula-kind"],
+    )
+    def test_lambda_override_checked_upfront(self, kind, lam):
+        with pytest.raises(InvalidConfigError, match="lambda_override"):
+            ExperimentConfig(copula=GumbelLogistic(3, 2.0), n=200, replications=5, seed=1,
+                             kind=kind, lambda_override=lam)
+
     def test_seed_override_flagged(self):
         obj = {"copula": {"kind": "independence", "d": 2}, "n": 100, "replications": 5, "seed": 1}
         cfg = config_from_json(obj, seed_override=99)

@@ -12,7 +12,6 @@ from mvos.margins import (
     StandardNormal,
     Triangular,
     make_k_rule,
-    margin_from_name,
     marginal_eval,
     marginal_quantile,
     norming_constants,
@@ -21,6 +20,7 @@ from mvos.margins import (
     smirnov_quotient,
     von_mises_check,
 )
+from mvos.wire import from_json
 
 ALL_MARGINS = [StandardNormal(), StandardExponential(), Pareto(1.0), Triangular()]
 
@@ -272,8 +272,14 @@ class TestQuantileTransform:
 
 
 class TestRegistry:
+    def test_constants_are_not_constructor_parameters(self):
+        with pytest.raises(TypeError):
+            StandardNormal(upper_endpoint=0.5)
+        with pytest.raises(TypeError):
+            Pareto(2.0, von_mises_type=1)
+
     def test_names(self):
-        assert margin_from_name("normal") == StandardNormal()
-        assert margin_from_name("pareto", alpha=2.5) == Pareto(2.5)
+        assert from_json("margin", {"kind": "normal"}) == StandardNormal()
+        assert from_json("margin", {"kind": "pareto", "alpha": 2.5}) == Pareto(2.5)
         with pytest.raises(ValueError):
-            margin_from_name("cauchy")
+            from_json("margin", {"kind": "cauchy"})
