@@ -24,9 +24,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chi2rep import NotPositiveSemidefiniteError, check_correlation, correlated_ratio_sample
+from .chi2rep import NotPositiveSemidefiniteError, correlated_ratio_sample
 from .copula import copula_sample
-from .dnorm import dnorm_validate, dnorm_eval, spec_dimension
+from .dnorm import dnorm_validate, dnorm_eval
 from .margins import make_k_rule, smirnov_check, von_mises_check
 from .orderstats import KRatioMatrix, theoretical_sigma
 from .experiment import (
@@ -51,10 +51,14 @@ def _check(ok: bool, message: str) -> None:
 
 
 def _parsed(what: str, parse, text):
-    """parse(text), with any fault reported as invalid input named ``what``."""
+    """parse(text), with any fault reported as invalid input named ``what``.
+
+    Library calls that check their arguments before any work go through
+    here too, so each bound is written once, in the library.
+    """
     try:
         return parse(text)
-    except InvalidConfigError:
+    except (InvalidConfigError, NotPositiveSemidefiniteError):
         raise
     except (OSError, TypeError, ValueError, KeyError) as exc:
         raise InvalidConfigError(f"bad {what}: {exc}") from exc
@@ -72,9 +76,9 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _matrix(text: str) -> np.ndarray:
+def _matrix(text: str):
     obj = json.loads(text)
-    return check_correlation(obj["matrix"] if isinstance(obj, dict) else obj)
+    return obj["matrix"] if isinstance(obj, dict) else obj
 
 
 def _write_csv_matrix(path: str, header: list[str], rows: np.ndarray) -> None:
@@ -90,9 +94,7 @@ def _cmd_dnorm(args) -> int:
     if args.action == "eval":
         _check(bool(args.x), "dnorm eval requires --x")
         x = _parsed("--x", _floats, args.x)
-        dim = spec_dimension(spec)
-        _check(dim in (None, len(x)), f"--x has length {len(x)}, the norm has dimension {dim}")
-        value = dnorm_eval(spec, x, seed=args.seed)
+        value = _parsed("--x", lambda x: dnorm_eval(spec, x, seed=args.seed), x)
         print(f"{value:.12g}")
         return EXIT_OK
     _check(args.trials >= 1, "--trials must be >= 1")
@@ -161,9 +163,7 @@ def _cmd_cov(args) -> int:
     else:
         _check(bool(args.kratios), "either --kratios or --equal-k is required")
         ratios = _parsed("--kratios", lambda text: KRatioMatrix(json.loads(text)["k"]), args.kratios)
-    dim = spec_dimension(spec)
-    _check(dim in (None, ratios.d), f"the norm has dimension {dim}, the ratios {ratios.d}")
-    sigma = theoretical_sigma(spec, ratios)
+    sigma = _parsed("--dnorm", lambda spec: theoretical_sigma(spec, ratios), spec)
     print(json.dumps({"sigma": [[float(v) for v in row] for row in sigma]}, sort_keys=True))
     for row in sigma:
         print("  ".join(f"{v:12.6f}" for v in row))
@@ -172,10 +172,8 @@ def _cmd_cov(args) -> int:
 
 def _cmd_chi2rep(args) -> int:
     lam = _parsed("--lambda", _matrix, getattr(args, "lambda"))
-    _check(1 <= args.k < args.n, "need 1 <= -k < -n")
-    _check(args.R >= 1, "-R must be >= 1")
     _check(args.seed >= 0, "--seed must be >= 0")
-    sample = correlated_ratio_sample(lam, args.n, args.k, args.R, args.seed)
+    sample = _parsed("chi2rep input", lambda lam: correlated_ratio_sample(lam, args.n, args.k, args.R, args.seed), lam)
     header = [f"r{i + 1}" for i in range(sample.d)]
     _write_csv_matrix(args.out, header, sample.ratios)
     print(f"wrote {sample.replications} ratio vectors to {args.out}")

@@ -207,8 +207,10 @@ def config_from_json(obj: dict, seed_override: Optional[int] = None) -> Experime
     inter = obj.get("intermediate")
     if isinstance(inter, dict) and not inter.get("convention"):
         obj["intermediate"] = {**inter, "convention": _default_convention(obj["kind"])}
+    # the override flag records MVOS_SEED only; a config cannot set it
+    obj["seed_overridden"] = seed_override is not None
     if seed_override is not None:
-        obj.update(seed=seed_override, seed_overridden=True)
+        obj["seed"] = seed_override
     return from_json(ExperimentConfig, obj)
 
 

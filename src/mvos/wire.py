@@ -3,12 +3,14 @@
 A tagged family maps its ``kind`` tags to dataclasses; any other dataclass
 travels untagged as its field mapping.  Parsing builds through the
 constructors, so the models' own checks are the validation, and every
-parse fault surfaces as :class:`InvalidConfigError`.  Field values are
-coerced to the field's annotated type; keys the target does not declare
-are ignored, and a null value counts as absent.
+parse fault surfaces as :class:`InvalidConfigError`.  A ``bool`` field
+takes only a JSON boolean, an ``int`` field only an integral number and
+a ``float`` field only a number; keys the target does not declare are
+ignored, and a null value counts as absent.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import fields, is_dataclass
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -81,14 +83,29 @@ def _decode(tp, value):
         return _build(tp, value)
     if tp is np.ndarray:
         return np.asarray(value, dtype=float)
+    return _scalar(tp, value)
+
+
+def _scalar(tp, value):
+    if tp is bool or tp is str:
+        ok = isinstance(value, tp)
+    else:  # int or float
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and (tp is float or isinstance(value, numbers.Integral) or float(value).is_integer()))
+    if not ok:
+        raise InvalidConfigError(f"expected a JSON {'number' if tp is float else tp.__name__}, got {value!r}")
     return tp(value)
 
 
 def _build(cls, obj):
     if not isinstance(obj, dict):
         raise InvalidConfigError(f"{cls.__name__} must be a JSON object, got {obj!r}")
-    if cls is GeneratorBased and "d" in obj and isinstance(obj.get("gen"), dict):
+    outer = obj.get("d") if cls is GeneratorBased else None
+    if outer is not None and isinstance(obj.get("gen"), dict):
         # the CLI form keeps the dimension beside the generator
-        obj = {**obj, "gen": {"d": obj["d"], **obj["gen"]}}
+        inner = obj["gen"].get("d")
+        if inner is not None and inner != outer:
+            raise InvalidConfigError(f"generator norm has d = {outer!r} beside gen but d = {inner!r} inside it")
+        obj = {**obj, "gen": {**obj["gen"], "d": outer}}
     hints = get_type_hints(cls)
     return cls(**{f.name: _decode(hints[f.name], obj[f.name]) for f in fields(cls) if obj.get(f.name) is not None})

@@ -224,6 +224,10 @@ REJECTED = [
      None, {}),
     ("dnorm-x-wrong-length", ["dnorm", "eval", "--spec", '{"kind":"generator","gen":{"kind":"constant"},"d":2}',
                               "--x", "1,2,3"], None, {}),
+    ("cov-dimension-mismatch", ["cov", "--dnorm", '{"kind":"generator","gen":{"kind":"constant"},"d":3}',
+                                "--equal-k", "--d", "2"], None, {}),
+    ("chi2rep-R-0", ["chi2rep", "--lambda", "[[1.0,0.5],[0.5,1.0]]", "-n", "10", "-k", "3", "-R", "0",
+                     "--seed", "1", "--out", "{out}"], None, {}),
     ("negative-seed", ["sample", "--copula", "independence", "-n", "5", "--seed", "-1", "--out", "{out}"],
      None, {}),
 ]

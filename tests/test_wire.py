@@ -78,11 +78,37 @@ class TestRejection:
             ("copula", {"kind": "gumbel", "d": "two", "p": 2}),
             ("margin", {"kind": "pareto", "alpha": -1}),
             ("margin", "normal"),
+            ("margin", {"kind": "pareto", "alpha": "2"}),
+            ("dnorm", {"kind": "generator", "gen": {"kind": "frechet", "p": 2, "d": 3}, "d": 2}),
+            ("dnorm", {"kind": "generator", "gen": {"kind": "constant"}, "d": 2, "mc_samples": 10.5}),
         ],
     )
     def test_invalid_config_error(self, family, obj):
         with pytest.raises(InvalidConfigError):
             from_json(family, obj)
+
+    @pytest.mark.parametrize(
+        "field,value", [("gate_ks", "false"), ("gate_ks", 0), ("n", 2.7), ("n", True), ("n", "500"), ("seed", None)]
+    )
+    def test_config_scalar_types_are_not_coerced(self, field, value):
+        obj = {**GOLDEN_CONFIGS["copula"][0], field: value}
+        with pytest.raises(InvalidConfigError):
+            config_from_json(obj)
+
+    def test_integral_float_is_an_int(self):
+        assert config_from_json({**GOLDEN_CONFIGS["copula"][0], "n": 5000.0}).n == 5000
+
+
+def test_generator_dimension_may_be_given_in_both_places_when_equal():
+    spec = from_json("dnorm", {"kind": "generator", "gen": {"kind": "frechet", "p": 2, "d": 2}, "d": 2})
+    assert spec == GeneratorBased(FrechetLogistic(2, 2.0))
+
+
+def test_seed_overridden_comes_only_from_the_override():
+    obj = {**GOLDEN_CONFIGS["copula"][0], "seed_overridden": True}
+    assert not config_from_json(obj).seed_overridden
+    cfg = config_from_json(obj, seed_override=5)
+    assert cfg.seed_overridden and cfg.seed == 5
 
 
 generators = st.one_of(
@@ -147,7 +173,6 @@ def configs(draw):
         ks_level=draw(st.floats(1e-6, 0.5)),
         gate_ks=draw(st.booleans()),
         lambda_override=lam,
-        seed_overridden=draw(st.booleans()),
     )
 
 
