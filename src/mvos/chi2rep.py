@@ -11,6 +11,7 @@ check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,19 +164,27 @@ def quantile_grid(samples: Sequence[np.ndarray], levels=None) -> list[np.ndarray
 
 
 def ecdf_on_grid(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
-    """Joint empirical cdf of the rows of ``values`` on a tensor grid."""
+    """Joint empirical cdf of the rows of ``values`` on a tensor grid.
+
+    Each row is coded per column by how many grid points lie below it;
+    one count per code cell, summed cumulatively along every axis, gives
+    the number of rows at or below each grid node.  Memory is
+    O(R d + prod(len(g) + 1)), and the exact integer counts make the
+    result equal to the mean of the R x grid indicator array.
+    """
     values = np.asarray(values, dtype=float)
-    d = values.shape[1]
+    r, d = values.shape
     if len(grid) != d:
         raise ValueError("grid dimension mismatch")
-    mask = np.ones((values.shape[0],) + tuple(len(g) for g in grid), dtype=bool)
-    for i, g in enumerate(grid):
-        shape = [1] * (d + 1)
-        shape[0] = values.shape[0]
-        shape[i + 1] = len(g)
-        cmp = values[:, i].reshape([-1] + [1] * d) <= np.asarray(g).reshape(shape[1:])[None]
-        mask &= cmp
-    return mask.mean(axis=0)
+    grid = [np.asarray(g, dtype=float) for g in grid]
+    orders = [np.argsort(g, kind="stable") for g in grid]
+    shape = tuple(len(g) + 1 for g in grid)
+    codes = [np.searchsorted(g[order], v, side="left") for g, order, v in zip(grid, orders, values.T)]
+    counts = np.bincount(np.ravel_multi_index(codes, shape), minlength=math.prod(shape)).reshape(shape)
+    for axis, order in enumerate(orders):
+        # code c <= m exactly when the m-th smallest grid point is >= the value
+        counts = np.cumsum(counts, axis=axis, out=counts).take(np.argsort(order), axis=axis)
+    return counts / r
 
 
 def representation_distance(os_batch: OSBatch, ratio_sample: RatioVectorSample, grid=None) -> float:

@@ -4,6 +4,12 @@ Each model carries the norm governing its upper-tail expansion
 ``C(u) = 1 - ||1 - u||_D + o(||1 - u||)``: the 1-norm for independence,
 the sup-norm for comonotonicity, and the logistic p-norm for the
 Gumbel-Hougaard family.
+
+Every model samples in two steps: ``latent_rows`` draws an n x d latent
+matrix and ``to_uniform`` maps it elementwise to the copula scale through
+one nondecreasing map.  Such maps commute with order statistics, so a
+caller that keeps only a few order statistics per column can select them
+on the latent draw, at the same ranks, and map just those.
 """
 from __future__ import annotations
 
@@ -47,6 +53,12 @@ class Independence:
     def tail_dnorm(self) -> DNormSpec:
         return LogisticP(1.0)
 
+    def latent_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.random((n, self.d))
+
+    def to_uniform(self, latent: np.ndarray) -> np.ndarray:
+        return latent
+
     def label(self) -> str:
         return f"independence(d={self.d})"
 
@@ -62,6 +74,13 @@ class Comonotone:
     @property
     def tail_dnorm(self) -> DNormSpec:
         return SupNorm()
+
+    def latent_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        v = rng.random(n)
+        return np.repeat(v[:, None], self.d, axis=1)
+
+    def to_uniform(self, latent: np.ndarray) -> np.ndarray:
+        return latent
 
     def label(self) -> str:
         return f"comonotone(d={self.d})"
@@ -83,6 +102,26 @@ class GumbelLogistic:
     @property
     def tail_dnorm(self) -> DNormSpec:
         return LogisticP(self.p)
+
+    # Archimedean mixture: S positive stable with index 1/p, E iid unit
+    # exponentials, U_i = psi(E_i / S) with psi(t) = exp(-t^(1/p)).  The
+    # latent value is -E_i at p = 1 and log S - log E_i otherwise, so the
+    # (E_i / S)^(1/p) power is taken in log space and large p stays stable.
+    # Both latent values increase with U_i, as every model's must.
+
+    def latent_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        if self.p == 1.0:
+            return -rng.exponential(size=(n, self.d))
+        log_s = log_positive_stable(1.0 / self.p, n, rng)
+        e = rng.exponential(size=(n, self.d))
+        with np.errstate(divide="ignore"):
+            log_e = np.log(e)
+        return log_s[:, None] - log_e
+
+    def to_uniform(self, latent: np.ndarray) -> np.ndarray:
+        if self.p == 1.0:
+            return np.exp(latent)
+        return np.exp(-np.exp(-latent / self.p))
 
     def label(self) -> str:
         return f"gumbel(d={self.d}, p={self.p})"
@@ -165,22 +204,9 @@ def positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.nda
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n iid rows from the model using the supplied generator."""
-    if isinstance(model, Independence):
-        return rng.random((n, model.d))
-    if isinstance(model, Comonotone):
-        v = rng.random(n)
-        return np.repeat(v[:, None], model.d, axis=1)
-    # Archimedean mixture: S positive stable with index 1/p, E iid unit
-    # exponentials, U_i = psi(E_i / S) with psi(t) = exp(-t^(1/p)); the
-    # (E_i / S)^(1/p) power is taken in log space so large p stays stable
-    if model.p == 1.0:
-        return np.exp(-rng.exponential(size=(n, model.d)))
-    log_s = log_positive_stable(1.0 / model.p, n, rng)
-    e = rng.exponential(size=(n, model.d))
-    with np.errstate(divide="ignore"):
-        log_e = np.log(e)
-    return np.exp(-np.exp((log_e - log_s[:, None]) / model.p))
+    """Draw n iid rows from the model using the supplied generator: the
+    model's monotone map applied to its latent draw."""
+    return model.to_uniform(model.latent_rows(n, rng))
 
 
 def copula_sample(model: CopulaModel, n: int, seed: int) -> UniformSampleBatch:

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sstats
 from scipy.special import ndtr, ndtri
+
+from .orderstats import PowerKRule
 
 __all__ = [
     "MarginalModel",
@@ -84,7 +85,7 @@ class StandardNormal(MarginalModel):
         return ndtr(np.asarray(x, dtype=float))
 
     def sf(self, x):
-        return sstats.norm.sf(np.asarray(x, dtype=float))
+        return ndtr(-np.asarray(x, dtype=float))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -96,7 +97,7 @@ class StandardNormal(MarginalModel):
     def tail_integral(self, x):
         # E(Z - x)^+ = phi(x) - x (1 - Phi(x)); sf avoids cancellation in 1-Phi
         x = np.asarray(x, dtype=float)
-        return self.pdf(x) - x * sstats.norm.sf(x)
+        return self.pdf(x) - x * self.sf(x)
 
 
 @dataclass(frozen=True)
@@ -279,15 +280,11 @@ def smirnov_quotient(
 
 
 def make_k_rule(rule) -> Callable[[int], int]:
-    """Normalize a k-rule: a callable, 'sqrt', or a float exponent gamma."""
+    """Parse a k-rule: a callable passes through, 'sqrt' is floor(n^0.5) and
+    a number gamma is floor(n^gamma), both as :class:`PowerKRule`."""
     if callable(rule):
         return rule
-    if rule == "sqrt":
-        return lambda n: max(1, int(math.floor(math.sqrt(n))))
-    gamma = float(rule)
-    if not 0 < gamma < 1:
-        raise ValueError("k-rule exponent must lie in (0, 1)")
-    return lambda n: max(1, int(math.floor(n ** gamma)))
+    return PowerKRule(1.0, 0.5 if rule == "sqrt" else float(rule))
 
 
 def smirnov_check(model: MarginalModel, x_grid, n_grid, k_rule="sqrt") -> list[SmirnovRow]:

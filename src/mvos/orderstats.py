@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .dnorm import DNormSpec, dnorm_eval, spec_dimension
-from .margins import NormingConstants
+
+if TYPE_CHECKING:  # margins imports this module for PowerKRule
+    from .margins import NormingConstants
 
 __all__ = [
     "KRatioMatrix",

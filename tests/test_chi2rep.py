@@ -159,3 +159,30 @@ class TestRepresentationDistance:
         i, j = 2, 6
         direct = np.mean((values[:, 0] <= grid[0][i]) & (values[:, 1] <= grid[1][j]))
         assert ecdf[i, j] == direct
+
+    @staticmethod
+    def _mask_ecdf(values, grid):
+        # the R x grid indicator array, averaged over rows
+        d = values.shape[1]
+        mask = np.ones((values.shape[0],) + tuple(len(g) for g in grid), dtype=bool)
+        for i, g in enumerate(grid):
+            shape = [1] * d
+            shape[i] = len(g)
+            mask &= values[:, i].reshape([-1] + [1] * d) <= np.asarray(g).reshape(shape)[None]
+        return mask.mean(axis=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_ecdf_on_grid_matches_mask(self, d):
+        rng = np.random.default_rng(20 + d)
+        for trial in range(6):
+            reps = int(rng.integers(1, 400))
+            # eighths: many ties among the rows and many rows exactly on grid points
+            values = np.round(8.0 * rng.random((reps, d))) / 8.0
+            if trial % 2:
+                grid = quantile_grid([values])
+            else:  # short unsorted grids with repeated points
+                grid = [np.round(8.0 * rng.random(int(rng.integers(1, 6)))) / 8.0 for _ in range(d)]
+            got = ecdf_on_grid(values, grid)
+            want = self._mask_ecdf(values, grid)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)

@@ -77,6 +77,17 @@ class TestSampling:
         )
         assert np.array_equal(full, manual)
 
+    @pytest.mark.parametrize(
+        "model", [Independence(3), Comonotone(3), GumbelLogistic(3, 1.0), GumbelLogistic(3, 2.5)],
+        ids=lambda m: m.label(),
+    )
+    def test_rows_are_the_monotone_map_of_the_latent_draw(self, model):
+        latent = model.latent_rows(2000, stream_rng(61, 0))
+        assert np.array_equal(model.to_uniform(latent), sample_rows(model, 2000, stream_rng(61, 0)))
+        # a nondecreasing map commutes with order statistics
+        mapped = model.to_uniform(np.sort(latent, axis=0))
+        assert np.all(np.diff(mapped, axis=0) >= 0)
+
     def test_gumbel_empirical_cdf_matches_analytic(self):
         n = 10**5
         model = GumbelLogistic(2, 2.0)

@@ -6,9 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mvos.chi2rep import NotPositiveSemidefiniteError
-from mvos.copula import Comonotone, GumbelLogistic, Independence
-from mvos.margins import Pareto, StandardExponential, StandardNormal
-from mvos.orderstats import IntermediateSpec, PowerKRule
+from mvos.copula import Comonotone, GumbelLogistic, Independence, sample_rows
+from mvos.margins import Pareto, StandardExponential, StandardNormal, Triangular, quantile_transform
+from mvos.orderstats import IntermediateSpec, PowerKRule, componentwise_os
+from mvos.streams import stream_rng
 from mvos.experiment import (
     ExperimentConfig,
     InvalidConfigError,
@@ -22,6 +23,7 @@ from mvos.experiment import (
     run_experiment,
     run_general_experiment,
     run_representation_experiment,
+    _collect_os,
 )
 
 GUMBEL_TARGET = 2.0 - math.sqrt(2.0)
@@ -113,6 +115,39 @@ class TestConfig:
         cfg = config_from_json(obj, seed_override=99)
         assert cfg.seed == 99 and cfg.seed_overridden
         assert config_to_json(cfg)["seed_overridden"] is True
+
+
+class TestSelectionOnLatentDraw:
+    MARGINS = (StandardNormal(), Pareto(1.0), Triangular(), StandardExponential())
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("kind", ["copula", "general"])
+    @pytest.mark.parametrize(
+        "copula",
+        [Independence(4), Comonotone(4), GumbelLogistic(4, 1.0), GumbelLogistic(4, 2.0)],
+        ids=lambda m: m.label(),
+    )
+    def test_equals_map_then_select(self, copula, kind, threads):
+        # selecting on the latent draw and mapping the R x d winners must
+        # reproduce sample_rows -> quantile_transform -> componentwise_os
+        n, reps, seed = 700, 12, 17
+        general = kind == "general"
+        cfg = ExperimentConfig(
+            copula=copula, n=n, replications=reps, seed=seed, kind=kind,
+            margins=self.MARGINS if general else None,
+            intermediate=IntermediateSpec((PowerKRule(1.0, 0.6), PowerKRule(2.0, 0.6),
+                                           PowerKRule(0.5, 0.6), PowerKRule(1.0, 0.6)),
+                                          "n-k+1" if general else "n-k"),
+        )
+        got, ks = _collect_os(cfg, n, seed, threads, transform=general)
+        want = np.empty((reps, copula.d))
+        for rep in range(reps):
+            rows = sample_rows(copula, n, stream_rng(seed, rep))
+            if general:
+                rows = quantile_transform(self.MARGINS, rows)
+            want[rep] = componentwise_os(rows, cfg.intermediate.ranks(n))
+        assert np.array_equal(got, want)
+        assert np.array_equal(ks, cfg.intermediate.k_vector(n))
 
 
 class TestCopulaExperiment:

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate, optimize
+from scipy import integrate, optimize, stats
 
+import mvos
 from mvos.margins import (
     MarginalModel,
     Pareto,
@@ -62,6 +66,20 @@ class TestClosedForms:
         x = grids[model.label()]
         back = model.quantile(model.cdf(x))
         assert np.max(np.abs(back - x) / np.maximum(np.abs(x), 1e-3)) < 1e-12
+
+    def test_normal_sf_equals_scipy_stats(self):
+        # sf is ndtr(-x); it must agree with scipy.stats bit for bit
+        model = StandardNormal()
+        x = np.linspace(-40.0, 40.0, 16001)
+        assert np.array_equal(model.sf(x), stats.norm.sf(x))
+        assert np.array_equal(model.tail_integral(x), model.pdf(x) - x * stats.norm.sf(x))
+
+    def test_package_import_leaves_out_scipy_stats(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mvos.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, mvos; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("model", ALL_MARGINS, ids=lambda m: m.label())
     def test_sf_complements_cdf(self, model):
