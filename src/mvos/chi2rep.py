@@ -19,7 +19,7 @@ import numpy as np
 
 from .dnorm import is_positive_semidefinite, _check_symmetric
 from .orderstats import OSBatch
-from .streams import stream_rng
+from .streams import run_in_ranges, stream_rng
 
 __all__ = [
     "RatioVectorSample",
@@ -112,14 +112,23 @@ def check_correlation(lam) -> np.ndarray:
     return lam
 
 
-def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int) -> RatioVectorSample:
+def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int = 1) -> RatioVectorSample:
     """Componentwise ratios driven by shared N(0, Lambda) draws.
 
     Per replication, 2(n+1) vectors are drawn; component i's ratio is the
     sum of its first 2(n-k) squared coordinates over the sum of all
     2(n+1).  Margins are Beta(n-k, k+1) regardless of the off-diagonal
-    part of Lambda.  Draws stream through running sums, so memory stays
-    O(d) per replication.
+    part of Lambda.
+
+    Vectors are drawn in blocks of up to ``_BLOCK`` rows into two
+    min(2(n+1), _BLOCK) x d buffers that each thread allocates once and
+    reuses for every replication it runs.  For d >= 2 both sums are read
+    off one in-place running sum down the rows of each block, which adds
+    the rows in order: the sequential sum that ``sum(axis=0)`` takes on a
+    C-ordered (m, d) array, so the ratios are bit for bit those of summing
+    each block.  At d = 1 that axis-0 sum is pairwise instead, so the
+    block is summed twice as such.  Replication r draws from the stream
+    keyed by r, so the result does not depend on ``threads``.
     """
     lam = check_correlation(lam)
     if not 1 <= k < n:
@@ -135,20 +144,35 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int) -> RatioVect
     num_terms = 2 * (n - k)
     den_terms = 2 * (n + 1)
     out = np.empty((r, d))
-    for rep in range(r):
-        rng = stream_rng(seed, rep)
-        num = np.zeros(d)
-        den = np.zeros(d)
-        done = 0
-        while done < den_terms:
-            take = min(_BLOCK, den_terms - done)
-            sq = np.square(rng.standard_normal((take, d)) @ root.T)
-            cut = min(max(num_terms - done, 0), take)
-            if cut:
-                num += sq[:cut].sum(axis=0)
-            den += sq.sum(axis=0)
-            done += take
-        out[rep] = num / den
+
+    def run_range(lo: int, hi: int) -> None:
+        z = np.empty((min(_BLOCK, den_terms), d))
+        y = np.empty_like(z)
+        for rep in range(lo, hi):
+            rng = stream_rng(seed, rep)
+            num = np.zeros(d)
+            den = np.zeros(d)
+            done = 0
+            while done < den_terms:
+                take = min(_BLOCK, den_terms - done)
+                sq = y[:take]
+                # z @ root.T as always: BLAS need not round root @ z.T the same way
+                np.matmul(rng.standard_normal(out=z[:take]), root.T, out=sq)
+                np.square(sq, out=sq)
+                cut = min(max(num_terms - done, 0), take)
+                if d == 1:
+                    if cut:
+                        num += sq[:cut].sum(axis=0)
+                    den += sq.sum(axis=0)
+                else:
+                    np.cumsum(sq, axis=0, out=sq)
+                    if cut:
+                        num += sq[cut - 1]
+                    den += sq[-1]
+                done += take
+            out[rep] = num / den
+
+    run_in_ranges(r, threads, run_range)
     return RatioVectorSample(ratios=out, n=int(n), k=int(k), lam=lam, seed=int(seed))
 
 

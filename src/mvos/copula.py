@@ -10,12 +10,17 @@ matrix and ``to_uniform`` maps it elementwise to the copula scale through
 one nondecreasing map.  Such maps commute with order statistics, so a
 caller that keeps only a few order statistics per column can select them
 on the latent draw, at the same ranks, and map just those.
+
+A caller that draws many latent matrices of one size takes
+``latent_sampler(n)``: it allocates the draw's buffers once and
+overwrites them on every call, consuming the generator exactly as
+``latent_rows`` does.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -36,6 +41,9 @@ __all__ = [
     "tail_expansion_check",
 ]
 
+# draws one latent n x d matrix from the generator into the sampler's buffers
+LatentSampler = Callable[[np.random.Generator], np.ndarray]
+
 # rows per derived stream inside copula_sample; the chunk layout is part of
 # the reproducibility contract, so treat it as frozen
 SAMPLE_CHUNK = 65536
@@ -53,8 +61,12 @@ class Independence:
     def tail_dnorm(self) -> DNormSpec:
         return LogisticP(1.0)
 
+    def latent_sampler(self, n: int) -> LatentSampler:
+        rows = np.empty((n, self.d))
+        return lambda rng: rng.random(out=rows)
+
     def latent_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.random((n, self.d))
+        return self.latent_sampler(n)(rng)
 
     def to_uniform(self, latent: np.ndarray) -> np.ndarray:
         return latent
@@ -75,9 +87,19 @@ class Comonotone:
     def tail_dnorm(self) -> DNormSpec:
         return SupNorm()
 
+    def latent_sampler(self, n: int) -> LatentSampler:
+        column = np.empty(n)
+        rows = np.empty((n, self.d))
+
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            rng.random(out=column)
+            rows[:] = column[:, None]
+            return rows
+
+        return draw
+
     def latent_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        v = rng.random(n)
-        return np.repeat(v[:, None], self.d, axis=1)
+        return self.latent_sampler(n)(rng)
 
     def to_uniform(self, latent: np.ndarray) -> np.ndarray:
         return latent
@@ -109,14 +131,27 @@ class GumbelLogistic:
     # (E_i / S)^(1/p) power is taken in log space and large p stays stable.
     # Both latent values increase with U_i, as every model's must.
 
-    def latent_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def latent_sampler(self, n: int) -> LatentSampler:
+        rows = np.empty((n, self.d))
         if self.p == 1.0:
-            return -rng.exponential(size=(n, self.d))
-        log_s = log_positive_stable(1.0 / self.p, n, rng)
-        e = rng.exponential(size=(n, self.d))
-        with np.errstate(divide="ignore"):
-            log_e = np.log(e)
-        return log_s[:, None] - log_e
+            def draw(rng: np.random.Generator) -> np.ndarray:
+                rng.standard_exponential(out=rows)
+                return np.negative(rows, out=rows)
+
+            return draw
+        work = np.empty((4, n))
+
+        def draw(rng: np.random.Generator) -> np.ndarray:
+            log_s = log_positive_stable(1.0 / self.p, n, rng, work)
+            rng.standard_exponential(out=rows)
+            with np.errstate(divide="ignore"):
+                np.log(rows, out=rows)
+            return np.subtract(log_s[:, None], rows, out=rows)
+
+        return draw
+
+    def latent_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.latent_sampler(n)(rng)
 
     def to_uniform(self, latent: np.ndarray) -> np.ndarray:
         if self.p == 1.0:
@@ -178,22 +213,49 @@ def copula_cdf(model: CopulaModel, u) -> float:
 # ---------------------------------------------------------------------------
 # sampling
 
-def log_positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
+def log_positive_stable(
+    alpha: float, size: int, rng: np.random.Generator, work: Optional[np.ndarray] = None
+) -> np.ndarray:
     """log of one-sided stable variates with Laplace transform exp(-s^alpha).
 
     Chambers-Mallows-Stuck construction specialized to total positive skew
     (Kanter's representation), valid for 0 < alpha < 1.  Kept on the log
     scale: for small alpha the variates themselves leave the double range.
+
+    ``work``, if given, is a C-ordered (4, size) float array that the draw
+    is computed in; the result is its first row.  Without it one is
+    allocated.  Either way the variates are, bit for bit,
+
+        log sin(alpha V) - log sin(V) / alpha
+            + ((1 - alpha) / alpha) (log sin((1 - alpha) V) - log W)
+
+    with V uniform on (0, pi) and W unit exponential, drawn in that order.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    v = rng.uniform(0.0, math.pi, size=size)
-    w = rng.exponential(size=size)
-    return (
-        np.log(np.sin(alpha * v))
-        - np.log(np.sin(v)) / alpha
-        + ((1.0 - alpha) / alpha) * (np.log(np.sin((1.0 - alpha) * v)) - np.log(w))
-    )
+    if work is None:
+        work = np.empty((4, size))
+    out, v, w, t = work
+    rng.random(out=v)
+    v *= math.pi  # rng.uniform(0, pi) computes this product too
+    rng.standard_exponential(out=w)
+    # the formula's operations in its order; products and sums of two
+    # terms are exact under swapping the operands
+    np.multiply(v, alpha, out=out)
+    np.sin(out, out=out)
+    np.log(out, out=out)
+    np.sin(v, out=t)
+    np.log(t, out=t)
+    np.divide(t, alpha, out=t)
+    np.subtract(out, t, out=out)
+    np.multiply(v, 1.0 - alpha, out=v)
+    np.sin(v, out=v)
+    np.log(v, out=v)
+    np.log(w, out=w)
+    np.subtract(v, w, out=v)
+    np.multiply(v, (1.0 - alpha) / alpha, out=v)
+    np.add(out, v, out=out)
+    return out
 
 
 def positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:

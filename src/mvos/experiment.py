@@ -28,9 +28,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -50,7 +48,7 @@ from .orderstats import (
     theoretical_sigma,
     theoretical_sigma_equal_k,
 )
-from .streams import derive_seed, stream_rng
+from .streams import derive_seed, run_in_ranges, stream_rng
 from .wire import InvalidConfigError, from_json, to_json
 
 __all__ = [
@@ -248,20 +246,11 @@ def _collect_os(
     latent = np.empty((reps, copula.d))
 
     def run_range(lo: int, hi: int) -> None:
+        draw = copula.latent_sampler(n)
         for rep in range(lo, hi):
-            # the previous draw stays bound until this one exists; freeing it
-            # first let malloc trim the heap and fault about 1 MB back in on
-            # every replication (n = 2e4, d = 2)
-            draw = copula.latent_rows(n, stream_rng(collect_seed, rep))
-            latent[rep] = componentwise_os(draw, ranks)
+            latent[rep] = componentwise_os(draw(stream_rng(collect_seed, rep)), ranks)
 
-    if threads <= 1:
-        run_range(0, reps)
-    else:
-        step = math.ceil(reps / threads)
-        bounds = [(lo, min(lo + step, reps)) for lo in range(0, reps, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: run_range(*b), bounds))
+    run_in_ranges(reps, threads, run_range)
     values = copula.to_uniform(latent)
     if transform:
         values = quantile_transform(config.margins, values)
@@ -401,7 +390,7 @@ def run_representation_experiment(config: ExperimentConfig, threads: int = 1) ->
             seed=config.seed,
             scale="raw",
         )
-        ratios = correlated_ratio_sample(lam, nn, k, config.replications, derive_seed(config.seed, 2, nn))
+        ratios = correlated_ratio_sample(lam, nn, k, config.replications, derive_seed(config.seed, 2, nn), threads)
         distances[tag] = {"n": nn, "k": k, "distance": representation_distance(batch, ratios)}
 
     d_n = distances["n"]["distance"]

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from mvos import chi2rep
 from mvos.chi2rep import (
     NotPositiveSemidefiniteError,
     correlated_ratio_sample,
@@ -15,6 +16,7 @@ from mvos.chi2rep import (
 )
 from mvos.dnorm import LogisticP, lambda_matrix
 from mvos.orderstats import OSBatch, theoretical_sigma_equal_k, standardize_copula_case
+from mvos.streams import stream_rng
 
 
 class TestUnivariateRatio:
@@ -117,6 +119,74 @@ class TestCorrelatedRatio:
             correlated_ratio_sample(np.eye(2), 50, 50, 5, seed=0)
         with pytest.raises(ValueError):
             correlated_ratio_sample(np.array([[2.0, 0.0], [0.0, 2.0]]), 50, 5, 5, seed=0)
+
+
+def _blockwise_correlated_ratios(lam, n, k, r, seed, block):
+    """The sampler as it summed each block with two axis-0 sums (oracle)."""
+    root = chi2rep._symmetric_sqrt(lam)
+    d = lam.shape[0]
+    num_terms = 2 * (n - k)
+    den_terms = 2 * (n + 1)
+    out = np.empty((r, d))
+    for rep in range(r):
+        rng = stream_rng(seed, rep)
+        num = np.zeros(d)
+        den = np.zeros(d)
+        done = 0
+        while done < den_terms:
+            take = min(block, den_terms - done)
+            sq = np.square(rng.standard_normal((take, d)) @ root.T)
+            cut = min(max(num_terms - done, 0), take)
+            if cut:
+                num += sq[:cut].sum(axis=0)
+            den += sq.sum(axis=0)
+            done += take
+        out[rep] = num / den
+    return out
+
+
+def _random_correlation(d, seed):
+    a = np.random.default_rng(seed).normal(size=(d, 2 * d))
+    c = a @ a.T
+    s = np.sqrt(np.diag(c))
+    lam = c / np.outer(s, s)
+    lam = (lam + lam.T) / 2.0
+    np.fill_diagonal(lam, 1.0)
+    return lam
+
+
+class TestRatioSamplerKeepsItsBits:
+    """The running-sum sampler returns the blockwise sums' ratios exactly.
+
+    With 16-row blocks, n = 40 spans six blocks and puts the numerator's
+    cut in the fifth; k = n - 1 cuts inside the first block; n = 7 fills
+    exactly one block.
+    """
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(chi2rep, "_BLOCK", 16)
+        return 16
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("n,k", [(40, 3), (40, 39), (7, 2), (7, 6)])
+    def test_equals_blockwise_sums(self, small_blocks, d, n, k):
+        lam = _random_correlation(d, seed=d)
+        got = correlated_ratio_sample(lam, n, k, 5, seed=21).ratios
+        assert np.array_equal(got, _blockwise_correlated_ratios(lam, n, k, 5, 21, small_blocks))
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_equals_blockwise_sums_at_full_block(self, d):
+        lam = _random_correlation(d, seed=d)
+        got = correlated_ratio_sample(lam, 2000, 44, 3, seed=22).ratios
+        assert np.array_equal(got, _blockwise_correlated_ratios(lam, 2000, 44, 3, 22, chi2rep._BLOCK))
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_threads_do_not_change_bits(self, small_blocks, d):
+        lam = _random_correlation(d, seed=d)
+        one = correlated_ratio_sample(lam, 40, 3, 7, seed=23, threads=1).ratios
+        three = correlated_ratio_sample(lam, 40, 3, 7, seed=23, threads=3).ratios
+        assert np.array_equal(one, three)
 
 
 class TestRepresentationDistance:

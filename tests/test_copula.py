@@ -15,6 +15,7 @@ from mvos.copula import (
     tail_norm_value,
 )
 from mvos.diagnostics import ks_critical_value, ks_statistic
+from mvos.orderstats import componentwise_os
 from mvos.streams import stream_rng
 from mvos.wire import from_json, to_json
 
@@ -196,3 +197,77 @@ class TestJson:
     )
     def test_round_trip(self, model):
         assert from_json("copula", to_json(model)) == model
+
+
+def _allocating_log_positive_stable(alpha, size, rng):
+    """log_positive_stable as one allocating expression (oracle)."""
+    v = rng.uniform(0.0, np.pi, size=size)
+    w = rng.exponential(size=size)
+    return (
+        np.log(np.sin(alpha * v))
+        - np.log(np.sin(v)) / alpha
+        + ((1.0 - alpha) / alpha) * (np.log(np.sin((1.0 - alpha) * v)) - np.log(w))
+    )
+
+
+def _allocating_gumbel_latent(model, n, rng):
+    """GumbelLogistic.latent_rows with fresh arrays per draw (oracle)."""
+    if model.p == 1.0:
+        return -rng.exponential(size=(n, model.d))
+    log_s = _allocating_log_positive_stable(1.0 / model.p, n, rng)
+    e = rng.exponential(size=(n, model.d))
+    with np.errstate(divide="ignore"):
+        log_e = np.log(e)
+    return log_s[:, None] - log_e
+
+
+class TestBufferedDraws:
+    """Drawing into reused buffers consumes the stream as allocating did."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 64.0])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_gumbel_latent_rows(self, p, d):
+        model = GumbelLogistic(d, p)
+        n = 3001
+        expected = [_allocating_gumbel_latent(model, n, stream_rng(71, rep)) for rep in range(3)]
+        for rep in range(3):
+            assert np.array_equal(model.latent_rows(n, stream_rng(71, rep)), expected[rep])
+        draw = model.latent_sampler(n)
+        first = draw(stream_rng(71, 0))
+        assert np.array_equal(first, expected[0])
+        for rep in (1, 2):
+            again = draw(stream_rng(71, rep))
+            assert np.array_equal(again, expected[rep])
+            assert np.shares_memory(again, first)  # overwritten in place, not reallocated
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0 / 1.5, 1.0 / 64.0])
+    def test_log_positive_stable(self, alpha):
+        size = 2500
+        expected = _allocating_log_positive_stable(alpha, size, stream_rng(72, 0))
+        assert np.array_equal(log_positive_stable(alpha, size, stream_rng(72, 0)), expected)
+        work = np.empty((4, size))
+        got = log_positive_stable(alpha, size, stream_rng(72, 0), work)
+        assert np.array_equal(got, expected)
+        assert np.shares_memory(got, work)
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_comonotone_selection(self, d):
+        n = 5000
+        ranks = np.array([4990, 17, 2500, 4999])[:d]
+        v = stream_rng(73, 0).random(n)
+        repeated = np.repeat(v[:, None], d, axis=1)
+        expected = np.array([np.partition(repeated[:, i], r - 1)[r - 1] for i, r in enumerate(ranks)])
+        latent = Comonotone(d).latent_rows(n, stream_rng(73, 0))
+        assert latent.flags.writeable and latent.flags.c_contiguous
+        assert np.array_equal(componentwise_os(latent, ranks), expected)
+        rows = sample_rows(Comonotone(d), n, stream_rng(73, 0))
+        assert np.array_equal(rows, repeated)
+        assert rows.flags.writeable and rows.flags.c_contiguous
+
+    def test_independence_latent_sampler_reuses_its_buffer(self):
+        draw = Independence(2).latent_sampler(100)
+        first = draw(stream_rng(74, 0))
+        assert np.array_equal(first, stream_rng(74, 0).random((100, 2)))
+        again = draw(stream_rng(74, 1))
+        assert np.array_equal(again, stream_rng(74, 1).random((100, 2)))
+        assert np.shares_memory(again, first)
