@@ -181,6 +181,7 @@ def _cmd_chi2rep(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _check(args.threads >= 1, "--threads must be >= 1")
     obj = _parsed("--config", _read_json, args.config)
     env_seed = os.environ.get("MVOS_SEED")
     seed = _parsed("MVOS_SEED", int, env_seed) if env_seed else None

@@ -42,7 +42,6 @@ from .margins import MarginalModel, norming_constants, quantile_transform
 from .orderstats import (
     IntermediateSpec,
     OSBatch,
-    componentwise_os,
     standardize_copula_case,
     standardize_general_case,
     theoretical_sigma,
@@ -234,8 +233,8 @@ def _collect_os(
 
     Returns (values, k_vector); values are raw order statistics (on the
     copula scale, or the margin scale when ``transform``).  Each
-    replication selects its order statistics on the copula's latent draw,
-    and the monotone maps to the copula and margin scales then run once on
+    replication selects its order statistics on the copula's latent draw
+    through the copula's ``os_selector``, and the monotone maps to the copula and margin scales then run once on
     the R x d selected values; this equals mapping all n x d draws first.
     """
     inter = config.intermediate
@@ -246,9 +245,9 @@ def _collect_os(
     latent = np.empty((reps, copula.d))
 
     def run_range(lo: int, hi: int) -> None:
-        draw = copula.latent_sampler(n)
+        select = copula.os_selector(n, ranks)
         for rep in range(lo, hi):
-            latent[rep] = componentwise_os(draw(stream_rng(collect_seed, rep)), ranks)
+            latent[rep] = select(stream_rng(collect_seed, rep))
 
     run_in_ranges(reps, threads, run_range)
     values = copula.to_uniform(latent)

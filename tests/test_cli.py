@@ -230,6 +230,8 @@ REJECTED = [
                      "--seed", "1", "--out", "{out}"], None, {}),
     ("negative-seed", ["sample", "--copula", "independence", "-n", "5", "--seed", "-1", "--out", "{out}"],
      None, {}),
+    ("experiment-threads-0", ["experiment", "--config", "{config}", "--threads", "0"], {}, {}),
+    ("experiment-threads-negative", ["experiment", "--config", "{config}", "--threads", "-5"], {}, {}),
 ]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+import mvos.copula as copula_module
 from mvos.copula import (
     Comonotone,
     GumbelLogistic,
@@ -271,3 +272,100 @@ class TestBufferedDraws:
         again = draw(stream_rng(74, 1))
         assert np.array_equal(again, stream_rng(74, 1).random((100, 2)))
         assert np.shares_memory(again, first)
+
+
+class _EdgeDraws:
+    """A stream with boundary values written over chosen draws: V / pi = 0
+    and 1 - 2^-53, W = 0 and E = 0."""
+
+    U = {0: 0.0, 1: 1.0 - 2.0**-53, 4: 0.0, 6: 1.0 - 2.0**-53}
+    W_ZERO = (2, 4, 5, 6)
+    E_ZERO = ((3, 0), (5, 1), (7, 0), (7, 1), (7, 2))
+
+    def __init__(self, seed):
+        self.rng = stream_rng(seed, 0)
+        self.exponentials = 0
+
+    def random(self, out):
+        self.rng.random(out=out)
+        for row, u in self.U.items():
+            out[row] = u
+        return out
+
+    def standard_exponential(self, out):
+        self.rng.standard_exponential(out=out)
+        if self.exponentials == 0:
+            out[list(self.W_ZERO)] = 0.0
+        else:
+            for cell in self.E_ZERO:
+                out[cell] = 0.0
+        self.exponentials += 1
+        return out
+
+
+class TestBracketedGumbelSelector:
+    """Selecting on bracketed rows gives the full draw's order statistics."""
+
+    N = 5000  # at or above BRACKET_MIN_N
+
+    @staticmethod
+    def _full_draw_os(model, n, rng, ranks):
+        return componentwise_os(model.latent_rows(n, rng), ranks)
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 64.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_equals_full_draw(self, p, d):
+        model = GumbelLogistic(d, p)
+        ranks = np.array([4929, 4860, 4965, 4999, 1])[:d]
+        select = model.os_selector(self.N, ranks)
+        for rep in range(3):
+            want = self._full_draw_os(model, self.N, stream_rng(81, rep), ranks)
+            assert np.array_equal(select(stream_rng(81, rep)), want)
+            assert select.candidates < self.N or d == 5
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 64.0])
+    @pytest.mark.parametrize(
+        "ranks,kinds",
+        [([5000, 4997, 4930], "NIF"), ([4999, 4996, 4995], "NII"), ([4930, 4930, 4930], "FFF"),
+         ([1, 2, 4992], "FFF")],
+    )
+    def test_edge_draws(self, p, ranks, kinds):
+        # rows 0 and 4 are NaN (V = 0) and rank last; rows 2, 5, 6 and 7 are
+        # inf in every column and row 3 in column 0
+        model = GumbelLogistic(3, p)
+        select = model.os_selector(self.N, np.array(ranks))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = self._full_draw_os(model, self.N, _EdgeDraws(82), ranks)
+            got = select(_EdgeDraws(82))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert "".join("N" if np.isnan(x) else "I" if np.isinf(x) else "F" for x in want) == kinds
+        u = _EdgeDraws(82).random(np.empty(self.N))
+        edge_bucket = (u < 1.0 / copula_module.STABLE_BUCKETS) | (u >= 1.0 - 1.0 / copula_module.STABLE_BUCKETS)
+        assert select.keep[edge_bucket].all()
+        assert select.keep[:8].all()
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 64.0])
+    def test_table_brackets_every_bucket(self, p):
+        alpha = 1.0 / p
+        buckets = copula_module.STABLE_BUCKETS
+        table = copula_module._stable_bracket_table(p)
+        assert table.shape == (2, buckets)
+        assert np.array_equal(table[:, [0, -1]], [[-np.inf] * 2, [np.inf] * 2])
+        offsets = np.concatenate([np.zeros((buckets, 1)), stream_rng(83, 0).random((buckets, 15))], axis=1)
+        u = ((np.arange(buckets)[:, None] + offsets) / buckets).ravel()
+        work = np.zeros((4, u.size))
+        work[1] = u * np.pi  # V as the draw computes it
+        with np.errstate(divide="ignore", invalid="ignore"):  # V = 0 in the first bucket
+            b = copula_module._log_stable_from_angle(alpha, work)
+        bucket = (u * buckets).astype(int)
+        inner = (bucket > 0) & (bucket < buckets - 1)
+        assert np.all(table[0, bucket[inner]] <= b[inner])
+        assert np.all(b[inner] <= table[1, bucket[inner]])
+
+    def test_candidate_count(self):
+        # a deterministic count, not a timing: a loose table keeps more rows
+        n = 20000
+        ranks = np.full(2, n - 141)
+        select = GumbelLogistic(2, 2.0).os_selector(n, ranks)
+        select(stream_rng(84, 0))
+        assert select.candidates == 221

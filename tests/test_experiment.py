@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mvos.chi2rep import NotPositiveSemidefiniteError
+import mvos.copula as copula_module
 from mvos.copula import Comonotone, GumbelLogistic, Independence, sample_rows
 from mvos.margins import Pareto, StandardExponential, StandardNormal, Triangular, quantile_transform
 from mvos.orderstats import IntermediateSpec, PowerKRule, componentwise_os
@@ -118,33 +119,42 @@ class TestConfig:
 
 
 class TestSelectionOnLatentDraw:
-    MARGINS = (StandardNormal(), Pareto(1.0), Triangular(), StandardExponential())
+    N = 700
+    MARGINS = (StandardNormal(), Pareto(1.0), Triangular(), StandardExponential(), StandardNormal())
+    # unequal k rules; the last gives k = n - 1, so rank 1 under "n-k" (rank 2
+    # under "n-k+1") and almost every Gumbel row stays a bracketing candidate
+    RULES = (PowerKRule(1.0, 0.6), PowerKRule(2.0, 0.6), PowerKRule(0.5, 0.6),
+             PowerKRule(1.0, 0.6), PowerKRule((N - 0.5) / N**0.6, 0.6))
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("kind", ["copula", "general"])
+    @pytest.mark.parametrize("bracket_min_n", [1, 10**9], ids=["bracketed", "full-draw"])
     @pytest.mark.parametrize(
         "copula",
-        [Independence(4), Comonotone(4), GumbelLogistic(4, 1.0), GumbelLogistic(4, 2.0)],
+        [Independence(4), Comonotone(4), GumbelLogistic(4, 1.0), GumbelLogistic(4, 2.0),
+         GumbelLogistic(1, 1.5), GumbelLogistic(5, 1.5), GumbelLogistic(5, 64.0)],
         ids=lambda m: m.label(),
     )
-    def test_equals_map_then_select(self, copula, kind, threads):
+    def test_equals_map_then_select(self, copula, bracket_min_n, kind, threads, monkeypatch):
         # selecting on the latent draw and mapping the R x d winners must
-        # reproduce sample_rows -> quantile_transform -> componentwise_os
-        n, reps, seed = 700, 12, 17
+        # reproduce sample_rows -> quantile_transform -> componentwise_os,
+        # with the Gumbel (p > 1) selector on and off
+        monkeypatch.setattr(copula_module, "BRACKET_MIN_N", bracket_min_n)
+        n, reps, seed = self.N, 12, 17
         general = kind == "general"
         cfg = ExperimentConfig(
             copula=copula, n=n, replications=reps, seed=seed, kind=kind,
-            margins=self.MARGINS if general else None,
-            intermediate=IntermediateSpec((PowerKRule(1.0, 0.6), PowerKRule(2.0, 0.6),
-                                           PowerKRule(0.5, 0.6), PowerKRule(1.0, 0.6)),
-                                          "n-k+1" if general else "n-k"),
+            margins=self.MARGINS[:copula.d] if general else None,
+            intermediate=IntermediateSpec(self.RULES[:copula.d], "n-k+1" if general else "n-k"),
         )
+        if copula.d == 5:
+            assert min(cfg.intermediate.ranks(n)) == (2 if general else 1)
         got, ks = _collect_os(cfg, n, seed, threads, transform=general)
         want = np.empty((reps, copula.d))
         for rep in range(reps):
             rows = sample_rows(copula, n, stream_rng(seed, rep))
             if general:
-                rows = quantile_transform(self.MARGINS, rows)
+                rows = quantile_transform(cfg.margins, rows)
             want[rep] = componentwise_os(rows, cfg.intermediate.ranks(n))
         assert np.array_equal(got, want)
         assert np.array_equal(ks, cfg.intermediate.k_vector(n))
