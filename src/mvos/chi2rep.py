@@ -8,6 +8,12 @@ approaches that of the componentwise (n-k)-th order statistics.  Lambda
 must itself be positive semidefinite, which the entrywise square root of
 a PSD matrix need not be; the sampler therefore gates on an eigenvalue
 check.
+
+Neither sampler sums the normals.  The componentwise sums of squares of m
+vectors from N(0, Lambda) are the diagonal of a Wishart_d(m, Lambda)
+matrix, which Bartlett's decomposition draws exactly from at most d
+chi-squares and d(d-1)/2 normals, so a replication costs O(d^2) whatever
+n is.
 """
 from __future__ import annotations
 
@@ -31,9 +37,6 @@ __all__ = [
     "quantile_grid",
     "ecdf_on_grid",
 ]
-
-# draws are consumed in blocks of this many vectors per replication
-_BLOCK = 65536
 
 
 class NotPositiveSemidefiniteError(ValueError):
@@ -68,29 +71,19 @@ class RatioVectorSample:
 def univariate_ratio_sample(i: int, n: int, r: int, seed: int) -> np.ndarray:
     """R iid copies of (sum of first 2i squared normals) / (sum of first 2(n+1)).
 
-    Each replication draws from its own stream keyed by (seed, index); the
-    result has the Beta(i, n + 1 - i) distribution.
+    The two sums are independent chi-squares, so replication r draws
+    chi^2(2i) and then chi^2(2(n + 1 - i)) from its own stream keyed by
+    (seed, r) and returns the first over their total; the result has the
+    Beta(i, n + 1 - i) distribution.
     """
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
     if r < 1:
         raise ValueError("need at least one replication")
     out = np.empty(r)
-    num_terms = 2 * i
-    den_terms = 2 * (n + 1)
     for rep in range(r):
-        rng = stream_rng(seed, rep)
-        num = 0.0
-        den = 0.0
-        done = 0
-        while done < den_terms:
-            take = min(_BLOCK, den_terms - done)
-            sq = np.square(rng.standard_normal(take))
-            cut = min(max(num_terms - done, 0), take)
-            num += float(sq[:cut].sum())
-            den += float(sq.sum())
-            done += take
-        out[rep] = num / den
+        num, rest = stream_rng(seed, rep).chisquare((2 * i, 2 * (n + 1 - i)))
+        out[rep] = num / (num + rest)
     return out
 
 
@@ -112,23 +105,36 @@ def check_correlation(lam) -> np.ndarray:
     return lam
 
 
+def _bartlett_diagonal(rng: np.random.Generator, root: np.ndarray, m: int) -> np.ndarray:
+    """diag(root W root^T) for W ~ Wishart_d(m, I), by Bartlett's decomposition.
+
+    The d x m Gaussian matrix Z has Z Z^T = A A^T with A its d x min(d, m)
+    lower-trapezoidal factor: A[j, j] = sqrt(chi^2(m - j)) for 0-based j
+    and iid N(0, 1) below the diagonal, all independent.  This holds for
+    every m >= 1, so fewer vectors than dimensions need no other path.
+    Draws d x min(d, m) normals (those on and above the diagonal are
+    discarded), then the min(d, m) chi-squares.
+    """
+    width = min(root.shape[0], m)
+    a = np.tril(rng.standard_normal((root.shape[0], width)), -1)
+    np.fill_diagonal(a, np.sqrt(rng.chisquare(m - np.arange(width))))
+    return np.square(root @ a).sum(axis=1)
+
+
 def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int = 1) -> RatioVectorSample:
     """Componentwise ratios driven by shared N(0, Lambda) draws.
 
-    Per replication, 2(n+1) vectors are drawn; component i's ratio is the
-    sum of its first 2(n-k) squared coordinates over the sum of all
-    2(n+1).  Margins are Beta(n-k, k+1) regardless of the off-diagonal
-    part of Lambda.
+    Component i's ratio is the sum of its first 2(n-k) squared coordinates
+    over the sum of all 2(n+1), across 2(n+1) iid N(0, Lambda) vectors.
+    Margins are Beta(n-k, k+1) regardless of the off-diagonal part of
+    Lambda.
 
-    Vectors are drawn in blocks of up to ``_BLOCK`` rows into two
-    min(2(n+1), _BLOCK) x d buffers that each thread allocates once and
-    reuses for every replication it runs.  For d >= 2 both sums are read
-    off one in-place running sum down the rows of each block, which adds
-    the rows in order: the sequential sum that ``sum(axis=0)`` takes on a
-    C-ordered (m, d) array, so the ratios are bit for bit those of summing
-    each block.  At d = 1 that axis-0 sum is pairwise instead, so the
-    block is summed twice as such.  Replication r draws from the stream
-    keyed by r, so the result does not depend on ``threads``.
+    The two parts of the sum are independent Wishart diagonals with
+    2(n-k) and 2(k+1) degrees of freedom, each drawn exactly by
+    ``_bartlett_diagonal`` with the symmetric root of Lambda.  Replication
+    r draws the numerator's factor and then the remainder's from the
+    stream keyed by (seed, r), so the result does not depend on
+    ``threads``.
     """
     lam = check_correlation(lam)
     if not 1 <= k < n:
@@ -140,37 +146,13 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
         raise NotPositiveSemidefiniteError(min_eig)
 
     root = _symmetric_sqrt(lam)
-    d = lam.shape[0]
-    num_terms = 2 * (n - k)
-    den_terms = 2 * (n + 1)
-    out = np.empty((r, d))
+    out = np.empty((r, lam.shape[0]))
 
     def run_range(lo: int, hi: int) -> None:
-        z = np.empty((min(_BLOCK, den_terms), d))
-        y = np.empty_like(z)
         for rep in range(lo, hi):
             rng = stream_rng(seed, rep)
-            num = np.zeros(d)
-            den = np.zeros(d)
-            done = 0
-            while done < den_terms:
-                take = min(_BLOCK, den_terms - done)
-                sq = y[:take]
-                # z @ root.T as always: BLAS need not round root @ z.T the same way
-                np.matmul(rng.standard_normal(out=z[:take]), root.T, out=sq)
-                np.square(sq, out=sq)
-                cut = min(max(num_terms - done, 0), take)
-                if d == 1:
-                    if cut:
-                        num += sq[:cut].sum(axis=0)
-                    den += sq.sum(axis=0)
-                else:
-                    np.cumsum(sq, axis=0, out=sq)
-                    if cut:
-                        num += sq[cut - 1]
-                    den += sq[-1]
-                done += take
-            out[rep] = num / den
+            num = _bartlett_diagonal(rng, root, 2 * (n - k))
+            out[rep] = num / (num + _bartlett_diagonal(rng, root, 2 * (k + 1)))
 
     run_in_ranges(r, threads, run_range)
     return RatioVectorSample(ratios=out, n=int(n), k=int(k), lam=lam, seed=int(seed))

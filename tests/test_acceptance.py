@@ -14,6 +14,7 @@ from scipy import stats
 from mvos.chi2rep import (
     NotPositiveSemidefiniteError,
     correlated_ratio_sample,
+    ecdf_on_grid,
     univariate_ratio_sample,
 )
 from mvos.copula import GumbelLogistic, Independence
@@ -26,6 +27,7 @@ from mvos.dnorm import (
     SupNorm,
     dnorm_validate,
     is_positive_semidefinite,
+    lambda_matrix,
     mc_eval,
 )
 from mvos.margins import (
@@ -36,14 +38,18 @@ from mvos.margins import (
     smirnov_check,
     von_mises_check,
 )
-from mvos.orderstats import IntermediateSpec, PowerKRule
+from mvos.orderstats import IntermediateSpec, PowerKRule, theoretical_sigma_equal_k
 from mvos.experiment import (
     ExperimentConfig,
+    _collect_os,
     report_json_bytes,
     run_copula_experiment,
     run_general_experiment,
     run_representation_experiment,
 )
+from mvos.streams import derive_seed
+
+from exact_laws import beta_quantile_grid, os_joint_cdf, ratio_joint_cdf
 
 GUMBEL_SIGMA = 2.0 - math.sqrt(2.0)          # 0.585786...
 UNEQUAL_SIGMA = 2.5 - math.sqrt(4.25)        # 0.438447...
@@ -201,19 +207,35 @@ def test_criterion_8_representation_gate_and_distance():
         rejected = True
     gate_ok = accepted and rejected
 
-    # distance comparison at n and 2n, median over 5 seed groups
-    d_n, d_2n = [], []
-    for g in range(5):
-        cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=10000, replications=12000,
-                               seed=8000 + g, kind="representation")
-        rep = run_representation_experiment(cfg)
-        d_n.append(rep.distances["n"]["distance"])
-        d_2n.append(rep.distances["2n"]["distance"])
-    decrease_ok = float(np.median(d_2n)) < float(np.median(d_n))
+    # (a) the exact sup distance between the two laws on the 9 x 9 grid of
+    # Beta(n-k, k+1) quantiles decreases from n to 2n; (b) at one group of
+    # R replications per n, each Monte Carlo arm, drawn from the streams
+    # run_representation_experiment uses, stays within the z band of its
+    # exact cdf at every node
+    band = 4.5
+    cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=10000, replications=12000,
+                           seed=8000, kind="representation")
+    lam = lambda_matrix(theoretical_sigma_equal_k(cfg.copula.tail_dnorm, 2))
+    exact, worst_z = {}, {}
+    for nn in (cfg.n, 2 * cfg.n):
+        k = int(cfg.intermediate.k_vector(nn)[0])
+        grid = beta_quantile_grid(nn, k)
+        os_cdf = os_joint_cdf(cfg.copula, nn, k, grid)
+        ratio_cdf = ratio_joint_cdf(lam[0, 1] ** 2, nn, k, grid)
+        exact[nn] = float(np.abs(os_cdf - ratio_cdf).max())
+        os_values, _ = _collect_os(cfg, nn, derive_seed(cfg.seed, 1, nn), 1, transform=False)
+        ratios = correlated_ratio_sample(lam, nn, k, cfg.replications, derive_seed(cfg.seed, 2, nn)).ratios
+        for arm, values, cdf in (("os", os_values, os_cdf), ("ratio", ratios, ratio_cdf)):
+            se = np.sqrt(cdf * (1.0 - cdf) / cfg.replications)
+            worst_z[f"{arm}@{nn}"] = float(np.abs((ecdf_on_grid(values, [grid, grid]) - cdf) / se).max())
+    decrease_ok = exact[2 * cfg.n] < exact[cfg.n]
+    band_ok = max(worst_z.values()) <= band
 
-    ok = gate_ok and decrease_ok
+    ok = gate_ok and decrease_ok and band_ok
+    zs = " ".join(f"{arm}={z:.2f}" for arm, z in worst_z.items())
     print(f"[criterion 8] {_status(ok)} gate(accept {a_ok:.4f}, reject {a_bad:.4f})={gate_ok}; "
-          f"median distance n=1e4: {np.median(d_n):.5f} vs 2e4: {np.median(d_2n):.5f}")
+          f"exact distance n=1e4: {exact[cfg.n]:.6f} vs 2e4: {exact[2 * cfg.n]:.6f}; "
+          f"max |z| vs exact cdf (band {band}): {zs}")
     assert ok
 
 

@@ -18,6 +18,8 @@ from mvos.dnorm import LogisticP, lambda_matrix
 from mvos.orderstats import OSBatch, theoretical_sigma_equal_k, standardize_copula_case
 from mvos.streams import stream_rng
 
+from exact_laws import beta_quantile_grid, ratio_joint_cdf
+
 
 class TestUnivariateRatio:
     def test_degenerate_case_is_uniform(self):
@@ -121,27 +123,14 @@ class TestCorrelatedRatio:
             correlated_ratio_sample(np.array([[2.0, 0.0], [0.0, 2.0]]), 50, 5, 5, seed=0)
 
 
-def _blockwise_correlated_ratios(lam, n, k, r, seed, block):
-    """The sampler as it summed each block with two axis-0 sums (oracle)."""
+def _brute_force_ratios(lam, n, k, r, seed):
+    """The definition: per replication, 2(n+1) N(0, Lambda) vectors, squared
+    and summed over the first 2(n-k) and over all of them (reference)."""
     root = chi2rep._symmetric_sqrt(lam)
-    d = lam.shape[0]
-    num_terms = 2 * (n - k)
-    den_terms = 2 * (n + 1)
-    out = np.empty((r, d))
+    out = np.empty((r, lam.shape[0]))
     for rep in range(r):
-        rng = stream_rng(seed, rep)
-        num = np.zeros(d)
-        den = np.zeros(d)
-        done = 0
-        while done < den_terms:
-            take = min(block, den_terms - done)
-            sq = np.square(rng.standard_normal((take, d)) @ root.T)
-            cut = min(max(num_terms - done, 0), take)
-            if cut:
-                num += sq[:cut].sum(axis=0)
-            den += sq.sum(axis=0)
-            done += take
-        out[rep] = num / den
+        sq = np.square(stream_rng(seed, rep).standard_normal((2 * (n + 1), lam.shape[0])) @ root.T)
+        out[rep] = sq[: 2 * (n - k)].sum(axis=0) / sq.sum(axis=0)
     return out
 
 
@@ -155,38 +144,103 @@ def _random_correlation(d, seed):
     return lam
 
 
-class TestRatioSamplerKeepsItsBits:
-    """The running-sum sampler returns the blockwise sums' ratios exactly.
+def _two_sample_z(a, b):
+    """z of the difference of two proportions, on the pooled proportion."""
+    pooled = (a.sum() + b.sum()) / (a.size + b.size)
+    return (a.mean() - b.mean()) / math.sqrt(pooled * (1.0 - pooled) * (1.0 / a.size + 1.0 / b.size))
 
-    With 16-row blocks, n = 40 spans six blocks and puts the numerator's
-    cut in the fifth; k = n - 1 cuts inside the first block; n = 7 fills
-    exactly one block.
+
+class TestBartlettDraw:
+    """The exact Wishart-diagonal draw has the law of the normal sums."""
+
+    @pytest.mark.parametrize("n,k,rho2,seed", [(10**4, 100, 2.0 - math.sqrt(2.0), 31),
+                                               (400, 20, 0.49, 32),
+                                               (2, 1, 0.81, 33)])
+    def test_matches_kibble_cdf(self, n, k, rho2, seed):
+        r = 20000
+        rho = math.sqrt(rho2)
+        grid = beta_quantile_grid(n, k)
+        exact = ratio_joint_cdf(rho2, n, k, grid)
+        ratios = correlated_ratio_sample(np.array([[1.0, rho], [rho, 1.0]]), n, k, r, seed=seed).ratios
+        z = (ecdf_on_grid(ratios, [grid, grid]) - exact) / np.sqrt(exact * (1.0 - exact) / r)
+        assert np.abs(z).max() <= 4.5
+
+    # (5, 6, 1) and (5, 2, 1) draw the remainder from 4 < d vectors, and
+    # (3, 40, 39) and (5, 2, 1) the numerator from 2 < d vectors
+    @pytest.mark.parametrize("d,n,k", [(1, 9, 3), (3, 40, 39), (5, 6, 1), (5, 2, 1), (16, 50, 5)])
+    def test_matches_brute_force(self, d, n, k):
+        r = 10000
+        lam = _random_correlation(d, seed=d)
+        got = correlated_ratio_sample(lam, n, k, r, seed=41).ratios
+        want = _brute_force_ratios(lam, n, k, r, seed=42)
+        q = stats.beta(n - k, k + 1).ppf([0.25, 0.5, 0.75])
+        z = [_two_sample_z(got[:, i] <= x, want[:, i] <= x) for i in range(d) for x in q]
+        z += [_two_sample_z((got[:, i] <= q[1]) & (got[:, j] <= q[1]), (want[:, i] <= q[1]) & (want[:, j] <= q[1]))
+              for i in range(d) for j in range(i + 1, d)]
+        assert max(abs(v) for v in z) <= 4.5
+
+    @pytest.mark.parametrize("d,n,k", [(1, 40, 3), (2, 40, 3), (3, 40, 39), (5, 2, 1), (16, 50, 5)])
+    def test_threads_do_not_change_bits(self, d, n, k):
+        lam = _random_correlation(d, seed=d)
+        one = correlated_ratio_sample(lam, n, k, 7, seed=23, threads=1).ratios
+        three = correlated_ratio_sample(lam, n, k, 7, seed=23, threads=3).ratios
+        assert np.array_equal(one, three)
+
+
+def _stream_contract_ratios(lam, n, k, r, seed):
+    """The documented stream, spelled out entry by entry (reference).
+
+    Replication r draws from stream_rng(seed, r) the numerator's factor
+    (m = 2(n-k)) and then the remainder's (m = 2(k+1)).  Each factor takes
+    a d x min(d, m) normal matrix, keeps its entries below the diagonal,
+    then min(d, m) chi-squares with m, m-1, ... degrees of freedom whose
+    square roots form the diagonal.
+    """
+    root = chi2rep._symmetric_sqrt(lam)
+    d = lam.shape[0]
+    out = np.empty((r, d))
+    for rep in range(r):
+        rng = stream_rng(seed, rep)
+        parts = []
+        for m in (2 * (n - k), 2 * (k + 1)):
+            width = min(d, m)
+            z = rng.standard_normal((d, width))
+            chi2 = rng.chisquare([m - j for j in range(width)])
+            a = np.zeros((d, width))
+            for i in range(d):
+                for j in range(min(i, width)):
+                    a[i, j] = z[i, j]
+            for j in range(width):
+                a[j, j] = math.sqrt(chi2[j])
+            parts.append(np.square(root @ a).sum(axis=1))
+        out[rep] = parts[0] / (parts[0] + parts[1])
+    return out
+
+
+class TestStreamContract:
+    """Both samplers consume their per-replication streams as documented,
+    so a change of draw order shows here before it changes a report.
+
+    n = 7 with k = 6 and n = 40 with k = 39 give the numerator 2 < d
+    vectors; k = 2 and k = 3 give the remainder 6 or 8 < 16 vectors.
     """
 
-    @pytest.fixture
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(chi2rep, "_BLOCK", 16)
-        return 16
-
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
-    @pytest.mark.parametrize("n,k", [(40, 3), (40, 39), (7, 2), (7, 6)])
-    def test_equals_blockwise_sums(self, small_blocks, d, n, k):
+    @pytest.mark.parametrize("n,k", [(40, 3), (40, 39), (7, 2), (7, 6), (2000, 44)])
+    def test_correlated_equals_reference(self, d, n, k):
         lam = _random_correlation(d, seed=d)
         got = correlated_ratio_sample(lam, n, k, 5, seed=21).ratios
-        assert np.array_equal(got, _blockwise_correlated_ratios(lam, n, k, 5, 21, small_blocks))
+        assert np.array_equal(got, _stream_contract_ratios(lam, n, k, 5, 21))
 
-    @pytest.mark.parametrize("d", [1, 2, 5])
-    def test_equals_blockwise_sums_at_full_block(self, d):
-        lam = _random_correlation(d, seed=d)
-        got = correlated_ratio_sample(lam, 2000, 44, 3, seed=22).ratios
-        assert np.array_equal(got, _blockwise_correlated_ratios(lam, 2000, 44, 3, 22, chi2rep._BLOCK))
-
-    @pytest.mark.parametrize("d", [1, 2, 5])
-    def test_threads_do_not_change_bits(self, small_blocks, d):
-        lam = _random_correlation(d, seed=d)
-        one = correlated_ratio_sample(lam, 40, 3, 7, seed=23, threads=1).ratios
-        three = correlated_ratio_sample(lam, 40, 3, 7, seed=23, threads=3).ratios
-        assert np.array_equal(one, three)
+    @pytest.mark.parametrize("i,n", [(1, 1), (3, 9), (9, 9), (44, 2000)])
+    def test_univariate_equals_reference(self, i, n):
+        want = []
+        for rep in range(5):
+            rng = stream_rng(22, rep)
+            num = rng.chisquare(2 * i)
+            rest = rng.chisquare(2 * (n + 1 - i))
+            want.append(num / (num + rest))
+        assert np.array_equal(univariate_ratio_sample(i, n, 5, seed=22), np.array(want))
 
 
 class TestRepresentationDistance:

@@ -3,7 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from mvos import experiment
 from mvos.cli import main
 
 
@@ -103,6 +105,18 @@ class TestChi2repCommand:
         assert code == 3
         assert "eigenvalue" in err
 
+    def test_hundred_million_rows(self, tmp_path, capsys):
+        # each replication costs O(d^2) draws whatever n is
+        n, k = 10**8, 10**4
+        path = tmp_path / "big.csv"
+        code, _, _ = run_cli(capsys, "chi2rep", "--lambda", "[[1.0,0.765],[0.765,1.0]]",
+                             "-n", str(n), "-k", str(k), "-R", "200", "--seed", "6", "--out", str(path))
+        assert code == 0
+        ratios = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert ratios.shape == (200, 2)
+        for i in range(2):
+            assert stats.kstest(ratios[:, i], stats.beta(n - k, k + 1).cdf).pvalue > 1e-3
+
 
 class TestExperimentCommand:
     @staticmethod
@@ -126,6 +140,22 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(out_path))
         assert code == 0
         report = json.loads(out_path.read_text())
+        assert report["passed"] is True
+
+    def test_distance_comparison_not_gated(self, tmp_path, capsys, monkeypatch):
+        # a grid distance that rises from n to 2n fails its criterion but
+        # neither the report nor the exit code
+        monkeypatch.setattr(experiment, "representation_distance", lambda batch, ratios: batch.n / 1e6)
+        cfg = self.write_config(tmp_path, kind="representation", copula={"kind": "gumbel", "d": 2, "p": 2.0},
+                                n=100, replications=20)
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg), "--out", str(out_path))
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        assert report["distances"]["2n"]["distance"] > report["distances"]["n"]["distance"]
+        (criterion,) = report["criteria"]
+        assert criterion["name"] == "representation_distance_decreases"
+        assert criterion["passed"] is False and criterion["gated"] is False
         assert report["passed"] is True
 
     def test_threads_byte_identical(self, tmp_path, capsys):
