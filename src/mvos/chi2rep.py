@@ -25,7 +25,7 @@ import numpy as np
 
 from .dnorm import is_positive_semidefinite, _check_symmetric
 from .orderstats import OSBatch
-from .streams import run_in_ranges, stream_rng
+from .streams import replicate
 
 __all__ = [
     "RatioVectorSample",
@@ -56,12 +56,6 @@ class RatioVectorSample:
     ratios: np.ndarray
     n: int
     k: int
-    lam: np.ndarray
-    seed: int
-
-    @property
-    def replications(self) -> int:
-        return self.ratios.shape[0]
 
     @property
     def d(self) -> int:
@@ -80,11 +74,12 @@ def univariate_ratio_sample(i: int, n: int, r: int, seed: int) -> np.ndarray:
         raise ValueError("need 1 <= i <= n")
     if r < 1:
         raise ValueError("need at least one replication")
-    out = np.empty(r)
-    for rep in range(r):
-        num, rest = stream_rng(seed, rep).chisquare((2 * i, 2 * (n + 1 - i)))
-        out[rep] = num / (num + rest)
-    return out
+
+    def draw(rng: np.random.Generator) -> float:
+        num, rest = rng.chisquare((2 * i, 2 * (n + 1 - i)))
+        return num / (num + rest)
+
+    return replicate(np.empty(r), seed, 1, lambda: draw)
 
 
 def _symmetric_sqrt(lam: np.ndarray) -> np.ndarray:
@@ -146,25 +141,21 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
         raise NotPositiveSemidefiniteError(min_eig)
 
     root = _symmetric_sqrt(lam)
-    out = np.empty((r, lam.shape[0]))
 
-    def run_range(lo: int, hi: int) -> None:
-        for rep in range(lo, hi):
-            rng = stream_rng(seed, rep)
-            num = _bartlett_diagonal(rng, root, 2 * (n - k))
-            out[rep] = num / (num + _bartlett_diagonal(rng, root, 2 * (k + 1)))
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        num = _bartlett_diagonal(rng, root, 2 * (n - k))
+        return num / (num + _bartlett_diagonal(rng, root, 2 * (k + 1)))
 
-    run_in_ranges(r, threads, run_range)
-    return RatioVectorSample(ratios=out, n=int(n), k=int(k), lam=lam, seed=int(seed))
+    ratios = replicate(np.empty((r, lam.shape[0])), seed, threads, lambda: draw)
+    return RatioVectorSample(ratios=ratios, n=int(n), k=int(k))
 
 
 # ---------------------------------------------------------------------------
 # distribution distance on a quantile grid
 
-def quantile_grid(samples: Sequence[np.ndarray], levels=None) -> list[np.ndarray]:
-    """Per-component pooled quantiles; default levels 0.1, ..., 0.9."""
-    if levels is None:
-        levels = np.linspace(0.1, 0.9, 9)
+def quantile_grid(samples: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per-component pooled quantiles at levels 0.1, ..., 0.9."""
+    levels = np.linspace(0.1, 0.9, 9)
     pooled = np.concatenate([np.asarray(s, dtype=float) for s in samples], axis=0)
     return [np.quantile(pooled[:, i], levels) for i in range(pooled.shape[1])]
 
@@ -193,11 +184,11 @@ def ecdf_on_grid(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
     return counts / r
 
 
-def representation_distance(os_batch: OSBatch, ratio_sample: RatioVectorSample, grid=None) -> float:
-    """Max absolute difference of the two joint empirical cdfs on the grid.
+def representation_distance(os_batch: OSBatch, ratio_sample: RatioVectorSample) -> float:
+    """Max absolute difference of the two joint empirical cdfs on a grid.
 
-    Both inputs must describe the same (n, k, d); the default grid is the
-    tensor product of pooled per-component quantiles at levels 0.1 to 0.9.
+    Both inputs must describe the same (n, k, d); the grid is the tensor
+    product of pooled per-component quantiles at levels 0.1 to 0.9.
     """
     ks = set(os_batch.k)
     if len(ks) != 1 or ks.pop() != ratio_sample.k:
@@ -206,8 +197,7 @@ def representation_distance(os_batch: OSBatch, ratio_sample: RatioVectorSample, 
         raise ValueError(f"sample-size mismatch: n = {os_batch.n} vs {ratio_sample.n}")
     if os_batch.d != ratio_sample.d:
         raise ValueError(f"dimension mismatch: d = {os_batch.d} vs {ratio_sample.d}")
-    if grid is None:
-        grid = quantile_grid([os_batch.values, ratio_sample.ratios])
+    grid = quantile_grid([os_batch.values, ratio_sample.ratios])
     a = ecdf_on_grid(os_batch.values, grid)
     b = ecdf_on_grid(ratio_sample.ratios, grid)
     return float(np.abs(a - b).max())

@@ -107,10 +107,9 @@ def _cmd_sample(args) -> int:
     model = from_json("copula", {"kind": args.copula, "d": args.d, "p": args.p})
     _check(args.n >= 1, "-n must be >= 1")
     _check(args.seed >= 0, "--seed must be >= 0")
-    batch = copula_sample(model, args.n, args.seed)
-    header = [f"u{i + 1}" for i in range(batch.d)]
-    _write_csv_matrix(args.out, header, batch.rows)
-    print(f"wrote {batch.n} rows of {model.label()} to {args.out}")
+    header = [f"u{i + 1}" for i in range(model.d)]
+    _write_csv_matrix(args.out, header, copula_sample(model, args.n, args.seed))
+    print(f"wrote {args.n} rows of {model.label()} to {args.out}")
     return EXIT_OK
 
 
@@ -176,7 +175,7 @@ def _cmd_chi2rep(args) -> int:
     sample = _parsed("chi2rep input", lambda lam: correlated_ratio_sample(lam, args.n, args.k, args.R, args.seed), lam)
     header = [f"r{i + 1}" for i in range(sample.d)]
     _write_csv_matrix(args.out, header, sample.ratios)
-    print(f"wrote {sample.replications} ratio vectors to {args.out}")
+    print(f"wrote {args.R} ratio vectors to {args.out}")
     return EXIT_OK
 
 

@@ -5,25 +5,22 @@ Each model carries the norm governing its upper-tail expansion
 the sup-norm for comonotonicity, and the logistic p-norm for the
 Gumbel-Hougaard family.
 
-Every model samples in two steps: ``latent_rows`` draws an n x d latent
-matrix and ``to_uniform`` maps it elementwise to the copula scale through
-one nondecreasing map.  Such maps commute with order statistics, so a
-caller that keeps only a few order statistics per column can select them
-on the latent draw, at the same ranks, and map just those.
+Every model samples in two steps: ``latent_sampler(n)`` returns a draw
+that fills an n x d latent matrix from a generator, and ``to_uniform``
+maps it elementwise to the copula scale through one nondecreasing map.
+The draw allocates its buffers once and overwrites them on every call.
+Such maps commute with order statistics, so a caller that keeps only a
+few order statistics per column can select them on the latent draw, at
+the same ranks, and map just those.
 
-A caller that draws many latent matrices of one size takes
-``latent_sampler(n)``: it allocates the draw's buffers once and
-overwrites them on every call, consuming the generator exactly as
-``latent_rows`` does.
-
-A caller that keeps only order statistics takes ``os_selector(n, ranks)``:
-each call draws one replication as ``latent_rows`` does and returns the
-latent order statistics of its columns at the given ranks, equal to
-``componentwise_os`` on the full draw.  Most models select on the full
-draw.  The Gumbel model with p > 1 and n >= BRACKET_MIN_N brackets each
-row's latent values from a table of Kanter's angle function and runs the
-positive-stable formula only on the rows that can reach the ranks (about
-1% of them at n = 2e4); see ``_BracketedStableSelector``.
+A caller that keeps only order statistics takes ``os_selector(model, n,
+ranks)``: each call draws one replication as the latent draw does and
+returns the latent order statistics of its columns at the given ranks,
+equal to ``componentwise_os`` on the full draw.  Most models select on
+the full draw.  The Gumbel model with p > 1 and n >= BRACKET_MIN_N
+brackets each row's latent values from a table of Kanter's angle function
+and runs the positive-stable formula only on the rows that can reach the
+ranks (about 1% of them at n = 2e4); see ``_BracketedStableSelector``.
 """
 from __future__ import annotations
 
@@ -33,7 +30,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .dnorm import DNormSpec, LogisticP, SupNorm, dnorm_eval
+from .dnorm import DNormSpec, LogisticP, SupNorm
 from .orderstats import componentwise_os
 from .streams import stream_rng
 
@@ -42,11 +39,10 @@ __all__ = [
     "Comonotone",
     "GumbelLogistic",
     "CopulaModel",
-    "UniformSampleBatch",
     "copula_cdf",
     "copula_sample",
     "sample_rows",
-    "positive_stable",
+    "os_selector",
     "log_positive_stable",
     "tail_expansion_check",
 ]
@@ -88,14 +84,8 @@ class Independence:
         rows = np.empty((n, self.d))
         return lambda rng: rng.random(out=rows)
 
-    def latent_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.latent_sampler(n)(rng)
-
     def to_uniform(self, latent: np.ndarray) -> np.ndarray:
         return latent
-
-    def os_selector(self, n: int, ranks: np.ndarray) -> OSSelector:
-        return _select_on_full_draw(self, n, ranks)
 
     def label(self) -> str:
         return f"independence(d={self.d})"
@@ -124,14 +114,8 @@ class Comonotone:
 
         return draw
 
-    def latent_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.latent_sampler(n)(rng)
-
     def to_uniform(self, latent: np.ndarray) -> np.ndarray:
         return latent
-
-    def os_selector(self, n: int, ranks: np.ndarray) -> OSSelector:
-        return _select_on_full_draw(self, n, ranks)
 
     def label(self) -> str:
         return f"comonotone(d={self.d})"
@@ -179,14 +163,6 @@ class GumbelLogistic:
 
         return draw
 
-    def latent_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.latent_sampler(n)(rng)
-
-    def os_selector(self, n: int, ranks: np.ndarray) -> OSSelector:
-        if self.p == 1.0 or n < BRACKET_MIN_N:
-            return _select_on_full_draw(self, n, ranks)
-        return _BracketedStableSelector(self, n, ranks)
-
     def to_uniform(self, latent: np.ndarray) -> np.ndarray:
         if self.p == 1.0:
             return np.exp(latent)
@@ -197,24 +173,6 @@ class GumbelLogistic:
 
 
 CopulaModel = Union[Independence, Comonotone, GumbelLogistic]
-
-
-@dataclass(frozen=True)
-class UniformSampleBatch:
-    """An n x d block of copula observations plus its seed provenance."""
-
-    rows: np.ndarray
-    seed: int
-    model: str
-    chunk_size: int
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.rows.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +258,6 @@ def _log_stable_from_angle(alpha: float, work: np.ndarray) -> np.ndarray:
     return np.add(out, tail, out=out)
 
 
-def _select_on_full_draw(model: CopulaModel, n: int, ranks: np.ndarray) -> OSSelector:
-    draw = model.latent_sampler(n)
-    return lambda rng: componentwise_os(draw(rng), ranks)
-
-
 def _stable_bracket_table(p: float) -> np.ndarray:
     """Bounds on B(V) = log S + c log W for V in each of STABLE_BUCKETS buckets.
 
@@ -329,7 +282,7 @@ class _BracketedStableSelector:
     """Gumbel (p > 1) order statistics that run Kanter's formula only on
     the rows that can reach the selected ranks.
 
-    It draws V, W and the n x d exponentials E exactly as ``latent_rows``
+    It draws V, W and the n x d exponentials E exactly as the latent draw
     does, and selects the same values.  The latent value of row i in
     column j is log S_i - log E_ij, with log S = B(V) - c log W,
     c = (1 - alpha) / alpha and B = (1 / alpha) log K, where
@@ -392,7 +345,7 @@ class _BracketedStableSelector:
         self.candidates = n
 
     def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        # V, W and E in the order latent_rows draws them
+        # V, W and E in the order the latent draw takes them
         v, log_w = self.draw[1], self.draw[3]
         rng.random(out=v)
         np.multiply(v, STABLE_BUCKETS, out=self.bucket, casting="unsafe")
@@ -424,21 +377,26 @@ class _BracketedStableSelector:
         return componentwise_os(latent, self.ranks - (self.n - self.candidates))
 
 
-def positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    """One-sided stable variates; alpha = 1 is the point mass at 1."""
-    if alpha == 1.0:
-        return np.ones(size)
-    return np.exp(log_positive_stable(alpha, size, rng))
+def os_selector(model: CopulaModel, n: int, ranks: np.ndarray) -> OSSelector:
+    """Per-replication selector of the model's latent order statistics.
+
+    Gumbel with p > 1 at n >= BRACKET_MIN_N takes the bracketed selector;
+    every other model and size selects on the full latent draw.
+    """
+    if isinstance(model, GumbelLogistic) and model.p > 1.0 and n >= BRACKET_MIN_N:
+        return _BracketedStableSelector(model, n, ranks)
+    draw = model.latent_sampler(n)
+    return lambda rng: componentwise_os(draw(rng), ranks)
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n iid rows from the model using the supplied generator: the
     model's monotone map applied to its latent draw."""
-    return model.to_uniform(model.latent_rows(n, rng))
+    return model.to_uniform(model.latent_sampler(n)(rng))
 
 
-def copula_sample(model: CopulaModel, n: int, seed: int) -> UniformSampleBatch:
-    """Draw a reproducible batch of n rows.
+def copula_sample(model: CopulaModel, n: int, seed: int) -> np.ndarray:
+    """Draw a reproducible n x d matrix of copula observations.
 
     Rows are produced in fixed chunks, each from the stream keyed by
     (seed, chunk index), so any worker partition of the chunks reassembles
@@ -450,8 +408,7 @@ def copula_sample(model: CopulaModel, n: int, seed: int) -> UniformSampleBatch:
     for c in range(0, n, SAMPLE_CHUNK):
         take = min(SAMPLE_CHUNK, n - c)
         parts.append(sample_rows(model, take, stream_rng(seed, c // SAMPLE_CHUNK)))
-    rows = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-    return UniformSampleBatch(rows=rows, seed=seed, model=model.label(), chunk_size=SAMPLE_CHUNK)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +435,3 @@ def tail_expansion_check(model: CopulaModel, x, t_grid) -> np.ndarray:
         rows[idx, 0] = t
         rows[idx, 1] = (1.0 - copula_cdf(model, 1.0 - t * x)) / t
     return rows
-
-
-def tail_norm_value(model: CopulaModel, x) -> float:
-    """Limit of the tail-expansion quotients at x."""
-    return dnorm_eval(model.tail_dnorm, x)

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chi2rep import NotPositiveSemidefiniteError, check_correlation, correlated_ratio_sample, representation_distance
-from .copula import CopulaModel
+from .copula import CopulaModel, os_selector
 from .diagnostics import ks_against_standard_normal, ks_critical_value, ks_pvalue, moment_summary
 from .dnorm import is_positive_semidefinite, lambda_matrix
 from .margins import MarginalModel, norming_constants, quantile_transform
@@ -47,7 +47,7 @@ from .orderstats import (
     theoretical_sigma,
     theoretical_sigma_equal_k,
 )
-from .streams import derive_seed, run_in_ranges, stream_rng
+from .streams import derive_seed, replicate
 from .wire import InvalidConfigError, from_json, to_json
 
 __all__ = [
@@ -102,8 +102,12 @@ class ExperimentConfig:
             raise InvalidConfigError("n must be >= 2")
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
-        if self.replications < 1:
-            raise InvalidConfigError("replications must be >= 1")
+        # a moment summary needs two replications, a distance one
+        least = 1 if self.kind == "representation" else 2
+        if self.replications < least:
+            raise InvalidConfigError(f"{self.kind} experiments need replications >= {least}")
+        if not 0 < self.ks_level < 1:
+            raise InvalidConfigError("ks_level must lie in (0, 1)")
         if self.kind == "general":
             if self.margins is None:
                 raise InvalidConfigError("general experiments require margins")
@@ -129,6 +133,9 @@ class ExperimentConfig:
             raise InvalidConfigError(str(exc)) from exc
         if self.kind == "representation" and len(set(inter.rules)) != 1:
             raise InvalidConfigError("the representation comparison needs one common k rule")
+        if self.kind == "representation" and inter.convention != "n-k":
+            # the ratios model rank n - k; selecting n - k + 1 would compare different laws
+            raise InvalidConfigError("the representation comparison needs the n-k convention")
         if self.lambda_override is not None:
             self._check_lambda_override()
 
@@ -227,33 +234,24 @@ def _collect_os(
     n: int,
     collect_seed: int,
     threads: int,
-    transform: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replication matrix of componentwise order statistics at size n.
 
-    Returns (values, k_vector); values are raw order statistics (on the
-    copula scale, or the margin scale when ``transform``).  Each
-    replication selects its order statistics on the copula's latent draw
-    through the copula's ``os_selector``, and the monotone maps to the copula and margin scales then run once on
-    the R x d selected values; this equals mapping all n x d draws first.
+    Returns (values, k_vector); values are raw order statistics, on the
+    margin scale when the config has margins and on the copula scale
+    otherwise.  Each replication selects its order statistics on the
+    copula's latent draw through ``os_selector``, and the monotone maps to
+    the copula and margin scales then run once on the R x d selected
+    values; this equals mapping all n x d draws first.
     """
-    inter = config.intermediate
-    ks = inter.k_vector(n)
-    ranks = inter.ranks(n)
     copula = config.copula
-    reps = config.replications
-    latent = np.empty((reps, copula.d))
-
-    def run_range(lo: int, hi: int) -> None:
-        select = copula.os_selector(n, ranks)
-        for rep in range(lo, hi):
-            latent[rep] = select(stream_rng(collect_seed, rep))
-
-    run_in_ranges(reps, threads, run_range)
+    ranks = config.intermediate.ranks(n)
+    latent = np.empty((config.replications, copula.d))
+    replicate(latent, collect_seed, threads, lambda: os_selector(copula, n, ranks))
     values = copula.to_uniform(latent)
-    if transform:
+    if config.margins is not None:
         values = quantile_transform(config.margins, values)
-    return values, ks
+    return values, config.intermediate.k_vector(n)
 
 
 def _moment_criteria(
@@ -304,18 +302,38 @@ def _overall(criteria: Sequence[CriterionResult]) -> bool:
     return all(c.passed for c in criteria if c.gated)
 
 
-def _finish_moment_report(config, kind, sigma, standardized, runtime_start) -> ExperimentReport:
+def _run_moment_experiment(config: ExperimentConfig, kind: str, threads: int) -> ExperimentReport:
+    """The copula and general runners: order statistics standardized on the
+    copula scale (no margins) or with the margins' norming constants, then
+    moments and KS statistics against N(0, Sigma)."""
+    if config.kind != kind:
+        raise InvalidConfigError(f"config kind is {config.kind!r}, expected {kind!r}")
+    start = time.perf_counter()
+    sigma = theoretical_sigma(config.copula.tail_dnorm, config.intermediate.ratio_matrix())
+    ok, min_eig = is_positive_semidefinite(sigma)
+    if not ok:
+        # sigma is a covariance by construction; a violation means a broken norm
+        raise RuntimeError(f"theoretical covariance not PSD (eigenvalue {min_eig:.3e})")
+    raw, ks = _collect_os(config, config.n, config.seed, threads)
+    if config.margins is None:
+        standardized = standardize_copula_case(raw, config.n, ks)
+    else:
+        constants = [
+            norming_constants(margin, config.n, int(k))
+            for margin, k in zip(config.margins, ks)
+        ]
+        standardized = standardize_general_case(raw, constants)
     summary = moment_summary(standardized)
     criteria = _moment_criteria(summary, sigma, config.tolerance)
     ks_results, stats, pvals, crit = _ks_criteria(standardized, config.ks_level, config.gate_ks)
     criteria.extend(ks_results)
     return ExperimentReport(
-        kind=kind,
+        kind=config.kind,
         config=config_to_json(config),
         theoretical_sigma=sigma,
         criteria=criteria,
         passed=_overall(criteria),
-        runtime_seconds=time.perf_counter() - runtime_start,
+        runtime_seconds=time.perf_counter() - start,
         empirical_cov=summary.cov,
         cov_stderr=summary.cov_se,
         mean=summary.mean,
@@ -331,32 +349,12 @@ def _finish_moment_report(config, kind, sigma, standardized, runtime_start) -> E
 
 def run_copula_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Verify the copula-scale limit: standardized order statistics vs N(0, Sigma)."""
-    if config.kind != "copula":
-        raise InvalidConfigError(f"config kind is {config.kind!r}, expected 'copula'")
-    start = time.perf_counter()
-    sigma = theoretical_sigma(config.copula.tail_dnorm, config.intermediate.ratio_matrix())
-    ok, min_eig = is_positive_semidefinite(sigma)
-    if not ok:
-        # sigma is a covariance by construction; a violation means a broken norm
-        raise RuntimeError(f"theoretical covariance not PSD (eigenvalue {min_eig:.3e})")
-    raw, ks = _collect_os(config, config.n, config.seed, threads, transform=False)
-    standardized = standardize_copula_case(raw, config.n, ks)
-    return _finish_moment_report(config, "copula", sigma, standardized, start)
+    return _run_moment_experiment(config, "copula", threads)
 
 
 def run_general_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Verify the margin-scale limit with the canonical norming constants."""
-    if config.kind != "general":
-        raise InvalidConfigError(f"config kind is {config.kind!r}, expected 'general'")
-    start = time.perf_counter()
-    sigma = theoretical_sigma(config.copula.tail_dnorm, config.intermediate.ratio_matrix())
-    raw, ks = _collect_os(config, config.n, config.seed, threads, transform=True)
-    constants = [
-        norming_constants(margin, config.n, int(k))
-        for margin, k in zip(config.margins, ks)
-    ]
-    standardized = standardize_general_case(raw, constants)
-    return _finish_moment_report(config, "general", sigma, standardized, start)
+    return _run_moment_experiment(config, "general", threads)
 
 
 def run_representation_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
@@ -380,7 +378,7 @@ def run_representation_experiment(config: ExperimentConfig, threads: int = 1) ->
     distances = {}
     for tag, nn in (("n", config.n), ("2n", 2 * config.n)):
         k = int(config.intermediate.k_vector(nn)[0])
-        raw, ks = _collect_os(config, nn, derive_seed(config.seed, 1, nn), threads, transform=False)
+        raw, ks = _collect_os(config, nn, derive_seed(config.seed, 1, nn), threads)
         batch = OSBatch(
             values=raw,
             n=nn,

@@ -352,14 +352,13 @@ def von_mises_check(model: MarginalModel, x_grid) -> VonMisesResult:
 # ---------------------------------------------------------------------------
 # quantile transform
 
-def quantile_transform(models: Sequence[MarginalModel], batch) -> np.ndarray:
-    """Componentwise quantile application to a uniform batch or matrix."""
-    rows = getattr(batch, "rows", batch)
+def quantile_transform(models: Sequence[MarginalModel], rows) -> np.ndarray:
+    """Componentwise quantile application to a uniform matrix."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
-        raise ValueError("batch must be a 2-d matrix")
+        raise ValueError("rows must be a 2-d matrix")
     if len(models) != rows.shape[1]:
-        raise ValueError(f"{len(models)} margins for width-{rows.shape[1]} batch")
+        raise ValueError(f"{len(models)} margins for width-{rows.shape[1]} rows")
     out = np.empty_like(rows)
     for i, model in enumerate(models):
         out[:, i] = marginal_quantile(model, rows[:, i])

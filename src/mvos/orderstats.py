@@ -163,10 +163,6 @@ class OSBatch:
     scale: str = "raw"
 
     @property
-    def replications(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def d(self) -> int:
         return self.values.shape[1]
 

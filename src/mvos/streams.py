@@ -13,32 +13,48 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["stream_rng", "derive_seed", "run_in_ranges"]
+__all__ = ["stream_rng", "derive_seed", "replicate"]
+
+
+def _seed_sequence(master_seed: int, key: tuple) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
 
 
 def stream_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Return the Philox generator addressed by (master_seed, *key)."""
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.Philox(_seed_sequence(master_seed, key)))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
     """A 63-bit sub-seed for handing to APIs that take a plain seed."""
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(k) for k in key))
-    return int(seq.generate_state(1, np.uint64)[0] >> 1)
+    return int(_seed_sequence(master_seed, key).generate_state(1, np.uint64)[0] >> 1)
 
 
-def run_in_ranges(count: int, threads: int, run_range: Callable[[int, int], None]) -> None:
-    """Call ``run_range(lo, hi)`` on contiguous ranges that cover 0..count,
-    one range per thread.
+def replicate(
+    out: np.ndarray,
+    seed: int,
+    threads: int,
+    make_draw: Callable[[], Callable[[np.random.Generator], object]],
+) -> np.ndarray:
+    """Set ``out[r] = draw(stream_rng(seed, r))`` for every r, and return ``out``.
 
-    Callers key each item's stream by its index and write its result to
-    its own slot, so the split leaves every value unchanged.  Each range
-    can allocate its working buffers once and reuse them for its items.
+    The replications are split into contiguous ranges, one per thread, and
+    ``make_draw()`` is called once per range, so each range can allocate
+    its working buffers once and reuse them for its replications.  Every
+    replication draws from its own stream and writes only its own slot, so
+    the split leaves every value unchanged.
     """
+    count = len(out)
+
+    def run_range(lo: int, hi: int) -> None:
+        draw = make_draw()
+        for r in range(lo, hi):
+            out[r] = draw(stream_rng(seed, r))
+
     if threads <= 1:
         run_range(0, count)
-        return
+        return out
     step = math.ceil(count / threads)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(lambda lo: run_range(lo, min(lo + step, count)), range(0, count, step)))
+    return out

@@ -223,7 +223,7 @@ def test_criterion_8_representation_gate_and_distance():
         os_cdf = os_joint_cdf(cfg.copula, nn, k, grid)
         ratio_cdf = ratio_joint_cdf(lam[0, 1] ** 2, nn, k, grid)
         exact[nn] = float(np.abs(os_cdf - ratio_cdf).max())
-        os_values, _ = _collect_os(cfg, nn, derive_seed(cfg.seed, 1, nn), 1, transform=False)
+        os_values, _ = _collect_os(cfg, nn, derive_seed(cfg.seed, 1, nn), 1)
         ratios = correlated_ratio_sample(lam, nn, k, cfg.replications, derive_seed(cfg.seed, 2, nn)).ratios
         for arm, values, cdf in (("os", os_values, os_cdf), ("ratio", ratios, ratio_cdf)):
             se = np.sqrt(cdf * (1.0 - cdf) / cfg.replications)

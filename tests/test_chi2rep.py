@@ -59,7 +59,7 @@ class TestCorrelatedRatio:
     def test_identity_components_independent(self):
         rv = correlated_ratio_sample(np.eye(2), 500, 22, 4000, seed=4)
         corr = np.corrcoef(rv.ratios.T)[0, 1]
-        assert abs(corr) <= 4.0 / math.sqrt(rv.replications)
+        assert abs(corr) <= 4.0 / math.sqrt(rv.ratios.shape[0])
 
     def test_all_ones_components_identical(self):
         rv = correlated_ratio_sample(np.ones((2, 2)), 200, 14, 300, seed=5)

@@ -48,7 +48,7 @@ class TestSampleCommand:
         # 17 significant digits round-trip float64 exactly
         from mvos.copula import GumbelLogistic, copula_sample
 
-        direct = copula_sample(GumbelLogistic(2, 2.0), 50, 3).rows
+        direct = copula_sample(GumbelLogistic(2, 2.0), 50, 3)
         assert np.array_equal(values, direct)
 
 
@@ -260,6 +260,8 @@ REJECTED = [
                      "--seed", "1", "--out", "{out}"], None, {}),
     ("negative-seed", ["sample", "--copula", "independence", "-n", "5", "--seed", "-1", "--out", "{out}"],
      None, {}),
+    ("experiment-replications-1", ["experiment", "--config", "{config}"], {"replications": 1}, {}),
+    ("experiment-ks-level-1.5", ["experiment", "--config", "{config}"], {"ks_level": 1.5}, {}),
     ("experiment-threads-0", ["experiment", "--config", "{config}", "--threads", "0"], {}, {}),
     ("experiment-threads-negative", ["experiment", "--config", "{config}", "--threads", "-5"], {}, {}),
 ]

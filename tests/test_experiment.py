@@ -78,6 +78,16 @@ class TestConfig:
         with pytest.raises(InvalidConfigError):
             ExperimentConfig(copula=Independence(2), n=100, replications=0, seed=1)
 
+    def test_representation_rejects_shifted_convention(self):
+        # the ratios model rank n - k; rank n - k + 1 would be compared with them silently
+        with pytest.raises(InvalidConfigError, match="n-k convention"):
+            ExperimentConfig(copula=Independence(2), n=2000, replications=5, seed=1, kind="representation",
+                             intermediate=IntermediateSpec.equal(2, convention="n-k+1"))
+        with pytest.raises(InvalidConfigError, match="n-k convention"):
+            config_from_json({"kind": "representation", "copula": {"kind": "independence", "d": 2},
+                              "intermediate": {"rules": [{"c": 1.0, "gamma": 0.5}] * 2, "convention": "n-k+1"},
+                              "n": 2000, "replications": 5, "seed": 1})
+
     def test_out_of_band_k_rejected_upfront(self):
         inter = IntermediateSpec((PowerKRule(80.0, 0.9), PowerKRule(80.0, 0.9)))
         with pytest.raises(InvalidConfigError):
@@ -149,7 +159,7 @@ class TestSelectionOnLatentDraw:
         )
         if copula.d == 5:
             assert min(cfg.intermediate.ranks(n)) == (2 if general else 1)
-        got, ks = _collect_os(cfg, n, seed, threads, transform=general)
+        got, ks = _collect_os(cfg, n, seed, threads)
         want = np.empty((reps, copula.d))
         for rep in range(reps):
             rows = sample_rows(copula, n, stream_rng(seed, rep))

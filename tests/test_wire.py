@@ -157,6 +157,9 @@ def configs(draw):
         rules = (PowerKRule(draw(st.floats(0.5, 2.0)), gamma),) * d
     else:
         rules = tuple(PowerKRule(draw(st.floats(0.5, 2.0)), gamma) for _ in range(d))
+    # representation runs need the n-k convention and one replication,
+    # moment runs two replications
+    convention = "n-k" if kind == "representation" else draw(st.sampled_from(["n-k", "n-k+1"]))
     lam = None
     if kind == "representation" and draw(st.booleans()):
         lam = np.full((d, d), draw(st.floats(0.0, 0.99)))
@@ -164,11 +167,11 @@ def configs(draw):
     return ExperimentConfig(
         copula=copula,
         n=draw(st.integers(200, 10**6)),
-        replications=draw(st.integers(1, 10**6)),
+        replications=draw(st.integers(1 if kind == "representation" else 2, 10**6)),
         seed=draw(st.integers(0, 2**63)),
         kind=kind,
         margins=tuple(draw(FAMILY_MEMBERS["margin"]) for _ in range(d)) if kind == "general" else None,
-        intermediate=IntermediateSpec(rules, draw(st.sampled_from(["n-k", "n-k+1"]))),
+        intermediate=IntermediateSpec(rules, convention),
         tolerance=TolerancePolicy(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 10.0))),
         ks_level=draw(st.floats(1e-6, 0.5)),
         gate_ks=draw(st.booleans()),
