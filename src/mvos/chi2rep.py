@@ -100,19 +100,20 @@ def check_correlation(lam) -> np.ndarray:
     return lam
 
 
-def _bartlett_diagonal(rng: np.random.Generator, root: np.ndarray, m: int) -> np.ndarray:
+def _bartlett_diagonal(rng: np.random.Generator, root: np.ndarray, upper: np.ndarray, dfs: range) -> np.ndarray:
     """diag(root W root^T) for W ~ Wishart_d(m, I), by Bartlett's decomposition.
 
     The d x m Gaussian matrix Z has Z Z^T = A A^T with A its d x min(d, m)
     lower-trapezoidal factor: A[j, j] = sqrt(chi^2(m - j)) for 0-based j
     and iid N(0, 1) below the diagonal, all independent.  This holds for
     every m >= 1, so fewer vectors than dimensions need no other path.
-    Draws d x min(d, m) normals (those on and above the diagonal are
-    discarded), then the min(d, m) chi-squares.
+    Draws d x min(d, m) normals (those ``upper`` marks are discarded),
+    then the min(d, m) chi-squares ``dfs``, one scalar call each, which
+    costs less than one call on an array of degrees of freedom.
     """
-    width = min(root.shape[0], m)
-    a = np.tril(rng.standard_normal((root.shape[0], width)), -1)
-    np.fill_diagonal(a, np.sqrt(rng.chisquare(m - np.arange(width))))
+    a = rng.standard_normal(upper.shape)
+    a[upper] = 0.0
+    a[range(len(dfs)), range(len(dfs))] = np.sqrt([rng.chisquare(df) for df in dfs])
     return np.square(root @ a).sum(axis=1)
 
 
@@ -141,10 +142,13 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
         raise NotPositiveSemidefiniteError(min_eig)
 
     root = _symmetric_sqrt(lam)
+    d = len(lam)
+    head, tail = ((np.triu(np.ones((d, min(d, m)), dtype=bool)), range(m, m - min(d, m), -1))
+                  for m in (2 * (n - k), 2 * (k + 1)))
 
     def draw(rng: np.random.Generator) -> np.ndarray:
-        num = _bartlett_diagonal(rng, root, 2 * (n - k))
-        return num / (num + _bartlett_diagonal(rng, root, 2 * (k + 1)))
+        num = _bartlett_diagonal(rng, root, *head)
+        return num / (num + _bartlett_diagonal(rng, root, *tail))
 
     ratios = replicate(np.empty((r, lam.shape[0])), seed, threads, lambda: draw)
     return RatioVectorSample(ratios=ratios, n=int(n), k=int(k))

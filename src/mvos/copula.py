@@ -5,22 +5,10 @@ Each model carries the norm governing its upper-tail expansion
 the sup-norm for comonotonicity, and the logistic p-norm for the
 Gumbel-Hougaard family.
 
-Every model samples in two steps: ``latent_sampler(n)`` returns a draw
-that fills an n x d latent matrix from a generator, and ``to_uniform``
-maps it elementwise to the copula scale through one nondecreasing map.
-The draw allocates its buffers once and overwrites them on every call.
-Such maps commute with order statistics, so a caller that keeps only a
-few order statistics per column can select them on the latent draw, at
-the same ranks, and map just those.
-
-A caller that keeps only order statistics takes ``os_selector(model, n,
-ranks)``: each call draws one replication as the latent draw does and
-returns the latent order statistics of its columns at the given ranks,
-equal to ``componentwise_os`` on the full draw.  Most models select on
-the full draw.  The Gumbel model with p > 1 and n >= BRACKET_MIN_N
-brackets each row's latent values from a table of Kanter's angle function
-and runs the positive-stable formula only on the rows that can reach the
-ranks (about 1% of them at n = 2e4); see ``_BracketedStableSelector``.
+One generator, ``_MaxOrderRows``, draws every model's rows in decreasing
+order of their maximum.  ``sample_rows`` runs it through all n rows;
+``os_selector`` stops it once each column's order statistic is known,
+after O(k) rows for the ranks n - k, with the same values bit for bit.
 """
 from __future__ import annotations
 
@@ -30,8 +18,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .dnorm import DNormSpec, LogisticP, SupNorm
-from .orderstats import componentwise_os
+from .dnorm import DNormSpec, LogisticP, SupNorm, dnorm_eval
 from .streams import stream_rng
 
 __all__ = [
@@ -47,21 +34,12 @@ __all__ = [
     "tail_expansion_check",
 ]
 
-# draws one latent n x d matrix from the generator into the sampler's buffers
-LatentSampler = Callable[[np.random.Generator], np.ndarray]
-# draws one replication from the generator and returns its d latent order
-# statistics at the selector's ranks
-OSSelector = Callable[[np.random.Generator], np.ndarray]
+# stable proposals a top row holds; the i-th of n rows rejects one with
+# probability about i / n, so most replications need no second round
+_TRIES = 3
 
-# The bracketed Gumbel selector cuts V / pi into STABLE_BUCKETS buckets.
-# Below BRACKET_MIN_N rows its bound work costs more than the formula it
-# saves, and the full draw is selected instead.  Per replication against
-# the full draw (p = 2, 2-vCPU Xeon): 1.22x at n = 500, 1.05x at 1000 and
-# 0.81x at 4096 for d = 5; 1.10x, 0.92x and 0.69x for d = 2.  The bound
-# work grows with n d and the saving with n, so at d = 16 the two take the
-# same time (1.00x at n = 4096).
-STABLE_BUCKETS = 4096
-BRACKET_MIN_N = 4096
+# rows per step of the rows below the top ones
+_CHUNK = 4096
 
 # rows per derived stream inside copula_sample; the chunk layout is part of
 # the reproducibility contract, so treat it as frozen
@@ -80,13 +58,6 @@ class Independence:
     def tail_dnorm(self) -> DNormSpec:
         return LogisticP(1.0)
 
-    def latent_sampler(self, n: int) -> LatentSampler:
-        rows = np.empty((n, self.d))
-        return lambda rng: rng.random(out=rows)
-
-    def to_uniform(self, latent: np.ndarray) -> np.ndarray:
-        return latent
-
     def label(self) -> str:
         return f"independence(d={self.d})"
 
@@ -102,20 +73,6 @@ class Comonotone:
     @property
     def tail_dnorm(self) -> DNormSpec:
         return SupNorm()
-
-    def latent_sampler(self, n: int) -> LatentSampler:
-        column = np.empty(n)
-        rows = np.empty((n, self.d))
-
-        def draw(rng: np.random.Generator) -> np.ndarray:
-            rng.random(out=column)
-            rows[:] = column[:, None]
-            return rows
-
-        return draw
-
-    def to_uniform(self, latent: np.ndarray) -> np.ndarray:
-        return latent
 
     def label(self) -> str:
         return f"comonotone(d={self.d})"
@@ -137,36 +94,6 @@ class GumbelLogistic:
     @property
     def tail_dnorm(self) -> DNormSpec:
         return LogisticP(self.p)
-
-    # Archimedean mixture: S positive stable with index 1/p, E iid unit
-    # exponentials, U_i = psi(E_i / S) with psi(t) = exp(-t^(1/p)).  The
-    # latent value is -E_i at p = 1 and log S - log E_i otherwise, so the
-    # (E_i / S)^(1/p) power is taken in log space and large p stays stable.
-    # Both latent values increase with U_i, as every model's must.
-
-    def latent_sampler(self, n: int) -> LatentSampler:
-        rows = np.empty((n, self.d))
-        if self.p == 1.0:
-            def draw(rng: np.random.Generator) -> np.ndarray:
-                rng.standard_exponential(out=rows)
-                return np.negative(rows, out=rows)
-
-            return draw
-        work = np.empty((4, n))
-
-        def draw(rng: np.random.Generator) -> np.ndarray:
-            log_s = log_positive_stable(1.0 / self.p, n, rng, work)
-            rng.standard_exponential(out=rows)
-            with np.errstate(divide="ignore"):
-                np.log(rows, out=rows)
-            return np.subtract(log_s[:, None], rows, out=rows)
-
-        return draw
-
-    def to_uniform(self, latent: np.ndarray) -> np.ndarray:
-        if self.p == 1.0:
-            return np.exp(latent)
-        return np.exp(-np.exp(-latent / self.p))
 
     def label(self) -> str:
         return f"gumbel(d={self.d}, p={self.p})"
@@ -205,194 +132,257 @@ def copula_cdf(model: CopulaModel, u) -> float:
 # ---------------------------------------------------------------------------
 # sampling
 
-def log_positive_stable(
-    alpha: float, size: int, rng: np.random.Generator, work: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """log of one-sided stable variates with Laplace transform exp(-s^alpha).
-
-    Chambers-Mallows-Stuck construction specialized to total positive skew
-    (Kanter's representation), valid for 0 < alpha < 1.  Kept on the log
-    scale: for small alpha the variates themselves leave the double range.
-
-    ``work``, if given, is a C-ordered (4, size) float array that the draw
-    is computed in; the result is its first row.  Without it one is
-    allocated.  Either way the variates are, bit for bit,
-
-        log sin(alpha V) - log sin(V) / alpha
-            + ((1 - alpha) / alpha) (log sin((1 - alpha) V) - log W)
-
-    with V uniform on (0, pi) and W unit exponential, drawn in that order.
-    """
+def log_positive_stable(alpha: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """log of one-sided stable variates with Laplace transform exp(-s^alpha),
+    0 < alpha < 1, by Kanter's formula on V uniform on (0, pi) and W unit
+    exponential, drawn in that order; for small alpha only the log of such
+    variates stays in the double range."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    if work is None:
-        work = np.empty((4, size))
-    v, log_w = work[1], work[3]
-    rng.random(out=v)
-    v *= math.pi  # rng.uniform(0, pi) computes this product too
-    rng.standard_exponential(out=log_w)
-    np.log(log_w, out=log_w)
-    return _log_stable_from_angle(alpha, work)
+    return _log_kanter(alpha, rng.random(size), np.log(rng.standard_exponential(size)))
 
 
-def _log_stable_from_angle(alpha: float, work: np.ndarray) -> np.ndarray:
-    """Kanter's formula on V = work[1] and log W = work[3], in place.
-
-    Returns work[0]; rows 1 and 2 are overwritten.  Each element takes the
-    same ufuncs in the same order whatever the array's length, so a subset
-    of rows gives the same bits as the full draw.  The three sines and
-    their logs run as one call each over rows 0-2.
-    """
-    out, v, tail, log_w = work
-    # the formula's operations in its order; products and sums of two
-    # terms are exact under swapping the operands
-    np.multiply(v, alpha, out=out)
-    np.multiply(v, 1.0 - alpha, out=tail)
-    sines = work[:3]
-    np.sin(sines, out=sines)
-    np.log(sines, out=sines)
-    np.divide(v, alpha, out=v)
-    np.subtract(out, v, out=out)
-    np.subtract(tail, log_w, out=tail)
-    np.multiply(tail, (1.0 - alpha) / alpha, out=tail)
-    return np.add(out, tail, out=out)
+def _log_kanter(alpha: float, u: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """log sin(alpha V) - log sin(V) / alpha
+    + ((1 - alpha) / alpha) (log sin((1 - alpha) V) - log W) for V = pi u,
+    by elementwise ufuncs in the formula's order, so an element's bits do
+    not depend on its array and equal the formula's as written."""
+    s = np.multiply.outer(np.array([alpha, 1.0, 1.0 - alpha]), np.multiply(u, math.pi))
+    np.log(np.sin(s, out=s), out=s)
+    out = np.subtract(s[0], np.divide(s[1], alpha, out=s[1]), out=s[0])
+    s[2] -= log_w
+    s[2] *= (1.0 - alpha) / alpha
+    out += s[2]
+    return out
 
 
-def _stable_bracket_table(p: float) -> np.ndarray:
-    """Bounds on B(V) = log S + c log W for V in each of STABLE_BUCKETS buckets.
-
-    Column a holds (lower, upper) for V in [V_a, V_a+1], V_a = (a / buckets) pi
-    computed as the draw computes V: the formula at the two edges (with
-    log W = 0), widened by the slack 1e-9 p^2.  The first and last columns
-    are (-inf, inf): B has no finite value at V = 0 and grows without bound
-    towards pi.
-    """
-    work = np.zeros((4, STABLE_BUCKETS + 1))
-    np.divide(np.arange(STABLE_BUCKETS + 1), STABLE_BUCKETS, out=work[1])
-    work[1] *= math.pi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        edges = _log_stable_from_angle(1.0 / p, work)
-    slack = 1e-9 * p * p
-    table = np.stack((edges[:-1] - slack, edges[1:] + slack))
-    table[:, [0, -1]] = [[-np.inf], [np.inf]]
-    return table
+def _to_uniform(model: CopulaModel, latent: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The nondecreasing map from ``_MaxOrderRows``' latent scale to the
+    copula's: exp, or exp(-exp(-x / p)) for Gumbel with p > 1."""
+    if isinstance(model, GumbelLogistic) and model.p > 1.0:
+        u = np.divide(latent, -model.p, out=out)
+        return np.exp(np.negative(np.exp(u, out=u), out=u), out=u)
+    return np.exp(latent, out=out)
 
 
-class _BracketedStableSelector:
-    """Gumbel (p > 1) order statistics that run Kanter's formula only on
-    the rows that can reach the selected ranks.
+def _uniforms(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
+    """``count`` rows of ``width`` uniforms on (0, 1], as ``width`` planes."""
+    return np.subtract(1.0, rng.random((count, width)).T, order="C")
 
-    It draws V, W and the n x d exponentials E exactly as the latent draw
-    does, and selects the same values.  The latent value of row i in
-    column j is log S_i - log E_ij, with log S = B(V) - c log W,
-    c = (1 - alpha) / alpha and B = (1 / alpha) log K, where
-    K(v) = sin(alpha v)^alpha sin((1 - alpha) v)^(1 - alpha) / sin v is
-    Zolotarev's function, which increases on (0, pi) (Kanter 1975;
-    Devroye 2009).  Why the selected values are exact:
 
-    * Monotone B.  V / pi falls in one of STABLE_BUCKETS equal buckets;
-      the bucket index is exact (a power-of-two scaling of the uniform)
-      and rounding V = u pi is monotone, so V lies between the computed
-      edges of its bucket and B(V) between B at those edges.
-    * Slack larger than the rounding error.  Inside the interior buckets
-      every log sine is below 8 + log p in magnitude and moves by at most
-      4096 ulps when its argument alpha V or (1 - alpha) V is rounded, and
-      |log W| <= 745, so the computed formula and the computed table
-      entries each differ from the exact B - c log W and B(edge) by less
-      than about 4e-12 p (2.7e-13 p is the largest seen against extended
-      precision).  The table is widened by 1e-9 p^2, and the bounds of
-      log S are its entries minus c log W, which rounds by less than
-      1e-13 p more.  The latent bounds subtract the same log E_ij that the
-      latent value does, and rounding a difference is monotone.
-    * Dropped rows lie strictly below the target.  In column j the r_j-th
-      smallest lower bound t_j is at most the r_j-th smallest latent
-      value.  A row is dropped only when its upper bound is below t_j in
-      every column, so each of its values lies strictly below that
-      column's target; selecting at rank r_j - (rows dropped) among the
-      rest gives the same value.  The first and last buckets, W = 0 and
-      E = 0 give bounds of +-inf or NaN.  An upper bound of inf is never
-      below t_j and a NaN comparison is false, so such rows stay
-      candidates.  A lower bound of inf or NaN comes only with a latent
-      value of inf or NaN; taking those as one class above every number
-      (``np.partition`` orders them last), t_j stays at most the target.
-    * Shared ufuncs give equal bits.  The rows that remain run
-      ``_log_stable_from_angle``, the helper ``log_positive_stable``
-      uses, on their own V and log W, and log E is the full draw's, so
-      every candidate's latent value is the full draw's value bit for bit.
+class _MaxOrderRows:
+    """One replication's n rows on the latent scale, in decreasing order of
+    the row maximum, as the columns of d x b planes.  The latent value is
+    log U_j, or log S - log E_j for Gumbel with p > 1 (S positive stable
+    with index alpha = 1 / p, E_j iid unit exponentials).  It is exact:
 
-    All n-sized buffers are allocated once per selector; ``keep`` and
-    ``candidates`` describe the last replication.
+    * Renyi spacings.  With H(t) = C(t, ..., t), the values -log H of the
+      n row maxima are iid unit exponentials, whose i-th smallest is
+      g_i = E_1 / n + ... + E_i / (n - i + 1) (Renyi 1953).  H(u) is u,
+      u^d and u^(d^(1 / p)), so the i-th largest latent maximum is
+      m_i = -g_i (comonotone), -g_i / d (independence, p = 1) and
+      log d - p log g_i, in log space as theta = g^p underflows at p = 64.
+    * The law of a row given its maximum.  Given the maxima, the rows are
+      independent, each with the law of a row given its maximum m.  With
+      iid unit exponentials F, the argmin J of F is uniform and the
+      F_j - F_J are iid unit exponentials independent of it, so the row
+      m - (F_j - F_J) has the law of log U given max log U = m.  For
+      Gumbel, given S = s the E_j / s are iid exponential with rate s and
+      m fixes their minimum e^-m, so S has density proportional to
+      s exp(-theta s) f_S(s), theta = d e^-m.  Its Laplace transform
+      (1 + l / theta)^(alpha - 1) exp(theta^alpha - (theta + l)^alpha) is
+      that of X + Y: Y ~ Gamma(1 - alpha, rate theta), drawn as
+      Gamma(2 - alpha) U^(1 / (1 - alpha)) / theta, and X positive stable
+      tilted by exp(-theta X), a Kanter variate accepted when a unit
+      exponential A exceeds theta X (Devroye 2009), which happens with
+      probability exp(-theta^alpha) = exp(-g) = H(M).  Given S,
+      E_J = S e^-m and E_j = S e^-m + (F_j - F_J) by memorylessness, so
+      the row is m - log1p((F_j - F_J) e^m / S), exactly m at J.
+    * The stop bound.  Every value in a row is at most its maximum (the
+      spread subtracts a nonnegative number) and a running minimum keeps
+      the computed maxima nonincreasing, so the rows not yet drawn lie at
+      or below the last maximum drawn.  A column with q drawn values at
+      or above it has its q-th largest value among them.
+    * The Markov step.  The order statistics of the maxima form a Markov
+      chain, so given the L largest the other n - L rows are iid with the
+      law of a row whose maximum lies below m_L (m_0 = 0, or infinity for
+      Gumbel): m_L - F_j (independence, p = 1), m_L - F in every column
+      (comonotone), and for Gumbel log S - log(F_j + S e^-m_L) with S now
+      the tilted stable variate alone, as the condition multiplies f_S(s)
+      by exp(-theta s).  Placing the top rows at uniformly random
+      positions among the others makes all n rows iid.
+
+    Streams: the replication's generator gives a 64-bit key, ``width``
+    uniforms per top row, row by row, then what the rows below use.  The
+    Philox stream keyed (key, 1) gives the Gamma variates, and a top row
+    none of whose ``_TRIES`` stable proposals is accepted takes ``_TRIES``
+    more from (key, 2), then (key, 3) and so on, each in row order, so a
+    row's values do not depend on how the top rows are batched.
     """
 
-    def __init__(self, model: "GumbelLogistic", n: int, ranks: np.ndarray):
-        d = model.d
-        self.alpha = 1.0 / model.p
-        self.coef = (1.0 - self.alpha) / self.alpha
-        self.table = _stable_bracket_table(model.p)
-        self.ranks = np.broadcast_to(np.asarray(ranks, dtype=int), (d,))
-        self.n = n
-        self.kth = np.unique(self.ranks - 1)
-        self.target_index = np.arange(d) * n + self.ranks - 1
-        # rows 1 and 3 hold V and log W, as in log_positive_stable
-        self.draw = np.empty((4, n))
-        self.log_e = np.empty((n, d))
-        self.bucket = np.empty(n, dtype=np.intp)
-        self.scaled = np.empty(n)
-        self.bounds = np.empty((2, n))
-        self.plane = np.empty((d, n))
-        self.below = np.empty((d, n), dtype=bool)
-        self.keep = np.empty(n, dtype=bool)
-        self.candidates = n
+    def __init__(self, model: CopulaModel, n: int):
+        self.n, self.d = n, model.d
+        # L: enough rows for intermediate ranks, while every tilted
+        # acceptance, about 1 - L / n, stays above 5/8
+        self.top = min(n // 8 + 64, 3 * n // 8)
+        self.comonotone = isinstance(model, Comonotone)
+        self.stable = isinstance(model, GumbelLogistic) and model.p > 1.0
+        if self.stable:
+            self.p, self.alpha, self.log_d = model.p, 1.0 / model.p, math.log(model.d)
+        # a top row's uniforms: its spacing, its d spreads and, for Gumbel,
+        # its Gamma variate's and [V, W, A] of each stable proposal
+        self.width = 1 if self.comonotone else 1 + self.d + (1 + 3 * _TRIES) * self.stable
+        self.pool: dict[int, np.random.Generator] = {}
 
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        # V, W and E in the order the latent draw takes them
-        v, log_w = self.draw[1], self.draw[3]
-        rng.random(out=v)
-        np.multiply(v, STABLE_BUCKETS, out=self.bucket, casting="unsafe")
-        v *= math.pi
-        rng.standard_exponential(out=log_w)
-        np.log(log_w, out=log_w)
-        rng.standard_exponential(out=self.log_e)
-        with np.errstate(divide="ignore"):
-            np.log(self.log_e, out=self.log_e)
-        # (lower, upper) bounds of log S, then of each latent value
-        lower, upper = self.bounds
-        np.take(self.table, self.bucket, axis=1, out=self.bounds)
-        np.multiply(log_w, self.coef, out=self.scaled)
-        np.subtract(self.bounds, self.scaled, out=self.bounds)
-        plane = self.plane
-        np.subtract(lower, self.log_e.T, out=plane)
-        plane.partition(self.kth, axis=1)
-        target = np.take(plane, self.target_index)  # t_j
-        # a row is dropped when its upper bound is below t_j in every column
-        np.subtract(upper, self.log_e.T, out=plane)
-        np.less(plane, target[:, None], out=self.below)
-        np.logical_and.reduce(self.below, axis=0, out=self.keep)
-        np.logical_not(self.keep, out=self.keep)
-        work = np.compress(self.keep, self.draw, axis=1)
-        log_s = _log_stable_from_angle(self.alpha, work)
-        latent = np.compress(self.keep, self.log_e, axis=0)
-        np.subtract(log_s[:, None], latent, out=latent)
-        self.candidates = latent.shape[0]
-        return componentwise_os(latent, self.ranks - (self.n - self.candidates))
+    def start(self, rng: np.random.Generator) -> None:
+        """Begin a replication drawn from ``rng``."""
+        self.rng, self.key, self.keyed = rng, rng.bit_generator.random_raw(), set()
+        self.drawn, self.g, self.m = 0, 0.0, math.inf if self.stable else 0.0
+
+    def _sub(self, t: int) -> np.random.Generator:
+        """The stream keyed (key, t), started at its first use in the replication."""
+        gen = self.pool.get(t) or self.pool.setdefault(t, np.random.Generator(np.random.Philox(0)))
+        if t not in self.keyed:
+            self.keyed.add(t)
+            zero = np.zeros(4, np.uint64)
+            gen.bit_generator.state = {"bit_generator": "Philox", "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
+                                       "uinteger": 0, "state": {"counter": zero, "key": np.array([self.key, t], np.uint64)}}
+        return gen
+
+    def next_rows(self, out: np.ndarray) -> np.ndarray:
+        """Write the next b top rows into the columns of ``out`` (d x b) and
+        return their latent maxima."""
+        b, i = out.shape[1], self.drawn
+        u = _uniforms(self.rng, b, self.width)
+        logs = np.log(u[:2 + self.d])  # log U = -E: the spacing, the spreads and the Gamma's
+        g = np.empty(b + 1)
+        g[0] = self.g
+        np.divide(logs[0], np.arange(i - self.n, i + b - self.n, dtype=float), out=g[1:])  # -(n - i + 1)
+        np.add.accumulate(g, out=g)  # sequential, so batches do not change the sums
+        self.g, g, self.drawn = g[-1], g[1:], i + b
+        if self.comonotone:
+            out[:] = m = np.negative(g)
+        elif not self.stable:
+            m = np.divide(g, -self.d)
+            np.subtract(m, np.subtract(logs[1:].max(axis=0), logs[1:], out=out), out=out)
+        else:
+            spread = logs[1:-1]
+            np.subtract(spread.max(axis=0), spread, out=out)  # F_j - F_J
+            m = np.empty(b + 1)
+            m[0] = self.m
+            np.subtract(self.log_d, np.multiply(np.log(g, out=m[1:]), self.p, out=m[1:]), out=m[1:])
+            m = np.minimum.accumulate(m, out=m)[1:]
+            log_theta = self.log_d - m
+            log_y = np.log(self._sub(1).standard_gamma(2.0 - self.alpha, b)) + logs[-1] / (1.0 - self.alpha) - log_theta
+            log_s = np.logaddexp(self._tilted_stable(u[2 + self.d:], log_theta), log_y)
+            np.subtract(m, np.log1p(np.multiply(out, np.exp(m - log_s), out=out), out=out), out=out)
+        self.m = m[-1]
+        return m
+
+    def rest(self, out: np.ndarray) -> None:
+        """After all L top rows, write the other n - L rows, iid given a
+        maximum below m_L, into the (n - L) x d array ``out``, in chunks
+        that keep the temporaries small."""
+        m, rng = self.m, self.rng
+        for start in range(0, len(out), _CHUNK):
+            f = out[start:start + _CHUNK]
+            if self.comonotone:
+                f[:] = m - rng.standard_exponential((len(f), 1))
+                continue
+            if self.stable:
+                # the rows share theta, so the accepted proposals serve them in turn
+                log_theta, parts, need = self.log_d - m, [np.empty(0)], len(f)
+                rate = math.exp(-math.exp(self.alpha * log_theta))  # exp(-theta^alpha)
+                while need:
+                    size = int((need + 4.0 * math.sqrt(need)) / rate) + 16
+                    log_x = log_positive_stable(self.alpha, size, rng)
+                    parts.append(log_x[np.log(rng.standard_exponential(size)) > log_theta + log_x][:need])
+                    need -= len(parts[-1])
+            rng.standard_exponential(out=f)
+            if self.stable:  # log S - log(F + S e^-m), which m = inf leaves unconditioned
+                log_s = np.concatenate(parts)[:, None]
+                np.subtract(log_s, np.log(np.add(f, np.exp(log_s - m), out=f), out=f), out=f)
+            else:
+                np.subtract(m, f, out=f)
+
+    def _tilted_stable(self, u: np.ndarray, log_theta: np.ndarray, t: int = 1) -> np.ndarray:
+        """log X, X positive stable tilted by exp(-theta X), for each column
+        of u, whose planes hold [V / pi, W, A] of the row's proposals in
+        turn; a proposal is computed only where those before it failed."""
+        e = np.log(u[1:3])
+        np.log(np.negative(e, out=e), out=e)  # log W, log A
+        log_x = _log_kanter(self.alpha, u[0], e[0])
+        redo = np.flatnonzero(~(e[1] > log_theta + log_x))
+        if redo.size:
+            more = u[3:, redo] if len(u) > 3 else _uniforms(self._sub(t + 1), redo.size, 3 * _TRIES)
+            log_x[redo] = self._tilted_stable(more, log_theta[redo], t + (len(u) == 3))
+        return log_x
 
 
-def os_selector(model: CopulaModel, n: int, ranks: np.ndarray) -> OSSelector:
-    """Per-replication selector of the model's latent order statistics.
+def _first_batch(model: CopulaModel, depth: int) -> int:
+    """Top rows to draw first for each column's depth-th largest value: a
+    row's maximum passes a high level ||(1, ..., 1)||_D times as often as a
+    column's value does; the margin makes a second batch rare."""
+    return int(dnorm_eval(model.tail_dnorm, np.ones(model.d)) * (depth + 2.0 * math.sqrt(depth))) + 8
 
-    Gumbel with p > 1 at n >= BRACKET_MIN_N takes the bracketed selector;
-    every other model and size selects on the full latent draw.
-    """
-    if isinstance(model, GumbelLogistic) and model.p > 1.0 and n >= BRACKET_MIN_N:
-        return _BracketedStableSelector(model, n, ranks)
-    draw = model.latent_sampler(n)
-    return lambda rng: componentwise_os(draw(rng), ranks)
+
+def os_selector(model: CopulaModel, n: int, ranks) -> Callable[[np.random.Generator], np.ndarray]:
+    """Per-replication selector of the order statistics at the 1-based
+    ``ranks`` (one, or one per column), equal bit for bit to
+    ``componentwise_os(sample_rows(model, n, rng), ranks)``.  Each call
+    draws top rows in batches, the first sized by ``_first_batch``, until
+    every column's value at its rank is at or above the last maximum; after
+    L top rows it draws the rest and selects on all n."""
+    d = model.d
+    ranks = np.broadcast_to(np.asarray(ranks, dtype=int), (d,))
+    if np.any(ranks < 1) or np.any(ranks > n):
+        raise ValueError(f"ranks {ranks.tolist()} out of range for n = {n}")
+    rows = _MaxOrderRows(model, n)
+    depth = n + 1 - ranks  # column j wants its depth_j-th largest value
+    kth, need = np.unique(depth), int(depth.max())
+    first = _first_batch(model, need)
+
+    def pick(planes: np.ndarray) -> np.ndarray:
+        count = planes.shape[1]
+        return np.partition(planes, count - kth, axis=1)[np.arange(d), count - depth]
+
+    def select(rng: np.random.Generator) -> np.ndarray:
+        rows.start(rng)
+        batches, drawn, size = [], 0, first
+        while drawn < rows.top:
+            batches.append(np.empty((d, min(size, rows.top - drawn))))
+            last = rows.next_rows(batches[-1])[-1]
+            drawn += batches[-1].shape[1]
+            if drawn >= need:
+                picked = pick(np.concatenate(batches, axis=1))
+                if np.all(picked >= last):
+                    return _to_uniform(model, picked)
+            size = max(drawn // 2, 1)
+        rest = np.empty((n - rows.top, d))
+        rows.rest(rest)
+        return _to_uniform(model, pick(np.concatenate(batches + [rest.T], axis=1)))
+
+    return select
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n iid rows from the model using the supplied generator: the
-    model's monotone map applied to its latent draw."""
-    return model.to_uniform(model.latent_sampler(n)(rng))
+    """Draw n iid rows from the model using the supplied generator: all n
+    rows of ``_MaxOrderRows`` through the model's map, the top rows at a
+    uniformly random ordered set of positions and the rest, which are iid,
+    in order at the others."""
+    rows = _MaxOrderRows(model, n)
+    rows.start(rng)
+    top = np.empty((model.d, rows.top))
+    if rows.top:
+        rows.next_rows(top)
+    drawn = np.empty((n, model.d))
+    drawn[:rows.top] = top.T
+    rows.rest(drawn[rows.top:])
+    place, free, order = rng.choice(n, rows.top, replace=False), np.ones(n, dtype=bool), np.empty(n, dtype=np.intp)
+    free[place] = False  # row i of the result is drawn[order[i]]
+    order[place], order[free] = np.arange(rows.top), np.arange(rows.top, n)
+    out = drawn.take(order, axis=0)
+    return _to_uniform(model, out, out=out)
 
 
 def copula_sample(model: CopulaModel, n: int, seed: int) -> np.ndarray:

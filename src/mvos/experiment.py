@@ -12,12 +12,13 @@ Three experiment kinds share one report shape:
 * ``representation``: compare raw order-statistic vectors against the
   correlated normal-square-ratio construction at sample sizes n and 2n.
 
-Order statistics are selected on the copula's latent draw, before any map:
-each replication keeps one latent value per column, and the copula's
-nondecreasing map to uniforms and, for ``general``, the marginal quantile
-functions run afterwards on the R x d selected values only.  Monotone maps
-commute with order statistics, so this gives the same values as
-transforming all n x d draws and selecting afterwards.
+Each replication's order statistics come from ``copula.os_selector``,
+which draws a sample's rows in decreasing order of their maximum and stops
+once every column's order statistic is known, O(k) rows for the ranks
+n - k.  For ``general`` the marginal quantile functions then run on the
+R x d selected values only.  Monotone maps commute with order statistics,
+so this gives the same values as transforming all n x d draws of
+``copula.sample_rows`` and selecting afterwards.
 
 Every experiment is a pure function of (config, master seed).  Replication
 r draws from the stream keyed by r, so results do not depend on the worker
@@ -239,16 +240,14 @@ def _collect_os(
 
     Returns (values, k_vector); values are raw order statistics, on the
     margin scale when the config has margins and on the copula scale
-    otherwise.  Each replication selects its order statistics on the
-    copula's latent draw through ``os_selector``, and the monotone maps to
-    the copula and margin scales then run once on the R x d selected
-    values; this equals mapping all n x d draws first.
+    otherwise.  ``os_selector`` gives each replication's copula-scale
+    values and the margins' quantile functions then run once on the R x d
+    selected values; this equals mapping all n x d draws first.
     """
     copula = config.copula
     ranks = config.intermediate.ranks(n)
-    latent = np.empty((config.replications, copula.d))
-    replicate(latent, collect_seed, threads, lambda: os_selector(copula, n, ranks))
-    values = copula.to_uniform(latent)
+    values = replicate(np.empty((config.replications, copula.d)), collect_seed, threads,
+                       lambda: os_selector(copula, n, ranks))
     if config.margins is not None:
         values = quantile_transform(config.margins, values)
     return values, config.intermediate.k_vector(n)

@@ -19,20 +19,24 @@ def beta_quantile_grid(n, k, levels=np.linspace(0.1, 0.9, 9)):
 
 
 def os_joint_cdf(model, n, k, x):
-    """P(U1,(n-k) <= x1, U2,(n-k) <= x2) for x1 and x2 in the grid x.
+    """P(U1,(n-k1) <= x1, U2,(n-k2) <= x2) over a grid of (x1, x2).
 
-    U_i,(n-k) <= x_i exactly when at most k rows exceed x_i in column i.
-    Each row exceeds in both columns, only the first or only the second
-    with the probabilities 1 - x1 - x2 + C, x2 - C and x1 - C, so the
-    cdf sums, over the counts a of the first cell and b of the second, a
-    binomial pmf times a binomial pmf times a binomial cdf.
+    ``k`` is one k for both columns or a pair (k1, k2), and ``x`` one grid
+    for both columns or a pair of grids (x1, x2).  U_i,(n-k_i) <= x_i
+    exactly when at most k_i rows exceed x_i in column i.  Each row
+    exceeds in both columns, only the first or only the second with the
+    probabilities 1 - x1 - x2 + C, x2 - C and x1 - C, so the cdf sums,
+    over the counts a of the first cell and b of the second, a binomial
+    pmf times a binomial pmf times a binomial cdf.
     """
-    a, b = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
-    keep = a + b <= k
+    k1, k2 = (int(v) for v in np.broadcast_to(k, 2))
+    x1, x2 = (x, x) if np.ndim(x[0]) == 0 else x
+    a, b = np.meshgrid(np.arange(k1 + 1), np.arange(k1 + 1), indexing="ij")
+    keep = (a + b <= k1) & (a <= k2)
     a, b = a[keep], b[keep]
-    out = np.empty((len(x), len(x)))
-    for i, u in enumerate(x):
-        for j, v in enumerate(x):
+    out = np.empty((len(x1), len(x2)))
+    for i, u in enumerate(x1):
+        for j, v in enumerate(x2):
             c = copula_cdf(model, [u, v])
             both = max(1.0 - u - v + c, 0.0)
             first = max(v - c, 0.0)
@@ -40,7 +44,7 @@ def os_joint_cdf(model, n, k, x):
             out[i, j] = np.sum(
                 stats.binom.pmf(a, n, both)
                 * stats.binom.pmf(b, n - a, first / (first + u))
-                * stats.binom.cdf(k - a, n - a - b, second / u)
+                * stats.binom.cdf(k2 - a, n - a - b, second / u)
             )
     return out
 

@@ -1,0 +1,40 @@
+"""The benchmark's traced replay rebuilds each call's order statistics as
+``componentwise_os(quantile_transform(sample_rows(...)))``, while the
+runners select them through ``os_selector``.  The two must agree bit for
+bit at every workload, or ``--trace 1`` reports a mismatch."""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mvos.copula import sample_rows
+from mvos.experiment import _collect_os, config_from_json
+from mvos.margins import quantile_transform
+from mvos.orderstats import componentwise_os
+from mvos.streams import stream_rng
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS, REPLAY = _load("workloads"), _load("replay")
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_selection_equals_the_replayed_composition(workload):
+    config = config_from_json(WORKLOADS.config_json(workload, 7, replications=3))
+    for n, seed in REPLAY.sizes(config):
+        got, _ = _collect_os(config, n, seed, 1)
+        ranks = config.intermediate.ranks(n)
+        for rep in range(config.replications):
+            rows = sample_rows(config.copula, n, stream_rng(seed, rep))
+            if config.margins:
+                rows = quantile_transform(config.margins, rows)
+            assert np.array_equal(got[rep], componentwise_os(rows, ranks))

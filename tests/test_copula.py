@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
+
 import mvos.copula as copula_module
 from mvos.copula import (
     Comonotone,
@@ -14,11 +18,14 @@ from mvos.copula import (
     sample_rows,
     tail_expansion_check,
 )
+from mvos.chi2rep import ecdf_on_grid
 from mvos.diagnostics import ks_critical_value, ks_statistic
 from mvos.dnorm import dnorm_eval
-from mvos.orderstats import componentwise_os
-from mvos.streams import stream_rng
+from mvos.orderstats import IntermediateSpec, componentwise_os
+from mvos.streams import replicate, stream_rng
 from mvos.wire import from_json, to_json
+
+from exact_laws import beta_quantile_grid, os_joint_cdf
 
 
 class TestCdf:
@@ -79,17 +86,6 @@ class TestSampling:
         )
         assert np.array_equal(full, manual)
 
-    @pytest.mark.parametrize(
-        "model", [Independence(3), Comonotone(3), GumbelLogistic(3, 1.0), GumbelLogistic(3, 2.5)],
-        ids=lambda m: m.label(),
-    )
-    def test_rows_are_the_monotone_map_of_the_latent_draw(self, model):
-        latent = model.latent_sampler(2000)(stream_rng(61, 0))
-        assert np.array_equal(model.to_uniform(latent), sample_rows(model, 2000, stream_rng(61, 0)))
-        # a nondecreasing map commutes with order statistics
-        mapped = model.to_uniform(np.sort(latent, axis=0))
-        assert np.all(np.diff(mapped, axis=0) >= 0)
-
     def test_gumbel_empirical_cdf_matches_analytic(self):
         n = 10**5
         model = GumbelLogistic(2, 2.0)
@@ -132,6 +128,11 @@ class TestSampling:
             vals = np.exp(-s * s_draws)
             se = vals.std() / np.sqrt(vals.size)
             assert abs(vals.mean() - np.exp(-(s**alpha))) <= 4.0 * se
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0 / 1.5, 1.0 / 64.0])
+    def test_log_positive_stable_matches_formula(self, alpha):
+        expected = _allocating_log_positive_stable(alpha, 2500, stream_rng(72, 0))
+        assert np.array_equal(log_positive_stable(alpha, 2500, stream_rng(72, 0)), expected)
 
     def test_log_positive_stable_small_alpha_stays_finite(self):
         # on the log scale even 1/alpha = 64 is representable; the linear
@@ -207,159 +208,155 @@ def _allocating_log_positive_stable(alpha, size, rng):
     )
 
 
-def _allocating_gumbel_latent(model, n, rng):
-    """GumbelLogistic's latent draw with fresh arrays per draw (oracle)."""
-    if model.p == 1.0:
-        return -rng.exponential(size=(n, model.d))
-    log_s = _allocating_log_positive_stable(1.0 / model.p, n, rng)
-    e = rng.exponential(size=(n, model.d))
-    with np.errstate(divide="ignore"):
-        log_e = np.log(e)
-    return log_s[:, None] - log_e
+MODELS = [Independence(3), Comonotone(3), GumbelLogistic(3, 1.0), GumbelLogistic(3, 2.0),
+          GumbelLogistic(1, 1.5), GumbelLogistic(4, 1.01), GumbelLogistic(3, 64.0)]
+
+# the selections the benchmark's workloads make: copula-gumbel, representation
+# (n and 2n), representation-wide (n and 2n) and general-indep
+WORKLOAD_SIZES = [
+    (GumbelLogistic(2, 2.0), 20000, IntermediateSpec.equal(2)),
+    (GumbelLogistic(2, 2.0), 10000, IntermediateSpec.equal(2)),
+    (GumbelLogistic(5, 2.0), 500, IntermediateSpec.equal(5)),
+    (GumbelLogistic(5, 2.0), 1000, IntermediateSpec.equal(5)),
+    (Independence(3), 20000, IntermediateSpec.equal(3, gamma=0.65, convention="n-k+1")),
+]
 
 
-class TestBufferedDraws:
-    """Drawing into reused buffers consumes the stream as allocating did."""
-
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 64.0])
-    @pytest.mark.parametrize("d", [1, 3])
-    def test_gumbel_latent_sampler(self, p, d):
-        model = GumbelLogistic(d, p)
-        n = 3001
-        expected = [_allocating_gumbel_latent(model, n, stream_rng(71, rep)) for rep in range(3)]
-        draw = model.latent_sampler(n)
-        first = draw(stream_rng(71, 0))
-        assert np.array_equal(first, expected[0])
-        for rep in (1, 2):
-            again = draw(stream_rng(71, rep))
-            assert np.array_equal(again, expected[rep])
-            assert np.shares_memory(again, first)  # overwritten in place, not reallocated
-
-    @pytest.mark.parametrize("alpha", [0.5, 1.0 / 1.5, 1.0 / 64.0])
-    def test_log_positive_stable(self, alpha):
-        size = 2500
-        expected = _allocating_log_positive_stable(alpha, size, stream_rng(72, 0))
-        assert np.array_equal(log_positive_stable(alpha, size, stream_rng(72, 0)), expected)
-        work = np.empty((4, size))
-        got = log_positive_stable(alpha, size, stream_rng(72, 0), work)
-        assert np.array_equal(got, expected)
-        assert np.shares_memory(got, work)
-
-    @pytest.mark.parametrize("d", [1, 4])
-    def test_comonotone_selection(self, d):
-        n = 5000
-        ranks = np.array([4990, 17, 2500, 4999])[:d]
-        v = stream_rng(73, 0).random(n)
-        repeated = np.repeat(v[:, None], d, axis=1)
-        expected = np.array([np.partition(repeated[:, i], r - 1)[r - 1] for i, r in enumerate(ranks)])
-        latent = Comonotone(d).latent_sampler(n)(stream_rng(73, 0))
-        assert latent.flags.writeable and latent.flags.c_contiguous
-        assert np.array_equal(componentwise_os(latent, ranks), expected)
-        rows = sample_rows(Comonotone(d), n, stream_rng(73, 0))
-        assert np.array_equal(rows, repeated)
-        assert rows.flags.writeable and rows.flags.c_contiguous
-
-    def test_independence_latent_sampler_reuses_its_buffer(self):
-        draw = Independence(2).latent_sampler(100)
-        first = draw(stream_rng(74, 0))
-        assert np.array_equal(first, stream_rng(74, 0).random((100, 2)))
-        again = draw(stream_rng(74, 1))
-        assert np.array_equal(again, stream_rng(74, 1).random((100, 2)))
-        assert np.shares_memory(again, first)
-
-
-class _EdgeDraws:
-    """A stream with boundary values written over chosen draws: V / pi = 0
-    and 1 - 2^-53, W = 0 and E = 0."""
-
-    U = {0: 0.0, 1: 1.0 - 2.0**-53, 4: 0.0, 6: 1.0 - 2.0**-53}
-    W_ZERO = (2, 4, 5, 6)
-    E_ZERO = ((3, 0), (5, 1), (7, 0), (7, 1), (7, 2))
-
-    def __init__(self, seed):
-        self.rng = stream_rng(seed, 0)
-        self.exponentials = 0
-
-    def random(self, out):
-        self.rng.random(out=out)
-        for row, u in self.U.items():
-            out[row] = u
-        return out
-
-    def standard_exponential(self, out):
-        self.rng.standard_exponential(out=out)
-        if self.exponentials == 0:
-            out[list(self.W_ZERO)] = 0.0
-        else:
-            for cell in self.E_ZERO:
-                out[cell] = 0.0
-        self.exponentials += 1
-        return out
-
-
-class TestBracketedGumbelSelector:
-    """Selecting on bracketed rows gives the full draw's order statistics."""
-
-    N = 5000  # at or above BRACKET_MIN_N
+class TestMaxOrderRows:
+    """The selector reads its order statistics off the top rows of the very
+    sample ``sample_rows`` returns."""
 
     @staticmethod
-    def _full_draw_os(model, n, rng, ranks):
-        return componentwise_os(model.latent_sampler(n)(rng), ranks)
+    def _check(model, n, ranks, seed, reps=3):
+        select = os_selector(model, n, ranks)
+        for rep in range(reps):
+            want = componentwise_os(sample_rows(model, n, stream_rng(seed, rep)), ranks)
+            assert np.array_equal(select(stream_rng(seed, rep)), want)
 
-    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 64.0])
-    @pytest.mark.parametrize("d", [1, 2, 3, 5])
-    def test_equals_full_draw(self, p, d):
-        model = GumbelLogistic(d, p)
-        ranks = np.array([4929, 4860, 4965, 4999, 1])[:d]
-        select = os_selector(model, self.N, ranks)
+    @pytest.mark.parametrize("model,n,inter", WORKLOAD_SIZES, ids=lambda x: getattr(x, "label", lambda: x)())
+    def test_equals_sample_rows_at_workload_sizes(self, model, n, inter):
+        self._check(model, n, inter.ranks(n), 91)
+
+    @pytest.mark.parametrize("rank", ["1", "n"])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
+    def test_equals_sample_rows_at_extreme_ranks(self, model, rank, monkeypatch):
+        # rank 1 needs every row, so the selector draws the rows below the
+        # top ones too; rank n needs only each column's largest value
+        rests = []
+        rest = copula_module._MaxOrderRows.rest
+        monkeypatch.setattr(copula_module._MaxOrderRows, "rest", lambda rows, out: rests.append(1) or rest(rows, out))
+        n = 3000
+        select = os_selector(model, n, np.full(model.d, 1 if rank == "1" else n))
         for rep in range(3):
-            want = self._full_draw_os(model, self.N, stream_rng(81, rep), ranks)
-            assert np.array_equal(select(stream_rng(81, rep)), want)
-            assert select.candidates < self.N or d == 5
+            rests.clear()
+            got = select(stream_rng(92, rep))
+            assert len(rests) == (rank == "1")
+            rows = sample_rows(model, n, stream_rng(92, rep))
+            assert np.array_equal(got, rows.min(axis=0) if rank == "1" else rows.max(axis=0))
 
-    @pytest.mark.parametrize("p", [1.5, 2.0, 64.0])
+    @pytest.mark.parametrize("first", [1, 7, 10**9])
+    def test_selection_does_not_depend_on_the_first_batch(self, first, monkeypatch):
+        model, n, ranks = GumbelLogistic(3, 2.0), 2000, np.array([1990, 1900, 1700])
+        want = [os_selector(model, n, ranks)(stream_rng(93, rep)) for rep in range(3)]
+        monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: first)
+        select = os_selector(model, n, ranks)
+        for rep in range(3):
+            assert np.array_equal(select(stream_rng(93, rep)), want[rep])
+
+    @pytest.mark.parametrize("depth", [2, 5])
+    @pytest.mark.parametrize("model", [GumbelLogistic(2, 2.0), Independence(2), Comonotone(2)], ids=lambda m: m.label())
+    def test_stop_bound_at_every_batch(self, model, depth, monkeypatch):
+        # batches of 1, 1, 1, 2, 3, ... rows check the bound after nearly
+        # every row; stopping one value short gives a smaller order statistic
+        monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
+        self._check(model, 300, np.full(2, 301 - depth), 96, reps=100)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
+    def test_top_rows_do_not_depend_on_batches(self, model):
+        rows = copula_module._MaxOrderRows(model, 4000)
+        rows.start(stream_rng(94, 0))
+        whole = np.empty((model.d, rows.top))
+        maxima = rows.next_rows(whole)
+        rows.start(stream_rng(94, 0))
+        parts, start = np.empty_like(whole), 0
+        for size in itertools.cycle([1, 2, 5, 17, 64]):
+            size = min(size, rows.top - start)
+            if not size:
+                break
+            rows.next_rows(parts[:, start:start + size])
+            start += size
+        assert np.array_equal(parts, whole)
+        # the maxima are each row's largest value, in decreasing order
+        assert np.array_equal(whole.max(axis=0), maxima)
+        assert np.all(np.diff(maxima) <= 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
+    def test_small_samples(self, model, n):
+        # below n = 3 there are no top rows and every row is unconditioned
+        for rank in range(1, n + 1):
+            self._check(model, n, np.full(model.d, rank), 97)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_unconditioned_rows_follow_the_copula(self, n):
+        model, reps = GumbelLogistic(2, 2.0), 10000
+        rows = np.concatenate([sample_rows(model, n, stream_rng(98, rep)) for rep in range(reps)])
+        for point in ([0.5, 0.7], [0.9, 0.2], [0.3, 0.3]):
+            c = copula_cdf(model, point)
+            emp = np.mean(np.all(rows <= point, axis=1))
+            assert abs(emp - c) <= 4.0 * np.sqrt(c * (1.0 - c) / len(rows))
+
+    def test_rows_are_exchangeable(self):
+        # the top rows land at uniformly random positions: the position of
+        # each replication's largest row maximum is uniform on the n rows
+        n, reps = 50, 4000
+        where = [sample_rows(GumbelLogistic(2, 2.0), n, stream_rng(95, rep)).max(axis=1).argmax()
+                 for rep in range(reps)]
+        counts = np.bincount(where, minlength=n)
+        assert stats.chisquare(counts).pvalue > 1e-3
+
+    def test_rejects_ranks_out_of_range(self):
+        with pytest.raises(ValueError):
+            os_selector(Independence(2), 10, [0, 5])
+        with pytest.raises(ValueError):
+            os_selector(Independence(2), 10, 11)
+
+
+class TestTopRowLaw:
+    """Selected order statistics against their exact law at R = 1e5
+    replications: |z| <= 4.5 at every node of the Beta quantile grid."""
+
+    R = 10**5
+    BAND = 4.5
+
+    def _max_z(self, model, n, k, seed):
+        k1, k2 = np.broadcast_to(k, 2)
+        grids = [beta_quantile_grid(n, k1), beta_quantile_grid(n, k2)]
+        ranks = np.array([n - k1, n - k2])
+        values = replicate(np.empty((self.R, 2)), seed, 1, lambda: os_selector(model, n, ranks))
+        cdf = os_joint_cdf(model, n, (k1, k2), grids)
+        emp = ecdf_on_grid(values, grids)
+        return float(np.abs((emp - cdf) / np.sqrt(cdf * (1.0 - cdf) / self.R)).max())
+
     @pytest.mark.parametrize(
-        "ranks,kinds",
-        [([5000, 4997, 4930], "NIF"), ([4999, 4996, 4995], "NII"), ([4930, 4930, 4930], "FFF"),
-         ([1, 2, 4992], "FFF")],
+        "model,seed",
+        [(GumbelLogistic(2, 1.0), 8201), (GumbelLogistic(2, 2.0), 8202), (GumbelLogistic(2, 64.0), 8203),
+         (Independence(2), 8204), (Comonotone(2), 8205)],
+        ids=lambda x: x.label() if hasattr(x, "label") else str(x),
     )
-    def test_edge_draws(self, p, ranks, kinds):
-        # rows 0 and 4 are NaN (V = 0) and rank last; rows 2, 5, 6 and 7 are
-        # inf in every column and row 3 in column 0
-        model = GumbelLogistic(3, p)
-        select = os_selector(model, self.N, np.array(ranks))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = self._full_draw_os(model, self.N, _EdgeDraws(82), ranks)
-            got = select(_EdgeDraws(82))
-        assert np.array_equal(got, want, equal_nan=True)
-        assert "".join("N" if np.isnan(x) else "I" if np.isinf(x) else "F" for x in want) == kinds
-        u = _EdgeDraws(82).random(np.empty(self.N))
-        edge_bucket = (u < 1.0 / copula_module.STABLE_BUCKETS) | (u >= 1.0 - 1.0 / copula_module.STABLE_BUCKETS)
-        assert select.keep[edge_bucket].all()
-        assert select.keep[:8].all()
+    def test_d2_joint_cdf(self, model, seed):
+        assert self._max_z(model, 400, 20, seed) <= self.BAND
 
-    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 64.0])
-    def test_table_brackets_every_bucket(self, p):
-        alpha = 1.0 / p
-        buckets = copula_module.STABLE_BUCKETS
-        table = copula_module._stable_bracket_table(p)
-        assert table.shape == (2, buckets)
-        assert np.array_equal(table[:, [0, -1]], [[-np.inf] * 2, [np.inf] * 2])
-        offsets = np.concatenate([np.zeros((buckets, 1)), stream_rng(83, 0).random((buckets, 15))], axis=1)
-        u = ((np.arange(buckets)[:, None] + offsets) / buckets).ravel()
-        work = np.zeros((4, u.size))
-        work[1] = u * np.pi  # V as the draw computes it
-        with np.errstate(divide="ignore", invalid="ignore"):  # V = 0 in the first bucket
-            b = copula_module._log_stable_from_angle(alpha, work)
-        bucket = (u * buckets).astype(int)
-        inner = (bucket > 0) & (bucket < buckets - 1)
-        assert np.all(table[0, bucket[inner]] <= b[inner])
-        assert np.all(b[inner] <= table[1, bucket[inner]])
+    def test_d2_unequal_ranks(self):
+        # k-ratio 4, as in criterion 3
+        assert self._max_z(GumbelLogistic(2, 2.0), 400, (40, 10), 8206) <= self.BAND
 
-    def test_candidate_count(self):
-        # a deterministic count, not a timing: a loose table keeps more rows
-        n = 20000
-        ranks = np.full(2, n - 141)
-        select = os_selector(GumbelLogistic(2, 2.0), n, ranks)
-        select(stream_rng(84, 0))
-        assert select.candidates == 221
+    def test_d5_margins_are_beta(self):
+        # column j's order statistic at rank r_j is Beta(r_j, n + 1 - r_j)
+        n, ranks = 500, np.array([478, 490, 460, 495, 478])
+        levels = np.linspace(0.1, 0.9, 9)
+        values = replicate(np.empty((self.R, 5)), 8207, 1, lambda: os_selector(GumbelLogistic(5, 2.0), n, ranks))
+        for j, r in enumerate(ranks):
+            grid = stats.beta(r, n + 1 - r).ppf(levels)
+            emp = (values[:, j, None] <= grid).mean(axis=0)
+            assert np.abs((emp - levels) / np.sqrt(levels * (1.0 - levels) / self.R)).max() <= self.BAND

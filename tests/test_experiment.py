@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mvos.chi2rep import NotPositiveSemidefiniteError
-import mvos.copula as copula_module
 from mvos.copula import Comonotone, GumbelLogistic, Independence, sample_rows
 from mvos.margins import Pareto, StandardExponential, StandardNormal, Triangular, quantile_transform
 from mvos.orderstats import IntermediateSpec, PowerKRule, componentwise_os
@@ -132,24 +131,21 @@ class TestSelectionOnLatentDraw:
     N = 700
     MARGINS = (StandardNormal(), Pareto(1.0), Triangular(), StandardExponential(), StandardNormal())
     # unequal k rules; the last gives k = n - 1, so rank 1 under "n-k" (rank 2
-    # under "n-k+1") and almost every Gumbel row stays a bracketing candidate
+    # under "n-k+1"), which the selector reaches only by drawing every row
     RULES = (PowerKRule(1.0, 0.6), PowerKRule(2.0, 0.6), PowerKRule(0.5, 0.6),
              PowerKRule(1.0, 0.6), PowerKRule((N - 0.5) / N**0.6, 0.6))
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("kind", ["copula", "general"])
-    @pytest.mark.parametrize("bracket_min_n", [1, 10**9], ids=["bracketed", "full-draw"])
     @pytest.mark.parametrize(
         "copula",
         [Independence(4), Comonotone(4), GumbelLogistic(4, 1.0), GumbelLogistic(4, 2.0),
          GumbelLogistic(1, 1.5), GumbelLogistic(5, 1.5), GumbelLogistic(5, 64.0)],
         ids=lambda m: m.label(),
     )
-    def test_equals_map_then_select(self, copula, bracket_min_n, kind, threads, monkeypatch):
-        # selecting on the latent draw and mapping the R x d winners must
-        # reproduce sample_rows -> quantile_transform -> componentwise_os,
-        # with the Gumbel (p > 1) selector on and off
-        monkeypatch.setattr(copula_module, "BRACKET_MIN_N", bracket_min_n)
+    def test_equals_map_then_select(self, copula, kind, threads):
+        # selecting on the top rows and mapping the R x d winners must
+        # reproduce sample_rows -> quantile_transform -> componentwise_os
         n, reps, seed = self.N, 12, 17
         general = kind == "general"
         cfg = ExperimentConfig(
