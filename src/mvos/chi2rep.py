@@ -13,7 +13,10 @@ Neither sampler sums the normals.  The componentwise sums of squares of m
 vectors from N(0, Lambda) are the diagonal of a Wishart_d(m, Lambda)
 matrix, which Bartlett's decomposition draws exactly from at most d
 chi-squares and d(d-1)/2 normals, so a replication costs O(d^2) whatever
-n is.
+n is.  Both samplers draw per replication and do their arithmetic once
+per block of ``streams.replicate``, which holds at most
+``streams.BLOCK_REPLICATIONS`` replications and
+``streams.BLOCK_ELEMENTS`` factor entries.
 """
 from __future__ import annotations
 
@@ -68,18 +71,19 @@ def univariate_ratio_sample(i: int, n: int, r: int, seed: int) -> np.ndarray:
     The two sums are independent chi-squares, so replication r draws
     chi^2(2i) and then chi^2(2(n + 1 - i)) from its own stream keyed by
     (seed, r) and returns the first over their total; the result has the
-    Beta(i, n + 1 - i) distribution.
+    Beta(i, n + 1 - i) distribution.  The draws are made per replication
+    and the ratios once per block of ``streams.replicate``.
     """
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
     if r < 1:
         raise ValueError("need at least one replication")
 
-    def draw(rng: np.random.Generator) -> float:
-        num, rest = rng.chisquare((2 * i, 2 * (n + 1 - i)))
+    def draw(rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        num, rest = np.array([rng.chisquare((2 * i, 2 * (n + 1 - i))) for rng in rngs]).T
         return num / (num + rest)
 
-    return replicate(np.empty(r), seed, 1, lambda: draw)
+    return replicate(np.empty(r), seed, 1, lambda: draw, 2)
 
 
 def _symmetric_sqrt(lam: np.ndarray) -> np.ndarray:
@@ -100,21 +104,20 @@ def check_correlation(lam) -> np.ndarray:
     return lam
 
 
-def _bartlett_diagonal(rng: np.random.Generator, root: np.ndarray, upper: np.ndarray, dfs: range) -> np.ndarray:
-    """diag(root W root^T) for W ~ Wishart_d(m, I), by Bartlett's decomposition.
+def _bartlett_factor(rng: np.random.Generator, out: np.ndarray, dfs: range) -> None:
+    """Draw the d x min(d, m) lower-trapezoidal Bartlett factor A of a
+    Wishart_d(m, I) matrix into ``out``, bar its zeroed upper triangle.
 
-    The d x m Gaussian matrix Z has Z Z^T = A A^T with A its d x min(d, m)
-    lower-trapezoidal factor: A[j, j] = sqrt(chi^2(m - j)) for 0-based j
-    and iid N(0, 1) below the diagonal, all independent.  This holds for
-    every m >= 1, so fewer vectors than dimensions need no other path.
-    Draws d x min(d, m) normals (those ``upper`` marks are discarded),
-    then the min(d, m) chi-squares ``dfs``, one scalar call each, which
-    costs less than one call on an array of degrees of freedom.
+    The d x m Gaussian matrix Z has Z Z^T = A A^T with A[j, j] =
+    sqrt(chi^2(m - j)) for 0-based j and iid N(0, 1) below the diagonal,
+    all independent.  This holds for every m >= 1, so fewer vectors than
+    dimensions need no other path.  Draws d x min(d, m) normals (those on
+    and above the diagonal are overwritten or discarded), then the
+    min(d, m) chi-squares ``dfs``, one scalar call each, which costs less
+    than one call on an array of degrees of freedom.
     """
-    a = rng.standard_normal(upper.shape)
-    a[upper] = 0.0
-    a[range(len(dfs)), range(len(dfs))] = np.sqrt([rng.chisquare(df) for df in dfs])
-    return np.square(root @ a).sum(axis=1)
+    rng.standard_normal(out=out)
+    out[range(len(dfs)), range(len(dfs))] = np.sqrt([rng.chisquare(df) for df in dfs])
 
 
 def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int = 1) -> RatioVectorSample:
@@ -126,11 +129,15 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
     Lambda.
 
     The two parts of the sum are independent Wishart diagonals with
-    2(n-k) and 2(k+1) degrees of freedom, each drawn exactly by
-    ``_bartlett_diagonal`` with the symmetric root of Lambda.  Replication
-    r draws the numerator's factor and then the remainder's from the
-    stream keyed by (seed, r), so the result does not depend on
-    ``threads``.
+    2(n-k) and 2(k+1) degrees of freedom, diag(root A A^T root^T) for the
+    symmetric root of Lambda and a Bartlett factor A (``_bartlett_factor``).
+    Replication r draws the numerator's factor and then the remainder's
+    from the stream keyed by (seed, r).  ``streams.replicate`` hands the
+    replications over in blocks: each replication draws its factors with
+    its own calls to its own generator, and the products ``root @ A`` run
+    once per block on the stacked factors, which gives each slice the bits
+    of its own product.  So the result depends neither on the blocks nor
+    on ``threads``.
     """
     lam = check_correlation(lam)
     if not 1 <= k < n:
@@ -143,14 +150,24 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
 
     root = _symmetric_sqrt(lam)
     d = len(lam)
-    head, tail = ((np.triu(np.ones((d, min(d, m)), dtype=bool)), range(m, m - min(d, m), -1))
-                  for m in (2 * (n - k), 2 * (k + 1)))
+    factors = [(np.triu(np.ones((d, min(d, m)), dtype=bool), 1), range(m, m - min(d, m), -1))
+               for m in (2 * (n - k), 2 * (k + 1))]
 
-    def draw(rng: np.random.Generator) -> np.ndarray:
-        num = _bartlett_diagonal(rng, root, *head)
-        return num / (num + _bartlett_diagonal(rng, root, *tail))
+    def diagonal(a: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """diag(root A A^T root^T) for each stacked factor A."""
+        a[:, upper] = 0.0
+        return np.square(root @ a).sum(axis=2)
 
-    ratios = replicate(np.empty((r, lam.shape[0])), seed, threads, lambda: draw)
+    def draw(rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        stacks = [np.empty((len(rngs), *upper.shape)) for upper, _ in factors]
+        for j, rng in enumerate(rngs):
+            for a, (_, dfs) in zip(stacks, factors):
+                _bartlett_factor(rng, a[j], dfs)
+        num, tail = (diagonal(a, upper) for a, (upper, _) in zip(stacks, factors))
+        return num / (num + tail)
+
+    elements = sum(upper.size for upper, _ in factors)
+    ratios = replicate(np.empty((r, d)), seed, threads, lambda: draw, elements)
     return RatioVectorSample(ratios=ratios, n=int(n), k=int(k))
 
 

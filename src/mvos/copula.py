@@ -6,20 +6,23 @@ the sup-norm for comonotonicity, and the logistic p-norm for the
 Gumbel-Hougaard family.
 
 One generator, ``_MaxOrderRows``, draws every model's rows in decreasing
-order of their maximum.  ``sample_rows`` runs it through all n rows;
-``os_selector`` stops it once each column's order statistic is known,
-after O(k) rows for the ranks n - k, with the same values bit for bit.
+order of their maximum, for a block of replications at once.
+``sample_rows`` runs it through all n rows of a block of one;
+``os_selector`` stops each replication once its columns' order statistics
+are known, after O(k) rows for the ranks n - k, with the same values bit
+for bit.  A block's replications each draw from their own streams, and
+the arithmetic runs once on the block's planes.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .dnorm import DNormSpec, LogisticP, SupNorm, dnorm_eval
-from .streams import stream_rng
+from .streams import rekey, stream_rng
 
 __all__ = [
     "Independence",
@@ -171,8 +174,8 @@ def _uniforms(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
 
 
 class _MaxOrderRows:
-    """One replication's n rows on the latent scale, in decreasing order of
-    the row maximum, as the columns of d x b planes.  The latent value is
+    """A block of replications' n rows on the latent scale, in decreasing
+    order of the row maximum, as d x b x rows planes.  The latent value is
     log U_j, or log S - log E_j for Gumbel with p > 1 (S positive stable
     with index alpha = 1 / p, E_j iid unit exponentials).  It is exact:
 
@@ -212,12 +215,20 @@ class _MaxOrderRows:
       by exp(-theta s).  Placing the top rows at uniformly random
       positions among the others makes all n rows iid.
 
-    Streams: the replication's generator gives a 64-bit key, ``width``
+    Streams: each replication's generator gives a 64-bit key, ``width``
     uniforms per top row, row by row, then what the rows below use.  The
     Philox stream keyed (key, 1) gives the Gamma variates, and a top row
     none of whose ``_TRIES`` stable proposals is accepted takes ``_TRIES``
     more from (key, 2), then (key, 3) and so on, each in row order, so a
     row's values do not depend on how the top rows are batched.
+
+    Blocks: a block's replications draw their values with their own calls
+    to their own generators, and every replication that goes on draws the
+    same number of top rows in a batch.  The arithmetic then runs once on
+    the block's planes, elementwise or along the row axis, so a
+    replication's values do not depend on the other replications in its
+    block.  The redraws from (key, t >= 2) and the rows below the top ones
+    are drawn one replication at a time.
     """
 
     def __init__(self, model: CopulaModel, n: int):
@@ -232,34 +243,48 @@ class _MaxOrderRows:
         # a top row's uniforms: its spacing, its d spreads and, for Gumbel,
         # its Gamma variate's and [V, W, A] of each stable proposal
         self.width = 1 if self.comonotone else 1 + self.d + (1 + 3 * _TRIES) * self.stable
-        self.pool: dict[int, np.random.Generator] = {}
+        self.pool: dict[tuple[int, int], np.random.Generator] = {}
+        self.scratch: dict[str, np.ndarray] = {}
 
-    def start(self, rng: np.random.Generator) -> None:
-        """Begin a replication drawn from ``rng``."""
-        self.rng, self.key, self.keyed = rng, rng.bit_generator.random_raw(), set()
-        self.drawn, self.g, self.m = 0, 0.0, math.inf if self.stable else 0.0
+    def start(self, rngs: Sequence[np.random.Generator]) -> None:
+        """Begin a block of replications, one drawn from each generator."""
+        self.rngs, self.keys, self.keyed = rngs, [rng.bit_generator.random_raw() for rng in rngs], set()
+        self.drawn, self.g, self.m = 0, np.zeros(len(rngs)), np.full(len(rngs), math.inf if self.stable else 0.0)
 
-    def _sub(self, t: int) -> np.random.Generator:
-        """The stream keyed (key, t), started at its first use in the replication."""
-        gen = self.pool.get(t) or self.pool.setdefault(t, np.random.Generator(np.random.Philox(0)))
-        if t not in self.keyed:
-            self.keyed.add(t)
-            zero = np.zeros(4, np.uint64)
-            gen.bit_generator.state = {"bit_generator": "Philox", "buffer": zero, "buffer_pos": 4, "has_uint32": 0,
-                                       "uinteger": 0, "state": {"counter": zero, "key": np.array([self.key, t], np.uint64)}}
+    def _sub(self, slot: int, t: int) -> np.random.Generator:
+        """Replication ``slot``'s stream keyed (key, t), started at its first
+        use in the replication."""
+        gen = self.pool.get((slot, t))
+        if gen is None:
+            gen = self.pool[slot, t] = np.random.Generator(np.random.Philox(0))
+        if (slot, t) not in self.keyed:
+            self.keyed.add((slot, t))
+            rekey(gen, np.array([self.keys[slot], t], np.uint64))
         return gen
 
-    def next_rows(self, out: np.ndarray) -> np.ndarray:
-        """Write the next b top rows into the columns of ``out`` (d x b) and
-        return their latent maxima."""
-        b, i = out.shape[1], self.drawn
-        u = _uniforms(self.rng, b, self.width)
-        logs = np.log(u[:2 + self.d])  # log U = -E: the spacing, the spreads and the Gamma's
-        g = np.empty(b + 1)
-        g[0] = self.g
-        np.divide(logs[0], np.arange(i - self.n, i + b - self.n, dtype=float), out=g[1:])  # -(n - i + 1)
-        np.add.accumulate(g, out=g)  # sequential, so batches do not change the sums
-        self.g, g, self.drawn = g[-1], g[1:], i + b
+    def _scratch(self, name: str, shape: tuple) -> np.ndarray:
+        """An array of the given shape that the thread's blocks reuse: a
+        freed block-sized temporary lets malloc hand its pages back, and the
+        next block faults them in again."""
+        size = math.prod(shape)
+        if name not in self.scratch or self.scratch[name].size < size:
+            self.scratch[name] = np.empty(size)
+        return self.scratch[name][:size].reshape(shape)
+
+    def next_rows(self, out: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """Write the next c top rows of the replications ``slots``, each of
+        which has drawn as many top rows as the others, into ``out``
+        (d x len(slots) x c), and return their latent maxima (len(slots) x c)."""
+        b, c, i = len(slots), out.shape[2], self.drawn
+        raw, u = self._scratch("raw", (c, self.width)), self._scratch("u", (self.width, b, c))
+        for j, slot in enumerate(slots):
+            np.subtract(1.0, self.rngs[slot].random(out=raw).T, out=u[:, j])
+        logs = np.log(u[:2 + self.d], out=u[:2 + self.d])  # log U = -E: the spacing, the spreads and the Gamma's
+        g = np.empty((b, c + 1))
+        g[:, 0] = self.g[slots]
+        np.divide(logs[0], np.arange(i - self.n, i + c - self.n, dtype=float), out=g[:, 1:])  # -(n - i + 1)
+        np.add.accumulate(g, axis=1, out=g)  # sequential, so batches do not change the sums
+        self.g[slots], g, self.drawn = g[:, -1], g[:, 1:], i + c
         if self.comonotone:
             out[:] = m = np.negative(g)
         elif not self.stable:
@@ -268,22 +293,26 @@ class _MaxOrderRows:
         else:
             spread = logs[1:-1]
             np.subtract(spread.max(axis=0), spread, out=out)  # F_j - F_J
-            m = np.empty(b + 1)
-            m[0] = self.m
-            np.subtract(self.log_d, np.multiply(np.log(g, out=m[1:]), self.p, out=m[1:]), out=m[1:])
-            m = np.minimum.accumulate(m, out=m)[1:]
+            m = np.empty((b, c + 1))
+            m[:, 0] = self.m[slots]
+            np.subtract(self.log_d, np.multiply(np.log(g, out=m[:, 1:]), self.p, out=m[:, 1:]), out=m[:, 1:])
+            m = np.minimum.accumulate(m, axis=1, out=m)[:, 1:]
             log_theta = self.log_d - m
-            log_y = np.log(self._sub(1).standard_gamma(2.0 - self.alpha, b)) + logs[-1] / (1.0 - self.alpha) - log_theta
-            log_s = np.logaddexp(self._tilted_stable(u[2 + self.d:], log_theta), log_y)
+            gamma = np.empty((b, c))
+            for row, slot in zip(gamma, slots):
+                self._sub(slot, 1).standard_gamma(2.0 - self.alpha, out=row)
+            log_y = np.log(gamma, out=gamma) + logs[-1] / (1.0 - self.alpha) - log_theta
+            log_x = self._tilted_stable(u[2 + self.d:].reshape(3 * _TRIES, -1), log_theta.ravel(), np.repeat(slots, c))
+            log_s = np.logaddexp(log_x.reshape(b, c), log_y)
             np.subtract(m, np.log1p(np.multiply(out, np.exp(m - log_s), out=out), out=out), out=out)
-        self.m = m[-1]
+        self.m[slots] = m[:, -1]
         return m
 
-    def rest(self, out: np.ndarray) -> None:
-        """After all L top rows, write the other n - L rows, iid given a
-        maximum below m_L, into the (n - L) x d array ``out``, in chunks
-        that keep the temporaries small."""
-        m, rng = self.m, self.rng
+    def rest(self, slot: int, out: np.ndarray) -> None:
+        """After all L top rows of replication ``slot``, write its other
+        n - L rows, iid given a maximum below m_L, into the (n - L) x d
+        array ``out``, in chunks that keep the temporaries small."""
+        m, rng = self.m[slot], self.rngs[slot]
         for start in range(0, len(out), _CHUNK):
             f = out[start:start + _CHUNK]
             if self.comonotone:
@@ -305,17 +334,22 @@ class _MaxOrderRows:
             else:
                 np.subtract(m, f, out=f)
 
-    def _tilted_stable(self, u: np.ndarray, log_theta: np.ndarray, t: int = 1) -> np.ndarray:
+    def _tilted_stable(self, u: np.ndarray, log_theta: np.ndarray, slots: np.ndarray, t: int = 1) -> np.ndarray:
         """log X, X positive stable tilted by exp(-theta X), for each column
         of u, whose planes hold [V / pi, W, A] of the row's proposals in
-        turn; a proposal is computed only where those before it failed."""
+        turn and which belongs to replication ``slots``; a proposal is
+        computed only where those before it failed."""
         e = np.log(u[1:3])
         np.log(np.negative(e, out=e), out=e)  # log W, log A
         log_x = _log_kanter(self.alpha, u[0], e[0])
         redo = np.flatnonzero(~(e[1] > log_theta + log_x))
-        if redo.size:
-            more = u[3:, redo] if len(u) > 3 else _uniforms(self._sub(t + 1), redo.size, 3 * _TRIES)
-            log_x[redo] = self._tilted_stable(more, log_theta[redo], t + (len(u) == 3))
+        if redo.size and len(u) > 3:
+            log_x[redo] = self._tilted_stable(u[3:, redo], log_theta[redo], slots[redo], t)
+        elif redo.size:  # out of proposals: more from each replication's (key, t + 1)
+            for slot in np.unique(slots[redo]):
+                rows = redo[slots[redo] == slot]
+                more = _uniforms(self._sub(int(slot), t + 1), rows.size, 3 * _TRIES)
+                log_x[rows] = self._tilted_stable(more, log_theta[rows], slots[rows], t + 1)
         return log_x
 
 
@@ -326,58 +360,75 @@ def _first_batch(model: CopulaModel, depth: int) -> int:
     return int(dnorm_eval(model.tail_dnorm, np.ones(model.d)) * (depth + 2.0 * math.sqrt(depth))) + 8
 
 
-def os_selector(model: CopulaModel, n: int, ranks) -> Callable[[np.random.Generator], np.ndarray]:
-    """Per-replication selector of the order statistics at the 1-based
-    ``ranks`` (one, or one per column), equal bit for bit to
-    ``componentwise_os(sample_rows(model, n, rng), ranks)``.  Each call
-    draws top rows in batches, the first sized by ``_first_batch``, until
-    every column's value at its rank is at or above the last maximum; after
-    L top rows it draws the rest and selects on all n."""
+def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callable[[Sequence[np.random.Generator]], np.ndarray]], int]:
+    """Block selector of the order statistics at the 1-based ``ranks`` (one,
+    or one per column), for ``streams.replicate``: returns ``(make, elements)``.
+    ``make()`` builds a selector that maps a block of replications'
+    generators to their b x d values, row r equal bit for bit to
+    ``componentwise_os(sample_rows(model, n, rngs[r]), ranks)``, and
+    ``elements`` is the uniforms one replication draws in the first batch.
+    The block draws top rows in batches, the first sized by
+    ``_first_batch``, and a replication stops once every column's value at
+    its rank is at or above its last maximum; one still going after L top
+    rows draws the rest and selects on all n."""
     d = model.d
     ranks = np.broadcast_to(np.asarray(ranks, dtype=int), (d,))
     if np.any(ranks < 1) or np.any(ranks > n):
         raise ValueError(f"ranks {ranks.tolist()} out of range for n = {n}")
-    rows = _MaxOrderRows(model, n)
     depth = n + 1 - ranks  # column j wants its depth_j-th largest value
     kth, need = np.unique(depth), int(depth.max())
     first = _first_batch(model, need)
 
     def pick(planes: np.ndarray) -> np.ndarray:
-        count = planes.shape[1]
-        return np.partition(planes, count - kth, axis=1)[np.arange(d), count - depth]
+        count = planes.shape[-1]
+        planes.partition(count - kth, axis=-1)  # in place: only the values at the ranks are read
+        return planes[np.arange(d), ..., count - depth]
 
-    def select(rng: np.random.Generator) -> np.ndarray:
-        rows.start(rng)
-        batches, drawn, size = [], 0, first
-        while drawn < rows.top:
-            batches.append(np.empty((d, min(size, rows.top - drawn))))
-            last = rows.next_rows(batches[-1])[-1]
-            drawn += batches[-1].shape[1]
-            if drawn >= need:
-                picked = pick(np.concatenate(batches, axis=1))
-                if np.all(picked >= last):
-                    return _to_uniform(model, picked)
-            size = max(drawn // 2, 1)
-        rest = np.empty((n - rows.top, d))
-        rows.rest(rest)
-        return _to_uniform(model, pick(np.concatenate(batches + [rest.T], axis=1)))
+    def make() -> Callable[[Sequence[np.random.Generator]], np.ndarray]:
+        rows = _MaxOrderRows(model, n)
 
-    return select
+        def select(rngs: Sequence[np.random.Generator]) -> np.ndarray:
+            out = np.empty((len(rngs), d))
+            rows.start(rngs)
+            slots, planes, size = np.arange(len(rngs)), None, first
+            while rows.drawn < rows.top:
+                batch = np.empty((d, len(slots), min(size, rows.top - rows.drawn)))
+                last = rows.next_rows(batch, slots)[:, -1]
+                planes = batch if planes is None else np.concatenate((planes, batch), axis=2)
+                if rows.drawn >= need:
+                    picked = pick(planes)
+                    done = np.all(picked >= last, axis=0)
+                    out[slots[done]] = _to_uniform(model, picked[:, done].T)
+                    if done.all():
+                        return out
+                    slots, planes = slots[~done], planes[:, ~done]
+                size = max(rows.drawn // 2, 1)
+            for j, slot in enumerate(slots):
+                rest = np.empty((n - rows.top, d))
+                rows.rest(slot, rest)
+                below = rest.T if planes is None else np.concatenate((planes[:, j], rest.T), axis=1)
+                out[slot] = _to_uniform(model, pick(below))
+            return out
+
+        return select
+
+    rows = _MaxOrderRows(model, n)
+    return make, rows.width * min(first, rows.top)
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n iid rows from the model using the supplied generator: all n
-    rows of ``_MaxOrderRows`` through the model's map, the top rows at a
-    uniformly random ordered set of positions and the rest, which are iid,
-    in order at the others."""
+    rows of ``_MaxOrderRows`` for a block of one replication through the
+    model's map, the top rows at a uniformly random ordered set of
+    positions and the rest, which are iid, in order at the others."""
     rows = _MaxOrderRows(model, n)
-    rows.start(rng)
-    top = np.empty((model.d, rows.top))
+    rows.start([rng])
+    top = np.empty((model.d, 1, rows.top))
     if rows.top:
-        rows.next_rows(top)
+        rows.next_rows(top, np.zeros(1, np.intp))
     drawn = np.empty((n, model.d))
-    drawn[:rows.top] = top.T
-    rows.rest(drawn[rows.top:])
+    drawn[:rows.top] = top[:, 0].T
+    rows.rest(0, drawn[rows.top:])
     place, free, order = rng.choice(n, rows.top, replace=False), np.ones(n, dtype=bool), np.empty(n, dtype=np.intp)
     free[place] = False  # row i of the result is drawn[order[i]]
     order[place], order[free] = np.arange(rows.top), np.arange(rows.top, n)

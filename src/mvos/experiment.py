@@ -240,14 +240,14 @@ def _collect_os(
 
     Returns (values, k_vector); values are raw order statistics, on the
     margin scale when the config has margins and on the copula scale
-    otherwise.  ``os_selector`` gives each replication's copula-scale
-    values and the margins' quantile functions then run once on the R x d
-    selected values; this equals mapping all n x d draws first.
+    otherwise.  ``os_selector`` gives each block of replications'
+    copula-scale values and the margins' quantile functions then run once
+    on the R x d selected values; this equals mapping all n x d draws first.
     """
     copula = config.copula
     ranks = config.intermediate.ranks(n)
     values = replicate(np.empty((config.replications, copula.d)), collect_seed, threads,
-                       lambda: os_selector(copula, n, ranks))
+                       *os_selector(copula, n, ranks))
     if config.margins is not None:
         values = quantile_transform(config.margins, values)
     return values, config.intermediate.k_vector(n)

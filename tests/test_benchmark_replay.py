@@ -1,14 +1,16 @@
 """The benchmark's traced replay rebuilds each call's order statistics as
 ``componentwise_os(quantile_transform(sample_rows(...)))``, while the
-runners select them through ``os_selector``.  The two must agree bit for
-bit at every workload, or ``--trace 1`` reports a mismatch."""
+runners select them through ``os_selector`` in blocks of replications.
+The two must agree bit for bit at every workload and across blocks, or
+``--trace 1`` reports a mismatch."""
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvos.copula import sample_rows
+import mvos.streams as streams
+from mvos.copula import os_selector, sample_rows
 from mvos.experiment import _collect_os, config_from_json
 from mvos.margins import quantile_transform
 from mvos.orderstats import componentwise_os
@@ -27,12 +29,21 @@ def _load(name):
 WORKLOADS, REPLAY = _load("workloads"), _load("replay")
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
-def test_selection_equals_the_replayed_composition(workload):
-    config = config_from_json(WORKLOADS.config_json(workload, 7, replications=3))
+# every workload with a few replications at one thread, and copula-gumbel
+# with enough at two threads that each thread's range spans two blocks
+CASES = [pytest.param(workload, 3, 1, id=workload) for workload in sorted(WORKLOADS.WORKLOADS)]
+CASES.append(pytest.param("copula-gumbel", 45, 2, id="copula-gumbel-two-blocks-per-thread"))
+
+
+@pytest.mark.parametrize("workload,replications,threads", CASES)
+def test_selection_equals_the_replayed_composition(workload, replications, threads):
+    config = config_from_json(WORKLOADS.config_json(workload, 7, replications=replications))
     for n, seed in REPLAY.sizes(config):
-        got, _ = _collect_os(config, n, seed, 1)
+        got, _ = _collect_os(config, n, seed, threads)
         ranks = config.intermediate.ranks(n)
+        if replications > 3:
+            block = min(streams.BLOCK_REPLICATIONS, streams.BLOCK_ELEMENTS // os_selector(config.copula, n, ranks)[1])
+            assert replications // threads > block
         for rep in range(config.replications):
             rows = sample_rows(config.copula, n, stream_rng(seed, rep))
             if config.margins:

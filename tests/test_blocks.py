@@ -1,0 +1,138 @@
+"""Blocks of replications change no bit.
+
+``streams.replicate`` hands each thread's replications to the samplers in
+blocks.  Whatever the block size, the thread count, the batch sizes, and
+whether a replication in a block draws the rows below the top ones or
+redraws tilted-stable proposals, every replication must equal its own
+per-replication oracle: ``componentwise_os(sample_rows(...))`` for the
+selection and the documented stream for the ratio samplers.
+"""
+import numpy as np
+import pytest
+
+import mvos.chi2rep as chi2rep_module
+import mvos.copula as copula_module
+import mvos.experiment as experiment_module
+import mvos.streams as streams_module
+from mvos.chi2rep import correlated_ratio_sample, univariate_ratio_sample
+from mvos.copula import GumbelLogistic, os_selector, sample_rows
+from mvos.experiment import ExperimentConfig, _collect_os
+from mvos.orderstats import IntermediateSpec, PowerKRule, componentwise_os
+from mvos.streams import stream_rng
+
+from test_chi2rep import _random_correlation, _stream_contract_ratios
+
+R = 130  # more than two default blocks of the selection below
+# n = 100 and k = 25 stop about half the replications among the L = 37
+# top rows and send the others to the rows below, and make many top rows
+# reject all their in-row stable proposals, a few twice
+MODEL, N, SEED = GumbelLogistic(2, 2.0), 100, 31
+CONFIG = ExperimentConfig(copula=MODEL, n=N, replications=R, seed=SEED,
+                          intermediate=IntermediateSpec((PowerKRule(2.5, 0.5),) * 2, "n-k"))
+RANKS = CONFIG.intermediate.ranks(N)
+LAM = _random_correlation(3, seed=3)
+
+# (replications per block at most, threads); None keeps the default cap
+SETUPS = [(cap, threads) for cap in (1, 3, None) for threads in (1, 2, 3)]
+
+
+def _spy_blocks(monkeypatch, module):
+    """Record the size of every block the module's replicate hands out."""
+    sizes, inner = [], module.replicate
+
+    def spy(out, seed, threads, make_draw, elements=1):
+        def make():
+            draw = make_draw()
+            return lambda rngs: sizes.append(len(rngs)) or draw(rngs)
+
+        return inner(out, seed, threads, make, elements)
+
+    monkeypatch.setattr(module, "replicate", spy)
+    return sizes
+
+
+def _set_cap(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(streams_module, "BLOCK_REPLICATIONS", cap)
+
+
+def _check_sizes(sizes, cap, threads, elements):
+    block = cap or min(streams_module.BLOCK_REPLICATIONS, streams_module.BLOCK_ELEMENTS // elements)
+    assert sum(sizes) == R
+    assert max(sizes) == min(block, -(-R // threads))
+
+
+@pytest.fixture(scope="module")
+def selection_oracle():
+    return np.array([componentwise_os(sample_rows(MODEL, N, stream_rng(SEED, r)), RANKS) for r in range(R)])
+
+
+class TestSelection:
+    @pytest.mark.parametrize("cap,threads", SETUPS)
+    def test_blocks_and_threads(self, cap, threads, selection_oracle, monkeypatch):
+        _set_cap(monkeypatch, cap)
+        sizes = _spy_blocks(monkeypatch, experiment_module)
+        values, _ = _collect_os(CONFIG, N, SEED, threads)
+        assert np.array_equal(values, selection_oracle)
+        _check_sizes(sizes, cap, threads, os_selector(MODEL, N, RANKS)[1])
+
+    def test_replications_stop_in_different_rounds(self, selection_oracle, monkeypatch):
+        # batches of 1, 1, 1, 2, 3, ... rows: a block's replications stop
+        # after different rounds and the others go on as a smaller block
+        monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
+        active = []
+        next_rows = copula_module._MaxOrderRows.next_rows
+        monkeypatch.setattr(copula_module._MaxOrderRows, "next_rows",
+                            lambda rows, out, slots: active.append(len(slots)) or next_rows(rows, out, slots))
+        values, _ = _collect_os(CONFIG, N, SEED, 1)
+        assert np.array_equal(values, selection_oracle)
+        assert any(0 < b < a for a, b in zip(active, active[1:]))
+
+    def test_block_with_rows_below_the_top(self, selection_oracle, monkeypatch):
+        # some replications of a block draw the rows below the top ones,
+        # the others of the block stop among the top rows
+        blocks = []
+        start, rest = copula_module._MaxOrderRows.start, copula_module._MaxOrderRows.rest
+        monkeypatch.setattr(copula_module._MaxOrderRows, "start",
+                            lambda rows, rngs: blocks.append((len(rngs), [])) or start(rows, rngs))
+        monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
+                            lambda rows, slot, out: blocks[-1][1].append(slot) or rest(rows, slot, out))
+        values, _ = _collect_os(CONFIG, N, SEED, 1)
+        assert np.array_equal(values, selection_oracle)
+        assert any(2 <= len(slots) < size for size, slots in blocks)
+
+    def test_block_with_proposal_redraws(self, selection_oracle, monkeypatch):
+        # a top row that rejects all of its in-row stable proposals draws
+        # more from its replication's (key, 2) stream, and then (key, 3)
+        keyed = set()
+        sub = copula_module._MaxOrderRows._sub
+        monkeypatch.setattr(copula_module._MaxOrderRows, "_sub",
+                            lambda rows, slot, t: keyed.add((len(rows.rngs), t)) or sub(rows, slot, t))
+        values, _ = _collect_os(CONFIG, N, SEED, 1)
+        assert np.array_equal(values, selection_oracle)
+        assert {2, 3} <= {t for size, t in keyed if size > 1}
+
+
+class TestRatioSamplers:
+    N, K = 40, 3
+
+    @pytest.mark.parametrize("cap,threads", SETUPS)
+    def test_correlated(self, cap, threads, monkeypatch):
+        _set_cap(monkeypatch, cap)
+        sizes = _spy_blocks(monkeypatch, chi2rep_module)
+        got = correlated_ratio_sample(LAM, self.N, self.K, R, seed=SEED, threads=threads).ratios
+        assert np.array_equal(got, _stream_contract_ratios(LAM, self.N, self.K, R, SEED))
+        _check_sizes(sizes, cap, threads, 3 * 3 + 3 * 3)
+
+    @pytest.mark.parametrize("cap", [1, 3, None])
+    def test_univariate(self, cap, monkeypatch):
+        # the univariate sampler runs on one thread
+        _set_cap(monkeypatch, cap)
+        sizes = _spy_blocks(monkeypatch, chi2rep_module)
+        want = []
+        for rep in range(R):
+            rng = stream_rng(SEED, rep)
+            num = rng.chisquare(2 * self.K)
+            want.append(num / (num + rng.chisquare(2 * (self.N + 1 - self.K))))
+        assert np.array_equal(univariate_ratio_sample(self.K, self.N, R, seed=SEED), want)
+        _check_sizes(sizes, cap, 1, 2)

@@ -228,10 +228,10 @@ class TestMaxOrderRows:
 
     @staticmethod
     def _check(model, n, ranks, seed, reps=3):
-        select = os_selector(model, n, ranks)
+        got = replicate(np.empty((reps, model.d)), seed, 1, *os_selector(model, n, ranks))
         for rep in range(reps):
             want = componentwise_os(sample_rows(model, n, stream_rng(seed, rep)), ranks)
-            assert np.array_equal(select(stream_rng(seed, rep)), want)
+            assert np.array_equal(got[rep], want)
 
     @pytest.mark.parametrize("model,n,inter", WORKLOAD_SIZES, ids=lambda x: getattr(x, "label", lambda: x)())
     def test_equals_sample_rows_at_workload_sizes(self, model, n, inter):
@@ -244,24 +244,21 @@ class TestMaxOrderRows:
         # top ones too; rank n needs only each column's largest value
         rests = []
         rest = copula_module._MaxOrderRows.rest
-        monkeypatch.setattr(copula_module._MaxOrderRows, "rest", lambda rows, out: rests.append(1) or rest(rows, out))
+        monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
+                            lambda rows, slot, out: rests.append(slot) or rest(rows, slot, out))
         n = 3000
-        select = os_selector(model, n, np.full(model.d, 1 if rank == "1" else n))
+        got = replicate(np.empty((3, model.d)), 92, 1, *os_selector(model, n, np.full(model.d, 1 if rank == "1" else n)))
+        assert rests == ([0, 1, 2] if rank == "1" else [])
         for rep in range(3):
-            rests.clear()
-            got = select(stream_rng(92, rep))
-            assert len(rests) == (rank == "1")
             rows = sample_rows(model, n, stream_rng(92, rep))
-            assert np.array_equal(got, rows.min(axis=0) if rank == "1" else rows.max(axis=0))
+            assert np.array_equal(got[rep], rows.min(axis=0) if rank == "1" else rows.max(axis=0))
 
     @pytest.mark.parametrize("first", [1, 7, 10**9])
     def test_selection_does_not_depend_on_the_first_batch(self, first, monkeypatch):
         model, n, ranks = GumbelLogistic(3, 2.0), 2000, np.array([1990, 1900, 1700])
-        want = [os_selector(model, n, ranks)(stream_rng(93, rep)) for rep in range(3)]
+        want = replicate(np.empty((3, 3)), 93, 1, *os_selector(model, n, ranks))
         monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: first)
-        select = os_selector(model, n, ranks)
-        for rep in range(3):
-            assert np.array_equal(select(stream_rng(93, rep)), want[rep])
+        assert np.array_equal(replicate(np.empty((3, 3)), 93, 1, *os_selector(model, n, ranks)), want)
 
     @pytest.mark.parametrize("depth", [2, 5])
     @pytest.mark.parametrize("model", [GumbelLogistic(2, 2.0), Independence(2), Comonotone(2)], ids=lambda m: m.label())
@@ -273,22 +270,27 @@ class TestMaxOrderRows:
 
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_top_rows_do_not_depend_on_batches(self, model):
-        rows = copula_module._MaxOrderRows(model, 4000)
-        rows.start(stream_rng(94, 0))
-        whole = np.empty((model.d, rows.top))
-        maxima = rows.next_rows(whole)
-        rows.start(stream_rng(94, 0))
+        rows, one = copula_module._MaxOrderRows(model, 4000), np.zeros(1, np.intp)
+        rows.start([stream_rng(94, 0)])
+        whole = np.empty((model.d, 1, rows.top))
+        maxima = rows.next_rows(whole, one)
+        rows.start([stream_rng(94, 0)])
         parts, start = np.empty_like(whole), 0
         for size in itertools.cycle([1, 2, 5, 17, 64]):
             size = min(size, rows.top - start)
             if not size:
                 break
-            rows.next_rows(parts[:, start:start + size])
+            rows.next_rows(parts[:, :, start:start + size], one)
             start += size
         assert np.array_equal(parts, whole)
         # the maxima are each row's largest value, in decreasing order
         assert np.array_equal(whole.max(axis=0), maxima)
         assert np.all(np.diff(maxima) <= 0)
+        # in a block, a replication's rows do not depend on the others'
+        rows.start([stream_rng(94, 1), stream_rng(94, 0), stream_rng(94, 2)])
+        block = np.empty((model.d, 3, rows.top))
+        rows.next_rows(block, np.arange(3))
+        assert np.array_equal(block[:, 1:2], whole)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
@@ -333,7 +335,7 @@ class TestTopRowLaw:
         k1, k2 = np.broadcast_to(k, 2)
         grids = [beta_quantile_grid(n, k1), beta_quantile_grid(n, k2)]
         ranks = np.array([n - k1, n - k2])
-        values = replicate(np.empty((self.R, 2)), seed, 1, lambda: os_selector(model, n, ranks))
+        values = replicate(np.empty((self.R, 2)), seed, 1, *os_selector(model, n, ranks))
         cdf = os_joint_cdf(model, n, (k1, k2), grids)
         emp = ecdf_on_grid(values, grids)
         return float(np.abs((emp - cdf) / np.sqrt(cdf * (1.0 - cdf) / self.R)).max())
@@ -355,7 +357,7 @@ class TestTopRowLaw:
         # column j's order statistic at rank r_j is Beta(r_j, n + 1 - r_j)
         n, ranks = 500, np.array([478, 490, 460, 495, 478])
         levels = np.linspace(0.1, 0.9, 9)
-        values = replicate(np.empty((self.R, 5)), 8207, 1, lambda: os_selector(GumbelLogistic(5, 2.0), n, ranks))
+        values = replicate(np.empty((self.R, 5)), 8207, 1, *os_selector(GumbelLogistic(5, 2.0), n, ranks))
         for j, r in enumerate(ranks):
             grid = stats.beta(r, n + 1 - r).ppf(levels)
             emp = (values[:, j, None] <= grid).mean(axis=0)
