@@ -104,22 +104,6 @@ def check_correlation(lam) -> np.ndarray:
     return lam
 
 
-def _bartlett_factor(rng: np.random.Generator, out: np.ndarray, dfs: range) -> None:
-    """Draw the d x min(d, m) lower-trapezoidal Bartlett factor A of a
-    Wishart_d(m, I) matrix into ``out``, bar its zeroed upper triangle.
-
-    The d x m Gaussian matrix Z has Z Z^T = A A^T with A[j, j] =
-    sqrt(chi^2(m - j)) for 0-based j and iid N(0, 1) below the diagonal,
-    all independent.  This holds for every m >= 1, so fewer vectors than
-    dimensions need no other path.  Draws d x min(d, m) normals (those on
-    and above the diagonal are overwritten or discarded), then the
-    min(d, m) chi-squares ``dfs``, one scalar call each, which costs less
-    than one call on an array of degrees of freedom.
-    """
-    rng.standard_normal(out=out)
-    out[range(len(dfs)), range(len(dfs))] = np.sqrt([rng.chisquare(df) for df in dfs])
-
-
 def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int = 1) -> RatioVectorSample:
     """Componentwise ratios driven by shared N(0, Lambda) draws.
 
@@ -130,14 +114,23 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
 
     The two parts of the sum are independent Wishart diagonals with
     2(n-k) and 2(k+1) degrees of freedom, diag(root A A^T root^T) for the
-    symmetric root of Lambda and a Bartlett factor A (``_bartlett_factor``).
-    Replication r draws the numerator's factor and then the remainder's
-    from the stream keyed by (seed, r).  ``streams.replicate`` hands the
-    replications over in blocks: each replication draws its factors with
-    its own calls to its own generator, and the products ``root @ A`` run
-    once per block on the stacked factors, which gives each slice the bits
-    of its own product.  So the result depends neither on the blocks nor
-    on ``threads``.
+    symmetric root of Lambda and the d x min(d, m) lower-trapezoidal
+    Bartlett factor A of a Wishart_d(m, I) matrix.  The d x m Gaussian
+    matrix Z has Z Z^T = A A^T with A[j, j] = sqrt(chi^2(m - j)) for
+    0-based j and iid N(0, 1) below the diagonal, all independent; this
+    holds for every m >= 1, so fewer vectors than dimensions need no other
+    path.
+
+    Replication r draws from the stream keyed by (seed, r) the numerator's
+    factor and then the remainder's, each as d x min(d, m) normals (those
+    on and above the diagonal are overwritten or discarded) and then the
+    min(d, m) chi-squares, one scalar call each, which costs less than one
+    call on an array of degrees of freedom.  ``streams.replicate`` hands
+    the replications over in blocks: each replication draws its factors
+    with its own calls to its own generator, and the square roots, the
+    diagonals and the products ``root @ A`` run once per block on the
+    stacked factors, which gives each slice the bits of its own product.
+    So the result depends neither on the blocks nor on ``threads``.
     """
     lam = check_correlation(lam)
     if not 1 <= k < n:
@@ -160,9 +153,14 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
 
     def draw(rngs: Sequence[np.random.Generator]) -> np.ndarray:
         stacks = [np.empty((len(rngs), *upper.shape)) for upper, _ in factors]
+        chi2 = [np.empty((len(rngs), len(dfs))) for _, dfs in factors]
         for j, rng in enumerate(rngs):
-            for a, (_, dfs) in zip(stacks, factors):
-                _bartlett_factor(rng, a[j], dfs)
+            normal, chisquare = rng.standard_normal, rng.chisquare
+            for a, diag, (_, dfs) in zip(stacks, chi2, factors):
+                normal(out=a[j])
+                diag[j] = [chisquare(df) for df in dfs]
+        for a, diag in zip(stacks, chi2):
+            a[:, range(diag.shape[1]), range(diag.shape[1])] = np.sqrt(diag, out=diag)
         num, tail = (diagonal(a, upper) for a, (upper, _) in zip(stacks, factors))
         return num / (num + tail)
 

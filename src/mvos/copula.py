@@ -5,13 +5,17 @@ Each model carries the norm governing its upper-tail expansion
 the sup-norm for comonotonicity, and the logistic p-norm for the
 Gumbel-Hougaard family.
 
-One generator, ``_MaxOrderRows``, draws every model's rows in decreasing
-order of their maximum, for a block of replications at once.
-``sample_rows`` runs it through all n rows of a block of one;
-``os_selector`` stops each replication once its columns' order statistics
-are known, after O(k) rows for the ranks n - k, with the same values bit
-for bit.  A block's replications each draw from their own streams, and
-the arithmetic runs once on the block's planes.
+One generator, ``_MaxOrderRows``, draws every model's top values in
+decreasing order, for a block of replications at once.  With independent
+columns (independence, and Gumbel with p = 1, the same law) each column is
+a sample of its own, drawn by Renyi spacings of its own, so a column's
+q-th value drawn is its q-th largest; the other models' rows come in
+decreasing order of their maximum.  ``sample_rows`` runs it through all n
+rows of a block of one; ``os_selector`` stops each replication once its
+columns' order statistics are known, after O(k) rows for the ranks n - k
+(exactly k + 1 without a positive-stable frailty), with the same values
+bit for bit.  A block's replications each draw from their own streams,
+and the arithmetic runs once on the block's planes.
 """
 from __future__ import annotations
 
@@ -159,10 +163,15 @@ def _log_kanter(alpha: float, u: np.ndarray, log_w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stable(model: CopulaModel) -> bool:
+    """Whether the model's rows share a positive-stable frailty: Gumbel with p > 1."""
+    return isinstance(model, GumbelLogistic) and model.p > 1.0
+
+
 def _to_uniform(model: CopulaModel, latent: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The nondecreasing map from ``_MaxOrderRows``' latent scale to the
     copula's: exp, or exp(-exp(-x / p)) for Gumbel with p > 1."""
-    if isinstance(model, GumbelLogistic) and model.p > 1.0:
+    if _stable(model):
         u = np.divide(latent, -model.p, out=out)
         return np.exp(np.negative(np.exp(u, out=u), out=u), out=u)
     return np.exp(latent, out=out)
@@ -174,24 +183,30 @@ def _uniforms(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
 
 
 class _MaxOrderRows:
-    """A block of replications' n rows on the latent scale, in decreasing
-    order of the row maximum, as d x b x rows planes.  The latent value is
-    log U_j, or log S - log E_j for Gumbel with p > 1 (S positive stable
-    with index alpha = 1 / p, E_j iid unit exponentials).  It is exact:
+    """A block of replications' n rows on the latent scale, the top ones in
+    decreasing order of a level, as d x b x rows planes.  With independent
+    columns (independence, or Gumbel with p = 1, the same law) each column
+    is a sample of its own and has its own level, its values; otherwise
+    the level is the row maximum.  The latent value is log U_j, or
+    log S - log E_j for Gumbel with p > 1 (S positive stable with index
+    alpha = 1 / p, E_j iid unit exponentials).  It is exact:
 
-    * Renyi spacings.  With H(t) = C(t, ..., t), the values -log H of the
-      n row maxima are iid unit exponentials, whose i-th smallest is
-      g_i = E_1 / n + ... + E_i / (n - i + 1) (Renyi 1953).  H(u) is u,
-      u^d and u^(d^(1 / p)), so the i-th largest latent maximum is
-      m_i = -g_i (comonotone), -g_i / d (independence, p = 1) and
-      log d - p log g_i, in log space as theta = g^p underflows at p = 64.
-    * The law of a row given its maximum.  Given the maxima, the rows are
-      independent, each with the law of a row given its maximum m.  With
-      iid unit exponentials F, the argmin J of F is uniform and the
-      F_j - F_J are iid unit exponentials independent of it, so the row
-      m - (F_j - F_J) has the law of log U given max log U = m.  For
-      Gumbel, given S = s the E_j / s are iid exponential with rate s and
-      m fixes their minimum e^-m, so S has density proportional to
+    * Renyi spacings.  The values -log U of a column's n values are iid
+      unit exponentials, whose i-th smallest is
+      g_i = E_1 / n + ... + E_i / (n - i + 1) (Renyi 1953), so with
+      independent columns column j's i-th largest value is -g_ij, from a
+      spacing E_ij of its own.  Otherwise, with H(t) = C(t, ..., t), the
+      values -log H of the n row maxima are iid unit exponentials, and
+      H(u) is u (comonotone) and u^(d^(1 / p)) (Gumbel, p > 1), so the
+      i-th largest latent maximum is m_i = -g_i (comonotone, where every
+      column equals it) and log d - p log g_i, in log space as
+      theta = g^p underflows at p = 64.
+    * The law of a Gumbel row given its maximum.  Given the maxima, the
+      rows are independent, each with the law of a row given its maximum
+      m.  With iid unit exponentials F, the argmin J of F is uniform and
+      the F_j - F_J are iid unit exponentials independent of it.  Given
+      S = s the E_j / s are iid exponential with rate s and m fixes their
+      minimum e^-m, so S has density proportional to
       s exp(-theta s) f_S(s), theta = d e^-m.  Its Laplace transform
       (1 + l / theta)^(alpha - 1) exp(theta^alpha - (theta + l)^alpha) is
       that of X + Y: Y ~ Gamma(1 - alpha, rate theta), drawn as
@@ -201,34 +216,41 @@ class _MaxOrderRows:
       probability exp(-theta^alpha) = exp(-g) = H(M).  Given S,
       E_J = S e^-m and E_j = S e^-m + (F_j - F_J) by memorylessness, so
       the row is m - log1p((F_j - F_J) e^m / S), exactly m at J.
-    * The stop bound.  Every value in a row is at most its maximum (the
-      spread subtracts a nonnegative number) and a running minimum keeps
-      the computed maxima nonincreasing, so the rows not yet drawn lie at
-      or below the last maximum drawn.  A column with q drawn values at
-      or above it has its q-th largest value among them.
-    * The Markov step.  The order statistics of the maxima form a Markov
-      chain, so given the L largest the other n - L rows are iid with the
-      law of a row whose maximum lies below m_L (m_0 = 0, or infinity for
-      Gumbel): m_L - F_j (independence, p = 1), m_L - F in every column
-      (comonotone), and for Gumbel log S - log(F_j + S e^-m_L) with S now
-      the tilted stable variate alone, as the condition multiplies f_S(s)
-      by exp(-theta s).  Placing the top rows at uniformly random
-      positions among the others makes all n rows iid.
+    * The stop bound, per column.  Every value is at most its level (a
+      column's own value, or its row's maximum, from which the spread
+      subtracts a nonnegative number), and the sequential sums and a
+      running minimum keep the computed levels nonincreasing, so a
+      column's values not yet drawn lie at or below its last level.  A
+      column with q drawn values at or above that level has its q-th
+      largest value among them; with its own spacings, the q-th value it
+      draws is its q-th largest.
+    * The Markov step.  The order statistics of the levels form a Markov
+      chain, so given the L largest the other n - L are iid with the law
+      of a level below m_L (m_0 = 0, or infinity for Gumbel with p > 1):
+      m_Lj - F_j in column j (independent columns), m_L - F in every
+      column (comonotone), and for Gumbel rows log S - log(F_j + S e^-m_L)
+      with S now the tilted stable variate alone, as the condition multiplies
+      f_S(s) by exp(-theta s).  Placing the top L values at uniformly
+      random positions among the others, each column at positions of its
+      own when the columns are independent, makes all n rows iid.
 
     Streams: each replication's generator gives a 64-bit key, ``width``
-    uniforms per top row, row by row, then what the rows below use.  The
-    Philox stream keyed (key, 1) gives the Gamma variates, and a top row
-    none of whose ``_TRIES`` stable proposals is accepted takes ``_TRIES``
-    more from (key, 2), then (key, 3) and so on, each in row order, so a
-    row's values do not depend on how the top rows are batched.
+    uniforms per top row, row by row (one spacing per column with
+    independent columns; otherwise the row's spacing and, for Gumbel, its
+    d spreads, its Gamma variate's and [V, W, A] of each stable proposal),
+    then what the values below use.  The Philox stream keyed (key, 1)
+    gives the Gamma variates, and a top row none of whose ``_TRIES`` stable
+    proposals is accepted takes ``_TRIES`` more from (key, 2), then
+    (key, 3) and so on, each in row order, so a row's values do not depend
+    on how the top rows are batched.
 
     Blocks: a block's replications draw their values with their own calls
     to their own generators, and every replication that goes on draws the
     same number of top rows in a batch.  The arithmetic then runs once on
     the block's planes, elementwise or along the row axis, so a
     replication's values do not depend on the other replications in its
-    block.  The redraws from (key, t >= 2) and the rows below the top ones
-    are drawn one replication at a time.
+    block.  The redraws from (key, t >= 2) and the values below the top
+    ones are drawn one replication at a time.
     """
 
     def __init__(self, model: CopulaModel, n: int):
@@ -236,20 +258,19 @@ class _MaxOrderRows:
         # L: enough rows for intermediate ranks, while every tilted
         # acceptance, about 1 - L / n, stays above 5/8
         self.top = min(n // 8 + 64, 3 * n // 8)
-        self.comonotone = isinstance(model, Comonotone)
-        self.stable = isinstance(model, GumbelLogistic) and model.p > 1.0
+        self.stable = _stable(model)
+        # spacings per top row: one per column when the columns are independent
+        self.spacings = 1 if self.stable or isinstance(model, Comonotone) else self.d
         if self.stable:
             self.p, self.alpha, self.log_d = model.p, 1.0 / model.p, math.log(model.d)
-        # a top row's uniforms: its spacing, its d spreads and, for Gumbel,
-        # its Gamma variate's and [V, W, A] of each stable proposal
-        self.width = 1 if self.comonotone else 1 + self.d + (1 + 3 * _TRIES) * self.stable
+        self.width = self.spacings + (self.d + 1 + 3 * _TRIES) * self.stable
         self.pool: dict[tuple[int, int], np.random.Generator] = {}
         self.scratch: dict[str, np.ndarray] = {}
 
     def start(self, rngs: Sequence[np.random.Generator]) -> None:
         """Begin a block of replications, one drawn from each generator."""
         self.rngs, self.keys, self.keyed = rngs, [rng.bit_generator.random_raw() for rng in rngs], set()
-        self.drawn, self.g, self.m = 0, np.zeros(len(rngs)), np.full(len(rngs), math.inf if self.stable else 0.0)
+        self.drawn, self.g, self.m = 0, np.zeros((self.spacings, len(rngs))), np.full(len(rngs), math.inf)
 
     def _sub(self, slot: int, t: int) -> np.random.Generator:
         """Replication ``slot``'s stream keyed (key, t), started at its first
@@ -274,65 +295,61 @@ class _MaxOrderRows:
     def next_rows(self, out: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Write the next c top rows of the replications ``slots``, each of
         which has drawn as many top rows as the others, into ``out``
-        (d x len(slots) x c), and return their latent maxima (len(slots) x c)."""
-        b, c, i = len(slots), out.shape[2], self.drawn
+        (d x len(slots) x c), and return their levels (``spacings`` x
+        len(slots) x c): a view of ``out`` unless the model is Gumbel with
+        p > 1, whose row maxima are returned as a new array."""
+        b, c, i, s = len(slots), out.shape[2], self.drawn, self.spacings
         raw, u = self._scratch("raw", (c, self.width)), self._scratch("u", (self.width, b, c))
         for j, slot in enumerate(slots):
             np.subtract(1.0, self.rngs[slot].random(out=raw).T, out=u[:, j])
-        logs = np.log(u[:2 + self.d], out=u[:2 + self.d])  # log U = -E: the spacing, the spreads and the Gamma's
-        g = np.empty((b, c + 1))
-        g[:, 0] = self.g[slots]
-        np.divide(logs[0], np.arange(i - self.n, i + c - self.n, dtype=float), out=g[:, 1:])  # -(n - i + 1)
-        np.add.accumulate(g, axis=1, out=g)  # sequential, so batches do not change the sums
-        self.g[slots], g, self.drawn = g[:, -1], g[:, 1:], i + c
-        if self.comonotone:
-            out[:] = m = np.negative(g)
-        elif not self.stable:
-            m = np.divide(g, -self.d)
-            np.subtract(m, np.subtract(logs[1:].max(axis=0), logs[1:], out=out), out=out)
-        else:
-            spread = logs[1:-1]
-            np.subtract(spread.max(axis=0), spread, out=out)  # F_j - F_J
-            m = np.empty((b, c + 1))
-            m[:, 0] = self.m[slots]
-            np.subtract(self.log_d, np.multiply(np.log(g, out=m[:, 1:]), self.p, out=m[:, 1:]), out=m[:, 1:])
-            m = np.minimum.accumulate(m, axis=1, out=m)[:, 1:]
-            log_theta = self.log_d - m
-            gamma = np.empty((b, c))
-            for row, slot in zip(gamma, slots):
-                self._sub(slot, 1).standard_gamma(2.0 - self.alpha, out=row)
-            log_y = np.log(gamma, out=gamma) + logs[-1] / (1.0 - self.alpha) - log_theta
-            log_x = self._tilted_stable(u[2 + self.d:].reshape(3 * _TRIES, -1), log_theta.ravel(), np.repeat(slots, c))
-            log_s = np.logaddexp(log_x.reshape(b, c), log_y)
-            np.subtract(m, np.log1p(np.multiply(out, np.exp(m - log_s), out=out), out=out), out=out)
+        logs = u[:s + (self.d + 1) * self.stable]  # the spacings, the spreads and the Gamma's
+        np.log(logs, out=logs)  # log U = -E
+        g = np.divide(logs[:s], np.arange(i - self.n, i + c - self.n, dtype=float), out=logs[:s])  # -(n - i + 1)
+        g[..., 0] += self.g[:, slots]  # continue the sums of the rows drawn before
+        np.add.accumulate(g, axis=2, out=g)  # sequential, so batches do not change the sums
+        self.g[:, slots], self.drawn = g[..., -1], i + c
+        if not self.stable:
+            np.negative(g, out=out)
+            return out[:s]
+        spread = logs[1:-1]
+        np.subtract(spread.max(axis=0), spread, out=out)  # F_j - F_J
+        m = np.empty((b, c + 1))
+        m[:, 0] = self.m[slots]
+        np.subtract(self.log_d, np.multiply(np.log(g[0], out=m[:, 1:]), self.p, out=m[:, 1:]), out=m[:, 1:])
+        m = np.minimum.accumulate(m, axis=1, out=m)[:, 1:]
+        log_theta = self.log_d - m
+        gamma = np.empty((b, c))
+        for row, slot in zip(gamma, slots):
+            self._sub(slot, 1).standard_gamma(2.0 - self.alpha, out=row)
+        log_y = np.log(gamma, out=gamma) + logs[-1] / (1.0 - self.alpha) - log_theta
+        log_x = self._tilted_stable(u[2 + self.d:].reshape(3 * _TRIES, -1), log_theta.ravel(), np.repeat(slots, c))
+        log_s = np.logaddexp(log_x.reshape(b, c), log_y)
+        np.subtract(m, np.log1p(np.multiply(out, np.exp(m - log_s), out=out), out=out), out=out)
         self.m[slots] = m[:, -1]
-        return m
+        return m[None]
 
     def rest(self, slot: int, out: np.ndarray) -> None:
         """After all L top rows of replication ``slot``, write its other
-        n - L rows, iid given a maximum below m_L, into the (n - L) x d
+        n - L rows, iid given levels below the L-th, into the (n - L) x d
         array ``out``, in chunks that keep the temporaries small."""
         m, rng = self.m[slot], self.rngs[slot]
         for start in range(0, len(out), _CHUNK):
             f = out[start:start + _CHUNK]
-            if self.comonotone:
-                f[:] = m - rng.standard_exponential((len(f), 1))
+            if not self.stable:  # below each column's level m_L = -g_L
+                np.subtract(np.negative(self.g[:, slot]), rng.standard_exponential((len(f), self.spacings)), out=f)
                 continue
-            if self.stable:
-                # the rows share theta, so the accepted proposals serve them in turn
-                log_theta, parts, need = self.log_d - m, [np.empty(0)], len(f)
-                rate = math.exp(-math.exp(self.alpha * log_theta))  # exp(-theta^alpha)
-                while need:
-                    size = int((need + 4.0 * math.sqrt(need)) / rate) + 16
-                    log_x = log_positive_stable(self.alpha, size, rng)
-                    parts.append(log_x[np.log(rng.standard_exponential(size)) > log_theta + log_x][:need])
-                    need -= len(parts[-1])
+            # the rows share theta, so the accepted proposals serve them in turn
+            log_theta, parts, need = self.log_d - m, [np.empty(0)], len(f)
+            rate = math.exp(-math.exp(self.alpha * log_theta))  # exp(-theta^alpha)
+            while need:
+                size = int((need + 4.0 * math.sqrt(need)) / rate) + 16
+                log_x = log_positive_stable(self.alpha, size, rng)
+                parts.append(log_x[np.log(rng.standard_exponential(size)) > log_theta + log_x][:need])
+                need -= len(parts[-1])
+            # log S - log(F + S e^-m), which m = inf leaves unconditioned
+            log_s = np.concatenate(parts)[:, None]
             rng.standard_exponential(out=f)
-            if self.stable:  # log S - log(F + S e^-m), which m = inf leaves unconditioned
-                log_s = np.concatenate(parts)[:, None]
-                np.subtract(log_s, np.log(np.add(f, np.exp(log_s - m), out=f), out=f), out=f)
-            else:
-                np.subtract(m, f, out=f)
+            np.subtract(log_s, np.log(np.add(f, np.exp(log_s - m), out=f), out=f), out=f)
 
     def _tilted_stable(self, u: np.ndarray, log_theta: np.ndarray, slots: np.ndarray, t: int = 1) -> np.ndarray:
         """log X, X positive stable tilted by exp(-theta X), for each column
@@ -354,9 +371,13 @@ class _MaxOrderRows:
 
 
 def _first_batch(model: CopulaModel, depth: int) -> int:
-    """Top rows to draw first for each column's depth-th largest value: a
-    row's maximum passes a high level ||(1, ..., 1)||_D times as often as a
+    """Top rows to draw first for each column's depth-th largest value.
+    Drawn by its own spacings (independent or comonotone columns), a
+    column's depth-th value is that value.  For Gumbel with p > 1 a row's
+    maximum passes a high level ||(1, ..., 1)||_D times as often as a
     column's value does; the margin makes a second batch rare."""
+    if not _stable(model):
+        return depth
     return int(dnorm_eval(model.tail_dnorm, np.ones(model.d)) * (depth + 2.0 * math.sqrt(depth))) + 8
 
 
@@ -369,8 +390,8 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
     ``elements`` is the uniforms one replication draws in the first batch.
     The block draws top rows in batches, the first sized by
     ``_first_batch``, and a replication stops once every column's value at
-    its rank is at or above its last maximum; one still going after L top
-    rows draws the rest and selects on all n."""
+    its rank is at or above that column's last level; one still going
+    after L top rows draws the rest and selects on all n."""
     d = model.d
     ranks = np.broadcast_to(np.asarray(ranks, dtype=int), (d,))
     if np.any(ranks < 1) or np.any(ranks > n):
@@ -379,7 +400,10 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
     kth, need = np.unique(depth), int(depth.max())
     first = _first_batch(model, need)
 
-    def pick(planes: np.ndarray) -> np.ndarray:
+    def pick(planes: np.ndarray, ordered: bool = False) -> np.ndarray:
+        """The values at the ranks; ``ordered`` planes are in decreasing order."""
+        if ordered:
+            return planes[np.arange(d), ..., depth - 1]
         count = planes.shape[-1]
         planes.partition(count - kth, axis=-1)  # in place: only the values at the ranks are read
         return planes[np.arange(d), ..., count - depth]
@@ -393,10 +417,10 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
             slots, planes, size = np.arange(len(rngs)), None, first
             while rows.drawn < rows.top:
                 batch = np.empty((d, len(slots), min(size, rows.top - rows.drawn)))
-                last = rows.next_rows(batch, slots)[:, -1]
+                last = rows.next_rows(batch, slots)[..., -1].copy()  # pick partitions batch in place
                 planes = batch if planes is None else np.concatenate((planes, batch), axis=2)
                 if rows.drawn >= need:
-                    picked = pick(planes)
+                    picked = pick(planes, ordered=not rows.stable)
                     done = np.all(picked >= last, axis=0)
                     out[slots[done]] = _to_uniform(model, picked[:, done].T)
                     if done.all():
@@ -420,7 +444,9 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     """Draw n iid rows from the model using the supplied generator: all n
     rows of ``_MaxOrderRows`` for a block of one replication through the
     model's map, the top rows at a uniformly random ordered set of
-    positions and the rest, which are iid, in order at the others."""
+    positions and the rest, which are iid, in order at the others.  With
+    independent columns each column's top values take positions of their
+    own, drawn column by column."""
     rows = _MaxOrderRows(model, n)
     rows.start([rng])
     top = np.empty((model.d, 1, rows.top))
@@ -429,10 +455,12 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     drawn = np.empty((n, model.d))
     drawn[:rows.top] = top[:, 0].T
     rows.rest(0, drawn[rows.top:])
-    place, free, order = rng.choice(n, rows.top, replace=False), np.ones(n, dtype=bool), np.empty(n, dtype=np.intp)
-    free[place] = False  # row i of the result is drawn[order[i]]
-    order[place], order[free] = np.arange(rows.top), np.arange(rows.top, n)
-    out = drawn.take(order, axis=0)
+    out, width = np.empty_like(drawn), model.d // rows.spacings
+    for cols in (slice(j, j + width) for j in range(0, model.d, width)):
+        place, free, order = rng.choice(n, rows.top, replace=False), np.ones(n, dtype=bool), np.empty(n, dtype=np.intp)
+        free[place] = False  # row i of the result is drawn[order[i]]
+        order[place], order[free] = np.arange(rows.top), np.arange(rows.top, n)
+        out[:, cols] = drawn[order, cols]
     return _to_uniform(model, out, out=out)
 
 

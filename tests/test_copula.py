@@ -264,7 +264,9 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("model", [GumbelLogistic(2, 2.0), Independence(2), Comonotone(2)], ids=lambda m: m.label())
     def test_stop_bound_at_every_batch(self, model, depth, monkeypatch):
         # batches of 1, 1, 1, 2, 3, ... rows check the bound after nearly
-        # every row; stopping one value short gives a smaller order statistic
+        # every row; stopping one value short gives a smaller order
+        # statistic.  Independent columns check each column against its own
+        # last value, the others against the last row maximum.
         monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
         self._check(model, 300, np.full(2, 301 - depth), 96, reps=100)
 
@@ -273,7 +275,7 @@ class TestMaxOrderRows:
         rows, one = copula_module._MaxOrderRows(model, 4000), np.zeros(1, np.intp)
         rows.start([stream_rng(94, 0)])
         whole = np.empty((model.d, 1, rows.top))
-        maxima = rows.next_rows(whole, one)
+        levels = rows.next_rows(whole, one).copy()
         rows.start([stream_rng(94, 0)])
         parts, start = np.empty_like(whole), 0
         for size in itertools.cycle([1, 2, 5, 17, 64]):
@@ -283,9 +285,14 @@ class TestMaxOrderRows:
             rows.next_rows(parts[:, :, start:start + size], one)
             start += size
         assert np.array_equal(parts, whole)
-        # the maxima are each row's largest value, in decreasing order
-        assert np.array_equal(whole.max(axis=0), maxima)
-        assert np.all(np.diff(maxima) <= 0)
+        if rows.spacings == 1:
+            # the levels are each row's largest value, in decreasing order
+            assert np.array_equal(whole.max(axis=0), levels[0])
+        else:
+            # independent columns: each column's values are its own levels,
+            # in decreasing order
+            assert np.array_equal(whole, levels)
+        assert np.all(np.diff(levels) <= 0)
         # in a block, a replication's rows do not depend on the others'
         rows.start([stream_rng(94, 1), stream_rng(94, 0), stream_rng(94, 2)])
         block = np.empty((model.d, 3, rows.top))
@@ -317,6 +324,41 @@ class TestMaxOrderRows:
         counts = np.bincount(where, minlength=n)
         assert stats.chisquare(counts).pvalue > 1e-3
 
+    @pytest.mark.parametrize("model", [Independence(3), GumbelLogistic(3, 1.0), Comonotone(3)], ids=lambda m: m.label())
+    def test_spacing_draws_stop_at_the_depth(self, model, monkeypatch):
+        # drawn by its own spacings, a column's depth-th value is its
+        # depth-th largest, so one batch of exactly that many rows suffices
+        batches = []
+        next_rows = copula_module._MaxOrderRows.next_rows
+        monkeypatch.setattr(copula_module._MaxOrderRows, "next_rows",
+                            lambda rows, out, slots: batches.append(out.shape[1:]) or next_rows(rows, out, slots))
+        n, ranks = 20000, np.array([19376, 19990, 19500])
+        make, elements = os_selector(model, n, ranks)
+        replicate(np.empty((3, 3)), 99, 1, make, elements)
+        assert batches == [(3, 625)]
+        assert elements == (1 if isinstance(model, Comonotone) else 3) * 625
+        self._check(model, n, ranks, 99)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_gumbel_p1_selects_the_independence_bits(self, d):
+        n, ranks = 3000, np.array([2990, 1, 2500])[:d]
+        for threads in (1, 2):
+            got = [replicate(np.empty((70, d)), 100, threads, *os_selector(model, n, ranks))
+                   for model in (GumbelLogistic(d, 1.0), Independence(d))]
+            assert np.array_equal(got[0], got[1])
+        assert np.array_equal(sample_rows(GumbelLogistic(d, 1.0), n, stream_rng(100, 0)),
+                              sample_rows(Independence(d), n, stream_rng(100, 0)))
+
+    def test_independent_columns_take_positions_of_their_own(self):
+        # each column's top values land at uniformly random positions of
+        # their own: the pair of the two columns' argmax positions is
+        # uniform on the n x n cells
+        n, reps = 50, 25000
+        cells = [np.ravel_multi_index(sample_rows(Independence(2), n, stream_rng(8209, rep)).argmax(axis=0), (n, n))
+                 for rep in range(reps)]
+        counts = np.bincount(cells, minlength=n * n)
+        assert stats.chisquare(counts).pvalue > 1e-3
+
     def test_rejects_ranks_out_of_range(self):
         with pytest.raises(ValueError):
             os_selector(Independence(2), 10, [0, 5])
@@ -331,14 +373,15 @@ class TestTopRowLaw:
     R = 10**5
     BAND = 4.5
 
+    def _z(self, emp, cdf):
+        return float(np.abs((emp - cdf) / np.sqrt(cdf * (1.0 - cdf) / self.R)).max())
+
     def _max_z(self, model, n, k, seed):
         k1, k2 = np.broadcast_to(k, 2)
         grids = [beta_quantile_grid(n, k1), beta_quantile_grid(n, k2)]
         ranks = np.array([n - k1, n - k2])
         values = replicate(np.empty((self.R, 2)), seed, 1, *os_selector(model, n, ranks))
-        cdf = os_joint_cdf(model, n, (k1, k2), grids)
-        emp = ecdf_on_grid(values, grids)
-        return float(np.abs((emp - cdf) / np.sqrt(cdf * (1.0 - cdf) / self.R)).max())
+        return self._z(ecdf_on_grid(values, grids), os_joint_cdf(model, n, (k1, k2), grids))
 
     @pytest.mark.parametrize(
         "model,seed",
@@ -362,3 +405,16 @@ class TestTopRowLaw:
             grid = stats.beta(r, n + 1 - r).ppf(levels)
             emp = (values[:, j, None] <= grid).mean(axis=0)
             assert np.abs((emp - levels) / np.sqrt(levels * (1.0 - levels) / self.R)).max() <= self.BAND
+
+    def test_d3_independent_columns(self):
+        # unequal ranks: each column against its Beta(r_j, n + 1 - r_j)
+        # margin, each pair against the exact law of two independent columns
+        n, ks = 200, np.array([40, 10, 25])
+        values = replicate(np.empty((self.R, 3)), 8208, 1, *os_selector(Independence(3), n, n - ks))
+        grids = [beta_quantile_grid(n, k) for k in ks]
+        levels = np.linspace(0.1, 0.9, 9)
+        for j in range(3):
+            assert self._z((values[:, j, None] <= grids[j]).mean(axis=0), levels) <= self.BAND
+        for i, j in itertools.combinations(range(3), 2):
+            cdf = os_joint_cdf(Independence(2), n, (ks[i], ks[j]), (grids[i], grids[j]))
+            assert self._z(ecdf_on_grid(values[:, [i, j]], [grids[i], grids[j]]), cdf) <= self.BAND
