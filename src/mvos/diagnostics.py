@@ -5,7 +5,8 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import kolmogi, kolmogorov, ndtr
+
+from ._special import kolmogi, kolmogorov, ndtr
 
 __all__ = [
     "ks_statistic",

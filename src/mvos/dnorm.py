@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .streams import stream_rng
 
@@ -115,7 +114,7 @@ class FrechetLogistic(Generator):
 
     def sample(self, size, rng):
         e = rng.exponential(size=(size, self.d))
-        return e ** (-1.0 / self.p) / gamma_fn(1.0 - 1.0 / self.p)
+        return e ** (-1.0 / self.p) / math.gamma(1.0 - 1.0 / self.p)
 
     def label(self):
         return f"frechet_logistic(d={self.d}, p={self.p})"

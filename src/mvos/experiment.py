@@ -13,12 +13,15 @@ Three experiment kinds share one report shape:
   correlated normal-square-ratio construction at sample sizes n and 2n.
 
 Each replication's order statistics come from ``copula.os_selector``,
-which draws a sample's rows in decreasing order of their maximum and stops
-once every column's order statistic is known, O(k) rows for the ranks
-n - k.  For ``general`` the marginal quantile functions then run on the
-R x d selected values only.  Monotone maps commute with order statistics,
-so this gives the same values as transforming all n x d draws of
-``copula.sample_rows`` and selecting afterwards.
+which draws a sample's top values in decreasing order and stops once every
+column's order statistic is known, O(k) values for the ranks n - k.
+Independent columns (independence, Gumbel with p = 1) are drawn column by
+column, each by Rényi spacings of its own; every other model draws whole
+rows in decreasing order of their maximum.  For ``general`` the marginal
+quantile functions then run on the R x d selected values only.  Monotone
+maps commute with order statistics, so this gives the same values as
+transforming all n x d draws of ``copula.sample_rows`` and selecting
+afterwards.
 
 Every experiment is a pure function of (config, master seed).  Replication
 r draws from the stream keyed by r, so results do not depend on the worker

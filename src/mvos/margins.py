@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._special import ndtr, ndtri
 from .orderstats import PowerKRule
 
 __all__ = [

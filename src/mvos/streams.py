@@ -9,11 +9,13 @@ Philox is counter-based: the stream ``stream_rng(seed, r)`` is fixed by a
 128-bit key, the ``SeedSequence(seed, spawn_key=(r,))`` hash, and a zero
 counter.  ``replicate`` computes the keys of all its replications at once
 (``stream_keys``) and re-keys a few generators instead of building one per
-replication; the streams are the same.
+replication; the streams are the same.  Each thread keeps its generators
+between calls.
 """
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
@@ -34,6 +36,10 @@ _MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 _POOL = 4
 
 _ZERO = np.zeros(4, np.uint64)
+
+# each thread's idle generators for replicate; a range takes them for its
+# duration, so a replicate call made inside a draw builds its own
+_idle = threading.local()
 
 
 def _seed_sequence(master_seed: int, key: tuple) -> np.random.SeedSequence:
@@ -136,12 +142,15 @@ def replicate(
 
     def run_range(lo: int, hi: int) -> None:
         draw = make_draw()
-        gens = [np.random.Generator(np.random.Philox(0)) for _ in range(min(block, hi - lo))]
+        gens, _idle.gens = getattr(_idle, "gens", None) or [], None
+        gens += [np.random.Generator(np.random.Philox(0)) for _ in range(min(block, hi - lo) - len(gens))]
         for start in range(lo, hi, block):
             stop = min(start + block, hi)
+            # rekey sets the whole state, so a generator's last use leaves no trace
             for gen, key in zip(gens, keys[start:stop]):
                 rekey(gen, key)
             out[start:stop] = draw(gens[:stop - start])
+        _idle.gens = gens
 
     if threads <= 1:
         run_range(0, count)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import fields, is_dataclass
+from functools import cache
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -97,6 +98,12 @@ def _scalar(tp, value):
     return tp(value)
 
 
+@cache
+def _type_hints(cls) -> dict:
+    # resolving string annotations is most of a parse; the classes are fixed
+    return get_type_hints(cls)
+
+
 def _build(cls, obj):
     if not isinstance(obj, dict):
         raise InvalidConfigError(f"{cls.__name__} must be a JSON object, got {obj!r}")
@@ -107,5 +114,5 @@ def _build(cls, obj):
         if inner is not None and inner != outer:
             raise InvalidConfigError(f"generator norm has d = {outer!r} beside gen but d = {inner!r} inside it")
         obj = {**obj, "gen": {**obj["gen"], "d": outer}}
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     return cls(**{f.name: _decode(hints[f.name], obj[f.name]) for f in fields(cls) if obj.get(f.name) is not None})

@@ -65,6 +65,21 @@ class TestReplicate:
         for threads in (2, 3):
             assert np.array_equal(replicate(np.empty((self.COUNT, 3)), 6, threads, lambda: _draw), serial)
 
+    def test_kept_generators_change_no_stream(self):
+        want = [stream_rng(10, r).standard_normal(3) for r in range(self.COUNT)]
+        for _ in range(2):  # the second call re-keys the first call's generators
+            assert np.array_equal(replicate(np.empty((self.COUNT, 3)), 10, 1, lambda: _draw), want)
+        inner = []
+
+        def draw(rngs):
+            # a replicate call inside a draw must leave the generators handed to it alone
+            inner.append(replicate(np.empty((self.COUNT, 3)), 11, 1, lambda: _draw))
+            return _draw(rngs)
+
+        assert np.array_equal(replicate(np.empty((self.COUNT, 3)), 10, 1, lambda: draw), want)
+        assert inner and all(np.array_equal(v, [stream_rng(11, r).standard_normal(3) for r in range(self.COUNT)])
+                             for v in inner)
+
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_zero_replications(self, threads):
         out = np.empty((0, 3))
