@@ -12,11 +12,16 @@ check.
 Neither sampler sums the normals.  The componentwise sums of squares of m
 vectors from N(0, Lambda) are the diagonal of a Wishart_d(m, Lambda)
 matrix, which Bartlett's decomposition draws exactly from at most d
-chi-squares and d(d-1)/2 normals, so a replication costs O(d^2) whatever
-n is.  Both samplers draw per replication and do their arithmetic once
-per block of ``streams.replicate``, which holds at most
-``streams.BLOCK_REPLICATIONS`` replications and
-``streams.BLOCK_ELEMENTS`` factor entries.
+Gamma variates and d^2 normals, those above the diagonal completing the
+chi-squares on it, so a replication costs O(d^2) whatever n is.  Both
+samplers draw ``RATIO_CHUNK`` replications per stream, a few generator
+calls a chunk, and ``streams.replicate`` runs the chunks as its
+replications: at most ``streams.BLOCK_REPLICATIONS`` chunks a block and
+``streams.BLOCK_ELEMENTS`` factor entries, with the arithmetic once per
+block.  So there is no replication loop of their own.
+
+The grid distance codes each sample's rows by grid cell once and takes
+the difference of the two joint empirical cdfs as one signed count table.
 """
 from __future__ import annotations
 
@@ -30,7 +35,13 @@ from .dnorm import is_positive_semidefinite, _check_symmetric
 from .orderstats import OSBatch
 from .streams import replicate
 
+# replications per derived stream of the ratio samplers: chunk c holds
+# replications c * RATIO_CHUNK to (c + 1) * RATIO_CHUNK - 1; the chunk
+# layout is part of the reproducibility contract, so treat it as frozen
+RATIO_CHUNK = 64
+
 __all__ = [
+    "RATIO_CHUNK",
     "RatioVectorSample",
     "NotPositiveSemidefiniteError",
     "check_correlation",
@@ -65,14 +76,28 @@ class RatioVectorSample:
         return self.ratios.shape[1]
 
 
+def _chunked(r: int, seed: int, threads: int, draw, elements: int, width: tuple = ()) -> np.ndarray:
+    """Rows 0, ..., r - 1 of the chunks of ``RATIO_CHUNK`` replications that
+    ``draw`` makes, chunk c from ``stream_rng(seed, c)``.
+
+    The chunks are ``streams.replicate``'s replications: ``draw`` gets a
+    block of chunks' generators and returns their (chunks, RATIO_CHUNK,
+    *width) rows, and ``elements`` is the array elements one chunk adds.
+    Every chunk is drawn in full, so row r depends only on (seed, r).
+    """
+    chunks = -(-r // RATIO_CHUNK)
+    out = replicate(np.empty((chunks, RATIO_CHUNK, *width)), seed, threads, lambda: draw, elements)
+    return out.reshape(chunks * RATIO_CHUNK, *width)[:r]
+
+
 def univariate_ratio_sample(i: int, n: int, r: int, seed: int) -> np.ndarray:
     """R iid copies of (sum of first 2i squared normals) / (sum of first 2(n+1)).
 
-    The two sums are independent chi-squares, so replication r draws
-    chi^2(2i) and then chi^2(2(n + 1 - i)) from its own stream keyed by
-    (seed, r) and returns the first over their total; the result has the
-    Beta(i, n + 1 - i) distribution.  The draws are made per replication
-    and the ratios once per block of ``streams.replicate``.
+    The two sums are independent chi-squares 2 G_1 and 2 G_2, with G_1
+    Gamma(i) and G_2 Gamma(n + 1 - i), so the ratio G_1 / (G_1 + G_2) has
+    the Beta(i, n + 1 - i) distribution.  Replications come in chunks of
+    ``RATIO_CHUNK``: chunk c draws from the stream keyed by (seed, c) the
+    chunk's G_1 in one call and then its G_2 in another.
     """
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
@@ -80,10 +105,13 @@ def univariate_ratio_sample(i: int, n: int, r: int, seed: int) -> np.ndarray:
         raise ValueError("need at least one replication")
 
     def draw(rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        num, rest = np.array([rng.chisquare((2 * i, 2 * (n + 1 - i))) for rng in rngs]).T
-        return num / (num + rest)
+        g = np.empty((len(rngs), 2, RATIO_CHUNK))
+        for rng, (num, rest) in zip(rngs, g):
+            rng.standard_gamma(i, out=num)
+            rng.standard_gamma(n + 1 - i, out=rest)
+        return g[:, 0] / (g[:, 0] + g[:, 1])
 
-    return replicate(np.empty(r), seed, 1, lambda: draw, 2)
+    return _chunked(r, seed, 1, draw, 2 * RATIO_CHUNK)
 
 
 def _symmetric_sqrt(lam: np.ndarray) -> np.ndarray:
@@ -113,24 +141,26 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
     Lambda.
 
     The two parts of the sum are independent Wishart diagonals with
-    2(n-k) and 2(k+1) degrees of freedom, diag(root A A^T root^T) for the
-    symmetric root of Lambda and the d x min(d, m) lower-trapezoidal
-    Bartlett factor A of a Wishart_d(m, I) matrix.  The d x m Gaussian
-    matrix Z has Z Z^T = A A^T with A[j, j] = sqrt(chi^2(m - j)) for
-    0-based j and iid N(0, 1) below the diagonal, all independent; this
-    holds for every m >= 1, so fewer vectors than dimensions need no other
-    path.
+    m = 2(n-k) and m = 2(k+1) degrees of freedom, diag(root A A^T root^T)
+    for the symmetric root of Lambda and the d x q lower-trapezoidal
+    Bartlett factor A of a Wishart_d(m, I) matrix, q = min(d, m).  The
+    d x m Gaussian matrix Z has Z Z^T = A A^T with A[j, j]^2 chi^2(m - j)
+    for 0-based j and iid N(0, 1) below the diagonal, all independent;
+    this holds for every m >= 1, so fewer vectors than dimensions need no
+    other path.  Since chi^2(m - j) = chi^2(m - q + 1) + chi^2(q - 1 - j)
+    for independent parts, A[j, j]^2 = 2 G_j + Z[j, j+1]^2 + ... +
+    Z[j, q-1]^2, added left to right, with G_j Gamma((m - q + 1) / 2) and
+    Z[j, l] the normals above the diagonal of a d x q normal matrix.
 
-    Replication r draws from the stream keyed by (seed, r) the numerator's
-    factor and then the remainder's, each as d x min(d, m) normals (those
-    on and above the diagonal are overwritten or discarded) and then the
-    min(d, m) chi-squares, one scalar call each, which costs less than one
-    call on an array of degrees of freedom.  ``streams.replicate`` hands
-    the replications over in blocks: each replication draws its factors
-    with its own calls to its own generator, and the square roots, the
-    diagonals and the products ``root @ A`` run once per block on the
-    stacked factors, which gives each slice the bits of its own product.
-    So the result depends neither on the blocks nor on ``threads``.
+    Replications come in chunks of ``RATIO_CHUNK``, each drawn in full.
+    Chunk c draws from the stream keyed by (seed, c) the numerator's
+    factors and then the remainder's, each as one ``standard_normal``
+    call of shape (RATIO_CHUNK, d, q) and one ``standard_gamma`` call of
+    shape (RATIO_CHUNK, q).  ``streams.replicate`` runs the chunks, split
+    by whole chunks across ``threads``, and the diagonals and the products
+    ``root @ A`` run once per block of chunks on the stacked factors,
+    which gives each slice the bits of its own product.  So replication
+    r's ratios depend only on (seed, r): neither on R nor on ``threads``.
     """
     lam = check_correlation(lam)
     if not 1 <= k < n:
@@ -143,29 +173,36 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
 
     root = _symmetric_sqrt(lam)
     d = len(lam)
-    factors = [(np.triu(np.ones((d, min(d, m)), dtype=bool), 1), range(m, m - min(d, m), -1))
-               for m in (2 * (n - k), 2 * (k + 1))]
+    # per factor: width q, Gamma shape and the mask of the entries above the diagonal
+    factors = []
+    for m in (2 * (n - k), 2 * (k + 1)):
+        q = min(d, m)
+        factors.append((q, (m - q + 1) / 2, np.triu(np.ones((d, q), dtype=bool), 1)))
 
-    def diagonal(a: np.ndarray, upper: np.ndarray) -> np.ndarray:
-        """diag(root A A^T root^T) for each stacked factor A."""
-        a[:, upper] = 0.0
-        return np.square(root @ a).sum(axis=2)
+    def diagonal(z: np.ndarray, g: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """diag(root A A^T root^T) for the factors A completed from the
+        stacked normals ``z`` and Gamma variates ``g``."""
+        q = g.shape[1]
+        g *= 2.0
+        for col in range(1, q):
+            g[:, :col] += np.square(z[:, :col, col])
+        z[:, upper] = 0.0
+        z[:, range(q), range(q)] = np.sqrt(g, out=g)
+        return np.square(root @ z).sum(axis=2)
 
     def draw(rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        stacks = [np.empty((len(rngs), *upper.shape)) for upper, _ in factors]
-        chi2 = [np.empty((len(rngs), len(dfs))) for _, dfs in factors]
+        stacks = [(np.empty((len(rngs), RATIO_CHUNK, d, q)), np.empty((len(rngs), RATIO_CHUNK, q)))
+                  for q, _, _ in factors]
         for j, rng in enumerate(rngs):
-            normal, chisquare = rng.standard_normal, rng.chisquare
-            for a, diag, (_, dfs) in zip(stacks, chi2, factors):
-                normal(out=a[j])
-                diag[j] = [chisquare(df) for df in dfs]
-        for a, diag in zip(stacks, chi2):
-            a[:, range(diag.shape[1]), range(diag.shape[1])] = np.sqrt(diag, out=diag)
-        num, tail = (diagonal(a, upper) for a, (upper, _) in zip(stacks, factors))
-        return num / (num + tail)
+            for (z, g), (_, shape, _) in zip(stacks, factors):
+                rng.standard_normal(out=z[j])
+                rng.standard_gamma(shape, out=g[j])
+        num, tail = (diagonal(z.reshape(-1, d, q), g.reshape(-1, q), upper)
+                     for (z, g), (q, _, upper) in zip(stacks, factors))
+        return (num / (num + tail)).reshape(len(rngs), RATIO_CHUNK, d)
 
-    elements = sum(upper.size for upper, _ in factors)
-    ratios = replicate(np.empty((r, d)), seed, threads, lambda: draw, elements)
+    elements = RATIO_CHUNK * sum(d * q for q, _, _ in factors)
+    ratios = _chunked(r, seed, threads, draw, elements, (d,))
     return RatioVectorSample(ratios=ratios, n=int(n), k=int(k))
 
 
@@ -179,12 +216,20 @@ def quantile_grid(samples: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [np.quantile(pooled[:, i], levels) for i in range(pooled.shape[1])]
 
 
+def _cell_counts(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
+    """Rows of ``values`` per cell of the sorted ``grid``: a row's cell
+    is, per column, how many grid points lie below it, from 0 to len(g)."""
+    shape = tuple(len(g) + 1 for g in grid)
+    codes = [np.searchsorted(g, v, side="left") for g, v in zip(grid, values.T)]
+    return np.bincount(np.ravel_multi_index(codes, shape), minlength=math.prod(shape)).reshape(shape)
+
+
 def ecdf_on_grid(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
     """Joint empirical cdf of the rows of ``values`` on a tensor grid.
 
-    Each row is coded per column by how many grid points lie below it;
-    one count per code cell, summed cumulatively along every axis, gives
-    the number of rows at or below each grid node.  Memory is
+    One count per grid cell, summed cumulatively along every axis, gives
+    the number of rows at or below each grid node: code c <= m exactly
+    when the m-th smallest grid point is >= the value.  Memory is
     O(R d + prod(len(g) + 1)), and the exact integer counts make the
     result equal to the mean of the R x grid indicator array.
     """
@@ -194,11 +239,9 @@ def ecdf_on_grid(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError("grid dimension mismatch")
     grid = [np.asarray(g, dtype=float) for g in grid]
     orders = [np.argsort(g, kind="stable") for g in grid]
-    shape = tuple(len(g) + 1 for g in grid)
-    codes = [np.searchsorted(g[order], v, side="left") for g, order, v in zip(grid, orders, values.T)]
-    counts = np.bincount(np.ravel_multi_index(codes, shape), minlength=math.prod(shape)).reshape(shape)
+    counts = _cell_counts(values, [g[order] for g, order in zip(grid, orders)])
     for axis, order in enumerate(orders):
-        # code c <= m exactly when the m-th smallest grid point is >= the value
+        # back to the grid's own order, which drops the cell above the last point
         counts = np.cumsum(counts, axis=axis, out=counts).take(np.argsort(order), axis=axis)
     return counts / r
 
@@ -206,8 +249,11 @@ def ecdf_on_grid(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
 def representation_distance(os_batch: OSBatch, ratio_sample: RatioVectorSample) -> float:
     """Max absolute difference of the two joint empirical cdfs on a grid.
 
-    Both inputs must describe the same (n, k, d); the grid is the tensor
-    product of pooled per-component quantiles at levels 0.1 to 0.9.
+    Both inputs must describe the same (n, k, d) and hold the same number
+    R of replications; the grid is the tensor product of pooled
+    per-component quantiles at levels 0.1 to 0.9.  The difference is
+    taken on the counts, as one signed table summed cumulatively along
+    every axis, so the result is an exact count over R.
     """
     ks = set(os_batch.k)
     if len(ks) != 1 or ks.pop() != ratio_sample.k:
@@ -216,7 +262,12 @@ def representation_distance(os_batch: OSBatch, ratio_sample: RatioVectorSample) 
         raise ValueError(f"sample-size mismatch: n = {os_batch.n} vs {ratio_sample.n}")
     if os_batch.d != ratio_sample.d:
         raise ValueError(f"dimension mismatch: d = {os_batch.d} vs {ratio_sample.d}")
-    grid = quantile_grid([os_batch.values, ratio_sample.ratios])
-    a = ecdf_on_grid(os_batch.values, grid)
-    b = ecdf_on_grid(ratio_sample.ratios, grid)
-    return float(np.abs(a - b).max())
+    values, ratios = np.asarray(os_batch.values, dtype=float), ratio_sample.ratios
+    if len(values) != len(ratios):
+        raise ValueError(f"replication mismatch: R = {len(values)} vs {len(ratios)}")
+    # the ecdfs at the sorted nodes are those at the nodes in any order
+    grid = [np.sort(g) for g in quantile_grid([values, ratios])]
+    diff = _cell_counts(values, grid) - _cell_counts(ratios, grid)
+    for axis in range(diff.ndim):
+        diff = np.cumsum(diff, axis=axis, out=diff)
+    return float(np.abs(diff[(slice(-1),) * diff.ndim]).max() / len(values))

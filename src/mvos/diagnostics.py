@@ -18,15 +18,20 @@ __all__ = [
 ]
 
 
-def ks_statistic(sample, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a continuous cdf."""
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = x.size
+def ks_statistic(sample, cdf: Callable[[np.ndarray], np.ndarray]):
+    """One-sample Kolmogorov-Smirnov statistic against a continuous cdf.
+
+    An R x d matrix gives the d column statistics as an array, with one
+    sort and one ``cdf`` call for all columns.
+    """
+    x = np.sort(np.asarray(sample, dtype=float), axis=0)
+    n = len(x)
     if n == 0:
         raise ValueError("empty sample")
     f = np.asarray(cdf(x), dtype=float)
-    steps = np.arange(1, n + 1) / n
-    return float(np.maximum(steps - f, f - (steps - 1.0 / n)).max())
+    steps = (np.arange(1, n + 1) / n).reshape((n,) + (1,) * (x.ndim - 1))
+    stat = np.maximum(steps - f, f - (steps - 1.0 / n)).max(axis=0)
+    return float(stat) if x.ndim == 1 else stat
 
 
 def ks_pvalue(stat: float, nobs: int) -> float:
@@ -41,8 +46,9 @@ def ks_critical_value(level: float, nobs: int) -> float:
     return float(kolmogi(level)) / math.sqrt(nobs)
 
 
-def ks_against_standard_normal(sample) -> float:
-    return ks_statistic(sample, lambda x: ndtr(x))
+def ks_against_standard_normal(sample):
+    """KS statistic against N(0, 1) of a sample, or of each column of a matrix."""
+    return ks_statistic(sample, ndtr)
 
 
 class MomentSummary(NamedTuple):

@@ -281,11 +281,10 @@ def _moment_criteria(
 def _ks_criteria(values: np.ndarray, level: float, gated: bool) -> tuple[list[CriterionResult], np.ndarray, np.ndarray, float]:
     reps, d = values.shape
     crit = ks_critical_value(level, reps)
-    stats = np.empty(d)
+    stats = ks_against_standard_normal(values)
     pvals = np.empty(d)
     results = []
     for i in range(d):
-        stats[i] = ks_against_standard_normal(values[:, i])
         pvals[i] = ks_pvalue(stats[i], reps)
         results.append(
             CriterionResult(

@@ -2,7 +2,9 @@
 ``componentwise_os(quantile_transform(sample_rows(...)))``, while the
 runners select them through ``os_selector`` in blocks of replications.
 The two must agree bit for bit at every workload and across blocks, or
-``--trace 1`` reports a mismatch."""
+``--trace 1`` reports a mismatch.  The replay also calls the public ratio
+sampler and grid distance, so the representation distances it rebuilds
+must equal the report's, within one chunk of ratios and across two."""
 import importlib.util
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 
 import mvos.streams as streams
 from mvos.copula import os_selector, sample_rows
-from mvos.experiment import _collect_os, config_from_json
+from mvos.experiment import _collect_os, config_from_json, run_representation_experiment
 from mvos.margins import quantile_transform
 from mvos.orderstats import componentwise_os
 from mvos.streams import stream_rng
@@ -51,3 +53,12 @@ def test_selection_equals_the_replayed_composition(workload, replications, threa
             if config.margins:
                 rows = quantile_transform(config.margins, rows)
             assert np.array_equal(got[rep], componentwise_os(rows, ranks))
+
+
+@pytest.mark.parametrize("replications,threads", [(3, 1), (65, 2)])
+@pytest.mark.parametrize("workload", ["representation", "representation-wide"])
+def test_replayed_distances_equal_the_report(workload, replications, threads):
+    config = config_from_json(WORKLOADS.config_json(workload, 7, replications=replications))
+    report = run_representation_experiment(config, threads)
+    want = {tag: entry["distance"] for tag, entry in report.distances.items()}
+    assert REPLAY.replay(config, REPLAY.Tracer())["distances"] == want

@@ -5,7 +5,7 @@ blocks.  Whatever the block size, the thread count, the batch sizes, and
 whether a replication in a block draws the rows below the top ones or
 redraws tilted-stable proposals, every replication must equal its own
 per-replication oracle: ``componentwise_os(sample_rows(...))`` for the
-selection and the documented stream for the ratio samplers.
+selection and the documented per-chunk stream for the ratio samplers.
 """
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from mvos.experiment import ExperimentConfig, _collect_os
 from mvos.orderstats import IntermediateSpec, PowerKRule, componentwise_os
 from mvos.streams import stream_rng
 
-from test_chi2rep import _random_correlation, _stream_contract_ratios
+from test_chi2rep import _random_correlation, _stream_contract_ratios, _univariate_contract
 
 R = 130  # more than two default blocks of the selection below
 # n = 100 and k = 25 stop about half the replications among the L = 37
@@ -56,10 +56,10 @@ def _set_cap(monkeypatch, cap):
         monkeypatch.setattr(streams_module, "BLOCK_REPLICATIONS", cap)
 
 
-def _check_sizes(sizes, cap, threads, elements):
+def _check_sizes(sizes, cap, threads, elements, count=R):
     block = cap or min(streams_module.BLOCK_REPLICATIONS, streams_module.BLOCK_ELEMENTS // elements)
-    assert sum(sizes) == R
-    assert max(sizes) == min(block, -(-R // threads))
+    assert sum(sizes) == count
+    assert max(sizes) == min(block, -(-count // threads))
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +114,11 @@ class TestSelection:
 
 
 class TestRatioSamplers:
+    """The ratio samplers' replications are chunks of RATIO_CHUNK rows, and
+    ``replicate`` hands out blocks of chunks."""
+
     N, K = 40, 3
+    CHUNKS = -(-R // chi2rep_module.RATIO_CHUNK)
 
     @pytest.mark.parametrize("cap,threads", SETUPS)
     def test_correlated(self, cap, threads, monkeypatch):
@@ -122,17 +126,13 @@ class TestRatioSamplers:
         sizes = _spy_blocks(monkeypatch, chi2rep_module)
         got = correlated_ratio_sample(LAM, self.N, self.K, R, seed=SEED, threads=threads).ratios
         assert np.array_equal(got, _stream_contract_ratios(LAM, self.N, self.K, R, SEED))
-        _check_sizes(sizes, cap, threads, 3 * 3 + 3 * 3)
+        _check_sizes(sizes, cap, threads, chi2rep_module.RATIO_CHUNK * (3 * 3 + 3 * 3), self.CHUNKS)
 
     @pytest.mark.parametrize("cap", [1, 3, None])
     def test_univariate(self, cap, monkeypatch):
         # the univariate sampler runs on one thread
         _set_cap(monkeypatch, cap)
         sizes = _spy_blocks(monkeypatch, chi2rep_module)
-        want = []
-        for rep in range(R):
-            rng = stream_rng(SEED, rep)
-            num = rng.chisquare(2 * self.K)
-            want.append(num / (num + rng.chisquare(2 * (self.N + 1 - self.K))))
-        assert np.array_equal(univariate_ratio_sample(self.K, self.N, R, seed=SEED), want)
-        _check_sizes(sizes, cap, 1, 2)
+        got = univariate_ratio_sample(self.K, self.N, R, seed=SEED)
+        assert np.array_equal(got, _univariate_contract(self.K, self.N, R, SEED))
+        _check_sizes(sizes, cap, 1, 2 * chi2rep_module.RATIO_CHUNK, self.CHUNKS)

@@ -190,36 +190,59 @@ class TestBartlettDraw:
 def _stream_contract_ratios(lam, n, k, r, seed):
     """The documented stream, spelled out entry by entry (reference).
 
-    Replication r draws from stream_rng(seed, r) the numerator's factor
-    (m = 2(n-k)) and then the remainder's (m = 2(k+1)).  Each factor takes
-    a d x min(d, m) normal matrix, keeps its entries below the diagonal,
-    then min(d, m) chi-squares with m, m-1, ... degrees of freedom whose
-    square roots form the diagonal.
+    Replication rep is row rep % 64 of chunk rep // 64, and every chunk is
+    drawn in full from stream_rng(seed, chunk).  A chunk draws the
+    numerator's factors (m = 2(n-k)) and then the remainder's
+    (m = 2(k+1)), each as a 64 x d x q normal array, q = min(d, m), and
+    then a 64 x q array of Gamma((m - q + 1) / 2) variates.  A factor keeps
+    its normals below the diagonal, and its diagonal entry j is the square
+    root of twice the j-th Gamma variate plus the squares of row j's
+    normals above the diagonal, added left to right.
     """
     root = chi2rep._symmetric_sqrt(lam)
     d = lam.shape[0]
-    out = np.empty((r, d))
-    for rep in range(r):
-        rng = stream_rng(seed, rep)
+    chunks = -(-r // 64)
+    out = np.empty((64 * chunks, d))
+    for c in range(chunks):
+        rng = stream_rng(seed, c)
         parts = []
         for m in (2 * (n - k), 2 * (k + 1)):
-            width = min(d, m)
-            z = rng.standard_normal((d, width))
-            chi2 = rng.chisquare([m - j for j in range(width)])
-            a = np.zeros((d, width))
-            for i in range(d):
-                for j in range(min(i, width)):
-                    a[i, j] = z[i, j]
-            for j in range(width):
-                a[j, j] = math.sqrt(chi2[j])
-            parts.append(np.square(root @ a).sum(axis=1))
-        out[rep] = parts[0] / (parts[0] + parts[1])
-    return out
+            q = min(d, m)
+            z = rng.standard_normal((64, d, q))
+            g = rng.standard_gamma((m - q + 1) / 2, size=(64, q))
+            part = np.empty((64, d))
+            for row in range(64):
+                a = np.zeros((d, q))
+                for i in range(d):
+                    for j in range(min(i, q)):
+                        a[i, j] = z[row, i, j]
+                for j in range(q):
+                    total = 2.0 * g[row, j]
+                    for col in range(j + 1, q):
+                        total += z[row, j, col] * z[row, j, col]
+                    a[j, j] = math.sqrt(total)
+                part[row] = np.square(root @ a).sum(axis=1)
+            parts.append(part)
+        out[64 * c:64 * (c + 1)] = parts[0] / (parts[0] + parts[1])
+    return out[:r]
+
+
+def _univariate_contract(i, n, r, seed):
+    """Chunk c draws 64 Gamma(i) variates and then 64 Gamma(n + 1 - i) ones
+    from stream_rng(seed, c); replication rep is row rep % 64 of chunk
+    rep // 64 (reference)."""
+    want = []
+    for c in range(-(-r // 64)):
+        rng = stream_rng(seed, c)
+        num = rng.standard_gamma(i, size=64)
+        rest = rng.standard_gamma(n + 1 - i, size=64)
+        want.extend(num / (num + rest))
+    return np.array(want[:r])
 
 
 class TestStreamContract:
-    """Both samplers consume their per-replication streams as documented,
-    so a change of draw order shows here before it changes a report.
+    """Both samplers consume their per-chunk streams as documented, so a
+    change of draw order shows here before it changes a report.
 
     n = 7 with k = 6 and n = 40 with k = 39 give the numerator 2 < d
     vectors; k = 2 and k = 3 give the remainder 6 or 8 < 16 vectors.
@@ -234,13 +257,25 @@ class TestStreamContract:
 
     @pytest.mark.parametrize("i,n", [(1, 1), (3, 9), (9, 9), (44, 2000)])
     def test_univariate_equals_reference(self, i, n):
-        want = []
-        for rep in range(5):
-            rng = stream_rng(22, rep)
-            num = rng.chisquare(2 * i)
-            rest = rng.chisquare(2 * (n + 1 - i))
-            want.append(num / (num + rest))
-        assert np.array_equal(univariate_ratio_sample(i, n, 5, seed=22), np.array(want))
+        assert np.array_equal(univariate_ratio_sample(i, n, 5, seed=22), _univariate_contract(i, n, 5, 22))
+
+    def test_correlated_crosses_chunks(self):
+        lam = _random_correlation(3, seed=3)
+        got = correlated_ratio_sample(lam, 40, 3, 130, seed=24, threads=2).ratios
+        assert np.array_equal(got, _stream_contract_ratios(lam, 40, 3, 130, 24))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_rows_depend_on_seed_and_replication_only(self, d):
+        # a chunk is drawn in full whatever R and threads are
+        lam = _random_correlation(d, seed=d)
+        full = correlated_ratio_sample(lam, 40, 3, 200, seed=25).ratios
+        for r in (1, 63, 64, 65, 200):
+            for threads in (1, 3):
+                got = correlated_ratio_sample(lam, 40, 3, r, seed=25, threads=threads).ratios
+                assert np.array_equal(got, full[:r]), (r, threads)
+        beta = univariate_ratio_sample(3, 9, 200, seed=26)
+        for r in (1, 63, 64, 65):
+            assert np.array_equal(univariate_ratio_sample(3, 9, r, seed=26), beta[:r]), r
 
 
 class TestRepresentationDistance:
@@ -274,6 +309,22 @@ class TestRepresentationDistance:
             representation_distance(self._batch(rv.ratios, 100, 8), rv)
         with pytest.raises(ValueError):
             representation_distance(self._batch(rv.ratios, 101, 9), rv)
+        with pytest.raises(ValueError, match="replication mismatch"):
+            representation_distance(self._batch(rv.ratios[:49], 100, 9), rv)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_distance_equals_direct_mask_count(self, d):
+        # the largest difference of the two samples' counts at or below a
+        # node of the pooled quantile grid, over R
+        rng = np.random.default_rng(40 + d)
+        for reps in (1, 7, 300):
+            # eighths: many ties and many rows exactly on grid points
+            a, b = (np.round(8.0 * rng.random((reps, d))) / 8.0 for _ in range(2))
+            grid = quantile_grid([a, b])
+            want = np.abs(self._mask_counts(a, grid) - self._mask_counts(b, grid)).max() / reps
+            rv = chi2rep.RatioVectorSample(ratios=b, n=100, k=9)
+            batch = OSBatch(values=a, n=100, k=(9,) * d, convention="n-k", seed=0)
+            assert representation_distance(batch, rv) == want
 
     def test_ecdf_on_grid_matches_direct_count(self):
         rng = np.random.default_rng(3)
@@ -285,15 +336,19 @@ class TestRepresentationDistance:
         assert ecdf[i, j] == direct
 
     @staticmethod
-    def _mask_ecdf(values, grid):
-        # the R x grid indicator array, averaged over rows
+    def _mask_counts(values, grid):
+        # the R x grid indicator array, summed over rows
         d = values.shape[1]
         mask = np.ones((values.shape[0],) + tuple(len(g) for g in grid), dtype=bool)
         for i, g in enumerate(grid):
             shape = [1] * d
             shape[i] = len(g)
             mask &= values[:, i].reshape([-1] + [1] * d) <= np.asarray(g).reshape(shape)[None]
-        return mask.mean(axis=0)
+        return mask.sum(axis=0)
+
+    @classmethod
+    def _mask_ecdf(cls, values, grid):
+        return cls._mask_counts(values, grid) / values.shape[0]
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_ecdf_on_grid_matches_mask(self, d):

@@ -24,7 +24,9 @@ from mvos.experiment import (
     run_general_experiment,
     run_representation_experiment,
     _collect_os,
+    _ks_criteria,
 )
+from mvos.diagnostics import ks_against_standard_normal, ks_pvalue
 
 GUMBEL_TARGET = 2.0 - math.sqrt(2.0)
 
@@ -242,6 +244,19 @@ class TestCopulaExperiment:
         cfg = ExperimentConfig(copula=Independence(2), n=100, replications=5, seed=1, kind="copula")
         with pytest.raises(InvalidConfigError):
             run_general_experiment(cfg)
+
+
+def test_ks_on_all_columns_equals_each_column():
+    # one sort and one ndtr call for the matrix give each column's bits:
+    # scales that reach every erfc branch, ties, and a column of one value
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((501, 5)) * np.array([1.0, 3.0, 12.0, 0.1, 0.0])
+    values[::7, 1] = values[0, 1]
+    results, stats, pvals, crit = _ks_criteria(values, 0.01, True)
+    for i in range(values.shape[1]):
+        want = ks_against_standard_normal(values[:, i])
+        assert stats[i] == want and results[i].observed == want
+        assert pvals[i] == ks_pvalue(want, len(values))
 
 
 class TestGeneralExperiment:
