@@ -50,7 +50,6 @@ from .orderstats import (
 )
 from .chi2rep import (
     NotPositiveSemidefiniteError,
-    RatioVectorSample,
     univariate_ratio_sample,
     correlated_ratio_sample,
     representation_distance,
@@ -60,9 +59,5 @@ from .experiment import (
     ExperimentReport,
     TolerancePolicy,
     InvalidConfigError,
-    run_copula_experiment,
-    run_general_experiment,
-    run_representation_experiment,
     run_experiment,
-    emit_report,
 )

@@ -26,7 +26,6 @@ the difference of the two joint empirical cdfs as one signed count table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ RATIO_CHUNK = 64
 
 __all__ = [
     "RATIO_CHUNK",
-    "RatioVectorSample",
     "NotPositiveSemidefiniteError",
     "check_correlation",
     "univariate_ratio_sample",
@@ -61,19 +59,6 @@ class NotPositiveSemidefiniteError(ValueError):
         super().__init__(
             f"matrix is not positive semidefinite (smallest eigenvalue {min_eigenvalue:.6e})"
         )
-
-
-@dataclass(frozen=True)
-class RatioVectorSample:
-    """R x d matrix of correlated order-statistic ratios with metadata."""
-
-    ratios: np.ndarray
-    n: int
-    k: int
-
-    @property
-    def d(self) -> int:
-        return self.ratios.shape[1]
 
 
 def _chunked(r: int, seed: int, threads: int, draw, elements: int, width: tuple = ()) -> np.ndarray:
@@ -132,8 +117,8 @@ def check_correlation(lam) -> np.ndarray:
     return lam
 
 
-def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int = 1) -> RatioVectorSample:
-    """Componentwise ratios driven by shared N(0, Lambda) draws.
+def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int = 1) -> np.ndarray:
+    """R x d componentwise ratios driven by shared N(0, Lambda) draws.
 
     Component i's ratio is the sum of its first 2(n-k) squared coordinates
     over the sum of all 2(n+1), across 2(n+1) iid N(0, Lambda) vectors.
@@ -202,8 +187,7 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
         return (num / (num + tail)).reshape(len(rngs), RATIO_CHUNK, d)
 
     elements = RATIO_CHUNK * sum(d * q for q, _, _ in factors)
-    ratios = _chunked(r, seed, threads, draw, elements, (d,))
-    return RatioVectorSample(ratios=ratios, n=int(n), k=int(k))
+    return _chunked(r, seed, threads, draw, elements, (d,))
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +230,19 @@ def ecdf_on_grid(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
     return counts / r
 
 
-def representation_distance(os_batch: OSBatch, ratio_sample: RatioVectorSample) -> float:
+def representation_distance(os_batch: OSBatch, ratios: np.ndarray) -> float:
     """Max absolute difference of the two joint empirical cdfs on a grid.
 
-    Both inputs must describe the same (n, k, d) and hold the same number
-    R of replications; the grid is the tensor product of pooled
-    per-component quantiles at levels 0.1 to 0.9.  The difference is
-    taken on the counts, as one signed table summed cumulatively along
-    every axis, so the result is an exact count over R.
+    ``ratios`` must have the width d and the number R of rows of the order
+    statistics; both arms are meant to be drawn at one (n, k).  The grid
+    is the tensor product of pooled per-component quantiles at levels 0.1
+    to 0.9.  The difference is taken on the counts, as one signed table
+    summed cumulatively along every axis, so the result is an exact count
+    over R.
     """
-    ks = set(os_batch.k)
-    if len(ks) != 1 or ks.pop() != ratio_sample.k:
-        raise ValueError(f"rank mismatch: k = {os_batch.k} vs {ratio_sample.k}")
-    if os_batch.n != ratio_sample.n:
-        raise ValueError(f"sample-size mismatch: n = {os_batch.n} vs {ratio_sample.n}")
-    if os_batch.d != ratio_sample.d:
-        raise ValueError(f"dimension mismatch: d = {os_batch.d} vs {ratio_sample.d}")
-    values, ratios = np.asarray(os_batch.values, dtype=float), ratio_sample.ratios
+    values, ratios = np.asarray(os_batch.values, dtype=float), np.asarray(ratios, dtype=float)
+    if ratios.ndim != 2 or ratios.shape[1] != values.shape[1]:
+        raise ValueError(f"dimension mismatch: d = {values.shape[1]} vs ratios of shape {ratios.shape}")
     if len(values) != len(ratios):
         raise ValueError(f"replication mismatch: R = {len(values)} vs {len(ratios)}")
     # the ecdfs at the sorted nodes are those at the nodes in any order

@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .orderstats import KRatioMatrix, theoretical_sigma
 from .experiment import (
     InvalidConfigError,
     config_from_json,
-    emit_report,
+    report_csv_bytes,
     report_json_bytes,
     report_text,
     run_experiment,
@@ -172,9 +173,9 @@ def _cmd_cov(args) -> int:
 def _cmd_chi2rep(args) -> int:
     lam = _parsed("--lambda", _matrix, getattr(args, "lambda"))
     _check(args.seed >= 0, "--seed must be >= 0")
-    sample = _parsed("chi2rep input", lambda lam: correlated_ratio_sample(lam, args.n, args.k, args.R, args.seed), lam)
-    header = [f"r{i + 1}" for i in range(sample.d)]
-    _write_csv_matrix(args.out, header, sample.ratios)
+    ratios = _parsed("chi2rep input", lambda lam: correlated_ratio_sample(lam, args.n, args.k, args.R, args.seed), lam)
+    header = [f"r{i + 1}" for i in range(ratios.shape[1])]
+    _write_csv_matrix(args.out, header, ratios)
     print(f"wrote {args.R} ratio vectors to {args.out}")
     return EXIT_OK
 
@@ -186,11 +187,11 @@ def _cmd_experiment(args) -> int:
     seed = _parsed("MVOS_SEED", int, env_seed) if env_seed else None
     report = run_experiment(config_from_json(obj, seed_override=seed), threads=args.threads)
     if args.out:
-        emit_report(report, "json", args.out)
+        Path(args.out).write_bytes(report_json_bytes(report))
     else:
         sys.stdout.write(report_json_bytes(report).decode())
     if args.csv:
-        emit_report(report, "csv", args.csv)
+        Path(args.csv).write_bytes(report_csv_bytes(report))
     sys.stderr.write(report_text(report))
     sys.stderr.write(f"runtime: {report.runtime_seconds:.1f}s\n")
     return EXIT_OK if report.passed else EXIT_CRITERION

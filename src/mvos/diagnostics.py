@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,7 +44,13 @@ def ks_critical_value(level: float, nobs: int) -> float:
     """Statistic threshold at the given significance level, asymptotic."""
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
-    return float(kolmogi(level)) / math.sqrt(nobs)
+    return _kolmogorov_quantile(level) / math.sqrt(nobs)
+
+
+@cache
+def _kolmogorov_quantile(level: float) -> float:
+    # kolmogi bisects to the last bit, about 100 us; a config's level is fixed
+    return float(kolmogi(level))
 
 
 def ks_against_standard_normal(sample):

@@ -279,8 +279,9 @@ class ValidationReport:
 _FP_TOL = 1e-9
 
 
-def dnorm_validate(spec: DNormSpec, trials: int, seed: int = 0, d: Optional[int] = None) -> ValidationReport:
-    """Check the norm axioms on random vectors.
+def dnorm_validate(spec: DNormSpec, trials: int, seed: int = 0) -> ValidationReport:
+    """Check the norm axioms on random vectors, in the generator's
+    dimension or, for the dimension-free families, in d = 3.
 
     Verifies standardization (unit coordinates map to 1), absolute
     homogeneity, the triangle inequality, monotonicity in |x|, and the
@@ -291,11 +292,7 @@ def dnorm_validate(spec: DNormSpec, trials: int, seed: int = 0, d: Optional[int]
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    dim = spec_dimension(spec)
-    if dim is None:
-        dim = d if d is not None else 3
-    elif d is not None and d != dim:
-        raise ValueError("explicit d conflicts with generator dimension")
+    dim = spec_dimension(spec) or 3
 
     rng = stream_rng(seed, 0xD)
     is_mc = isinstance(spec, GeneratorBased)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -62,11 +63,7 @@ __all__ = [
     "InvalidConfigError",
     "config_from_json",
     "config_to_json",
-    "run_copula_experiment",
-    "run_general_experiment",
-    "run_representation_experiment",
     "run_experiment",
-    "emit_report",
     "read_report_csv",
 ]
 
@@ -79,6 +76,12 @@ class TolerancePolicy:
 
     abs_tol: float = 0.05
     z: float = 4.0
+
+    def __post_init__(self):
+        for name in ("abs_tol", "z"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidConfigError(f"tolerance {name} must be finite and >= 0, got {value!r}")
 
     def bound(self, stderr: float) -> float:
         return max(self.abs_tol, self.z * stderr)
@@ -104,12 +107,19 @@ class ExperimentConfig:
             raise InvalidConfigError(f"unknown experiment kind {self.kind!r}")
         if self.n < 2:
             raise InvalidConfigError("n must be >= 2")
+        # ranks are int64, and a representation run also samples at 2n
+        if (2 if self.kind == "representation" else 1) * self.n >= 2**63:
+            raise InvalidConfigError(f"n = {self.n} is too large: every sample size must stay below 2**63")
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
-        # a moment summary needs two replications, a distance one
+        # a moment summary needs two replications, a distance one; the
+        # replication keys are 32-bit (streams.stream_keys)
         least = 1 if self.kind == "representation" else 2
-        if self.replications < least:
-            raise InvalidConfigError(f"{self.kind} experiments need replications >= {least}")
+        if not least <= self.replications <= 2**32:
+            raise InvalidConfigError(f"{self.kind} experiments need {least} <= replications <= 2**32")
+        # the grid distance counts rows in 10^d int64 cells, about 2.4 GB of tables at d = 8
+        if self.kind == "representation" and self.copula.d >= 8:
+            raise InvalidConfigError(f"representation experiments need d <= 7, got d = {self.copula.d}")
         if not 0 < self.ks_level < 1:
             raise InvalidConfigError("ks_level must lie in (0, 1)")
         if self.kind == "general":
@@ -127,12 +137,14 @@ class ExperimentConfig:
             object.__setattr__(self, "intermediate", inter)
         if inter.d != self.copula.d:
             raise InvalidConfigError("intermediate spec dimension mismatch")
-        # surface out-of-band k values and ratio limits now rather than mid-run
+        # surface out-of-band k values, ratio limits and norming constants now rather than mid-run
         try:
-            inter.k_vector(self.n)
+            ks = inter.k_vector(self.n)
             if self.kind == "representation":
                 inter.k_vector(2 * self.n)
             inter.ratio_matrix()
+            for margin, k in zip(self.margins or (), ks):
+                norming_constants(margin, self.n, int(k))
         except ValueError as exc:
             raise InvalidConfigError(str(exc)) from exc
         if self.kind == "representation" and len(set(inter.rules)) != 1:
@@ -303,12 +315,10 @@ def _overall(criteria: Sequence[CriterionResult]) -> bool:
     return all(c.passed for c in criteria if c.gated)
 
 
-def _run_moment_experiment(config: ExperimentConfig, kind: str, threads: int) -> ExperimentReport:
-    """The copula and general runners: order statistics standardized on the
+def _run_moments(config: ExperimentConfig, threads: int) -> ExperimentReport:
+    """The copula and general kinds: order statistics standardized on the
     copula scale (no margins) or with the margins' norming constants, then
     moments and KS statistics against N(0, Sigma)."""
-    if config.kind != kind:
-        raise InvalidConfigError(f"config kind is {config.kind!r}, expected {kind!r}")
     start = time.perf_counter()
     sigma = theoretical_sigma(config.copula.tail_dnorm, config.intermediate.ratio_matrix())
     ok, min_eig = is_positive_semidefinite(sigma)
@@ -345,32 +355,11 @@ def _run_moment_experiment(config: ExperimentConfig, kind: str, threads: int) ->
     )
 
 
-# ---------------------------------------------------------------------------
-# runners
-
-def run_copula_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Verify the copula-scale limit: standardized order statistics vs N(0, Sigma)."""
-    return _run_moment_experiment(config, "copula", threads)
-
-
-def run_general_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Verify the margin-scale limit with the canonical norming constants."""
-    return _run_moment_experiment(config, "general", threads)
-
-
-def run_representation_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Compare raw order statistics with the correlated chi-square ratios.
-
-    Runs the comparison at n and 2n and records whether the grid distance
-    decreased, as an ungated criterion.  Refuses (before any sampling)
-    when the entrywise square root of the limit covariance is not positive
-    semidefinite, reporting the offending eigenvalue.
-    """
-    if config.kind != "representation":
-        raise InvalidConfigError(f"config kind is {config.kind!r}, expected 'representation'")
+def _run_representation(config: ExperimentConfig, threads: int) -> ExperimentReport:
+    """The representation kind: raw order statistics against the correlated
+    chi-square ratios at n and 2n, both arms drawn at the same (n, k)."""
     start = time.perf_counter()
-    d = config.copula.d
-    sigma = theoretical_sigma_equal_k(config.copula.tail_dnorm, d)
+    sigma = theoretical_sigma_equal_k(config.copula.tail_dnorm, config.copula.d)
     lam = config.lambda_override if config.lambda_override is not None else lambda_matrix(sigma)
     ok, min_eig = is_positive_semidefinite(lam)
     if not ok:
@@ -419,15 +408,24 @@ def run_representation_experiment(config: ExperimentConfig, threads: int = 1) ->
     )
 
 
-_RUNNERS = {
-    "copula": run_copula_experiment,
-    "general": run_general_experiment,
-    "representation": run_representation_experiment,
-}
-
+# ---------------------------------------------------------------------------
+# the runner
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    return _RUNNERS[config.kind](config, threads=threads)
+    """Run the config's experiment with ``threads`` workers.
+
+    ``copula`` and ``general`` configs check the limit law: standardized
+    order statistics against N(0, Sigma), on the copula scale or with the
+    margins' canonical norming constants.  ``representation`` configs
+    compare raw order statistics with the correlated chi-square ratios at
+    n and 2n and record whether the grid distance decreased, as an
+    ungated criterion; they refuse (before any sampling) when the
+    entrywise square root of the limit covariance is not positive
+    semidefinite, reporting the offending eigenvalue.
+    """
+    if config.kind == "representation":
+        return _run_representation(config, threads)
+    return _run_moments(config, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -488,21 +486,6 @@ def report_text(report: ExperimentReport) -> str:
         )
     lines.append(f"overall: {'pass' if report.passed else 'FAIL'}")
     return "\n".join(lines) + "\n"
-
-
-def emit_report(report: ExperimentReport, fmt: str, path: str) -> str:
-    """Write the report as json, csv, or text; identical bytes for identical configs."""
-    if fmt == "json":
-        data = report_json_bytes(report)
-    elif fmt == "csv":
-        data = report_csv_bytes(report)
-    elif fmt == "text":
-        data = report_text(report).encode()
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return path
 
 
 def read_report_csv(path: str) -> dict[str, np.ndarray]:

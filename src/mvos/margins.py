@@ -4,8 +4,8 @@ Four closed-form families, one per tail regime: standard normal and
 standard exponential (type 1), Pareto with index alpha (type 2, infinite
 endpoint), and the triangular density 1 - |x| on (-1, 1) (type 3, finite
 endpoint, alpha = 2).  Each model exposes cdf, density, generalized
-inverse, the upper endpoint, and the integrated tail needed for the
-type-1 quotient.
+inverse and the upper endpoint; the type-1 families also give the
+integrated tail their von Mises quotient needs.
 
 The scaling constants are ``b = F^{-1}(1 - k/n)`` and
 ``a = sqrt(k) / (n f(b))``; the Smirnov quotient
@@ -155,14 +155,6 @@ class Pareto(MarginalModel):
     def quantile(self, u):
         return (1.0 - np.asarray(u, dtype=float)) ** (-1.0 / self.alpha)
 
-    def tail_integral(self, x):
-        if self.alpha <= 1:
-            raise ValueError("tail integral diverges for alpha <= 1")
-        x = np.asarray(x, dtype=float)
-        below = np.maximum(1.0 - x, 0.0)  # 1 - F is 1 below the support
-        out = below + np.maximum(x, 1.0) ** (1.0 - self.alpha) / (self.alpha - 1.0)
-        return float(out) if x.ndim == 0 else out
-
     def label(self) -> str:
         return f"pareto(alpha={self.alpha})"
 
@@ -191,14 +183,6 @@ class Triangular(MarginalModel):
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         return np.where(u <= 0.5, np.sqrt(2.0 * u) - 1.0, 1.0 - np.sqrt(2.0 * (1.0 - u)))
-
-    def tail_integral(self, x):
-        x = np.asarray(x, dtype=float)
-        below = np.maximum(-1.0 - x, 0.0)  # 1 - F is 1 below the support
-        xc = np.clip(x, -1.0, 1.0)
-        inner = np.where(xc >= 0, (1.0 - xc) ** 3 / 6.0, -xc + (1.0 + xc) ** 3 / 6.0)
-        out = below + inner
-        return float(out) if x.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +220,12 @@ def norming_constants(model: MarginalModel, n: int, k: int) -> NormingConstants:
     """Centering b = F^{-1}(1 - k/n) and scale a = sqrt(k) / (n f(b))."""
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
-    b = float(model.quantile(1.0 - k / n))
+    with np.errstate(over="ignore"):  # an infinite b is refused just below
+        b = float(model.quantile(1.0 - k / n))
     fb = float(model.pdf(b))
     if not math.isfinite(fb) or fb <= 0.0:
-        raise ValueError(f"density vanishes at the centering point b={b}")
+        raise ValueError(f"{model.label()} has no norming constants at n = {n}, k = {k}: "
+                         f"density vanishes at the centering point b={b}")
     a = math.sqrt(k) / (n * fb)
     return NormingConstants(a=a, b=b, n=int(n), k=int(k))
 

@@ -162,10 +162,6 @@ class OSBatch:
     seed: int
     scale: str = "raw"
 
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
 
 # ---------------------------------------------------------------------------
 # extraction and standardization
@@ -232,7 +228,7 @@ def theoretical_sigma(dnorm: DNormSpec, ratios: KRatioMatrix, seed: Optional[int
     return sigma
 
 
-def theoretical_sigma_equal_k(dnorm: DNormSpec, d: Optional[int] = None, seed: Optional[int] = None) -> np.ndarray:
+def theoretical_sigma_equal_k(dnorm: DNormSpec, d: Optional[int] = None) -> np.ndarray:
     """Equal-rank special case: sigma_ij = 2 - ||e_i + e_j||_D off diagonal."""
     dim = spec_dimension(dnorm)
     if dim is None:
@@ -241,4 +237,4 @@ def theoretical_sigma_equal_k(dnorm: DNormSpec, d: Optional[int] = None, seed: O
         dim = d
     elif d is not None and d != dim:
         raise ValueError(f"explicit d = {d} conflicts with norm dimension {dim}")
-    return theoretical_sigma(dnorm, KRatioMatrix.ones(dim), seed)
+    return theoretical_sigma(dnorm, KRatioMatrix.ones(dim))

@@ -43,9 +43,7 @@ from mvos.experiment import (
     ExperimentConfig,
     _collect_os,
     report_json_bytes,
-    run_copula_experiment,
-    run_general_experiment,
-    run_representation_experiment,
+    run_experiment,
 )
 from mvos.streams import derive_seed
 
@@ -76,7 +74,7 @@ def _check_sigma(report, offdiag_target):
 def test_criterion_1_tail_dependent_copula_case():
     cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=20000, replications=5000,
                            seed=101, kind="copula", gate_ks=False)
-    report = run_copula_experiment(cfg)
+    report = run_experiment(cfg)
     rows = _check_sigma(report, GUMBEL_SIGMA)
     ok = all(r[1] for r in rows) and report.runtime_seconds <= 120.0
     detail = "  ".join(f"{n}={obs:+.4f} (target {t:+.4f}, tol {tol:.4f})" for n, _, obs, t, tol in rows)
@@ -87,7 +85,7 @@ def test_criterion_1_tail_dependent_copula_case():
 def test_criterion_2_tail_independent_copula_case():
     cfg = ExperimentConfig(copula=Independence(2), n=20000, replications=5000,
                            seed=102, kind="copula", gate_ks=False)
-    report = run_copula_experiment(cfg)
+    report = run_experiment(cfg)
     rows = _check_sigma(report, 0.0)
     ok = all(r[1] for r in rows)
     print(f"[criterion 2] {_status(ok)} independence: sigma12={report.empirical_cov[0, 1]:+.4f} "
@@ -99,7 +97,7 @@ def test_criterion_3_unequal_k():
     inter = IntermediateSpec((PowerKRule(4.0, 0.5), PowerKRule(1.0, 0.5)), "n-k")
     cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=20000, replications=5000,
                            seed=103, kind="copula", intermediate=inter, gate_ks=False)
-    report = run_copula_experiment(cfg)
+    report = run_experiment(cfg)
     assert report.theoretical_sigma[0, 1] == pytest.approx(UNEQUAL_SIGMA, rel=1e-12)
     rows = _check_sigma(report, UNEQUAL_SIGMA)
     ok = all(r[1] for r in rows)
@@ -115,7 +113,7 @@ def test_criterion_4_general_case():
     cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=20000, replications=5000,
                            seed=104, kind="general", intermediate=inter,
                            margins=(StandardExponential(), StandardExponential()))
-    report = run_general_experiment(cfg)
+    report = run_experiment(cfg)
     rows = _check_sigma(report, GUMBEL_SIGMA)
     ks_ok = bool(np.all(report.ks_stats < report.ks_critical))
     ok_a = all(r[1] for r in rows) and ks_ok
@@ -124,7 +122,7 @@ def test_criterion_4_general_case():
     cfg_b = ExperimentConfig(copula=Independence(2), n=20000, replications=5000,
                              seed=105, kind="general", intermediate=inter,
                              margins=(Pareto(1.0), Triangular()), gate_ks=False)
-    report_b = run_general_experiment(cfg_b)
+    report_b = run_experiment(cfg_b)
     rows_b = _check_sigma(report_b, 0.0)
     ok_b = all(r[1] for r in rows_b)
 
@@ -198,7 +196,7 @@ def test_criterion_8_representation_gate_and_distance():
     # gate: entrywise square roots of valid covariances need their own check
     a_ok, a_bad = 3 ** -0.5, 3 ** -0.25
     pattern = lambda a: np.array([[1.0, 0.0, a], [0.0, 1.0, a], [a, a, 1.0]])
-    accepted = correlated_ratio_sample(pattern(a_ok), 50, 5, 4, seed=1).ratios.shape == (4, 3)
+    accepted = correlated_ratio_sample(pattern(a_ok), 50, 5, 4, seed=1).shape == (4, 3)
     assert is_positive_semidefinite(pattern(a_ok)).ok
     try:
         correlated_ratio_sample(pattern(a_bad), 50, 5, 4, seed=1)
@@ -210,8 +208,8 @@ def test_criterion_8_representation_gate_and_distance():
     # (a) the exact sup distance between the two laws on the 9 x 9 grid of
     # Beta(n-k, k+1) quantiles decreases from n to 2n; (b) at one group of
     # R replications per n, each Monte Carlo arm, drawn from the streams
-    # run_representation_experiment uses, stays within the z band of its
-    # exact cdf at every node
+    # run_experiment uses, stays within the z band of its exact cdf at
+    # every node
     band = 4.5
     cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=10000, replications=12000,
                            seed=8000, kind="representation")
@@ -224,7 +222,7 @@ def test_criterion_8_representation_gate_and_distance():
         ratio_cdf = ratio_joint_cdf(lam[0, 1] ** 2, nn, k, grid)
         exact[nn] = float(np.abs(os_cdf - ratio_cdf).max())
         os_values, _ = _collect_os(cfg, nn, derive_seed(cfg.seed, 1, nn), 1)
-        ratios = correlated_ratio_sample(lam, nn, k, cfg.replications, derive_seed(cfg.seed, 2, nn)).ratios
+        ratios = correlated_ratio_sample(lam, nn, k, cfg.replications, derive_seed(cfg.seed, 2, nn))
         for arm, values, cdf in (("os", os_values, os_cdf), ("ratio", ratios, ratio_cdf)):
             se = np.sqrt(cdf * (1.0 - cdf) / cfg.replications)
             worst_z[f"{arm}@{nn}"] = float(np.abs((ecdf_on_grid(values, [grid, grid]) - cdf) / se).max())
@@ -273,13 +271,10 @@ def test_criterion_10_determinism_across_workers():
         ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=500, replications=300,
                          seed=1003, kind="representation"),
     ]
-    runners = {"copula": run_copula_experiment, "general": run_general_experiment,
-               "representation": run_representation_experiment}
     ok = True
     for cfg in configs:
-        run = runners[cfg.kind]
-        blobs = {report_json_bytes(run(cfg, threads=t)) for t in (1, 3)}
-        blobs.add(report_json_bytes(run(cfg, threads=1)))  # rerun at same worker count
+        blobs = {report_json_bytes(run_experiment(cfg, threads=t)) for t in (1, 3)}
+        blobs.add(report_json_bytes(run_experiment(cfg, threads=1)))  # rerun at same worker count
         ok &= len(blobs) == 1
     print(f"[criterion 10] {_status(ok)} byte-identical reports across reruns and worker counts")
     assert ok

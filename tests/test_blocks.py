@@ -124,7 +124,7 @@ class TestRatioSamplers:
     def test_correlated(self, cap, threads, monkeypatch):
         _set_cap(monkeypatch, cap)
         sizes = _spy_blocks(monkeypatch, chi2rep_module)
-        got = correlated_ratio_sample(LAM, self.N, self.K, R, seed=SEED, threads=threads).ratios
+        got = correlated_ratio_sample(LAM, self.N, self.K, R, seed=SEED, threads=threads)
         assert np.array_equal(got, _stream_contract_ratios(LAM, self.N, self.K, R, SEED))
         _check_sizes(sizes, cap, threads, chi2rep_module.RATIO_CHUNK * (3 * 3 + 3 * 3), self.CHUNKS)
 

@@ -58,29 +58,29 @@ class TestUnivariateRatio:
 class TestCorrelatedRatio:
     def test_identity_components_independent(self):
         rv = correlated_ratio_sample(np.eye(2), 500, 22, 4000, seed=4)
-        corr = np.corrcoef(rv.ratios.T)[0, 1]
-        assert abs(corr) <= 4.0 / math.sqrt(rv.ratios.shape[0])
+        corr = np.corrcoef(rv.T)[0, 1]
+        assert abs(corr) <= 4.0 / math.sqrt(rv.shape[0])
 
     def test_all_ones_components_identical(self):
         rv = correlated_ratio_sample(np.ones((2, 2)), 200, 14, 300, seed=5)
-        assert_allclose(rv.ratios[:, 0], rv.ratios[:, 1], rtol=1e-12)
+        assert_allclose(rv[:, 0], rv[:, 1], rtol=1e-12)
 
     def test_entries_strictly_inside_unit_interval(self):
         rv = correlated_ratio_sample(np.eye(3), 50, 5, 2000, seed=6)
-        assert np.all((rv.ratios > 0.0) & (rv.ratios < 1.0))
+        assert np.all((rv > 0.0) & (rv < 1.0))
 
     def test_margins_are_beta_n_minus_k_kplus1(self):
         n, k = 400, 20
         rv = correlated_ratio_sample(np.array([[1.0, 0.7], [0.7, 1.0]]), n, k, 5000, seed=7)
         cdf = stats.beta(n - k, k + 1).cdf
         for i in range(2):
-            assert stats.kstest(rv.ratios[:, i], cdf).pvalue > 1e-3
+            assert stats.kstest(rv[:, i], cdf).pvalue > 1e-3
 
     def test_margins_unaffected_by_off_diagonal(self):
         # same margin law under independent and correlated driving noise
         n, k = 300, 17
-        a = correlated_ratio_sample(np.eye(2), n, k, 6000, seed=8).ratios[:, 0]
-        b = correlated_ratio_sample(np.array([[1.0, 0.7], [0.7, 1.0]]), n, k, 6000, seed=9).ratios[:, 0]
+        a = correlated_ratio_sample(np.eye(2), n, k, 6000, seed=8)[:, 0]
+        b = correlated_ratio_sample(np.array([[1.0, 0.7], [0.7, 1.0]]), n, k, 6000, seed=9)[:, 0]
         assert stats.ks_2samp(a, b).pvalue > 1e-3
 
     def test_psd_gate_counterexample(self):
@@ -88,7 +88,7 @@ class TestCorrelatedRatio:
             return np.array([[1.0, 0.0, a], [0.0, 1.0, a], [a, a, 1.0]])
 
         ok = correlated_ratio_sample(pattern(3 ** -0.5), 50, 5, 10, seed=0)
-        assert ok.ratios.shape == (10, 3)
+        assert ok.shape == (10, 3)
         with pytest.raises(NotPositiveSemidefiniteError) as err:
             correlated_ratio_sample(pattern(3 ** -0.25), 50, 5, 10, seed=0)
         assert_allclose(err.value.min_eigenvalue, 1.0 - np.sqrt(2.0) * 3 ** -0.25, rtol=1e-9)
@@ -99,7 +99,7 @@ class TestCorrelatedRatio:
         # constant off-diagonal entries from an exchangeable tail norm
         lam = lambda_matrix(theoretical_sigma_equal_k(LogisticP(2.0), d))
         rv = correlated_ratio_sample(lam, 30, 4, 5, seed=1)
-        assert rv.ratios.shape == (5, d)
+        assert rv.shape == (5, d)
 
     def test_standardized_covariance_matches_sigma(self):
         # the standardized ratio vector reproduces the limit covariance
@@ -107,7 +107,7 @@ class TestCorrelatedRatio:
         lam = lambda_matrix(sigma)
         n, k, r = 10**4, 100, 5000
         rv = correlated_ratio_sample(lam, n, k, r, seed=10)
-        t = standardize_copula_case(rv.ratios, n, np.array([k, k]))
+        t = standardize_copula_case(rv, n, np.array([k, k]))
         emp = np.cov(t.T, bias=True)
         se = math.sqrt((1.0 + sigma[0, 1] ** 2) / r)
         assert abs(emp[0, 1] - sigma[0, 1]) <= 4.0 * se
@@ -161,7 +161,7 @@ class TestBartlettDraw:
         rho = math.sqrt(rho2)
         grid = beta_quantile_grid(n, k)
         exact = ratio_joint_cdf(rho2, n, k, grid)
-        ratios = correlated_ratio_sample(np.array([[1.0, rho], [rho, 1.0]]), n, k, r, seed=seed).ratios
+        ratios = correlated_ratio_sample(np.array([[1.0, rho], [rho, 1.0]]), n, k, r, seed=seed)
         z = (ecdf_on_grid(ratios, [grid, grid]) - exact) / np.sqrt(exact * (1.0 - exact) / r)
         assert np.abs(z).max() <= 4.5
 
@@ -171,7 +171,7 @@ class TestBartlettDraw:
     def test_matches_brute_force(self, d, n, k):
         r = 10000
         lam = _random_correlation(d, seed=d)
-        got = correlated_ratio_sample(lam, n, k, r, seed=41).ratios
+        got = correlated_ratio_sample(lam, n, k, r, seed=41)
         want = _brute_force_ratios(lam, n, k, r, seed=42)
         q = stats.beta(n - k, k + 1).ppf([0.25, 0.5, 0.75])
         z = [_two_sample_z(got[:, i] <= x, want[:, i] <= x) for i in range(d) for x in q]
@@ -182,8 +182,8 @@ class TestBartlettDraw:
     @pytest.mark.parametrize("d,n,k", [(1, 40, 3), (2, 40, 3), (3, 40, 39), (5, 2, 1), (16, 50, 5)])
     def test_threads_do_not_change_bits(self, d, n, k):
         lam = _random_correlation(d, seed=d)
-        one = correlated_ratio_sample(lam, n, k, 7, seed=23, threads=1).ratios
-        three = correlated_ratio_sample(lam, n, k, 7, seed=23, threads=3).ratios
+        one = correlated_ratio_sample(lam, n, k, 7, seed=23, threads=1)
+        three = correlated_ratio_sample(lam, n, k, 7, seed=23, threads=3)
         assert np.array_equal(one, three)
 
 
@@ -252,7 +252,7 @@ class TestStreamContract:
     @pytest.mark.parametrize("n,k", [(40, 3), (40, 39), (7, 2), (7, 6), (2000, 44)])
     def test_correlated_equals_reference(self, d, n, k):
         lam = _random_correlation(d, seed=d)
-        got = correlated_ratio_sample(lam, n, k, 5, seed=21).ratios
+        got = correlated_ratio_sample(lam, n, k, 5, seed=21)
         assert np.array_equal(got, _stream_contract_ratios(lam, n, k, 5, 21))
 
     @pytest.mark.parametrize("i,n", [(1, 1), (3, 9), (9, 9), (44, 2000)])
@@ -261,17 +261,17 @@ class TestStreamContract:
 
     def test_correlated_crosses_chunks(self):
         lam = _random_correlation(3, seed=3)
-        got = correlated_ratio_sample(lam, 40, 3, 130, seed=24, threads=2).ratios
+        got = correlated_ratio_sample(lam, 40, 3, 130, seed=24, threads=2)
         assert np.array_equal(got, _stream_contract_ratios(lam, 40, 3, 130, 24))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_rows_depend_on_seed_and_replication_only(self, d):
         # a chunk is drawn in full whatever R and threads are
         lam = _random_correlation(d, seed=d)
-        full = correlated_ratio_sample(lam, 40, 3, 200, seed=25).ratios
+        full = correlated_ratio_sample(lam, 40, 3, 200, seed=25)
         for r in (1, 63, 64, 65, 200):
             for threads in (1, 3):
-                got = correlated_ratio_sample(lam, 40, 3, r, seed=25, threads=threads).ratios
+                got = correlated_ratio_sample(lam, 40, 3, r, seed=25, threads=threads)
                 assert np.array_equal(got, full[:r]), (r, threads)
         beta = univariate_ratio_sample(3, 9, 200, seed=26)
         for r in (1, 63, 64, 65):
@@ -285,7 +285,7 @@ class TestRepresentationDistance:
 
     def test_identical_inputs_give_zero(self):
         rv = correlated_ratio_sample(np.eye(2), 100, 9, 500, seed=11)
-        batch = self._batch(rv.ratios, 100, 9)
+        batch = self._batch(rv, 100, 9)
         assert representation_distance(batch, rv) == 0.0
 
     def test_same_law_below_dkw_band(self):
@@ -293,24 +293,24 @@ class TestRepresentationDistance:
         n, k, r = 400, 20, 10**4
         a = correlated_ratio_sample(np.eye(2), n, k, r, seed=12)
         b = correlated_ratio_sample(np.eye(2), n, k, r, seed=13)
-        dist = representation_distance(self._batch(a.ratios, n, k), b)
+        dist = representation_distance(self._batch(a, n, k), b)
         delta = 1e-3
         assert dist <= 4.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * r))
 
     def test_detects_distribution_shift(self):
         n, k, r = 400, 20, 4000
         a = correlated_ratio_sample(np.eye(2), n, k, r, seed=14)
-        shifted = self._batch(a.ratios * 0.98, n, k)
+        shifted = self._batch(a * 0.98, n, k)
         assert representation_distance(shifted, a) > 0.1
 
-    def test_metadata_mismatch_rejected(self):
-        rv = correlated_ratio_sample(np.eye(2), 100, 9, 50, seed=15)
-        with pytest.raises(ValueError):
-            representation_distance(self._batch(rv.ratios, 100, 8), rv)
-        with pytest.raises(ValueError):
-            representation_distance(self._batch(rv.ratios, 101, 9), rv)
+    def test_shape_mismatch_rejected(self):
+        ratios = correlated_ratio_sample(np.eye(2), 100, 9, 50, seed=15)
+        batch = self._batch(ratios, 100, 9)
+        for narrow in (ratios[:, :1], ratios[:, 0]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                representation_distance(batch, narrow)
         with pytest.raises(ValueError, match="replication mismatch"):
-            representation_distance(self._batch(rv.ratios[:49], 100, 9), rv)
+            representation_distance(self._batch(ratios[:49], 100, 9), ratios)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_distance_equals_direct_mask_count(self, d):
@@ -322,9 +322,8 @@ class TestRepresentationDistance:
             a, b = (np.round(8.0 * rng.random((reps, d))) / 8.0 for _ in range(2))
             grid = quantile_grid([a, b])
             want = np.abs(self._mask_counts(a, grid) - self._mask_counts(b, grid)).max() / reps
-            rv = chi2rep.RatioVectorSample(ratios=b, n=100, k=9)
             batch = OSBatch(values=a, n=100, k=(9,) * d, convention="n-k", seed=0)
-            assert representation_distance(batch, rv) == want
+            assert representation_distance(batch, b) == want
 
     def test_ecdf_on_grid_matches_direct_count(self):
         rng = np.random.default_rng(3)

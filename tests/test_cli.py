@@ -1,11 +1,12 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mvos import experiment
+from mvos import chi2rep, experiment
 from mvos.cli import main
 
 
@@ -262,6 +263,19 @@ REJECTED = [
      None, {}),
     ("experiment-replications-1", ["experiment", "--config", "{config}"], {"replications": 1}, {}),
     ("experiment-ks-level-1.5", ["experiment", "--config", "{config}"], {"ks_level": 1.5}, {}),
+    # the centering point b = F^-1(1 - k/n) overflows to inf, where the density vanishes
+    ("general-norming-constants", ["experiment", "--config", "{config}"],
+     {"kind": "general", "margins": [{"kind": "pareto", "alpha": 0.001}] * 2, "n": 1000,
+      "replications": 200000}, {}),
+    ("experiment-n-1e30", ["experiment", "--config", "{config}"], {"n": 1e30}, {}),
+    ("experiment-n-2**63", ["experiment", "--config", "{config}"], {"n": 2**63}, {}),
+    ("representation-2n-2**63", ["experiment", "--config", "{config}"], {"kind": "representation", "n": 2**62}, {}),
+    ("experiment-replications-2**32+1", ["experiment", "--config", "{config}"], {"replications": 2**32 + 1}, {}),
+    ("representation-d-8", ["experiment", "--config", "{config}"],
+     {"kind": "representation", "copula": {"kind": "gumbel", "d": 8, "p": 2.0}}, {}),
+    ("tolerance-negative", ["experiment", "--config", "{config}"], {"tolerance": {"abs_tol": -1, "z": -3}}, {}),
+    ("tolerance-z-infinite", ["experiment", "--config", "{config}"], {"tolerance": {"z": float("inf")}}, {}),
+    ("tolerance-abs-tol-nan", ["experiment", "--config", "{config}"], {"tolerance": {"abs_tol": float("nan")}}, {}),
     ("experiment-threads-0", ["experiment", "--config", "{config}", "--threads", "0"], {}, {}),
     ("experiment-threads-negative", ["experiment", "--config", "{config}", "--threads", "-5"], {}, {}),
 ]
@@ -271,12 +285,20 @@ REJECTED = [
 def test_invalid_input_exits_2_with_one_line(argv, config, env, tmp_path, capsys, monkeypatch):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampling started before the input was rejected")
+
+    monkeypatch.setattr(experiment, "replicate", never)
+    monkeypatch.setattr(chi2rep, "replicate", never)
     cfg_path = tmp_path / "exp.json"
     if config is not None:
         cfg_path.write_text(json.dumps({**GOOD_CONFIG, **config}))
     out_path = tmp_path / "out.csv"
     argv = [a.replace("{config}", str(cfg_path)).replace("{out}", str(out_path)) for a in argv]
-    code, _, err = run_cli(capsys, *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would be a second stderr line
+        code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert not out_path.exists()

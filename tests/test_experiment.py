@@ -16,13 +16,11 @@ from mvos.experiment import (
     TolerancePolicy,
     config_from_json,
     config_to_json,
-    emit_report,
     read_report_csv,
+    report_csv_bytes,
     report_json_bytes,
-    run_copula_experiment,
+    report_text,
     run_experiment,
-    run_general_experiment,
-    run_representation_experiment,
     _collect_os,
     _ks_criteria,
 )
@@ -35,7 +33,7 @@ GUMBEL_TARGET = 2.0 - math.sqrt(2.0)
 def small_copula_report():
     cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=4000, replications=1500,
                            seed=301, kind="copula", gate_ks=False)
-    return run_copula_experiment(cfg)
+    return run_experiment(cfg)
 
 
 class TestConfig:
@@ -100,6 +98,18 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match="mixed growth exponents"):
             ExperimentConfig(copula=Independence(2), n=1000, replications=5, seed=1,
                              intermediate=inter)
+
+    def test_largest_sizes_accepted(self):
+        # the bounds themselves: nothing of that size is allocated before a run
+        ExperimentConfig(copula=Independence(2), n=2**63 - 1, replications=2**32, seed=1)
+        ExperimentConfig(copula=GumbelLogistic(7, 2.0), n=2**62 - 1, replications=2**32, seed=1,
+                         kind="representation")
+
+    @pytest.mark.parametrize("abs_tol,z", [(-0.01, 4.0), (0.05, -1.0), (math.inf, 4.0), (0.05, math.nan)])
+    def test_tolerance_must_be_finite_and_nonnegative(self, abs_tol, z):
+        assert TolerancePolicy(0.0, 0.0).bound(1.0) == 0.0
+        with pytest.raises(InvalidConfigError, match="tolerance"):
+            TolerancePolicy(abs_tol, z)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -186,7 +196,7 @@ class TestCopulaExperiment:
     def test_deterministic_across_workers(self):
         cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=1000, replications=200,
                                seed=302, kind="copula")
-        blobs = {report_json_bytes(run_copula_experiment(cfg, threads=t)) for t in (1, 2, 5)}
+        blobs = {report_json_bytes(run_experiment(cfg, threads=t)) for t in (1, 2, 5)}
         assert len(blobs) == 1
 
     def test_convention_shift_below_stderr(self):
@@ -194,9 +204,9 @@ class TestCopulaExperiment:
         # about one scaled spacing (~1/sqrt(k)) and the covariance by O(1/k)
         base = dict(copula=GumbelLogistic(2, 2.0), n=5000, replications=800,
                     seed=55, kind="copula", gate_ks=False)
-        r1 = run_copula_experiment(ExperimentConfig(
+        r1 = run_experiment(ExperimentConfig(
             intermediate=IntermediateSpec.equal(2, convention="n-k"), **base))
-        r2 = run_copula_experiment(ExperimentConfig(
+        r2 = run_experiment(ExperimentConfig(
             intermediate=IntermediateSpec.equal(2, convention="n-k+1"), **base))
         k = 70
         assert np.all(np.abs(r1.mean - r2.mean) <= 2.0 / math.sqrt(k))
@@ -210,7 +220,7 @@ class TestCopulaExperiment:
             for nn in (2048, 512):
                 cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=nn, replications=20000,
                                        seed=7000 + g, kind="copula", gate_ks=False)
-                rep = run_copula_experiment(cfg)
+                rep = run_experiment(cfg)
                 errs[nn].append(abs(rep.empirical_cov[0, 1] - GUMBEL_TARGET))
         assert np.median(errs[512]) >= np.median(errs[2048])
 
@@ -222,7 +232,7 @@ class TestCopulaExperiment:
         cfg = ExperimentConfig(copula=Independence(2), n=20000, replications=5000, seed=306,
                                kind="copula",
                                intermediate=IntermediateSpec.equal(2, gamma=0.75, convention="n-k"))
-        rep = run_copula_experiment(cfg)
+        rep = run_experiment(cfg)
         assert all(s < rep.ks_critical for s in rep.ks_stats)
         assert abs(rep.empirical_cov[0, 1]) <= max(0.05, 4 * rep.cov_stderr[0, 1])
 
@@ -230,7 +240,7 @@ class TestCopulaExperiment:
         # d = 3 end to end: compound-symmetric target, symmetric estimate
         cfg = ExperimentConfig(copula=GumbelLogistic(3, 2.0), n=3000, replications=1200,
                                seed=317, kind="copula", gate_ks=False)
-        rep = run_copula_experiment(cfg)
+        rep = run_experiment(cfg)
         assert rep.theoretical_sigma.shape == (3, 3)
         off = rep.theoretical_sigma[np.triu_indices(3, 1)]
         assert np.allclose(off, GUMBEL_TARGET)
@@ -239,11 +249,6 @@ class TestCopulaExperiment:
                 target = 1.0 if i == j else GUMBEL_TARGET
                 tol = max(0.05, 4 * rep.cov_stderr[i, j])
                 assert abs(rep.empirical_cov[i, j] - target) <= tol
-
-    def test_wrong_kind_rejected(self):
-        cfg = ExperimentConfig(copula=Independence(2), n=100, replications=5, seed=1, kind="copula")
-        with pytest.raises(InvalidConfigError):
-            run_general_experiment(cfg)
 
 
 def test_ks_on_all_columns_equals_each_column():
@@ -264,7 +269,7 @@ class TestGeneralExperiment:
         cfg = ExperimentConfig(copula=Comonotone(2), n=2000, replications=600, seed=303,
                                kind="general", margins=(StandardNormal(), StandardNormal()),
                                gate_ks=False)
-        rep = run_general_experiment(cfg)
+        rep = run_experiment(cfg)
         assert_allclose(rep.theoretical_sigma, np.ones((2, 2)))
         assert abs(rep.empirical_cov[0, 1] - 1.0) <= max(0.05, 4 * rep.cov_stderr[0, 1])
 
@@ -272,7 +277,7 @@ class TestGeneralExperiment:
         cfg = ExperimentConfig(copula=Independence(2), n=2000, replications=800, seed=304,
                                kind="general", margins=(Pareto(1.0), StandardExponential()),
                                gate_ks=False)
-        rep = run_general_experiment(cfg)
+        rep = run_experiment(cfg)
         assert_allclose(rep.theoretical_sigma, np.eye(2))
         assert abs(rep.empirical_cov[0, 1]) <= max(0.05, 4 * rep.cov_stderr[0, 1])
 
@@ -282,7 +287,7 @@ class TestGeneralExperiment:
         cfg = ExperimentConfig(copula=Independence(2), n=20000, replications=5000, seed=305,
                                kind="general", margins=(StandardExponential(), StandardExponential()),
                                intermediate=IntermediateSpec.equal(2, gamma=0.7, convention="n-k+1"))
-        rep = run_general_experiment(cfg)
+        rep = run_experiment(cfg)
         assert all(s < rep.ks_critical for s in rep.ks_stats)
         assert rep.passed
 
@@ -291,7 +296,7 @@ class TestRepresentationExperiment:
     def test_small_run_reports_two_scales(self):
         cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=400, replications=300,
                                seed=306, kind="representation")
-        rep = run_representation_experiment(cfg)
+        rep = run_experiment(cfg)
         assert set(rep.distances) == {"n", "2n"}
         assert rep.distances["2n"]["n"] == 800
         assert rep.lambda_used[0, 1] == pytest.approx(math.sqrt(GUMBEL_TARGET))
@@ -304,7 +309,7 @@ class TestRepresentationExperiment:
         r = 1500
         cfg = ExperimentConfig(copula=Independence(2), n=20000, replications=r,
                                seed=318, kind="representation")
-        rep = run_representation_experiment(cfg)
+        rep = run_experiment(cfg)
         band = 4.0 * math.sqrt(math.log(2.0 / 1e-3) / (2.0 * r))
         assert rep.distances["n"]["distance"] <= band
         assert rep.distances["2n"]["distance"] <= band
@@ -315,7 +320,7 @@ class TestRepresentationExperiment:
         cfg = ExperimentConfig(copula=GumbelLogistic(3, 2.0), n=200, replications=50,
                                seed=307, kind="representation", lambda_override=bad)
         with pytest.raises(NotPositiveSemidefiniteError) as err:
-            run_representation_experiment(cfg)
+            run_experiment(cfg)
         assert err.value.min_eigenvalue == pytest.approx(1.0 - math.sqrt(2.0) * a, rel=1e-9)
 
     def test_unequal_rules_rejected(self):
@@ -326,39 +331,29 @@ class TestRepresentationExperiment:
 
 
 class TestEmission:
-    def test_json_byte_identical_on_rerun(self, tmp_path):
+    def test_json_byte_identical_on_rerun(self):
         cfg = ExperimentConfig(copula=Independence(2), n=500, replications=100, seed=309, kind="copula")
-        p1 = tmp_path / "a.json"
-        p2 = tmp_path / "b.json"
-        emit_report(run_copula_experiment(cfg), "json", str(p1))
-        emit_report(run_copula_experiment(cfg), "json", str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-        parsed = json.loads(p1.read_text())
+        first = report_json_bytes(run_experiment(cfg))
+        assert report_json_bytes(run_experiment(cfg)) == first
+        parsed = json.loads(first)
         assert parsed["kind"] == "copula"
         assert "runtime" not in json.dumps(parsed)
 
     def test_csv_round_trip(self, tmp_path):
         cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=500, replications=100,
                                seed=310, kind="copula")
-        rep = run_copula_experiment(cfg)
+        rep = run_experiment(cfg)
         path = tmp_path / "r.csv"
-        emit_report(rep, "csv", str(path))
+        path.write_bytes(report_csv_bytes(rep))
         tables = read_report_csv(str(path))
         assert np.array_equal(tables["theoretical_sigma"], rep.theoretical_sigma)
         assert np.array_equal(tables["empirical_cov"], rep.empirical_cov)
         assert np.array_equal(tables["mean"], rep.mean)
 
-    def test_text_summary_lists_criteria(self, tmp_path):
-        from mvos.experiment import report_text
-
+    def test_text_summary_lists_criteria(self):
         cfg = ExperimentConfig(copula=Independence(2), n=500, replications=100, seed=311, kind="copula")
-        text = report_text(run_copula_experiment(cfg))
+        text = report_text(run_experiment(cfg))
         assert "sigma[0,1]" in text and "overall" in text
-
-    def test_unknown_format_rejected(self, tmp_path):
-        cfg = ExperimentConfig(copula=Independence(2), n=200, replications=20, seed=312, kind="copula")
-        with pytest.raises(ValueError):
-            emit_report(run_copula_experiment(cfg), "yaml", str(tmp_path / "x"))
 
     def test_runner_dispatch(self):
         cfg = ExperimentConfig(copula=Independence(2), n=200, replications=20, seed=313, kind="copula")

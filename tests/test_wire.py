@@ -134,6 +134,15 @@ FAMILY_MEMBERS = {
 }
 
 
+# a config's margins need norming constants at every n drawn below: Pareto
+# alpha under about 0.015 puts b = F^-1(1 - k/n) at infinity, and the
+# config is rejected
+RUNNABLE_MARGINS = st.one_of(
+    st.sampled_from([StandardNormal(), StandardExponential(), Triangular()]),
+    st.builds(Pareto, st.floats(0.05, 100.0)),
+)
+
+
 def through_text(obj):
     return json.loads(json.dumps(obj))
 
@@ -170,7 +179,7 @@ def configs(draw):
         replications=draw(st.integers(1 if kind == "representation" else 2, 10**6)),
         seed=draw(st.integers(0, 2**63)),
         kind=kind,
-        margins=tuple(draw(FAMILY_MEMBERS["margin"]) for _ in range(d)) if kind == "general" else None,
+        margins=tuple(draw(RUNNABLE_MARGINS) for _ in range(d)) if kind == "general" else None,
         intermediate=IntermediateSpec(rules, convention),
         tolerance=TolerancePolicy(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 10.0))),
         ks_level=draw(st.floats(1e-6, 0.5)),
