@@ -50,7 +50,6 @@ from .orderstats import (
 )
 from .chi2rep import (
     NotPositiveSemidefiniteError,
-    univariate_ratio_sample,
     correlated_ratio_sample,
     representation_distance,
 )

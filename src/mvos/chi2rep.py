@@ -9,16 +9,17 @@ must itself be positive semidefinite, which the entrywise square root of
 a PSD matrix need not be; the sampler therefore gates on an eigenvalue
 check.
 
-Neither sampler sums the normals.  The componentwise sums of squares of m
+The sampler sums no normals.  The componentwise sums of squares of m
 vectors from N(0, Lambda) are the diagonal of a Wishart_d(m, Lambda)
 matrix, which Bartlett's decomposition draws exactly from at most d
 Gamma variates and d^2 normals, those above the diagonal completing the
-chi-squares on it, so a replication costs O(d^2) whatever n is.  Both
-samplers draw ``RATIO_CHUNK`` replications per stream, a few generator
-calls a chunk, and ``streams.replicate`` runs the chunks as its
-replications: at most ``streams.BLOCK_REPLICATIONS`` chunks a block and
+chi-squares on it, so a replication costs O(d^2) whatever n is.  At
+d = 1 it is the univariate representation.  It draws ``RATIO_CHUNK``
+replications per stream, a few generator calls a chunk, and
+``streams.replicate`` runs the chunks as its replications: at most
+``streams.BLOCK_REPLICATIONS`` chunks a block and
 ``streams.BLOCK_ELEMENTS`` factor entries, with the arithmetic once per
-block.  So there is no replication loop of their own.
+block.  So there is no replication loop of its own.
 
 The grid distance codes each sample's rows by grid cell once and takes
 the difference of the two joint empirical cdfs as one signed count table.
@@ -34,7 +35,7 @@ from .dnorm import is_positive_semidefinite, _check_symmetric
 from .orderstats import OSBatch
 from .streams import replicate
 
-# replications per derived stream of the ratio samplers: chunk c holds
+# replications per derived stream of the ratio sampler: chunk c holds
 # replications c * RATIO_CHUNK to (c + 1) * RATIO_CHUNK - 1; the chunk
 # layout is part of the reproducibility contract, so treat it as frozen
 RATIO_CHUNK = 64
@@ -43,7 +44,6 @@ __all__ = [
     "RATIO_CHUNK",
     "NotPositiveSemidefiniteError",
     "check_correlation",
-    "univariate_ratio_sample",
     "correlated_ratio_sample",
     "representation_distance",
     "quantile_grid",
@@ -59,44 +59,6 @@ class NotPositiveSemidefiniteError(ValueError):
         super().__init__(
             f"matrix is not positive semidefinite (smallest eigenvalue {min_eigenvalue:.6e})"
         )
-
-
-def _chunked(r: int, seed: int, threads: int, draw, elements: int, width: tuple = ()) -> np.ndarray:
-    """Rows 0, ..., r - 1 of the chunks of ``RATIO_CHUNK`` replications that
-    ``draw`` makes, chunk c from ``stream_rng(seed, c)``.
-
-    The chunks are ``streams.replicate``'s replications: ``draw`` gets a
-    block of chunks' generators and returns their (chunks, RATIO_CHUNK,
-    *width) rows, and ``elements`` is the array elements one chunk adds.
-    Every chunk is drawn in full, so row r depends only on (seed, r).
-    """
-    chunks = -(-r // RATIO_CHUNK)
-    out = replicate(np.empty((chunks, RATIO_CHUNK, *width)), seed, threads, lambda: draw, elements)
-    return out.reshape(chunks * RATIO_CHUNK, *width)[:r]
-
-
-def univariate_ratio_sample(i: int, n: int, r: int, seed: int) -> np.ndarray:
-    """R iid copies of (sum of first 2i squared normals) / (sum of first 2(n+1)).
-
-    The two sums are independent chi-squares 2 G_1 and 2 G_2, with G_1
-    Gamma(i) and G_2 Gamma(n + 1 - i), so the ratio G_1 / (G_1 + G_2) has
-    the Beta(i, n + 1 - i) distribution.  Replications come in chunks of
-    ``RATIO_CHUNK``: chunk c draws from the stream keyed by (seed, c) the
-    chunk's G_1 in one call and then its G_2 in another.
-    """
-    if not 1 <= i <= n:
-        raise ValueError("need 1 <= i <= n")
-    if r < 1:
-        raise ValueError("need at least one replication")
-
-    def draw(rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        g = np.empty((len(rngs), 2, RATIO_CHUNK))
-        for rng, (num, rest) in zip(rngs, g):
-            rng.standard_gamma(i, out=num)
-            rng.standard_gamma(n + 1 - i, out=rest)
-        return g[:, 0] / (g[:, 0] + g[:, 1])
-
-    return _chunked(r, seed, 1, draw, 2 * RATIO_CHUNK)
 
 
 def _symmetric_sqrt(lam: np.ndarray) -> np.ndarray:
@@ -122,8 +84,10 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
 
     Component i's ratio is the sum of its first 2(n-k) squared coordinates
     over the sum of all 2(n+1), across 2(n+1) iid N(0, Lambda) vectors.
-    Margins are Beta(n-k, k+1) regardless of the off-diagonal part of
-    Lambda.
+    Margins are Beta(n-k, k+1), the law of the (n-k)-th of n uniform order
+    statistics, regardless of the off-diagonal part of Lambda; so d = 1
+    (Lambda = [[1]]) is the univariate representation, and k = 0 the
+    maximum, Beta(n, 1).
 
     The two parts of the sum are independent Wishart diagonals with
     m = 2(n-k) and m = 2(k+1) degrees of freedom, diag(root A A^T root^T)
@@ -148,8 +112,8 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
     r's ratios depend only on (seed, r): neither on R nor on ``threads``.
     """
     lam = check_correlation(lam)
-    if not 1 <= k < n:
-        raise ValueError("need 1 <= k < n")
+    if not 0 <= k < n:
+        raise ValueError("need 0 <= k < n")
     if r < 1:
         raise ValueError("need at least one replication")
     ok, min_eig = is_positive_semidefinite(lam)
@@ -186,8 +150,10 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
                      for (z, g), (q, _, upper) in zip(stacks, factors))
         return (num / (num + tail)).reshape(len(rngs), RATIO_CHUNK, d)
 
-    elements = RATIO_CHUNK * sum(d * q for q, _, _ in factors)
-    return _chunked(r, seed, threads, draw, elements, (d,))
+    # the chunks are replicate's replications, each drawn in full
+    chunks, elements = -(-r // RATIO_CHUNK), RATIO_CHUNK * sum(d * q for q, _, _ in factors)
+    out = replicate(np.empty((chunks, RATIO_CHUNK, d)), seed, threads, lambda: draw, elements)
+    return out.reshape(-1, d)[:r]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .copula import copula_sample
 from .dnorm import dnorm_validate, dnorm_eval
 from .margins import make_k_rule, smirnov_check, von_mises_check
 from .orderstats import KRatioMatrix, theoretical_sigma
+from .streams import MAX_THREADS
 from .experiment import (
     InvalidConfigError,
     config_from_json,
@@ -82,11 +83,21 @@ def _matrix(text: str):
     return obj["matrix"] if isinstance(obj, dict) else obj
 
 
-def _write_csv_matrix(path: str, header: list[str], rows: np.ndarray) -> None:
+def _kratios(text: str) -> KRatioMatrix:
+    obj = json.loads(text)
+    ratios = KRatioMatrix(obj["k"])
+    if obj.get("d") not in (None, ratios.d):
+        raise ValueError(f"d = {obj['d']!r} but k is {ratios.d} x {ratios.d}")
+    return ratios
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Integers and booleans as integers, floats with 17 significant digits,
+    which round-trip float64 exactly."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(rows):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for row in rows:
+            fh.write(",".join(str(int(v)) if isinstance(v, (int, np.integer)) else f"{v:.17g}" for v in row) + "\n")
 
 
 def _cmd_dnorm(args) -> int:
@@ -109,7 +120,7 @@ def _cmd_sample(args) -> int:
     _check(args.n >= 1, "-n must be >= 1")
     _check(args.seed >= 0, "--seed must be >= 0")
     header = [f"u{i + 1}" for i in range(model.d)]
-    _write_csv_matrix(args.out, header, copula_sample(model, args.n, args.seed))
+    _write_csv(args.out, header, copula_sample(model, args.n, args.seed))
     print(f"wrote {args.n} rows of {model.label()} to {args.out}")
     return EXIT_OK
 
@@ -128,24 +139,16 @@ def _cmd_check(args) -> int:
         k_rule = _parsed("--k-rule", make_k_rule, args.k_rule)
         n_grid = [int(n) for n in _parsed("--n-grid", _floats, args.n_grid)]
         _check(min(n_grid) >= 2, "--n-grid values must be >= 2")
-        rows = smirnov_check(margin, _parsed("--x", _floats, args.x), n_grid, k_rule)
-        table = [(r.n, r.k, r.x, r.quotient, r.clipped) for r in rows]
-        _print_table(["n", "k", "x", "quotient", "clipped"], table)
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write("n,k,x,quotient,clipped\n")
-                for r in rows:
-                    fh.write(f"{r.n},{r.k},{r.x:.17g},{r.quotient:.17g},{int(r.clipped)}\n")
+        header = ["n", "k", "x", "quotient", "clipped"]
+        table = smirnov_check(margin, _parsed("--x", _floats, args.x), n_grid, k_rule)
     else:
         grid = _parsed("--x-grid", _floats, args.x_grid) if args.x_grid else _default_vm_grid(margin)
         result = _parsed("--x-grid", lambda g: von_mises_check(margin, g), grid)
         print(f"condition ({result.condition}), declared limit {result.limit:g}")
-        _print_table(["x", "quotient"], result.rows)
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write("x,quotient\n")
-                for x, q in result.rows:
-                    fh.write(f"{x:.17g},{q:.17g}\n")
+        header, table = ["x", "quotient"], result.rows
+    _print_table(header, table)
+    if args.out:
+        _write_csv(args.out, header, table)
     return EXIT_OK
 
 
@@ -162,7 +165,7 @@ def _cmd_cov(args) -> int:
         ratios = KRatioMatrix.ones(args.d)
     else:
         _check(bool(args.kratios), "either --kratios or --equal-k is required")
-        ratios = _parsed("--kratios", lambda text: KRatioMatrix(json.loads(text)["k"]), args.kratios)
+        ratios = _parsed("--kratios", _kratios, args.kratios)
     sigma = _parsed("--dnorm", lambda spec: theoretical_sigma(spec, ratios), spec)
     print(json.dumps({"sigma": [[float(v) for v in row] for row in sigma]}, sort_keys=True))
     for row in sigma:
@@ -175,13 +178,13 @@ def _cmd_chi2rep(args) -> int:
     _check(args.seed >= 0, "--seed must be >= 0")
     ratios = _parsed("chi2rep input", lambda lam: correlated_ratio_sample(lam, args.n, args.k, args.R, args.seed), lam)
     header = [f"r{i + 1}" for i in range(ratios.shape[1])]
-    _write_csv_matrix(args.out, header, ratios)
+    _write_csv(args.out, header, ratios)
     print(f"wrote {args.R} ratio vectors to {args.out}")
     return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
-    _check(args.threads >= 1, "--threads must be >= 1")
+    _check(1 <= args.threads <= MAX_THREADS, f"--threads must lie in [1, {MAX_THREADS}]")
     obj = _parsed("--config", _read_json, args.config)
     env_seed = os.environ.get("MVOS_SEED")
     seed = _parsed("MVOS_SEED", int, env_seed) if env_seed else None

@@ -396,7 +396,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
     ranks = np.broadcast_to(np.asarray(ranks, dtype=int), (d,))
     if np.any(ranks < 1) or np.any(ranks > n):
         raise ValueError(f"ranks {ranks.tolist()} out of range for n = {n}")
-    depth = n + 1 - ranks  # column j wants its depth_j-th largest value
+    depth = (n - ranks) + 1  # column j wants its depth_j-th largest value; n + 1 may not fit int64
     kth, need = np.unique(depth), int(depth.max())
     first = _first_batch(model, need)
 

@@ -34,7 +34,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,7 +52,7 @@ from .orderstats import (
     theoretical_sigma,
     theoretical_sigma_equal_k,
 )
-from .streams import derive_seed, replicate
+from .streams import REPLICATION_ELEMENTS, derive_seed, replicate
 from .wire import InvalidConfigError, from_json, to_json
 
 __all__ = [
@@ -108,7 +108,8 @@ class ExperimentConfig:
         if self.n < 2:
             raise InvalidConfigError("n must be >= 2")
         # ranks are int64, and a representation run also samples at 2n
-        if (2 if self.kind == "representation" else 1) * self.n >= 2**63:
+        sizes = (self.n, 2 * self.n) if self.kind == "representation" else (self.n,)
+        if max(sizes) >= 2**63:
             raise InvalidConfigError(f"n = {self.n} is too large: every sample size must stay below 2**63")
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
@@ -137,16 +138,21 @@ class ExperimentConfig:
             object.__setattr__(self, "intermediate", inter)
         if inter.d != self.copula.d:
             raise InvalidConfigError("intermediate spec dimension mismatch")
-        # surface out-of-band k values, ratio limits and norming constants now rather than mid-run
+        # surface out-of-band k values, ratio limits, norming constants and
+        # the size of a replication's first draw now rather than mid-run
         try:
             ks = inter.k_vector(self.n)
-            if self.kind == "representation":
-                inter.k_vector(2 * self.n)
             inter.ratio_matrix()
             for margin, k in zip(self.margins or (), ks):
                 norming_constants(margin, self.n, int(k))
+            drawn = {nn: os_selector(self.copula, nn, inter.ranks(nn))[1] for nn in sizes}
         except ValueError as exc:
             raise InvalidConfigError(str(exc)) from exc
+        for nn, elements in drawn.items():
+            if elements > REPLICATION_ELEMENTS:
+                raise InvalidConfigError(
+                    f"a replication at n = {nn} would draw {elements} values at once, above the cap of "
+                    f"{REPLICATION_ELEMENTS}: use a smaller k rule")
         if self.kind == "representation" and len(set(inter.rules)) != 1:
             raise InvalidConfigError("the representation comparison needs one common k rule")
         if self.kind == "representation" and inter.convention != "n-k":
@@ -437,26 +443,14 @@ def report_json_bytes(report: ExperimentReport) -> bytes:
 
 
 def _csv_rows(report: ExperimentReport):
-    def matrix_rows(name, m):
-        m = np.asarray(m)
-        for i in range(m.shape[0]):
-            for j in range(m.shape[1]):
-                yield (name, i, j, repr(float(m[i, j])))
-
-    def vector_rows(name, v):
-        for i, val in enumerate(np.asarray(v)):
-            yield (name, i, "", repr(float(val)))
-
+    """One table per array field of the report, in field order: a matrix
+    entry per row with its i and j, a vector entry with i and an empty j."""
     yield ("table", "i", "j", "value")
-    yield from matrix_rows("theoretical_sigma", report.theoretical_sigma)
-    for name in ("empirical_cov", "cov_stderr", "lambda_used"):
-        m = getattr(report, name)
-        if m is not None:
-            yield from matrix_rows(name, m)
-    for name in ("mean", "mean_stderr", "ks_stats", "ks_pvalues"):
-        v = getattr(report, name)
-        if v is not None:
-            yield from vector_rows(name, v)
+    for field in fields(report):
+        table = getattr(report, field.name)
+        if isinstance(table, np.ndarray):
+            for (i, *j), value in np.ndenumerate(table):
+                yield (field.name, i, *(j or [""]), repr(float(value)))
 
 
 def report_csv_bytes(report: ExperimentReport) -> bytes:

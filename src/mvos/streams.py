@@ -29,6 +29,11 @@ __all__ = ["stream_rng", "derive_seed", "stream_keys", "rekey", "replicate"]
 # each thread keeps
 BLOCK_ELEMENTS = 2**16
 BLOCK_REPLICATIONS = 64
+# array elements one replication may add to a draw, which a config must
+# respect before any sampling (experiment.ExperimentConfig), and threads
+# a replicate call may start
+REPLICATION_ELEMENTS = 2**24
+MAX_THREADS = 64
 
 # numpy's SeedSequence hash constants (bit_generator.pyx)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -132,8 +137,11 @@ def replicate(
     ``BLOCK_ELEMENTS // elements``, ``elements`` being the array elements
     one replication adds to the draw's working arrays.  The draw must make
     each replication's values from its own generator alone, so neither the
-    blocks nor the split change any value.
+    blocks nor the split change any value.  More than ``MAX_THREADS``
+    threads raise ``ValueError`` before any thread or draw exists.
     """
+    if threads > MAX_THREADS:
+        raise ValueError(f"at most {MAX_THREADS} threads, got {threads}")
     count = len(out)
     if not count:
         return out

@@ -15,7 +15,6 @@ from mvos.chi2rep import (
     NotPositiveSemidefiniteError,
     correlated_ratio_sample,
     ecdf_on_grid,
-    univariate_ratio_sample,
 )
 from mvos.copula import GumbelLogistic, Independence
 from mvos.dnorm import (
@@ -183,7 +182,8 @@ def test_criterion_7_ratio_representation_univariate():
     level = 1e-3
     results = {}
     for idx, (i, n) in enumerate([(1, 1), (3, 9), (50, 1000)]):
-        sample = univariate_ratio_sample(i, n, r, seed=700 + idx)
+        # the d = 1 case at k = n - i is the i-th of n uniform order statistics
+        sample = correlated_ratio_sample(np.ones((1, 1)), n, n - i, r, seed=700 + idx)[:, 0]
         direct = np.random.default_rng(970 + idx).beta(i, n + 1 - i, size=r)
         results[(i, n)] = stats.ks_2samp(sample, direct).pvalue
     ok = all(p > level for p in results.values())

@@ -5,7 +5,7 @@ blocks.  Whatever the block size, the thread count, the batch sizes, and
 whether a replication in a block draws the rows below the top ones or
 redraws tilted-stable proposals, every replication must equal its own
 per-replication oracle: ``componentwise_os(sample_rows(...))`` for the
-selection and the documented per-chunk stream for the ratio samplers.
+selection and the documented per-chunk stream for the ratio sampler.
 """
 import numpy as np
 import pytest
@@ -14,13 +14,13 @@ import mvos.chi2rep as chi2rep_module
 import mvos.copula as copula_module
 import mvos.experiment as experiment_module
 import mvos.streams as streams_module
-from mvos.chi2rep import correlated_ratio_sample, univariate_ratio_sample
+from mvos.chi2rep import correlated_ratio_sample
 from mvos.copula import GumbelLogistic, os_selector, sample_rows
 from mvos.experiment import ExperimentConfig, _collect_os
 from mvos.orderstats import IntermediateSpec, PowerKRule, componentwise_os
 from mvos.streams import stream_rng
 
-from test_chi2rep import _random_correlation, _stream_contract_ratios, _univariate_contract
+from test_chi2rep import _random_correlation, _stream_contract_ratios
 
 R = 130  # more than two default blocks of the selection below
 # n = 100 and k = 25 stop about half the replications among the L = 37
@@ -114,7 +114,7 @@ class TestSelection:
 
 
 class TestRatioSamplers:
-    """The ratio samplers' replications are chunks of RATIO_CHUNK rows, and
+    """The ratio sampler's replications are chunks of RATIO_CHUNK rows, and
     ``replicate`` hands out blocks of chunks."""
 
     N, K = 40, 3
@@ -127,12 +127,3 @@ class TestRatioSamplers:
         got = correlated_ratio_sample(LAM, self.N, self.K, R, seed=SEED, threads=threads)
         assert np.array_equal(got, _stream_contract_ratios(LAM, self.N, self.K, R, SEED))
         _check_sizes(sizes, cap, threads, chi2rep_module.RATIO_CHUNK * (3 * 3 + 3 * 3), self.CHUNKS)
-
-    @pytest.mark.parametrize("cap", [1, 3, None])
-    def test_univariate(self, cap, monkeypatch):
-        # the univariate sampler runs on one thread
-        _set_cap(monkeypatch, cap)
-        sizes = _spy_blocks(monkeypatch, chi2rep_module)
-        got = univariate_ratio_sample(self.K, self.N, R, seed=SEED)
-        assert np.array_equal(got, _univariate_contract(self.K, self.N, R, SEED))
-        _check_sizes(sizes, cap, 1, 2 * chi2rep_module.RATIO_CHUNK, self.CHUNKS)

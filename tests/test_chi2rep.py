@@ -12,7 +12,6 @@ from mvos.chi2rep import (
     ecdf_on_grid,
     quantile_grid,
     representation_distance,
-    univariate_ratio_sample,
 )
 from mvos.dnorm import LogisticP, lambda_matrix
 from mvos.orderstats import OSBatch, theoretical_sigma_equal_k, standardize_copula_case
@@ -21,15 +20,21 @@ from mvos.streams import stream_rng
 from exact_laws import beta_quantile_grid, ratio_joint_cdf
 
 
+def _univariate_ratios(i, n, r, seed):
+    """The i-th of n uniform order statistics by the ratio representation:
+    the d = 1 case, with k = n - i."""
+    return correlated_ratio_sample(np.ones((1, 1)), n, n - i, r, seed)[:, 0]
+
+
 class TestUnivariateRatio:
     def test_degenerate_case_is_uniform(self):
         # i = n = 1 gives Beta(1, 1)
-        s = univariate_ratio_sample(1, 1, 20000, seed=1)
+        s = _univariate_ratios(1, 1, 20000, seed=1)
         assert abs(s.mean() - 0.5) <= 4.0 * s.std() / math.sqrt(s.size)
         assert np.all((s > 0) & (s < 1))
 
     def test_beta_moments(self):
-        s = univariate_ratio_sample(3, 9, 10**5, seed=2)
+        s = _univariate_ratios(3, 9, 10**5, seed=2)
         beta = stats.beta(3, 7)
         assert abs(s.mean() - beta.mean()) <= 4.0 * s.std() / math.sqrt(s.size)
         # variance of the sample variance via the fourth moment
@@ -39,19 +44,19 @@ class TestUnivariateRatio:
     @pytest.mark.parametrize("i,n", [(1, 1), (3, 9), (50, 1000)])
     def test_two_sample_ks_vs_direct_beta(self, i, n):
         r = 20000
-        s = univariate_ratio_sample(i, n, r, seed=3)
+        s = _univariate_ratios(i, n, r, seed=3)
         direct = np.random.default_rng(1234).beta(i, n + 1 - i, size=r)
         assert stats.ks_2samp(s, direct).pvalue > 1e-3
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            univariate_ratio_sample(10, 9, 5, seed=0)
+            _univariate_ratios(10, 9, 5, seed=0)
         with pytest.raises(ValueError):
-            univariate_ratio_sample(0, 9, 5, seed=0)
+            _univariate_ratios(0, 9, 5, seed=0)
 
     def test_deterministic(self):
-        a = univariate_ratio_sample(3, 9, 50, seed=9)
-        b = univariate_ratio_sample(3, 9, 50, seed=9)
+        a = _univariate_ratios(3, 9, 50, seed=9)
+        b = _univariate_ratios(3, 9, 50, seed=9)
         assert np.array_equal(a, b)
 
 
@@ -119,6 +124,8 @@ class TestCorrelatedRatio:
             correlated_ratio_sample(np.array([[1.0, 0.5], [0.4, 1.0]]), 50, 5, 5, seed=0)
         with pytest.raises(ValueError):
             correlated_ratio_sample(np.eye(2), 50, 50, 5, seed=0)
+        with pytest.raises(ValueError):
+            correlated_ratio_sample(np.eye(2), 50, -1, 5, seed=0)
         with pytest.raises(ValueError):
             correlated_ratio_sample(np.array([[2.0, 0.0], [0.0, 2.0]]), 50, 5, 5, seed=0)
 
@@ -227,37 +234,21 @@ def _stream_contract_ratios(lam, n, k, r, seed):
     return out[:r]
 
 
-def _univariate_contract(i, n, r, seed):
-    """Chunk c draws 64 Gamma(i) variates and then 64 Gamma(n + 1 - i) ones
-    from stream_rng(seed, c); replication rep is row rep % 64 of chunk
-    rep // 64 (reference)."""
-    want = []
-    for c in range(-(-r // 64)):
-        rng = stream_rng(seed, c)
-        num = rng.standard_gamma(i, size=64)
-        rest = rng.standard_gamma(n + 1 - i, size=64)
-        want.extend(num / (num + rest))
-    return np.array(want[:r])
-
-
 class TestStreamContract:
-    """Both samplers consume their per-chunk streams as documented, so a
+    """The sampler consumes its per-chunk streams as documented, so a
     change of draw order shows here before it changes a report.
 
     n = 7 with k = 6 and n = 40 with k = 39 give the numerator 2 < d
-    vectors; k = 2 and k = 3 give the remainder 6 or 8 < 16 vectors.
+    vectors; k = 2 and k = 3 give the remainder 6 or 8 < 16 vectors, and
+    k = 0 (the maximum) gives it 2.
     """
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
-    @pytest.mark.parametrize("n,k", [(40, 3), (40, 39), (7, 2), (7, 6), (2000, 44)])
+    @pytest.mark.parametrize("n,k", [(40, 3), (40, 39), (7, 2), (7, 6), (2000, 44), (40, 0)])
     def test_correlated_equals_reference(self, d, n, k):
         lam = _random_correlation(d, seed=d)
         got = correlated_ratio_sample(lam, n, k, 5, seed=21)
         assert np.array_equal(got, _stream_contract_ratios(lam, n, k, 5, 21))
-
-    @pytest.mark.parametrize("i,n", [(1, 1), (3, 9), (9, 9), (44, 2000)])
-    def test_univariate_equals_reference(self, i, n):
-        assert np.array_equal(univariate_ratio_sample(i, n, 5, seed=22), _univariate_contract(i, n, 5, 22))
 
     def test_correlated_crosses_chunks(self):
         lam = _random_correlation(3, seed=3)
@@ -273,9 +264,6 @@ class TestStreamContract:
             for threads in (1, 3):
                 got = correlated_ratio_sample(lam, 40, 3, r, seed=25, threads=threads)
                 assert np.array_equal(got, full[:r]), (r, threads)
-        beta = univariate_ratio_sample(3, 9, 200, seed=26)
-        for r in (1, 63, 64, 65):
-            assert np.array_equal(univariate_ratio_sample(3, 9, r, seed=26), beta[:r]), r
 
 
 class TestRepresentationDistance:

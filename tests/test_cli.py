@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mvos import chi2rep, experiment
+from mvos import chi2rep, experiment, streams
 from mvos.cli import main
+from mvos.margins import Triangular, smirnov_check, von_mises_check
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +72,29 @@ class TestCheckCommands:
         assert code == 0
         assert "limit 2.5" in out
 
+    def test_smirnov_csv_bytes(self, tmp_path, capsys):
+        # ints and the clipped flag as integers, also at n = 1e17, and floats with 17 digits
+        out_path = tmp_path / "s.csv"
+        code, _, _ = run_cli(capsys, "check", "smirnov", "--margin", "triangular", "--n-grid", "1e4,1e17",
+                             "--x", "0,0.5,1e9", "--out", str(out_path))
+        assert code == 0
+        rows = smirnov_check(Triangular(), [0.0, 0.5, 1e9], [10**4, 10**17])
+        want = "n,k,x,quotient,clipped\n" + "".join(
+            f"{r.n},{r.k},{r.x:.17g},{r.quotient:.17g},{int(r.clipped)}\n" for r in rows)
+        assert out_path.read_text() == want
+        assert "\n100000000000000000,316227766,1000000000," in want and want.endswith(",1\n")
+
+    def test_von_mises_csv_bytes_on_default_grid(self, tmp_path, capsys):
+        # the triangular margin's endpoint is finite: the default grid approaches it
+        out_path = tmp_path / "v.csv"
+        code, out, _ = run_cli(capsys, "check", "von-mises", "--margin", "triangular", "--out", str(out_path))
+        assert code == 0
+        assert "limit 2" in out
+        grid = [1.0 - 10.0 ** (-j) for j in range(1, 7)]
+        want = "x,quotient\n" + "".join(f"{x:.17g},{q:.17g}\n" for x, q in von_mises_check(Triangular(), grid).rows)
+        assert out_path.read_text() == want
+        assert want.splitlines()[1:3] == ["0.90000000000000002,2", "0.98999999999999999,2"]
+
 
 class TestCovCommand:
     def test_equal_k(self, capsys):
@@ -105,6 +129,16 @@ class TestChi2repCommand:
                                "-R", "5", "--seed", "4", "--out", str(tmp_path / "x.csv"))
         assert code == 3
         assert "eigenvalue" in err
+
+    def test_k_0_draws_the_maximum(self, tmp_path, capsys):
+        # rank n of n uniforms, Beta(n, 1)
+        path = tmp_path / "max.csv"
+        code, _, _ = run_cli(capsys, "chi2rep", "--lambda", "[[1.0]]", "-n", "5", "-k", "0", "-R", "3000",
+                             "--seed", "8", "--out", str(path))
+        assert code == 0
+        ratios = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert ratios.shape == (3000,)
+        assert stats.kstest(ratios, stats.beta(5, 1).cdf).pvalue > 1e-3
 
     def test_hundred_million_rows(self, tmp_path, capsys):
         # each replication costs O(d^2) draws whatever n is
@@ -278,6 +312,30 @@ REJECTED = [
     ("tolerance-abs-tol-nan", ["experiment", "--config", "{config}"], {"tolerance": {"abs_tol": float("nan")}}, {}),
     ("experiment-threads-0", ["experiment", "--config", "{config}", "--threads", "0"], {}, {}),
     ("experiment-threads-negative", ["experiment", "--config", "{config}", "--threads", "-5"], {}, {}),
+    ("experiment-threads-65", ["experiment", "--config", "{config}", "--threads", "65"], {}, {}),
+    ("experiment-threads-1e6", ["experiment", "--config", "{config}", "--threads", "1000000"], {}, {}),
+    ("experiment-kind-unknown", ["experiment", "--config", "{config}"], {"kind": "marginal"}, {}),
+    ("experiment-n-1", ["experiment", "--config", "{config}"], {"n": 1}, {}),
+    ("general-without-margins", ["experiment", "--config", "{config}"], {"kind": "general"}, {}),
+    ("intermediate-wrong-dimension", ["experiment", "--config", "{config}"],
+     {"intermediate": {"rules": [{"c": 1.0, "gamma": 0.5}] * 3}}, {}),
+    ("config-not-an-object", ["experiment", "--config", "{config}"], "[1, 2]", {}),
+    ("margins-not-a-list", ["experiment", "--config", "{config}"],
+     {"kind": "general", "margins": {"kind": "normal"}}, {}),
+    ("tolerance-not-an-object", ["experiment", "--config", "{config}"], {"tolerance": 0.05}, {}),
+    # k = 1e9 at n = 1e18: one replication's first draw would hold 2e9 values (Gumbel: 1.8e10)
+    ("experiment-n-1e18", ["experiment", "--config", "{config}"], {"n": 10**18}, {}),
+    ("gumbel-n-1e18", ["experiment", "--config", "{config}"],
+     {"copula": {"kind": "gumbel", "d": 2, "p": 2.0}, "n": 10**18}, {}),
+    ("general-n-1e18", ["experiment", "--config", "{config}"],
+     {"kind": "general", "margins": [{"kind": "exponential"}] * 2, "n": 10**18}, {}),
+    # n = (2**23 - 1)**2 stays at the cap, 2n exceeds it
+    ("representation-2n-over-cap", ["experiment", "--config", "{config}"],
+     {"kind": "representation", "n": (2**23 - 1) ** 2}, {}),
+    ("cov-d-not-size-of-k", ["cov", "--dnorm", '{"kind":"logistic","p":2}',
+                             "--kratios", '{"d":5,"k":[[1,2],[0.5,1]]}'], None, {}),
+    ("chi2rep-k-negative", ["chi2rep", "--lambda", "[[1.0]]", "-n", "10", "-k", "-1", "-R", "5",
+                            "--seed", "1", "--out", "{out}"], None, {}),
 ]
 
 
@@ -291,9 +349,10 @@ def test_invalid_input_exits_2_with_one_line(argv, config, env, tmp_path, capsys
 
     monkeypatch.setattr(experiment, "replicate", never)
     monkeypatch.setattr(chi2rep, "replicate", never)
+    monkeypatch.setattr(streams, "ThreadPoolExecutor", never)
     cfg_path = tmp_path / "exp.json"
-    if config is not None:
-        cfg_path.write_text(json.dumps({**GOOD_CONFIG, **config}))
+    if config is not None:  # a JSON object merged into GOOD_CONFIG, or the file's text
+        cfg_path.write_text(config if isinstance(config, str) else json.dumps({**GOOD_CONFIG, **config}))
     out_path = tmp_path / "out.csv"
     argv = [a.replace("{config}", str(cfg_path)).replace("{out}", str(out_path)) for a in argv]
     with warnings.catch_warnings():

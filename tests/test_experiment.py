@@ -6,10 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mvos.chi2rep import NotPositiveSemidefiniteError
-from mvos.copula import Comonotone, GumbelLogistic, Independence, sample_rows
+from mvos.copula import Comonotone, GumbelLogistic, Independence, os_selector, sample_rows
 from mvos.margins import Pareto, StandardExponential, StandardNormal, Triangular, quantile_transform
 from mvos.orderstats import IntermediateSpec, PowerKRule, componentwise_os
-from mvos.streams import stream_rng
+from mvos.streams import REPLICATION_ELEMENTS, stream_rng
 from mvos.experiment import (
     ExperimentConfig,
     InvalidConfigError,
@@ -100,10 +100,30 @@ class TestConfig:
                              intermediate=inter)
 
     def test_largest_sizes_accepted(self):
-        # the bounds themselves: nothing of that size is allocated before a run
-        ExperimentConfig(copula=Independence(2), n=2**63 - 1, replications=2**32, seed=1)
+        # the bounds themselves: nothing of that size is allocated before a
+        # run; k = 1e-6 sqrt(n), about 3000, keeps a replication's first draw
+        # under its cap
+        small = PowerKRule(1e-6, 0.5)
+        ExperimentConfig(copula=Independence(2), n=2**63 - 1, replications=2**32, seed=1,
+                         intermediate=IntermediateSpec((small,) * 2))
         ExperimentConfig(copula=GumbelLogistic(7, 2.0), n=2**62 - 1, replications=2**32, seed=1,
-                         kind="representation")
+                         kind="representation", intermediate=IntermediateSpec((small,) * 7))
+
+    @pytest.mark.parametrize("kind,n", [("copula", 2**63 - 1), ("representation", 2**62 - 1)])
+    def test_largest_sizes_run(self, kind, n):
+        # the ranks' depth n + 1 - rank is formed without n + 1, which int64 cannot hold
+        cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=n, replications=3, seed=1, kind=kind,
+                               intermediate=IntermediateSpec((PowerKRule(1e-6, 0.5),) * 2))
+        assert run_experiment(cfg).kind == kind
+
+    def test_first_draw_capped_at_every_sample_size(self):
+        # two independent columns draw k + 1 spacings each: 2**24 values at
+        # k = 2**23 - 1, the largest k = floor(sqrt(n)) the cap allows
+        n = (2**23 - 1) ** 2
+        assert os_selector(Independence(2), n, n - (2**23 - 1))[1] == REPLICATION_ELEMENTS == 2**24
+        ExperimentConfig(copula=Independence(2), n=n, replications=5, seed=1)
+        with pytest.raises(InvalidConfigError, match=f"n = {2 * n} would draw"):
+            ExperimentConfig(copula=Independence(2), n=n, replications=5, seed=1, kind="representation")
 
     @pytest.mark.parametrize("abs_tol,z", [(-0.01, 4.0), (0.05, -1.0), (math.inf, 4.0), (0.05, math.nan)])
     def test_tolerance_must_be_finite_and_nonnegative(self, abs_tol, z):

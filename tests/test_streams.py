@@ -125,3 +125,12 @@ class TestReplicate:
         out = replicate(np.empty((self.COUNT, 3)), 9, threads, make_draw, elements)
         assert [seen[v] for v in out[:, 0] if v in seen] == blocks
         assert np.array_equal(out, [stream_rng(9, r).standard_normal(3) for r in range(self.COUNT)])
+
+    @pytest.mark.parametrize("threads", [streams_module.MAX_THREADS + 1, 10**6])
+    def test_too_many_threads_rejected_before_any_work(self, threads, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a pool or a draw was built")
+
+        monkeypatch.setattr(streams_module, "ThreadPoolExecutor", never)
+        with pytest.raises(ValueError, match=f"at most {streams_module.MAX_THREADS} threads"):
+            replicate(np.empty((200, 3)), 1, threads, never)
