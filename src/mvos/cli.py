@@ -91,6 +91,25 @@ def _kratios(text: str) -> KRatioMatrix:
     return ratios
 
 
+def _writable(path: str) -> str:
+    """``path``, if a file can be written there; checked before any work,
+    so a bad output path costs no sampling."""
+    target = Path(path)
+    if target.is_dir():
+        raise ValueError(f"{path!r} is a directory")
+    if not target.exists() and not target.parent.is_dir():
+        raise ValueError(f"no directory {str(target.parent)!r}")
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise ValueError(f"{path!r} is not writable")
+    return path
+
+
+def _out(args, name: str = "out"):
+    """The output path option ``name``, if given, checked by ``_writable``."""
+    path = getattr(args, name)
+    return None if path is None else _parsed(f"--{name}", _writable, path)
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Integers and booleans as integers, floats with 17 significant digits,
     which round-trip float64 exactly."""
@@ -119,9 +138,10 @@ def _cmd_sample(args) -> int:
     model = from_json("copula", {"kind": args.copula, "d": args.d, "p": args.p})
     _check(args.n >= 1, "-n must be >= 1")
     _check(args.seed >= 0, "--seed must be >= 0")
+    out = _out(args)
     header = [f"u{i + 1}" for i in range(model.d)]
-    _write_csv(args.out, header, copula_sample(model, args.n, args.seed))
-    print(f"wrote {args.n} rows of {model.label()} to {args.out}")
+    _write_csv(out, header, copula_sample(model, args.n, args.seed))
+    print(f"wrote {args.n} rows of {model.label()} to {out}")
     return EXIT_OK
 
 
@@ -135,6 +155,7 @@ def _print_table(header: list[str], rows: list[tuple]) -> None:
 
 def _cmd_check(args) -> int:
     margin = from_json("margin", {"kind": args.margin, "alpha": args.alpha})
+    out = _out(args)
     if args.action == "smirnov":
         k_rule = _parsed("--k-rule", make_k_rule, args.k_rule)
         n_grid = [int(n) for n in _parsed("--n-grid", _floats, args.n_grid)]
@@ -147,8 +168,8 @@ def _cmd_check(args) -> int:
         print(f"condition ({result.condition}), declared limit {result.limit:g}")
         header, table = ["x", "quotient"], result.rows
     _print_table(header, table)
-    if args.out:
-        _write_csv(args.out, header, table)
+    if out:
+        _write_csv(out, header, table)
     return EXIT_OK
 
 
@@ -176,25 +197,27 @@ def _cmd_cov(args) -> int:
 def _cmd_chi2rep(args) -> int:
     lam = _parsed("--lambda", _matrix, getattr(args, "lambda"))
     _check(args.seed >= 0, "--seed must be >= 0")
+    out = _out(args)
     ratios = _parsed("chi2rep input", lambda lam: correlated_ratio_sample(lam, args.n, args.k, args.R, args.seed), lam)
     header = [f"r{i + 1}" for i in range(ratios.shape[1])]
-    _write_csv(args.out, header, ratios)
-    print(f"wrote {args.R} ratio vectors to {args.out}")
+    _write_csv(out, header, ratios)
+    print(f"wrote {args.R} ratio vectors to {out}")
     return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
     _check(1 <= args.threads <= MAX_THREADS, f"--threads must lie in [1, {MAX_THREADS}]")
+    out, csv = _out(args), _out(args, "csv")
     obj = _parsed("--config", _read_json, args.config)
     env_seed = os.environ.get("MVOS_SEED")
     seed = _parsed("MVOS_SEED", int, env_seed) if env_seed else None
     report = run_experiment(config_from_json(obj, seed_override=seed), threads=args.threads)
-    if args.out:
-        Path(args.out).write_bytes(report_json_bytes(report))
+    if out:
+        Path(out).write_bytes(report_json_bytes(report))
     else:
         sys.stdout.write(report_json_bytes(report).decode())
-    if args.csv:
-        Path(args.csv).write_bytes(report_csv_bytes(report))
+    if csv:
+        Path(csv).write_bytes(report_csv_bytes(report))
     sys.stderr.write(report_text(report))
     sys.stderr.write(f"runtime: {report.runtime_seconds:.1f}s\n")
     return EXIT_OK if report.passed else EXIT_CRITERION

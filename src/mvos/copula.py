@@ -11,15 +11,25 @@ columns (independence, and Gumbel with p = 1, the same law) each column is
 a sample of its own, drawn by Renyi spacings of its own, so a column's
 q-th value drawn is its q-th largest; the other models' rows come in
 decreasing order of their maximum.  ``sample_rows`` runs it through all n
-rows of a block of one; ``os_selector`` stops each replication once its
-columns' order statistics are known, after O(k) rows for the ranks n - k
-(exactly k + 1 without a positive-stable frailty), with the same values
-bit for bit.  A block's replications each draw from their own streams,
-and the arithmetic runs once on the block's planes.
+rows of a block of one, and ``os_selector`` selects on it with the same
+values bit for bit:
+
+* Without a positive-stable frailty, a column's q-th largest value is
+  minus the sum of its first q spacings (comonotone columns share one
+  sequence), so for the ranks n - k the selector draws the spacings of
+  exactly k + 1 top rows and sums each column's with one reduce along the
+  row axis, in the row order in which the generator accumulates them.
+* With one (Gumbel, p > 1), it draws top rows in batches and stops each
+  replication once its columns' order statistics are known, after O(k)
+  rows.
+
+A block's replications each draw from their own streams, and the
+arithmetic runs once on the block's arrays.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -37,6 +47,7 @@ __all__ = [
     "copula_sample",
     "sample_rows",
     "os_selector",
+    "first_draw",
     "log_positive_stable",
     "tail_expansion_check",
 ]
@@ -182,6 +193,21 @@ def _uniforms(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
     return np.subtract(1.0, rng.random((count, width)).T, order="C")
 
 
+def _reused(store: dict, name: str, shape: tuple) -> np.ndarray:
+    """An array of the given shape that a range's blocks reuse: a freed
+    block-sized temporary lets malloc hand its pages back, and the next
+    block faults them in again."""
+    size = math.prod(shape)
+    if name not in store or store[name].size < size:
+        store[name] = np.empty(size)
+    return store[name][:size].reshape(shape)
+
+
+# each thread's idle Philox generators for the (key, t) streams; a block
+# takes them for its duration, so calls reuse them instead of building new ones
+_idle = threading.local()
+
+
 class _MaxOrderRows:
     """A block of replications' n rows on the latent scale, the top ones in
     decreasing order of a level, as d x b x rows planes.  With independent
@@ -249,8 +275,10 @@ class _MaxOrderRows:
     same number of top rows in a batch.  The arithmetic then runs once on
     the block's planes, elementwise or along the row axis, so a
     replication's values do not depend on the other replications in its
-    block.  The redraws from (key, t >= 2) and the values below the top
-    ones are drawn one replication at a time.
+    block.  The redraws from (key, t >= 2) are drawn one replication at a
+    time and computed in one call per round, and the values below the top
+    ones are drawn one replication at a time.  Each thread keeps its
+    (slot, t) generators from block to block and from call to call.
     """
 
     def __init__(self, model: CopulaModel, n: int):
@@ -264,13 +292,18 @@ class _MaxOrderRows:
         if self.stable:
             self.p, self.alpha, self.log_d = model.p, 1.0 / model.p, math.log(model.d)
         self.width = self.spacings + (self.d + 1 + 3 * _TRIES) * self.stable
-        self.pool: dict[tuple[int, int], np.random.Generator] = {}
         self.scratch: dict[str, np.ndarray] = {}
 
     def start(self, rngs: Sequence[np.random.Generator]) -> None:
-        """Begin a block of replications, one drawn from each generator."""
+        """Begin a block of replications, one drawn from each generator, and
+        take the thread's idle (slot, t) generators for it."""
         self.rngs, self.keys, self.keyed = rngs, [rng.bit_generator.random_raw() for rng in rngs], set()
         self.drawn, self.g, self.m = 0, np.zeros((self.spacings, len(rngs))), np.full(len(rngs), math.inf)
+        self.pool, _idle.pool = getattr(_idle, "pool", None) or {}, None
+
+    def stop(self) -> None:
+        """End the block: hand the (slot, t) generators back to the thread."""
+        _idle.pool = self.pool
 
     def _sub(self, slot: int, t: int) -> np.random.Generator:
         """Replication ``slot``'s stream keyed (key, t), started at its first
@@ -283,15 +316,6 @@ class _MaxOrderRows:
             rekey(gen, np.array([self.keys[slot], t], np.uint64))
         return gen
 
-    def _scratch(self, name: str, shape: tuple) -> np.ndarray:
-        """An array of the given shape that the thread's blocks reuse: a
-        freed block-sized temporary lets malloc hand its pages back, and the
-        next block faults them in again."""
-        size = math.prod(shape)
-        if name not in self.scratch or self.scratch[name].size < size:
-            self.scratch[name] = np.empty(size)
-        return self.scratch[name][:size].reshape(shape)
-
     def next_rows(self, out: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Write the next c top rows of the replications ``slots``, each of
         which has drawn as many top rows as the others, into ``out``
@@ -299,7 +323,7 @@ class _MaxOrderRows:
         len(slots) x c): a view of ``out`` unless the model is Gumbel with
         p > 1, whose row maxima are returned as a new array."""
         b, c, i, s = len(slots), out.shape[2], self.drawn, self.spacings
-        raw, u = self._scratch("raw", (c, self.width)), self._scratch("u", (self.width, b, c))
+        raw, u = _reused(self.scratch, "raw", (c, self.width)), _reused(self.scratch, "u", (self.width, b, c))
         for j, slot in enumerate(slots):
             np.subtract(1.0, self.rngs[slot].random(out=raw).T, out=u[:, j])
         logs = u[:s + (self.d + 1) * self.stable]  # the spacings, the spreads and the Gamma's
@@ -362,11 +386,12 @@ class _MaxOrderRows:
         redo = np.flatnonzero(~(e[1] > log_theta + log_x))
         if redo.size and len(u) > 3:
             log_x[redo] = self._tilted_stable(u[3:, redo], log_theta[redo], slots[redo], t)
-        elif redo.size:  # out of proposals: more from each replication's (key, t + 1)
-            for slot in np.unique(slots[redo]):
-                rows = redo[slots[redo] == slot]
-                more = _uniforms(self._sub(int(slot), t + 1), rows.size, 3 * _TRIES)
-                log_x[rows] = self._tilted_stable(more, log_theta[rows], slots[rows], t + 1)
+        elif redo.size:  # out of proposals: more from each replication's (key, t + 1), in row order
+            owner, more = slots[redo], np.empty((3 * _TRIES, redo.size))
+            for slot in np.unique(owner):
+                cols = np.flatnonzero(owner == slot)
+                more[:, cols] = _uniforms(self._sub(int(slot), t + 1), cols.size, 3 * _TRIES)
+            log_x[redo] = self._tilted_stable(more, log_theta[redo], owner, t + 1)
         return log_x
 
 
@@ -381,29 +406,86 @@ def _first_batch(model: CopulaModel, depth: int) -> int:
     return int(dnorm_eval(model.tail_dnorm, np.ones(model.d)) * (depth + 2.0 * math.sqrt(depth))) + 8
 
 
+def _depths(model: CopulaModel, n: int, ranks) -> np.ndarray:
+    """Each column's depth: its order statistic at the 1-based rank r (one
+    rank, or one per column) is its (n - r + 1)-th largest value."""
+    ranks = np.broadcast_to(np.asarray(ranks, dtype=int), (model.d,))
+    if np.any(ranks < 1) or np.any(ranks > n):
+        raise ValueError(f"ranks {ranks.tolist()} out of range for n = {n}")
+    return (n - ranks) + 1  # n + 1 may not fit int64
+
+
+def first_draw(model: CopulaModel, n: int, ranks) -> int:
+    """The uniforms one replication of ``os_selector(model, n, ranks)``
+    draws at once, in its first batch of top rows, which
+    ``streams.replicate`` sizes its blocks by."""
+    rows = _MaxOrderRows(model, n)
+    return rows.width * min(_first_batch(model, int(_depths(model, n, ranks).max())), rows.top)
+
+
+def _sum_rows(part: np.ndarray, out: np.ndarray) -> None:
+    """out = part[0] + part[1] + ..., added in row order as
+    ``np.add.accumulate`` adds; numpy sums a lone column pairwise, so that
+    one is accumulated."""
+    if out.size > 1:
+        np.add.reduce(part, axis=0, out=out)
+    else:
+        out[...] = np.add.accumulate(part, axis=0)[-1]
+
+
 def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callable[[Sequence[np.random.Generator]], np.ndarray]], int]:
     """Block selector of the order statistics at the 1-based ``ranks`` (one,
     or one per column), for ``streams.replicate``: returns ``(make, elements)``.
     ``make()`` builds a selector that maps a block of replications'
     generators to their b x d values, row r equal bit for bit to
     ``componentwise_os(sample_rows(model, n, rngs[r]), ranks)``, and
-    ``elements`` is the uniforms one replication draws in the first batch.
-    The block draws top rows in batches, the first sized by
-    ``_first_batch``, and a replication stops once every column's value at
-    its rank is at or above that column's last level; one still going
-    after L top rows draws the rest and selects on all n."""
-    d = model.d
-    ranks = np.broadcast_to(np.asarray(ranks, dtype=int), (d,))
-    if np.any(ranks < 1) or np.any(ranks > n):
-        raise ValueError(f"ranks {ranks.tolist()} out of range for n = {n}")
-    depth = (n - ranks) + 1  # column j wants its depth_j-th largest value; n + 1 may not fit int64
-    kth, need = np.unique(depth), int(depth.max())
-    first = _first_batch(model, need)
+    ``elements`` is ``first_draw(model, n, ranks)``.
 
-    def pick(planes: np.ndarray, ordered: bool = False) -> np.ndarray:
-        """The values at the ranks; ``ordered`` planes are in decreasing order."""
-        if ordered:
-            return planes[np.arange(d), ..., depth - 1]
+    Without a positive-stable frailty (independence, comonotone, Gumbel
+    with p = 1), when every depth lies within the L top rows, a column's
+    depth-th value is minus the sum of its first depth spacings: each
+    replication draws the uniforms of exactly the deepest column's depth
+    top rows, and the block sums each column's spacings with one reduce
+    over the row axis per distinct depth, in the row order in which
+    ``_MaxOrderRows.next_rows`` accumulates them.  Otherwise the block
+    draws ``_MaxOrderRows``' top rows in batches, the first sized by
+    ``_first_batch``, and a replication stops once every column's value
+    at its rank is at or above the last row maximum; one still going after
+    L top rows draws the rest and selects on all n."""
+    d, depth = model.d, _depths(model, n, ranks)
+    kth, need = np.unique(depth), int(depth.max())
+    elements, rows = first_draw(model, n, ranks), _MaxOrderRows(model, n)
+
+    if not rows.stable and need <= rows.top:
+        s = rows.spacings
+        scale = np.arange(-n, need - n, dtype=float)[:, None, None]  # -(n - i + 1) at 1-based row i
+        # column j's sum among the distinct depths' sums, and its spacing plane
+        at = (np.searchsorted(kth, depth), np.arange(d) if s > 1 else np.zeros(d, np.intp))
+
+        def make_sums() -> Callable[[Sequence[np.random.Generator]], np.ndarray]:
+            scratch: dict[str, np.ndarray] = {}
+
+            def select(rngs: Sequence[np.random.Generator]) -> np.ndarray:
+                b = len(rngs)
+                raw, e = _reused(scratch, "raw", (b, need, s)), _reused(scratch, "e", (need, s, b))
+                for rng, u in zip(rngs, raw):
+                    rng.bit_generator.random_raw()  # the key _MaxOrderRows.start reads
+                    rng.random(out=u)
+                np.log(np.subtract(1.0, raw.transpose(1, 2, 0), out=e), out=e)  # rows first: -E
+                np.divide(e, scale, out=e)  # E / (n - i + 1)
+                sums = np.empty((len(kth), s, b))
+                for q, k in enumerate(kth):
+                    _sum_rows(e[:k], sums[q])
+                return _to_uniform(model, np.negative(sums[at].T))
+
+            return select
+
+        return make_sums, elements
+
+    first = elements // rows.width  # the first batch's rows
+
+    def pick(planes: np.ndarray) -> np.ndarray:
+        """The values at the ranks."""
         count = planes.shape[-1]
         planes.partition(count - kth, axis=-1)  # in place: only the values at the ranks are read
         return planes[np.arange(d), ..., count - depth]
@@ -415,16 +497,14 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
             out = np.empty((len(rngs), d))
             rows.start(rngs)
             slots, planes, size = np.arange(len(rngs)), None, first
-            while rows.drawn < rows.top:
+            while slots.size and rows.drawn < rows.top:
                 batch = np.empty((d, len(slots), min(size, rows.top - rows.drawn)))
                 last = rows.next_rows(batch, slots)[..., -1].copy()  # pick partitions batch in place
                 planes = batch if planes is None else np.concatenate((planes, batch), axis=2)
                 if rows.drawn >= need:
-                    picked = pick(planes, ordered=not rows.stable)
+                    picked = pick(planes)
                     done = np.all(picked >= last, axis=0)
                     out[slots[done]] = _to_uniform(model, picked[:, done].T)
-                    if done.all():
-                        return out
                     slots, planes = slots[~done], planes[:, ~done]
                 size = max(rows.drawn // 2, 1)
             for j, slot in enumerate(slots):
@@ -432,12 +512,12 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
                 rows.rest(slot, rest)
                 below = rest.T if planes is None else np.concatenate((planes[:, j], rest.T), axis=1)
                 out[slot] = _to_uniform(model, pick(below))
+            rows.stop()
             return out
 
         return select
 
-    rows = _MaxOrderRows(model, n)
-    return make, rows.width * min(first, rows.top)
+    return make, elements
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -455,6 +535,7 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     drawn = np.empty((n, model.d))
     drawn[:rows.top] = top[:, 0].T
     rows.rest(0, drawn[rows.top:])
+    rows.stop()
     out, width = np.empty_like(drawn), model.d // rows.spacings
     for cols in (slice(j, j + width) for j in range(0, model.d, width)):
         place, free, order = rng.choice(n, rows.top, replace=False), np.ones(n, dtype=bool), np.empty(n, dtype=np.intp)

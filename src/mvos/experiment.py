@@ -13,15 +13,18 @@ Three experiment kinds share one report shape:
   correlated normal-square-ratio construction at sample sizes n and 2n.
 
 Each replication's order statistics come from ``copula.os_selector``,
-which draws a sample's top values in decreasing order and stops once every
-column's order statistic is known, O(k) values for the ranks n - k.
-Independent columns (independence, Gumbel with p = 1) are drawn column by
-column, each by Rényi spacings of its own; every other model draws whole
-rows in decreasing order of their maximum.  For ``general`` the marginal
-quantile functions then run on the R x d selected values only.  Monotone
-maps commute with order statistics, so this gives the same values as
-transforming all n x d draws of ``copula.sample_rows`` and selecting
-afterwards.
+which draws only a sample's top values, O(k) of them for the ranks n - k.
+Without a positive-stable frailty (independence, comonotone, Gumbel with
+p = 1) a column's order statistic is a sum of Rényi spacings, so it draws
+exactly k + 1 spacings per column (one sequence for comonotone columns)
+and sums them; Gumbel with p > 1 draws whole rows in decreasing order of
+their maximum and stops once every column's order statistic is known.
+For ``general`` the marginal quantile functions then run on the R x d
+selected values only.  Monotone maps commute with order statistics, so
+this gives the same values as transforming all n x d draws of
+``copula.sample_rows`` and selecting afterwards.  Config validation bounds
+a replication's first draw by ``copula.first_draw``, the size the
+selector's blocks are cut by.
 
 Every experiment is a pure function of (config, master seed).  Replication
 r draws from the stream keyed by r, so results do not depend on the worker
@@ -40,7 +43,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chi2rep import NotPositiveSemidefiniteError, check_correlation, correlated_ratio_sample, representation_distance
-from .copula import CopulaModel, os_selector
+from .copula import CopulaModel, first_draw, os_selector
 from .diagnostics import ks_against_standard_normal, ks_critical_value, ks_pvalue, moment_summary
 from .dnorm import is_positive_semidefinite, lambda_matrix
 from .margins import MarginalModel, norming_constants, quantile_transform
@@ -145,7 +148,7 @@ class ExperimentConfig:
             inter.ratio_matrix()
             for margin, k in zip(self.margins or (), ks):
                 norming_constants(margin, self.n, int(k))
-            drawn = {nn: os_selector(self.copula, nn, inter.ranks(nn))[1] for nn in sizes}
+            drawn = {nn: first_draw(self.copula, nn, inter.ranks(nn)) for nn in sizes}
         except ValueError as exc:
             raise InvalidConfigError(str(exc)) from exc
         for nn, elements in drawn.items():

@@ -57,9 +57,11 @@ class KRatioMatrix:
             raise ValueError("diagonal ratios must be 1")
         if not np.allclose(m * m.T, 1.0, rtol=1e-9, atol=0.0):
             raise ValueError("ratios must satisfy k_ij * k_ji = 1")
-        # all ratios must derive from one weight vector: k_ij * k_jm = k_im
-        for j in range(d):
-            if not np.allclose(np.outer(m[:, j], m[j, :]), m, rtol=1e-9, atol=0.0):
+        # all ratios must derive from one weight vector: k_ij * k_jm = k_im,
+        # for all j at once in slabs of j that keep the products small
+        step = max(1, 2**16 // (d * d))
+        for j in range(0, d, step):
+            if not np.allclose(m[:, j:j + step, None] * m[None, j:j + step, :], m[:, None, :], rtol=1e-9, atol=0.0):
                 raise ValueError("ratios are not chain consistent (k_ij * k_jm != k_im)")
 
     @property

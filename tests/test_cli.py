@@ -336,6 +336,17 @@ REJECTED = [
                              "--kratios", '{"d":5,"k":[[1,2],[0.5,1]]}'], None, {}),
     ("chi2rep-k-negative", ["chi2rep", "--lambda", "[[1.0]]", "-n", "10", "-k", "-1", "-R", "5",
                             "--seed", "1", "--out", "{out}"], None, {}),
+    # output paths that cannot be written: a missing directory, or a directory
+    ("experiment-out-missing-dir", ["experiment", "--config", "{config}", "--out", "{missing}"], {}, {}),
+    ("experiment-csv-missing-dir", ["experiment", "--config", "{config}", "--csv", "{missing}"], {}, {}),
+    ("experiment-out-is-a-dir", ["experiment", "--config", "{config}", "--out", "{dir}"], {}, {}),
+    ("chi2rep-out-missing-dir", ["chi2rep", "--lambda", "[[1.0,0.5],[0.5,1.0]]", "-n", "10", "-k", "3", "-R", "5",
+                                 "--seed", "1", "--out", "{missing}"], None, {}),
+    ("sample-out-missing-dir", ["sample", "--copula", "independence", "-n", "5", "--seed", "1", "--out", "{missing}"],
+     None, {}),
+    ("check-smirnov-out-missing-dir", ["check", "smirnov", "--margin", "exponential", "--out", "{missing}"], None, {}),
+    ("check-von-mises-out-missing-dir", ["check", "von-mises", "--margin", "triangular", "--out", "{missing}"],
+     None, {}),
 ]
 
 
@@ -354,7 +365,8 @@ def test_invalid_input_exits_2_with_one_line(argv, config, env, tmp_path, capsys
     if config is not None:  # a JSON object merged into GOOD_CONFIG, or the file's text
         cfg_path.write_text(config if isinstance(config, str) else json.dumps({**GOOD_CONFIG, **config}))
     out_path = tmp_path / "out.csv"
-    argv = [a.replace("{config}", str(cfg_path)).replace("{out}", str(out_path)) for a in argv]
+    where = {"{config}": cfg_path, "{out}": out_path, "{missing}": tmp_path / "missing" / "x.csv", "{dir}": tmp_path}
+    argv = [str(where.get(a, a)) for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a warning would be a second stderr line
         code, _, err = run_cli(capsys, *argv)

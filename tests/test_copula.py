@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import mvos.copula as copula_module
+import mvos.streams as streams_module
 from mvos.copula import (
     Comonotone,
     GumbelLogistic,
@@ -227,8 +228,8 @@ class TestMaxOrderRows:
     sample ``sample_rows`` returns."""
 
     @staticmethod
-    def _check(model, n, ranks, seed, reps=3):
-        got = replicate(np.empty((reps, model.d)), seed, 1, *os_selector(model, n, ranks))
+    def _check(model, n, ranks, seed, reps=3, threads=1):
+        got = replicate(np.empty((reps, model.d)), seed, threads, *os_selector(model, n, ranks))
         for rep in range(reps):
             want = componentwise_os(sample_rows(model, n, stream_rng(seed, rep)), ranks)
             assert np.array_equal(got[rep], want)
@@ -265,8 +266,8 @@ class TestMaxOrderRows:
     def test_stop_bound_at_every_batch(self, model, depth, monkeypatch):
         # batches of 1, 1, 1, 2, 3, ... rows check the bound after nearly
         # every row; stopping one value short gives a smaller order
-        # statistic.  Independent columns check each column against its own
-        # last value, the others against the last row maximum.
+        # statistic.  Gumbel rows check each column against the last row
+        # maximum; spacing draws sum exactly the depth and take no batches.
         monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
         self._check(model, 300, np.full(2, 301 - depth), 96, reps=100)
 
@@ -327,17 +328,83 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("model", [Independence(3), GumbelLogistic(3, 1.0), Comonotone(3)], ids=lambda m: m.label())
     def test_spacing_draws_stop_at_the_depth(self, model, monkeypatch):
         # drawn by its own spacings, a column's depth-th value is its
-        # depth-th largest, so one batch of exactly that many rows suffices
-        batches = []
-        next_rows = copula_module._MaxOrderRows.next_rows
-        monkeypatch.setattr(copula_module._MaxOrderRows, "next_rows",
-                            lambda rows, out, slots: batches.append(out.shape[1:]) or next_rows(rows, out, slots))
+        # depth-th largest, so each replication draws its key and the
+        # spacings of exactly that many top rows, and no batch of rows
+        def no_rows(rows, out, slots):
+            raise AssertionError("next_rows called")
+
+        monkeypatch.setattr(copula_module._MaxOrderRows, "next_rows", no_rows)
         n, ranks = 20000, np.array([19376, 19990, 19500])
+        spacings = 1 if isinstance(model, Comonotone) else 3
         make, elements = os_selector(model, n, ranks)
-        replicate(np.empty((3, 3)), 99, 1, make, elements)
-        assert batches == [(3, 625)]
-        assert elements == (1 if isinstance(model, Comonotone) else 3) * 625
+        words = []
+
+        def spy():
+            select = make()
+
+            def draw(rngs):
+                values = select(rngs)
+                # 64-bit words drawn: 4 per Philox counter step, the last step's up to its buffer position
+                for state in (rng.bit_generator.state for rng in rngs):
+                    words.append(4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"])
+                return values
+
+            return draw
+
+        replicate(np.empty((3, 3)), 99, 1, spy, elements)
+        assert words == [1 + spacings * 625] * 3
+        assert elements == spacings * 625
+        monkeypatch.undo()  # sample_rows draws its rows in a batch
         self._check(model, n, ranks, 99)
+
+    @pytest.mark.parametrize("model", [Independence(1), Comonotone(2)], ids=lambda m: m.label())
+    def test_spacing_sums_of_a_lone_column(self, model, monkeypatch):
+        # blocks of one replication with one spacing per row leave a single
+        # column to sum, which must still be added in row order; deep ranks
+        # keep a last-bit change of the sum in the value
+        monkeypatch.setattr(streams_module, "BLOCK_REPLICATIONS", 1)
+        self._check(model, 200, np.full(model.d, 131), 103, reps=50)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("model", [Independence(3), Comonotone(3)], ids=lambda m: m.label())
+    def test_spacing_ranks_deeper_than_the_top_rows(self, model, threads, monkeypatch):
+        # a depth past the L top rows draws the rows below them; every
+        # replication does, for the shallow columns too
+        rests = []
+        rest = copula_module._MaxOrderRows.rest
+        monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
+                            lambda rows, slot, out: rests.append(slot) or rest(rows, slot, out))
+        n, ranks = 2000, np.array([500, 1990, 1000])
+        assert n + 1 - ranks.min() > copula_module._MaxOrderRows(model, n).top
+        self._check(model, n, ranks, 101, reps=5, threads=threads)
+        assert len(rests) == 2 * 5  # the selection's and sample_rows' rows below the top ones
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("model,n,k", [(GumbelLogistic(2, 8.0), 300, 60), (GumbelLogistic(5, 2.0), 500, 22)],
+                             ids=["gumbel-d2-p8-n300", "gumbel-d5-p2-n500"])
+    def test_proposal_redraws_of_several_slots_at_once(self, model, n, k, threads, monkeypatch):
+        # top rows of several replications of a block run out of in-row
+        # stable proposals in one round, and redraw them in one call
+        rounds = []
+        tilted = copula_module._MaxOrderRows._tilted_stable
+
+        def spy(rows, u, log_theta, slots, t=1):
+            if t > 1:
+                rounds.append(len(np.unique(slots)))
+            return tilted(rows, u, log_theta, slots, t)
+
+        monkeypatch.setattr(copula_module._MaxOrderRows, "_tilted_stable", spy)
+        self._check(model, n, np.full(model.d, n - k), 102, reps=128, threads=threads)
+        assert max(rounds) >= 2
+
+    def test_proposal_streams_are_kept_between_calls(self):
+        # the thread's (slot, t) generators serve the next call, re-keyed
+        model, n, ranks = GumbelLogistic(2, 2.0), 300, np.full(2, 280)
+        first = replicate(np.empty((20, 2)), 104, 1, *os_selector(model, n, ranks))
+        pool = dict(copula_module._idle.pool)
+        second = replicate(np.empty((20, 2)), 104, 1, *os_selector(model, n, ranks))
+        assert np.array_equal(first, second)
+        assert (0, 1) in pool and all(copula_module._idle.pool[key] is gen for key, gen in pool.items())
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_gumbel_p1_selects_the_independence_bits(self, d):
