@@ -174,6 +174,17 @@ def _cell_counts(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
     return np.bincount(np.ravel_multi_index(codes, shape), minlength=math.prod(shape)).reshape(shape)
 
 
+def _running_sums(counts: np.ndarray) -> np.ndarray:
+    """The integer table ``counts`` summed cumulatively along every axis, in
+    place: one slice add per layer of an axis, each a long inner loop, where
+    ``np.cumsum`` walks the table as many loops of one axis's length."""
+    for axis in range(counts.ndim):
+        layers = np.moveaxis(counts, axis, 0)
+        for i in range(1, len(layers)):
+            layers[i] += layers[i - 1]
+    return counts
+
+
 def ecdf_on_grid(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
     """Joint empirical cdf of the rows of ``values`` on a tensor grid.
 
@@ -189,10 +200,10 @@ def ecdf_on_grid(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError("grid dimension mismatch")
     grid = [np.asarray(g, dtype=float) for g in grid]
     orders = [np.argsort(g, kind="stable") for g in grid]
-    counts = _cell_counts(values, [g[order] for g, order in zip(grid, orders)])
+    counts = _running_sums(_cell_counts(values, [g[order] for g, order in zip(grid, orders)]))
     for axis, order in enumerate(orders):
         # back to the grid's own order, which drops the cell above the last point
-        counts = np.cumsum(counts, axis=axis, out=counts).take(np.argsort(order), axis=axis)
+        counts = counts.take(np.argsort(order), axis=axis)
     return counts / r
 
 
@@ -213,7 +224,5 @@ def representation_distance(os_batch: OSBatch, ratios: np.ndarray) -> float:
         raise ValueError(f"replication mismatch: R = {len(values)} vs {len(ratios)}")
     # the ecdfs at the sorted nodes are those at the nodes in any order
     grid = [np.sort(g) for g in quantile_grid([values, ratios])]
-    diff = _cell_counts(values, grid) - _cell_counts(ratios, grid)
-    for axis in range(diff.ndim):
-        diff = np.cumsum(diff, axis=axis, out=diff)
+    diff = _running_sums(_cell_counts(values, grid) - _cell_counts(ratios, grid))
     return float(np.abs(diff[(slice(-1),) * diff.ndim]).max() / len(values))

@@ -24,7 +24,10 @@ values bit for bit:
   rows.
 
 A block's replications each draw from their own streams, and the
-arithmetic runs once on the block's arrays.
+arithmetic runs once on the block's arrays.  A replication's Philox stream
+gives a key and seeds the SFC64 generators that draw its uniforms
+(``streams.seed_sfc64``); Philox draws only the rare proposal redraws, whose
+streams are addressed by that key.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .dnorm import DNormSpec, LogisticP, SupNorm, dnorm_eval
-from .streams import rekey, stream_rng
+from .streams import rekey, seed_sfc64, stream_rng
 
 __all__ = [
     "Independence",
@@ -203,8 +206,8 @@ def _reused(store: dict, name: str, shape: tuple) -> np.ndarray:
     return store[name][:size].reshape(shape)
 
 
-# each thread's idle Philox generators for the (key, t) streams; a block
-# takes them for its duration, so calls reuse them instead of building new ones
+# each thread's idle generators for the (slot, t) streams of _MaxOrderRows; a
+# block takes them for its duration, so calls reuse them instead of building new ones
 _idle = threading.local()
 
 
@@ -260,15 +263,18 @@ class _MaxOrderRows:
       random positions among the others, each column at positions of its
       own when the columns are independent, makes all n rows iid.
 
-    Streams: each replication's generator gives a 64-bit key, ``width``
-    uniforms per top row, row by row (one spacing per column with
-    independent columns; otherwise the row's spacing and, for Gumbel, its
-    d spreads, its Gamma variate's and [V, W, A] of each stable proposal),
-    then what the values below use.  The Philox stream keyed (key, 1)
-    gives the Gamma variates, and a top row none of whose ``_TRIES`` stable
-    proposals is accepted takes ``_TRIES`` more from (key, 2), then
-    (key, 3) and so on, each in row order, so a row's values do not depend
-    on how the top rows are batched.
+    Streams: each replication's Philox generator gives a 64-bit key, then
+    three words that seed its main SFC64 generator (``streams.seed_sfc64``)
+    and, for Gumbel with p > 1, three more that seed a second one for the
+    Gamma variates.  The main one draws ``width`` uniforms per top row, row
+    by row (one spacing per column with independent columns; otherwise the
+    row's spacing and, for Gumbel, its d spreads, its Gamma variate's and
+    [V, W, A] of each stable proposal), then what the values below use,
+    then, in ``sample_rows``, the positions of the top rows.  A top row
+    none of whose ``_TRIES`` stable proposals is accepted takes ``_TRIES``
+    more from the Philox stream keyed (key, 2), then (key, 3) and so on,
+    each in row order, so a row's values do not depend on how the top rows
+    are batched.
 
     Blocks: a block's replications draw their values with their own calls
     to their own generators, and every replication that goes on draws the
@@ -278,7 +284,8 @@ class _MaxOrderRows:
     block.  The redraws from (key, t >= 2) are drawn one replication at a
     time and computed in one call per round, and the values below the top
     ones are drawn one replication at a time.  Each thread keeps its
-    (slot, t) generators from block to block and from call to call.
+    (slot, t) generators from block to block and from call to call: t = 0
+    the main SFC64, t = 1 the Gamma one, t >= 2 the Philox (key, t).
     """
 
     def __init__(self, model: CopulaModel, n: int):
@@ -295,25 +302,36 @@ class _MaxOrderRows:
         self.scratch: dict[str, np.ndarray] = {}
 
     def start(self, rngs: Sequence[np.random.Generator]) -> None:
-        """Begin a block of replications, one drawn from each generator, and
-        take the thread's idle (slot, t) generators for it."""
-        self.rngs, self.keys, self.keyed = rngs, [rng.bit_generator.random_raw() for rng in rngs], set()
-        self.drawn, self.g, self.m = 0, np.zeros((self.spacings, len(rngs))), np.full(len(rngs), math.inf)
+        """Begin a block of replications, one from each Philox generator:
+        take the thread's idle (slot, t) generators for the block, read each
+        replication's key and seed its SFC64 generators, ``rngs[slot]`` the
+        main one and ``gammas[slot]`` the Gamma one."""
         self.pool, _idle.pool = getattr(_idle, "pool", None) or {}, None
+        words = [rng.bit_generator.random_raw(4 + 3 * self.stable) for rng in rngs]
+        self.keys, self.keyed = [w[0] for w in words], set()
+        self.rngs = [seed_sfc64(self._pooled(slot, 0), w[1:4]) for slot, w in enumerate(words)]
+        self.gammas = [seed_sfc64(self._pooled(slot, 1), w[4:]) for slot, w in enumerate(words)] if self.stable else []
+        self.drawn, self.g, self.m = 0, np.zeros((self.spacings, len(rngs))), np.full(len(rngs), math.inf)
 
     def stop(self) -> None:
         """End the block: hand the (slot, t) generators back to the thread."""
         _idle.pool = self.pool
 
-    def _sub(self, slot: int, t: int) -> np.random.Generator:
-        """Replication ``slot``'s stream keyed (key, t), started at its first
-        use in the replication."""
+    def _pooled(self, slot: int, t: int) -> np.random.Generator:
+        """The block's generator for stream t of replication ``slot``: SFC64
+        for t < 2, Philox otherwise."""
         gen = self.pool.get((slot, t))
         if gen is None:
-            gen = self.pool[slot, t] = np.random.Generator(np.random.Philox(0))
+            gen = self.pool[slot, t] = np.random.Generator(np.random.SFC64(0) if t < 2 else np.random.Philox(0))
+        return gen
+
+    def _sub(self, slot: int, t: int) -> np.random.Generator:
+        """Replication ``slot``'s Philox stream keyed (key, t), t >= 2,
+        started at its first use in the replication."""
+        gen = self._pooled(slot, t)
         if (slot, t) not in self.keyed:
             self.keyed.add((slot, t))
-            rekey(gen, np.array([self.keys[slot], t], np.uint64))
+            rekey(gen, (self.keys[slot], t))
         return gen
 
     def next_rows(self, out: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -323,9 +341,10 @@ class _MaxOrderRows:
         len(slots) x c): a view of ``out`` unless the model is Gumbel with
         p > 1, whose row maxima are returned as a new array."""
         b, c, i, s = len(slots), out.shape[2], self.drawn, self.spacings
-        raw, u = _reused(self.scratch, "raw", (c, self.width)), _reused(self.scratch, "u", (self.width, b, c))
+        raw, u = _reused(self.scratch, "raw", (b, c, self.width)), _reused(self.scratch, "u", (self.width, b, c))
         for j, slot in enumerate(slots):
-            np.subtract(1.0, self.rngs[slot].random(out=raw).T, out=u[:, j])
+            self.rngs[slot].random(out=raw[j])
+        np.subtract(1.0, raw.transpose(2, 0, 1), out=u)
         logs = u[:s + (self.d + 1) * self.stable]  # the spacings, the spreads and the Gamma's
         np.log(logs, out=logs)  # log U = -E
         g = np.divide(logs[:s], np.arange(i - self.n, i + c - self.n, dtype=float), out=logs[:s])  # -(n - i + 1)
@@ -344,7 +363,7 @@ class _MaxOrderRows:
         log_theta = self.log_d - m
         gamma = np.empty((b, c))
         for row, slot in zip(gamma, slots):
-            self._sub(slot, 1).standard_gamma(2.0 - self.alpha, out=row)
+            self.gammas[slot].standard_gamma(2.0 - self.alpha, out=row)
         log_y = np.log(gamma, out=gamma) + logs[-1] / (1.0 - self.alpha) - log_theta
         log_x = self._tilted_stable(u[2 + self.d:].reshape(3 * _TRIES, -1), log_theta.ravel(), np.repeat(slots, c))
         log_s = np.logaddexp(log_x.reshape(b, c), log_y)
@@ -386,7 +405,7 @@ class _MaxOrderRows:
         redo = np.flatnonzero(~(e[1] > log_theta + log_x))
         if redo.size and len(u) > 3:
             log_x[redo] = self._tilted_stable(u[3:, redo], log_theta[redo], slots[redo], t)
-        elif redo.size:  # out of proposals: more from each replication's (key, t + 1), in row order
+        elif redo.size:  # out of proposals: more from each replication's Philox (key, t + 1), in row order
             owner, more = slots[redo], np.empty((3 * _TRIES, redo.size))
             for slot in np.unique(owner):
                 cols = np.flatnonzero(owner == slot)
@@ -444,10 +463,11 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
     Without a positive-stable frailty (independence, comonotone, Gumbel
     with p = 1), when every depth lies within the L top rows, a column's
     depth-th value is minus the sum of its first depth spacings: each
-    replication draws the uniforms of exactly the deepest column's depth
-    top rows, and the block sums each column's spacings with one reduce
-    over the row axis per distinct depth, in the row order in which
-    ``_MaxOrderRows.next_rows`` accumulates them.  Otherwise the block
+    replication reads its key and seeds its main SFC64 generator as
+    ``_MaxOrderRows.start`` does, draws from it the uniforms of exactly
+    the deepest column's depth top rows, and the block sums each column's
+    spacings with one reduce over the row axis per distinct depth, in the
+    row order in which ``_MaxOrderRows.next_rows`` accumulates them.  Otherwise the block
     draws ``_MaxOrderRows``' top rows in batches, the first sized by
     ``_first_batch``, and a replication stops once every column's value
     at its rank is at or above the last row maximum; one still going after
@@ -463,14 +483,15 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
         at = (np.searchsorted(kth, depth), np.arange(d) if s > 1 else np.zeros(d, np.intp))
 
         def make_sums() -> Callable[[Sequence[np.random.Generator]], np.ndarray]:
-            scratch: dict[str, np.ndarray] = {}
+            rows, scratch = _MaxOrderRows(model, n), {}
 
             def select(rngs: Sequence[np.random.Generator]) -> np.ndarray:
                 b = len(rngs)
                 raw, e = _reused(scratch, "raw", (b, need, s)), _reused(scratch, "e", (need, s, b))
-                for rng, u in zip(rngs, raw):
-                    rng.bit_generator.random_raw()  # the key _MaxOrderRows.start reads
+                rows.start(rngs)  # the keys and the main SFC64 generators, as sample_rows reads them
+                for rng, u in zip(rows.rngs, raw):
                     rng.random(out=u)
+                rows.stop()
                 np.log(np.subtract(1.0, raw.transpose(1, 2, 0), out=e), out=e)  # rows first: -E
                 np.divide(e, scale, out=e)  # E / (n - i + 1)
                 sums = np.empty((len(kth), s, b))
@@ -521,12 +542,12 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n iid rows from the model using the supplied generator: all n
-    rows of ``_MaxOrderRows`` for a block of one replication through the
-    model's map, the top rows at a uniformly random ordered set of
-    positions and the rest, which are iid, in order at the others.  With
-    independent columns each column's top values take positions of their
-    own, drawn column by column."""
+    """Draw n iid rows from the model using the supplied Philox generator:
+    all n rows of ``_MaxOrderRows`` for a block of one replication through
+    the model's map, the top rows at a uniformly random ordered set of
+    positions, drawn by its main SFC64 generator, and the rest, which are
+    iid, in order at the others.  With independent columns each column's
+    top values take positions of their own, drawn column by column."""
     rows = _MaxOrderRows(model, n)
     rows.start([rng])
     top = np.empty((model.d, 1, rows.top))
@@ -535,13 +556,14 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     drawn = np.empty((n, model.d))
     drawn[:rows.top] = top[:, 0].T
     rows.rest(0, drawn[rows.top:])
-    rows.stop()
     out, width = np.empty_like(drawn), model.d // rows.spacings
     for cols in (slice(j, j + width) for j in range(0, model.d, width)):
-        place, free, order = rng.choice(n, rows.top, replace=False), np.ones(n, dtype=bool), np.empty(n, dtype=np.intp)
+        place = rows.rngs[0].choice(n, rows.top, replace=False)
+        free, order = np.ones(n, dtype=bool), np.empty(n, dtype=np.intp)
         free[place] = False  # row i of the result is drawn[order[i]]
         order[place], order[free] = np.arange(rows.top), np.arange(rows.top, n)
         out[:, cols] = drawn[order, cols]
+    rows.stop()
     return _to_uniform(model, out, out=out)
 
 

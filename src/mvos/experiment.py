@@ -145,7 +145,7 @@ class ExperimentConfig:
         # the size of a replication's first draw now rather than mid-run
         try:
             ks = inter.k_vector(self.n)
-            inter.ratio_matrix()
+            ratios = inter.ratio_matrix()
             for margin, k in zip(self.margins or (), ks):
                 norming_constants(margin, self.n, int(k))
             drawn = {nn: first_draw(self.copula, nn, inter.ranks(nn)) for nn in sizes}
@@ -156,6 +156,9 @@ class ExperimentConfig:
                 raise InvalidConfigError(
                     f"a replication at n = {nn} would draw {elements} values at once, above the cap of "
                     f"{REPLICATION_ELEMENTS}: use a smaller k rule")
+        # the validated limit ratios, kept for the moment runner; not a
+        # field, so the wire format and the reports do not carry it
+        object.__setattr__(self, "_ratios", ratios)
         if self.kind == "representation" and len(set(inter.rules)) != 1:
             raise InvalidConfigError("the representation comparison needs one common k rule")
         if self.kind == "representation" and inter.convention != "n-k":
@@ -329,7 +332,7 @@ def _run_moments(config: ExperimentConfig, threads: int) -> ExperimentReport:
     copula scale (no margins) or with the margins' norming constants, then
     moments and KS statistics against N(0, Sigma)."""
     start = time.perf_counter()
-    sigma = theoretical_sigma(config.copula.tail_dnorm, config.intermediate.ratio_matrix())
+    sigma = theoretical_sigma(config.copula.tail_dnorm, config._ratios)
     ok, min_eig = is_positive_semidefinite(sigma)
     if not ok:
         # sigma is a covariance by construction; a violation means a broken norm

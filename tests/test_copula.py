@@ -23,7 +23,7 @@ from mvos.chi2rep import ecdf_on_grid
 from mvos.diagnostics import ks_critical_value, ks_statistic
 from mvos.dnorm import dnorm_eval
 from mvos.orderstats import IntermediateSpec, componentwise_os
-from mvos.streams import replicate, stream_rng
+from mvos.streams import replicate, seed_sfc64, stream_rng
 from mvos.wire import from_json, to_json
 
 from exact_laws import beta_quantile_grid, os_joint_cdf
@@ -102,7 +102,8 @@ class TestSampling:
     @pytest.mark.parametrize("model", [Independence(2), GumbelLogistic(2, 2.0), GumbelLogistic(3, 1.3)],
                              ids=lambda m: m.label())
     def test_margins_uniform_ks(self, model):
-        n = 10**5
+        # 10^6 rows bound each column's KS distance by 0.0019 at level 1e-3
+        n = 10**6
         u = copula_sample(model, n, seed=31)
         crit = ks_critical_value(1e-3, n)
         for i in range(model.d):
@@ -328,7 +329,8 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("model", [Independence(3), GumbelLogistic(3, 1.0), Comonotone(3)], ids=lambda m: m.label())
     def test_spacing_draws_stop_at_the_depth(self, model, monkeypatch):
         # drawn by its own spacings, a column's depth-th value is its
-        # depth-th largest, so each replication draws its key and the
+        # depth-th largest, so each replication reads its key and its main
+        # SFC64 seed from its Philox stream, draws from the SFC64 the
         # spacings of exactly that many top rows, and no batch of rows
         def no_rows(rows, out, slots):
             raise AssertionError("next_rows called")
@@ -337,7 +339,7 @@ class TestMaxOrderRows:
         n, ranks = 20000, np.array([19376, 19990, 19500])
         spacings = 1 if isinstance(model, Comonotone) else 3
         make, elements = os_selector(model, n, ranks)
-        words = []
+        words, mains = [], []
 
         def spy():
             select = make()
@@ -347,15 +349,44 @@ class TestMaxOrderRows:
                 # 64-bit words drawn: 4 per Philox counter step, the last step's up to its buffer position
                 for state in (rng.bit_generator.state for rng in rngs):
                     words.append(4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"])
+                mains.extend(copula_module._idle.pool[slot, 0].bit_generator.state["state"]["state"]
+                             for slot in range(len(rngs)))
                 return values
 
             return draw
 
         replicate(np.empty((3, 3)), 99, 1, spy, elements)
-        assert words == [1 + spacings * 625] * 3
+        assert words == [4] * 3
+        for rep, state in enumerate(mains):
+            # the main SFC64 seeded from words 1-3, after one word per uniform
+            seed = stream_rng(99, rep).bit_generator.random_raw(4)[1:]
+            main = seed_sfc64(np.random.Generator(np.random.SFC64(0)), seed)
+            main.bit_generator.random_raw(spacings * 625)
+            assert np.array_equal(main.bit_generator.state["state"]["state"], state)
         assert elements == spacings * 625
         monkeypatch.undo()  # sample_rows draws its rows in a batch
         self._check(model, n, ranks, 99)
+
+    @pytest.mark.parametrize("model", [Independence(3), GumbelLogistic(3, 1.0), GumbelLogistic(3, 2.0)],
+                             ids=lambda m: m.label())
+    def test_stream_layout(self, model):
+        # a replication's Philox stream gives its key, then the three words
+        # of its main SFC64 and, with a positive-stable frailty, three of its
+        # Gamma SFC64, and nothing else
+        n, rng = 1000, stream_rng(105, 0)
+        words = stream_rng(105, 0).bit_generator.random_raw(8)
+        stable = isinstance(model, GumbelLogistic) and model.p > 1
+        rows = copula_module._MaxOrderRows(model, n)
+        rows.start([rng])
+        assert rows.keys == [words[0]]
+        for gen, seed in zip([rows.rngs[0], *rows.gammas], (words[1:4], words[4:7])):
+            fresh = seed_sfc64(np.random.Generator(np.random.SFC64(0)), seed)
+            assert np.array_equal(gen.bit_generator.random_raw(64), fresh.bit_generator.random_raw(64))
+        assert len(rows.gammas) == stable
+        rows.next_rows(np.empty((model.d, 1, rows.top)), np.zeros(1, np.intp))
+        rows.rest(0, np.empty((n - rows.top, model.d)))
+        rows.stop()
+        assert rng.bit_generator.random_raw() == words[7 if stable else 4]
 
     @pytest.mark.parametrize("model", [Independence(1), Comonotone(2)], ids=lambda m: m.label())
     def test_spacing_sums_of_a_lone_column(self, model, monkeypatch):
@@ -463,15 +494,32 @@ class TestTopRowLaw:
         # k-ratio 4, as in criterion 3
         assert self._max_z(GumbelLogistic(2, 2.0), 400, (40, 10), 8206) <= self.BAND
 
-    def test_d5_margins_are_beta(self):
-        # column j's order statistic at rank r_j is Beta(r_j, n + 1 - r_j)
-        n, ranks = 500, np.array([478, 490, 460, 495, 478])
+    def _max_beta_z(self, model, n, ranks, seed, reps):
+        """Column j's order statistic at rank r_j is Beta(r_j, n + 1 - r_j):
+        the largest |z| of its ecdf at that law's deciles, over the columns."""
         levels = np.linspace(0.1, 0.9, 9)
-        values = replicate(np.empty((self.R, 5)), 8207, 1, *os_selector(GumbelLogistic(5, 2.0), n, ranks))
+        values = replicate(np.empty((reps, model.d)), seed, 1, *os_selector(model, n, ranks))
+        z = 0.0
         for j, r in enumerate(ranks):
             grid = stats.beta(r, n + 1 - r).ppf(levels)
             emp = (values[:, j, None] <= grid).mean(axis=0)
-            assert np.abs((emp - levels) / np.sqrt(levels * (1.0 - levels) / self.R)).max() <= self.BAND
+            z = max(z, np.abs((emp - levels) / np.sqrt(levels * (1.0 - levels) / reps)).max())
+        return z
+
+    def test_d5_margins_are_beta(self):
+        ranks = np.array([478, 490, 460, 495, 478])
+        assert self._max_beta_z(GumbelLogistic(5, 2.0), 500, ranks, 8207, self.R) <= self.BAND
+
+    @pytest.mark.parametrize(
+        "model,rank,reps,seed",
+        # general-indep's rank n - k + 1, k = floor(n^0.65), and
+        # copula-gumbel's n - k, k = floor(sqrt(n)); fewer Gumbel
+        # replications keep the test within seconds
+        [(Independence(3), 20000 - 624 + 1, 10**5, 8210), (GumbelLogistic(2, 2.0), 20000 - 141, 5 * 10**4, 8211)],
+        ids=["general-indep", "copula-gumbel"],
+    )
+    def test_margins_are_beta_at_benchmark_sizes(self, model, rank, reps, seed):
+        assert self._max_beta_z(model, 20000, np.full(model.d, rank), seed, reps) <= self.BAND
 
     def test_d3_independent_columns(self):
         # unequal ranks: each column against its Beta(r_j, n + 1 - r_j)

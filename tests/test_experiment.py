@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from mvos.chi2rep import NotPositiveSemidefiniteError
 from mvos.copula import Comonotone, GumbelLogistic, Independence, os_selector, sample_rows
 from mvos.margins import Pareto, StandardExponential, StandardNormal, Triangular, quantile_transform
+import mvos.orderstats as orderstats
 from mvos.orderstats import IntermediateSpec, PowerKRule, componentwise_os
 from mvos.streams import REPLICATION_ELEMENTS, stream_rng
 from mvos.experiment import (
@@ -98,6 +99,18 @@ class TestConfig:
         with pytest.raises(InvalidConfigError, match="mixed growth exponents"):
             ExperimentConfig(copula=Independence(2), n=1000, replications=5, seed=1,
                              intermediate=inter)
+
+    def test_ratio_matrix_built_once_per_call(self, monkeypatch):
+        # the config keeps the limit ratios it validated for the run
+        built = []
+        check = orderstats.KRatioMatrix.__post_init__
+        monkeypatch.setattr(orderstats.KRatioMatrix, "__post_init__", lambda m: built.append(m) or check(m))
+        obj = {"copula": {"kind": "independence", "d": 2},
+               "margins": [{"kind": "normal"}, {"kind": "pareto", "alpha": 1.0}],
+               "intermediate": {"rules": [{"c": 1.0, "gamma": 0.6}, {"c": 2.0, "gamma": 0.6}]},
+               "n": 500, "replications": 20, "seed": 1}
+        report = run_experiment(config_from_json(obj))
+        assert report.kind == "general" and len(built) == 1
 
     def test_largest_sizes_accepted(self):
         # the bounds themselves: nothing of that size is allocated before a

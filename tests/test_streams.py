@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mvos.streams as streams_module
-from mvos.streams import derive_seed, replicate, stream_keys, stream_rng
+from mvos.streams import derive_seed, replicate, seed_sfc64, stream_keys, stream_rng
 
 
 @pytest.mark.parametrize("fn", [stream_rng, derive_seed])
@@ -45,6 +45,23 @@ class TestStreamKeys:
             stream_keys(-1, 0, 3)
         with pytest.raises(ValueError):
             stream_keys(1, 3, 2)
+
+
+class TestSeedSfc64:
+    """An SFC64 seeded from three words of a stream is the one numpy seeds
+    from the same three ``SeedSequence`` words."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**128 + 3])
+    def test_equals_numpy_seeding(self, seed):
+        words = np.random.SeedSequence(seed).generate_state(3, np.uint64)
+        used = np.random.Generator(np.random.SFC64(99))
+        used.random(1001)  # a pooled generator's past, an odd half-word included, leaves no trace
+        used.integers(2**32, dtype=np.uint32)
+        gen = seed_sfc64(used, words)
+        assert gen is used
+        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+        assert np.array_equal(gen.bit_generator.random_raw(1000), want.bit_generator.random_raw(1000))
+        assert np.array_equal(gen.integers(2**32, size=5, dtype=np.uint32), want.integers(2**32, size=5, dtype=np.uint32))
 
 
 def _draw(rngs):
