@@ -5,23 +5,22 @@ Each model carries the norm governing its upper-tail expansion
 the sup-norm for comonotonicity, and the logistic p-norm for the
 Gumbel-Hougaard family.
 
-One generator, ``_MaxOrderRows``, draws every model's top values in
-decreasing order, for a block of replications at once.  With independent
-columns (independence, and Gumbel with p = 1, the same law) each column is
-a sample of its own, drawn by Renyi spacings of its own, so a column's
-q-th value drawn is its q-th largest; the other models' rows come in
-decreasing order of their maximum.  ``sample_rows`` runs it through all n
-rows of a block of one, and ``os_selector`` selects on it with the same
-values bit for bit:
+Each family has one sampler, which ``sample_rows`` and ``os_selector``
+share, so selecting on ``sample_rows`` gives the selector's values bit for
+bit:
 
-* Without a positive-stable frailty, a column's q-th largest value is
-  minus the sum of its first q spacings (comonotone columns share one
-  sequence), so for the ranks n - k the selector draws the spacings of
-  exactly k + 1 top rows and sums each column's with one reduce along the
-  row axis, in the row order in which the generator accumulates them.
-* With one (Gumbel, p > 1), it draws top rows in batches and stops each
-  replication once its columns' order statistics are known, after O(k)
-  rows.
+* Without a positive-stable frailty (independence, comonotone, and Gumbel
+  with p = 1, the independence law) a column is a univariate sample, or
+  one sample repeated (comonotone), and by Renyi's (1953) representation
+  its q-th largest value is minus the sum of its first q spacings.  The
+  selector draws exactly the deepest column's depth spacings, at any rank,
+  and sums each column's with one reduce along the row axis;
+  ``sample_rows`` sums all n in the same row order and puts them in a
+  uniformly random order.
+* With one (Gumbel, p > 1), ``_MaxOrderRows`` draws top rows in decreasing
+  order of their maximum; the selector draws them in batches and stops
+  each replication once its columns' order statistics are known, after
+  O(k) rows.
 
 A block's replications each draw from their own streams, and the
 arithmetic runs once on the block's arrays.  A replication's Philox stream
@@ -182,18 +181,17 @@ def _stable(model: CopulaModel) -> bool:
     return isinstance(model, GumbelLogistic) and model.p > 1.0
 
 
-def _to_uniform(model: CopulaModel, latent: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The nondecreasing map from ``_MaxOrderRows``' latent scale to the
-    copula's: exp, or exp(-exp(-x / p)) for Gumbel with p > 1."""
-    if _stable(model):
-        u = np.divide(latent, -model.p, out=out)
-        return np.exp(np.negative(np.exp(u, out=u), out=u), out=u)
-    return np.exp(latent, out=out)
+def _spacings(model: CopulaModel) -> int:
+    """Spacing sequences of a frailty-free model: one per column, or one
+    that comonotone columns share."""
+    return 1 if isinstance(model, Comonotone) else model.d
 
 
-def _uniforms(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
-    """``count`` rows of ``width`` uniforms on (0, 1], as ``width`` planes."""
-    return np.subtract(1.0, rng.random((count, width)).T, order="C")
+def _to_uniform(model: GumbelLogistic, latent: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """exp(-exp(-x / p)), the nondecreasing map from ``_MaxOrderRows``'
+    latent scale to the copula's."""
+    u = np.divide(latent, -model.p, out=out)
+    return np.exp(np.negative(np.exp(u, out=u), out=u), out=u)
 
 
 def _reused(store: dict, name: str, shape: tuple) -> np.ndarray:
@@ -206,112 +204,27 @@ def _reused(store: dict, name: str, shape: tuple) -> np.ndarray:
     return store[name][:size].reshape(shape)
 
 
-# each thread's idle generators for the (slot, t) streams of _MaxOrderRows; a
+# each thread's idle generators for the (slot, t) streams of _Streams; a
 # block takes them for its duration, so calls reuse them instead of building new ones
 _idle = threading.local()
 
 
-class _MaxOrderRows:
-    """A block of replications' n rows on the latent scale, the top ones in
-    decreasing order of a level, as d x b x rows planes.  With independent
-    columns (independence, or Gumbel with p = 1, the same law) each column
-    is a sample of its own and has its own level, its values; otherwise
-    the level is the row maximum.  The latent value is log U_j, or
-    log S - log E_j for Gumbel with p > 1 (S positive stable with index
-    alpha = 1 / p, E_j iid unit exponentials).  It is exact:
-
-    * Renyi spacings.  The values -log U of a column's n values are iid
-      unit exponentials, whose i-th smallest is
-      g_i = E_1 / n + ... + E_i / (n - i + 1) (Renyi 1953), so with
-      independent columns column j's i-th largest value is -g_ij, from a
-      spacing E_ij of its own.  Otherwise, with H(t) = C(t, ..., t), the
-      values -log H of the n row maxima are iid unit exponentials, and
-      H(u) is u (comonotone) and u^(d^(1 / p)) (Gumbel, p > 1), so the
-      i-th largest latent maximum is m_i = -g_i (comonotone, where every
-      column equals it) and log d - p log g_i, in log space as
-      theta = g^p underflows at p = 64.
-    * The law of a Gumbel row given its maximum.  Given the maxima, the
-      rows are independent, each with the law of a row given its maximum
-      m.  With iid unit exponentials F, the argmin J of F is uniform and
-      the F_j - F_J are iid unit exponentials independent of it.  Given
-      S = s the E_j / s are iid exponential with rate s and m fixes their
-      minimum e^-m, so S has density proportional to
-      s exp(-theta s) f_S(s), theta = d e^-m.  Its Laplace transform
-      (1 + l / theta)^(alpha - 1) exp(theta^alpha - (theta + l)^alpha) is
-      that of X + Y: Y ~ Gamma(1 - alpha, rate theta), drawn as
-      Gamma(2 - alpha) U^(1 / (1 - alpha)) / theta, and X positive stable
-      tilted by exp(-theta X), a Kanter variate accepted when a unit
-      exponential A exceeds theta X (Devroye 2009), which happens with
-      probability exp(-theta^alpha) = exp(-g) = H(M).  Given S,
-      E_J = S e^-m and E_j = S e^-m + (F_j - F_J) by memorylessness, so
-      the row is m - log1p((F_j - F_J) e^m / S), exactly m at J.
-    * The stop bound, per column.  Every value is at most its level (a
-      column's own value, or its row's maximum, from which the spread
-      subtracts a nonnegative number), and the sequential sums and a
-      running minimum keep the computed levels nonincreasing, so a
-      column's values not yet drawn lie at or below its last level.  A
-      column with q drawn values at or above that level has its q-th
-      largest value among them; with its own spacings, the q-th value it
-      draws is its q-th largest.
-    * The Markov step.  The order statistics of the levels form a Markov
-      chain, so given the L largest the other n - L are iid with the law
-      of a level below m_L (m_0 = 0, or infinity for Gumbel with p > 1):
-      m_Lj - F_j in column j (independent columns), m_L - F in every
-      column (comonotone), and for Gumbel rows log S - log(F_j + S e^-m_L)
-      with S now the tilted stable variate alone, as the condition multiplies
-      f_S(s) by exp(-theta s).  Placing the top L values at uniformly
-      random positions among the others, each column at positions of its
-      own when the columns are independent, makes all n rows iid.
-
-    Streams: each replication's Philox generator gives a 64-bit key, then
-    three words that seed its main SFC64 generator (``streams.seed_sfc64``)
-    and, for Gumbel with p > 1, three more that seed a second one for the
-    Gamma variates.  The main one draws ``width`` uniforms per top row, row
-    by row (one spacing per column with independent columns; otherwise the
-    row's spacing and, for Gumbel, its d spreads, its Gamma variate's and
-    [V, W, A] of each stable proposal), then what the values below use,
-    then, in ``sample_rows``, the positions of the top rows.  A top row
-    none of whose ``_TRIES`` stable proposals is accepted takes ``_TRIES``
-    more from the Philox stream keyed (key, 2), then (key, 3) and so on,
-    each in row order, so a row's values do not depend on how the top rows
-    are batched.
-
-    Blocks: a block's replications draw their values with their own calls
-    to their own generators, and every replication that goes on draws the
-    same number of top rows in a batch.  The arithmetic then runs once on
-    the block's planes, elementwise or along the row axis, so a
-    replication's values do not depend on the other replications in its
-    block.  The redraws from (key, t >= 2) are drawn one replication at a
-    time and computed in one call per round, and the values below the top
-    ones are drawn one replication at a time.  Each thread keeps its
-    (slot, t) generators from block to block and from call to call: t = 0
-    the main SFC64, t = 1 the Gamma one, t >= 2 the Philox (key, t).
-    """
-
-    def __init__(self, model: CopulaModel, n: int):
-        self.n, self.d = n, model.d
-        # L: enough rows for intermediate ranks, while every tilted
-        # acceptance, about 1 - L / n, stays above 5/8
-        self.top = min(n // 8 + 64, 3 * n // 8)
-        self.stable = _stable(model)
-        # spacings per top row: one per column when the columns are independent
-        self.spacings = 1 if self.stable or isinstance(model, Comonotone) else self.d
-        if self.stable:
-            self.p, self.alpha, self.log_d = model.p, 1.0 / model.p, math.log(model.d)
-        self.width = self.spacings + (self.d + 1 + 3 * _TRIES) * self.stable
-        self.scratch: dict[str, np.ndarray] = {}
+class _Streams:
+    """A block of replications' generators.  Each replication's Philox
+    generator gives a 64-bit key, then three words that seed its main SFC64
+    generator (``streams.seed_sfc64``), which draws its uniforms.  Each
+    thread keeps its (slot, t) generators from block to block and from call
+    to call: t = 0 the main SFC64, t = 1 a second SFC64, t >= 2 the Philox
+    stream keyed (key, t)."""
 
     def start(self, rngs: Sequence[np.random.Generator]) -> None:
         """Begin a block of replications, one from each Philox generator:
-        take the thread's idle (slot, t) generators for the block, read each
-        replication's key and seed its SFC64 generators, ``rngs[slot]`` the
-        main one and ``gammas[slot]`` the Gamma one."""
+        take the thread's idle generators for the block, read each
+        replication's key and seed its main SFC64 generator ``rngs[slot]``."""
         self.pool, _idle.pool = getattr(_idle, "pool", None) or {}, None
-        words = [rng.bit_generator.random_raw(4 + 3 * self.stable) for rng in rngs]
-        self.keys, self.keyed = [w[0] for w in words], set()
-        self.rngs = [seed_sfc64(self._pooled(slot, 0), w[1:4]) for slot, w in enumerate(words)]
-        self.gammas = [seed_sfc64(self._pooled(slot, 1), w[4:]) for slot, w in enumerate(words)] if self.stable else []
-        self.drawn, self.g, self.m = 0, np.zeros((self.spacings, len(rngs))), np.full(len(rngs), math.inf)
+        words = [rng.bit_generator.random_raw(4) for rng in rngs]
+        self.keys = [w[0] for w in words]
+        self.rngs = [seed_sfc64(self._pooled(slot, 0), w[1:]) for slot, w in enumerate(words)]
 
     def stop(self) -> None:
         """End the block: hand the (slot, t) generators back to the thread."""
@@ -325,6 +238,97 @@ class _MaxOrderRows:
             gen = self.pool[slot, t] = np.random.Generator(np.random.SFC64(0) if t < 2 else np.random.Philox(0))
         return gen
 
+
+def _spacing_terms(gens: Sequence[np.random.Generator], n: int, rows: int, width: int, scratch: dict) -> np.ndarray:
+    """The Renyi spacings of the first ``rows`` of n rows, negated: rows x
+    width x len(gens) values -E_i / (n - i + 1) at 1-based row i, with
+    log U = -E and U = 1 - V for each replication's uniforms V, ``width``
+    per row, drawn row by row by its generator in ``gens``.  A frailty-free
+    column's i-th largest latent value log U is the sum of its first i."""
+    raw, e = _reused(scratch, "raw", (len(gens), rows, width)), _reused(scratch, "e", (rows, width, len(gens)))
+    for gen, u in zip(gens, raw):
+        gen.random(out=u)
+    np.log(np.subtract(1.0, raw.transpose(1, 2, 0), out=e), out=e)  # rows first
+    return np.divide(e, np.arange(-n, rows - n, dtype=float)[:, None, None], out=e)
+
+
+class _MaxOrderRows(_Streams):
+    """A block of Gumbel (p > 1) replications' n rows on the latent scale,
+    the top ones in decreasing order of the row maximum, as d x b x rows
+    planes.  The latent value is log S - log E_j (S positive stable with
+    index alpha = 1 / p, E_j iid unit exponentials).  It is exact:
+
+    * Renyi spacings.  With H(t) = C(t, ..., t) = t^(d^(1 / p)), the values
+      -log H of the n row maxima are iid unit exponentials, whose i-th
+      smallest is g_i = E_1 / n + ... + E_i / (n - i + 1) (Renyi 1953), so
+      the i-th largest latent maximum is m_i = log d - p log g_i, in log
+      space as theta = g^p underflows at p = 64.
+    * The law of a row given its maximum.  Given the maxima, the rows are
+      independent, each with the law of a row given its maximum m.  With
+      iid unit exponentials F, the argmin J of F is uniform and the
+      F_j - F_J are iid unit exponentials independent of it.  Given S = s
+      the E_j / s are iid exponential with rate s and m fixes their
+      minimum e^-m, so S has density proportional to
+      s exp(-theta s) f_S(s), theta = d e^-m.  Its Laplace transform
+      (1 + l / theta)^(alpha - 1) exp(theta^alpha - (theta + l)^alpha) is
+      that of X + Y: Y ~ Gamma(1 - alpha, rate theta), drawn as
+      Gamma(2 - alpha) U^(1 / (1 - alpha)) / theta, and X positive stable
+      tilted by exp(-theta X), a Kanter variate accepted when a unit
+      exponential A exceeds theta X (Devroye 2009), which happens with
+      probability exp(-theta^alpha) = exp(-g) = H(M).  Given S,
+      E_J = S e^-m and E_j = S e^-m + (F_j - F_J) by memorylessness, so
+      the row is m - log1p((F_j - F_J) e^m / S), exactly m at J.
+    * The stop bound.  Every value is at most its row's maximum, from
+      which the spread subtracts a nonnegative number, and the sequential
+      sums and a running minimum keep the computed maxima nonincreasing,
+      so the values not yet drawn lie at or below the last maximum.  A
+      column with q drawn values at or above it has its q-th largest value
+      among them.
+    * The Markov step.  The order statistics of the maxima form a Markov
+      chain, so given the L largest the other n - L rows are iid with the
+      law of a row whose maximum lies below m_L (m_0 = infinity):
+      log S - log(F_j + S e^-m_L) with S now the tilted stable variate
+      alone, as the condition multiplies f_S(s) by exp(-theta s).  Placing
+      the top L rows at uniformly random positions among the others makes
+      all n rows iid.
+
+    Streams: each replication's Philox generator gives its key and the
+    seed of its main SFC64 generator (``_Streams``), then three words that
+    seed a second SFC64 for the Gamma variates.  The main one draws
+    ``width`` uniforms per top row, row by row (the row's spacing, its d
+    spreads, its Gamma variate's and [V, W, A] of each stable proposal),
+    then what the rows below use, then, in ``sample_rows``, the positions
+    of the top rows.  A top row none of whose ``_TRIES`` stable proposals
+    is accepted takes ``_TRIES`` more from the Philox stream keyed
+    (key, 2), then (key, 3) and so on, each in row order, so a row's values
+    do not depend on how the top rows are batched.
+
+    Blocks: a block's replications draw their values with their own calls
+    to their own generators, and every replication that goes on draws the
+    same number of top rows in a batch.  The arithmetic then runs once on
+    the block's planes, elementwise or along the row axis, so a
+    replication's values do not depend on the other replications in its
+    block.  The redraws from (key, t >= 2) are drawn one replication at a
+    time and computed in one call per round, and the rows below the top
+    ones are drawn one replication at a time.
+    """
+
+    def __init__(self, model: GumbelLogistic, n: int):
+        self.n, self.d = n, model.d
+        # L: enough rows for intermediate ranks, while every tilted
+        # acceptance, about 1 - L / n, stays above 5/8
+        self.top = min(n // 8 + 64, 3 * n // 8)
+        self.p, self.alpha, self.log_d = model.p, 1.0 / model.p, math.log(model.d)
+        self.width = self.d + 2 + 3 * _TRIES
+        self.scratch: dict[str, np.ndarray] = {}
+
+    def start(self, rngs: Sequence[np.random.Generator]) -> None:
+        """Begin a block as ``_Streams.start`` does, and seed each
+        replication's Gamma SFC64 generator ``gammas[slot]``."""
+        super().start(rngs)
+        self.gammas = [seed_sfc64(self._pooled(slot, 1), rng.bit_generator.random_raw(3)) for slot, rng in enumerate(rngs)]
+        self.keyed, self.drawn, self.g, self.m = set(), 0, np.zeros(len(rngs)), np.full(len(rngs), math.inf)
+
     def _sub(self, slot: int, t: int) -> np.random.Generator:
         """Replication ``slot``'s Philox stream keyed (key, t), t >= 2,
         started at its first use in the replication."""
@@ -337,28 +341,23 @@ class _MaxOrderRows:
     def next_rows(self, out: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Write the next c top rows of the replications ``slots``, each of
         which has drawn as many top rows as the others, into ``out``
-        (d x len(slots) x c), and return their levels (``spacings`` x
-        len(slots) x c): a view of ``out`` unless the model is Gumbel with
-        p > 1, whose row maxima are returned as a new array."""
-        b, c, i, s = len(slots), out.shape[2], self.drawn, self.spacings
+        (d x len(slots) x c), and return their maxima (len(slots) x c)."""
+        b, c, i = len(slots), out.shape[2], self.drawn
         raw, u = _reused(self.scratch, "raw", (b, c, self.width)), _reused(self.scratch, "u", (self.width, b, c))
         for j, slot in enumerate(slots):
             self.rngs[slot].random(out=raw[j])
         np.subtract(1.0, raw.transpose(2, 0, 1), out=u)
-        logs = u[:s + (self.d + 1) * self.stable]  # the spacings, the spreads and the Gamma's
+        logs = u[:self.d + 2]  # the spacing, the spreads and the Gamma's
         np.log(logs, out=logs)  # log U = -E
-        g = np.divide(logs[:s], np.arange(i - self.n, i + c - self.n, dtype=float), out=logs[:s])  # -(n - i + 1)
-        g[..., 0] += self.g[:, slots]  # continue the sums of the rows drawn before
-        np.add.accumulate(g, axis=2, out=g)  # sequential, so batches do not change the sums
-        self.g[:, slots], self.drawn = g[..., -1], i + c
-        if not self.stable:
-            np.negative(g, out=out)
-            return out[:s]
+        g = np.divide(logs[0], np.arange(i - self.n, i + c - self.n, dtype=float), out=logs[0])  # -(n - i + 1)
+        g[:, 0] += self.g[slots]  # continue the sums of the rows drawn before
+        np.add.accumulate(g, axis=1, out=g)  # sequential, so batches do not change the sums
+        self.g[slots], self.drawn = g[:, -1], i + c
         spread = logs[1:-1]
         np.subtract(spread.max(axis=0), spread, out=out)  # F_j - F_J
         m = np.empty((b, c + 1))
         m[:, 0] = self.m[slots]
-        np.subtract(self.log_d, np.multiply(np.log(g[0], out=m[:, 1:]), self.p, out=m[:, 1:]), out=m[:, 1:])
+        np.subtract(self.log_d, np.multiply(np.log(g, out=m[:, 1:]), self.p, out=m[:, 1:]), out=m[:, 1:])
         m = np.minimum.accumulate(m, axis=1, out=m)[:, 1:]
         log_theta = self.log_d - m
         gamma = np.empty((b, c))
@@ -369,21 +368,19 @@ class _MaxOrderRows:
         log_s = np.logaddexp(log_x.reshape(b, c), log_y)
         np.subtract(m, np.log1p(np.multiply(out, np.exp(m - log_s), out=out), out=out), out=out)
         self.m[slots] = m[:, -1]
-        return m[None]
+        return m
 
     def rest(self, slot: int, out: np.ndarray) -> None:
         """After all L top rows of replication ``slot``, write its other
-        n - L rows, iid given levels below the L-th, into the (n - L) x d
+        n - L rows, iid given maxima below the L-th, into the (n - L) x d
         array ``out``, in chunks that keep the temporaries small."""
         m, rng = self.m[slot], self.rngs[slot]
+        # the rows share theta, so the accepted proposals serve them in turn
+        log_theta = self.log_d - m
+        rate = math.exp(-math.exp(self.alpha * log_theta))  # exp(-theta^alpha)
         for start in range(0, len(out), _CHUNK):
             f = out[start:start + _CHUNK]
-            if not self.stable:  # below each column's level m_L = -g_L
-                np.subtract(np.negative(self.g[:, slot]), rng.standard_exponential((len(f), self.spacings)), out=f)
-                continue
-            # the rows share theta, so the accepted proposals serve them in turn
-            log_theta, parts, need = self.log_d - m, [np.empty(0)], len(f)
-            rate = math.exp(-math.exp(self.alpha * log_theta))  # exp(-theta^alpha)
+            parts, need = [np.empty(0)], len(f)
             while need:
                 size = int((need + 4.0 * math.sqrt(need)) / rate) + 16
                 log_x = log_positive_stable(self.alpha, size, rng)
@@ -409,19 +406,15 @@ class _MaxOrderRows:
             owner, more = slots[redo], np.empty((3 * _TRIES, redo.size))
             for slot in np.unique(owner):
                 cols = np.flatnonzero(owner == slot)
-                more[:, cols] = _uniforms(self._sub(int(slot), t + 1), cols.size, 3 * _TRIES)
+                more[:, cols] = 1.0 - self._sub(int(slot), t + 1).random((cols.size, 3 * _TRIES)).T
             log_x[redo] = self._tilted_stable(more, log_theta[redo], owner, t + 1)
         return log_x
 
 
-def _first_batch(model: CopulaModel, depth: int) -> int:
-    """Top rows to draw first for each column's depth-th largest value.
-    Drawn by its own spacings (independent or comonotone columns), a
-    column's depth-th value is that value.  For Gumbel with p > 1 a row's
-    maximum passes a high level ||(1, ..., 1)||_D times as often as a
-    column's value does; the margin makes a second batch rare."""
-    if not _stable(model):
-        return depth
+def _first_batch(model: GumbelLogistic, depth: int) -> int:
+    """Top rows to draw first for each column's depth-th largest value: a
+    row's maximum passes a high level ||(1, ..., 1)||_D times as often as
+    a column's value does, and the margin makes a second batch rare."""
     return int(dnorm_eval(model.tail_dnorm, np.ones(model.d)) * (depth + 2.0 * math.sqrt(depth))) + 8
 
 
@@ -435,21 +428,17 @@ def _depths(model: CopulaModel, n: int, ranks) -> np.ndarray:
 
 
 def first_draw(model: CopulaModel, n: int, ranks) -> int:
-    """The uniforms one replication of ``os_selector(model, n, ranks)``
-    draws at once, in its first batch of top rows, which
-    ``streams.replicate`` sizes its blocks by."""
-    rows = _MaxOrderRows(model, n)
-    return rows.width * min(_first_batch(model, int(_depths(model, n, ranks).max())), rows.top)
-
-
-def _sum_rows(part: np.ndarray, out: np.ndarray) -> None:
-    """out = part[0] + part[1] + ..., added in row order as
-    ``np.add.accumulate`` adds; numpy sums a lone column pairwise, so that
-    one is accumulated."""
-    if out.size > 1:
-        np.add.reduce(part, axis=0, out=out)
-    else:
-        out[...] = np.add.accumulate(part, axis=0)[-1]
+    """The values one replication of ``os_selector(model, n, ranks)`` draws
+    at once, which ``streams.replicate`` sizes its blocks by: without a
+    positive-stable frailty, the spacings of the deepest column's depth
+    rows; for Gumbel with p > 1, the uniforms of the first batch of top
+    rows and, if that batch reaches the L top rows, the d (n - L) values of
+    the rows below them."""
+    depth = int(_depths(model, n, ranks).max())
+    if not _stable(model):
+        return _spacings(model) * depth
+    rows, first = _MaxOrderRows(model, n), _first_batch(model, depth)
+    return rows.width * min(first, rows.top) + (model.d * (n - rows.top) if first >= rows.top else 0)
 
 
 def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callable[[Sequence[np.random.Generator]], np.ndarray]], int]:
@@ -461,49 +450,44 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
     ``elements`` is ``first_draw(model, n, ranks)``.
 
     Without a positive-stable frailty (independence, comonotone, Gumbel
-    with p = 1), when every depth lies within the L top rows, a column's
-    depth-th value is minus the sum of its first depth spacings: each
-    replication reads its key and seeds its main SFC64 generator as
-    ``_MaxOrderRows.start`` does, draws from it the uniforms of exactly
-    the deepest column's depth top rows, and the block sums each column's
-    spacings with one reduce over the row axis per distinct depth, in the
-    row order in which ``_MaxOrderRows.next_rows`` accumulates them.  Otherwise the block
+    with p = 1) a column's depth-th largest value is minus the sum of its
+    first depth spacings: the block draws exactly the deepest column's
+    depth rows of spacings (``_spacing_terms``) and sums each column's with
+    one reduce over the row axis per distinct depth, adding them in row
+    order as ``sample_rows`` does.  With one (Gumbel, p > 1) the block
     draws ``_MaxOrderRows``' top rows in batches, the first sized by
-    ``_first_batch``, and a replication stops once every column's value
-    at its rank is at or above the last row maximum; one still going after
-    L top rows draws the rest and selects on all n."""
+    ``_first_batch``, and a replication stops once every column's value at
+    its rank is at or above the last row maximum; one still going after L
+    top rows draws the rest and selects on all n."""
     d, depth = model.d, _depths(model, n, ranks)
     kth, need = np.unique(depth), int(depth.max())
-    elements, rows = first_draw(model, n, ranks), _MaxOrderRows(model, n)
+    elements = first_draw(model, n, ranks)
 
-    if not rows.stable and need <= rows.top:
-        s = rows.spacings
-        scale = np.arange(-n, need - n, dtype=float)[:, None, None]  # -(n - i + 1) at 1-based row i
+    if not _stable(model):
+        s = _spacings(model)
         # column j's sum among the distinct depths' sums, and its spacing plane
         at = (np.searchsorted(kth, depth), np.arange(d) if s > 1 else np.zeros(d, np.intp))
 
         def make_sums() -> Callable[[Sequence[np.random.Generator]], np.ndarray]:
-            rows, scratch = _MaxOrderRows(model, n), {}
+            streams, scratch = _Streams(), {}
 
             def select(rngs: Sequence[np.random.Generator]) -> np.ndarray:
-                b = len(rngs)
-                raw, e = _reused(scratch, "raw", (b, need, s)), _reused(scratch, "e", (need, s, b))
-                rows.start(rngs)  # the keys and the main SFC64 generators, as sample_rows reads them
-                for rng, u in zip(rows.rngs, raw):
-                    rng.random(out=u)
-                rows.stop()
-                np.log(np.subtract(1.0, raw.transpose(1, 2, 0), out=e), out=e)  # rows first: -E
-                np.divide(e, scale, out=e)  # E / (n - i + 1)
-                sums = np.empty((len(kth), s, b))
+                streams.start(rngs)
+                e = _spacing_terms(streams.rngs, n, need, s, scratch)
+                streams.stop()
+                sums = np.empty((len(kth), s, len(rngs)))
                 for q, k in enumerate(kth):
-                    _sum_rows(e[:k], sums[q])
-                return _to_uniform(model, np.negative(sums[at].T))
+                    if sums[q].size > 1:  # row by row, as np.add.accumulate adds
+                        np.add.reduce(e[:k], axis=0, out=sums[q])
+                    else:  # numpy would sum a lone column pairwise
+                        sums[q] = np.add.accumulate(e[:k], axis=0)[-1]
+                return np.exp(np.negative(sums[at].T))
 
             return select
 
         return make_sums, elements
 
-    first = elements // rows.width  # the first batch's rows
+    first = _first_batch(model, need)
 
     def pick(planes: np.ndarray) -> np.ndarray:
         """The values at the ranks."""
@@ -520,7 +504,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
             slots, planes, size = np.arange(len(rngs)), None, first
             while slots.size and rows.drawn < rows.top:
                 batch = np.empty((d, len(slots), min(size, rows.top - rows.drawn)))
-                last = rows.next_rows(batch, slots)[..., -1].copy()  # pick partitions batch in place
+                last = rows.next_rows(batch, slots)[:, -1]
                 planes = batch if planes is None else np.concatenate((planes, batch), axis=2)
                 if rows.drawn >= need:
                     picked = pick(planes)
@@ -542,12 +526,27 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n iid rows from the model using the supplied Philox generator:
-    all n rows of ``_MaxOrderRows`` for a block of one replication through
-    the model's map, the top rows at a uniformly random ordered set of
-    positions, drawn by its main SFC64 generator, and the rest, which are
-    iid, in order at the others.  With independent columns each column's
-    top values take positions of their own, drawn column by column."""
+    """Draw n iid rows from the model using the supplied Philox generator.
+
+    Without a positive-stable frailty each column's n values are minus the
+    running sums of its n spacings (``_spacing_terms``; comonotone columns
+    share one sequence), its order statistics in decreasing order, put in
+    a uniformly random order of its own, which makes them iid; the main
+    SFC64 generator draws the orders after the spacings, column by column.
+    For Gumbel with p > 1 they are all n rows of
+    ``_MaxOrderRows`` for a block of one replication, the top rows at a
+    uniformly random ordered set of positions, drawn by its main SFC64
+    generator, and the rest, which are iid, in order at the others."""
+    if not _stable(model):
+        streams, s = _Streams(), _spacings(model)
+        streams.start([rng])
+        e = _spacing_terms(streams.rngs, n, n, s, {})[..., 0]
+        np.add.accumulate(e, axis=0, out=e)  # in row order, as the selector's reduce adds
+        values = np.exp(np.negative(e, out=e), out=e)
+        gen = streams.rngs[0]
+        placed = np.stack([values[gen.permutation(n), j] for j in range(s)], axis=1)
+        streams.stop()
+        return placed if s == model.d else np.repeat(placed, model.d, axis=1)
     rows = _MaxOrderRows(model, n)
     rows.start([rng])
     top = np.empty((model.d, 1, rows.top))
@@ -556,14 +555,11 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     drawn = np.empty((n, model.d))
     drawn[:rows.top] = top[:, 0].T
     rows.rest(0, drawn[rows.top:])
-    out, width = np.empty_like(drawn), model.d // rows.spacings
-    for cols in (slice(j, j + width) for j in range(0, model.d, width)):
-        place = rows.rngs[0].choice(n, rows.top, replace=False)
-        free, order = np.ones(n, dtype=bool), np.empty(n, dtype=np.intp)
-        free[place] = False  # row i of the result is drawn[order[i]]
-        order[place], order[free] = np.arange(rows.top), np.arange(rows.top, n)
-        out[:, cols] = drawn[order, cols]
+    place, free = rows.rngs[0].choice(n, rows.top, replace=False), np.ones(n, dtype=bool)
     rows.stop()
+    free[place] = False
+    out = np.empty_like(drawn)
+    out[place], out[free] = drawn[:rows.top], drawn[rows.top:]
     return _to_uniform(model, out, out=out)
 
 

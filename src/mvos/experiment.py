@@ -16,15 +16,17 @@ Each replication's order statistics come from ``copula.os_selector``,
 which draws only a sample's top values, O(k) of them for the ranks n - k.
 Without a positive-stable frailty (independence, comonotone, Gumbel with
 p = 1) a column's order statistic is a sum of Rényi spacings, so it draws
-exactly k + 1 spacings per column (one sequence for comonotone columns)
-and sums them; Gumbel with p > 1 draws whole rows in decreasing order of
-their maximum and stops once every column's order statistic is known.
-For ``general`` the marginal quantile functions then run on the R x d
-selected values only.  Monotone maps commute with order statistics, so
-this gives the same values as transforming all n x d draws of
-``copula.sample_rows`` and selecting afterwards.  Config validation bounds
-a replication's first draw by ``copula.first_draw``, the size the
-selector's blocks are cut by.
+exactly n - r + 1 spacings per column for the rank r, at any rank (one
+sequence for comonotone columns), and sums them; Gumbel with p > 1 draws
+whole rows in decreasing order of their maximum and stops once every
+column's order statistic is known.  For ``general`` the marginal quantile
+functions then run on the R x d selected values only.  Monotone maps
+commute with order statistics, so this gives the same values as
+transforming all n x d draws of ``copula.sample_rows`` and selecting
+afterwards.  Config validation bounds the values a replication draws at
+once by ``copula.first_draw``, the size the selector's blocks are cut by:
+the spacings, or Gumbel's first batch of top rows together with the rows
+below them when that batch reaches them.
 
 Every experiment is a pure function of (config, master seed).  Replication
 r draws from the stream keyed by r, so results do not depend on the worker

@@ -329,6 +329,11 @@ REJECTED = [
      {"copula": {"kind": "gumbel", "d": 2, "p": 2.0}, "n": 10**18}, {}),
     ("general-n-1e18", ["experiment", "--config", "{config}"],
      {"kind": "general", "margins": [{"kind": "exponential"}] * 2, "n": 10**18}, {}),
+    # k = 8511380 of n = 10^7 sends Gumbel's first batch past the L = 1250064
+    # top rows, so the 2 (n - L) values below them count too: 33750704 values
+    ("gumbel-rows-below-the-top-over-cap", ["experiment", "--config", "{config}"],
+     {"copula": {"kind": "gumbel", "d": 2, "p": 2.0}, "n": 10**7,
+      "intermediate": {"rules": [{"c": 1.0, "gamma": 0.99}] * 2}}, {}),
     # n = (2**23 - 1)**2 stays at the cap, 2n exceeds it
     ("representation-2n-over-cap", ["experiment", "--config", "{config}"],
      {"kind": "representation", "n": (2**23 - 1) ** 2}, {}),

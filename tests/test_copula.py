@@ -212,6 +212,7 @@ def _allocating_log_positive_stable(alpha, size, rng):
 
 MODELS = [Independence(3), Comonotone(3), GumbelLogistic(3, 1.0), GumbelLogistic(3, 2.0),
           GumbelLogistic(1, 1.5), GumbelLogistic(4, 1.01), GumbelLogistic(3, 64.0)]
+STABLE_MODELS = [model for model in MODELS if copula_module._stable(model)]
 
 # the selections the benchmark's workloads make: copula-gumbel, representation
 # (n and 2n), representation-wide (n and 2n) and general-indep
@@ -242,15 +243,16 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("rank", ["1", "n"])
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_equals_sample_rows_at_extreme_ranks(self, model, rank, monkeypatch):
-        # rank 1 needs every row, so the selector draws the rows below the
-        # top ones too; rank n needs only each column's largest value
+        # rank 1 needs every row, so a Gumbel (p > 1) selector draws the
+        # rows below the top ones too, and a frailty-free one sums all n
+        # spacings; rank n needs only each column's largest value
         rests = []
         rest = copula_module._MaxOrderRows.rest
         monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
                             lambda rows, slot, out: rests.append(slot) or rest(rows, slot, out))
         n = 3000
         got = replicate(np.empty((3, model.d)), 92, 1, *os_selector(model, n, np.full(model.d, 1 if rank == "1" else n)))
-        assert rests == ([0, 1, 2] if rank == "1" else [])
+        assert rests == ([0, 1, 2] if rank == "1" and copula_module._stable(model) else [])
         for rep in range(3):
             rows = sample_rows(model, n, stream_rng(92, rep))
             assert np.array_equal(got[rep], rows.min(axis=0) if rank == "1" else rows.max(axis=0))
@@ -272,12 +274,12 @@ class TestMaxOrderRows:
         monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
         self._check(model, 300, np.full(2, 301 - depth), 96, reps=100)
 
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
+    @pytest.mark.parametrize("model", STABLE_MODELS, ids=lambda m: m.label())
     def test_top_rows_do_not_depend_on_batches(self, model):
         rows, one = copula_module._MaxOrderRows(model, 4000), np.zeros(1, np.intp)
         rows.start([stream_rng(94, 0)])
         whole = np.empty((model.d, 1, rows.top))
-        levels = rows.next_rows(whole, one).copy()
+        maxima = rows.next_rows(whole, one)
         rows.start([stream_rng(94, 0)])
         parts, start = np.empty_like(whole), 0
         for size in itertools.cycle([1, 2, 5, 17, 64]):
@@ -287,14 +289,9 @@ class TestMaxOrderRows:
             rows.next_rows(parts[:, :, start:start + size], one)
             start += size
         assert np.array_equal(parts, whole)
-        if rows.spacings == 1:
-            # the levels are each row's largest value, in decreasing order
-            assert np.array_equal(whole.max(axis=0), levels[0])
-        else:
-            # independent columns: each column's values are its own levels,
-            # in decreasing order
-            assert np.array_equal(whole, levels)
-        assert np.all(np.diff(levels) <= 0)
+        # the returned maxima are each row's largest value, in decreasing order
+        assert np.array_equal(whole.max(axis=0), maxima)
+        assert np.all(np.diff(maxima) <= 0)
         # in a block, a replication's rows do not depend on the others'
         rows.start([stream_rng(94, 1), stream_rng(94, 0), stream_rng(94, 2)])
         block = np.empty((model.d, 3, rows.top))
@@ -372,20 +369,19 @@ class TestMaxOrderRows:
     def test_stream_layout(self, model):
         # a replication's Philox stream gives its key, then the three words
         # of its main SFC64 and, with a positive-stable frailty, three of its
-        # Gamma SFC64, and nothing else
+        # Gamma SFC64, and nothing else, however many rows are drawn
         n, rng = 1000, stream_rng(105, 0)
         words = stream_rng(105, 0).bit_generator.random_raw(8)
-        stable = isinstance(model, GumbelLogistic) and model.p > 1
-        rows = copula_module._MaxOrderRows(model, n)
-        rows.start([rng])
-        assert rows.keys == [words[0]]
-        for gen, seed in zip([rows.rngs[0], *rows.gammas], (words[1:4], words[4:7])):
+        stable = copula_module._stable(model)
+        streams = copula_module._MaxOrderRows(model, n) if stable else copula_module._Streams()
+        streams.start([stream_rng(105, 0)])
+        gammas = streams.gammas if stable else []
+        assert streams.keys == [words[0]] and len(gammas) == stable
+        for gen, seed in zip([streams.rngs[0], *gammas], (words[1:4], words[4:7])):
             fresh = seed_sfc64(np.random.Generator(np.random.SFC64(0)), seed)
             assert np.array_equal(gen.bit_generator.random_raw(64), fresh.bit_generator.random_raw(64))
-        assert len(rows.gammas) == stable
-        rows.next_rows(np.empty((model.d, 1, rows.top)), np.zeros(1, np.intp))
-        rows.rest(0, np.empty((n - rows.top, model.d)))
-        rows.stop()
+        streams.stop()
+        sample_rows(model, n, rng)
         assert rng.bit_generator.random_raw() == words[7 if stable else 4]
 
     @pytest.mark.parametrize("model", [Independence(1), Comonotone(2)], ids=lambda m: m.label())
@@ -399,16 +395,17 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("model", [Independence(3), Comonotone(3)], ids=lambda m: m.label())
     def test_spacing_ranks_deeper_than_the_top_rows(self, model, threads, monkeypatch):
-        # a depth past the L top rows draws the rows below them; every
-        # replication does, for the shallow columns too
-        rests = []
-        rest = copula_module._MaxOrderRows.rest
-        monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
-                            lambda rows, slot, out: rests.append(slot) or rest(rows, slot, out))
+        # a depth past the L = 314 top rows that Gumbel (p > 1) draws
+        # before the rows below them is still a sum of spacings, drawn to
+        # exactly that depth; the selection and sample_rows build no
+        # generator of top rows
+        def no_rows(model, n):
+            raise AssertionError("_MaxOrderRows built")
+
+        monkeypatch.setattr(copula_module, "_MaxOrderRows", no_rows)
         n, ranks = 2000, np.array([500, 1990, 1000])
-        assert n + 1 - ranks.min() > copula_module._MaxOrderRows(model, n).top
+        assert os_selector(model, n, ranks)[1] == copula_module._spacings(model) * (n + 1 - 500)
         self._check(model, n, ranks, 101, reps=5, threads=threads)
-        assert len(rests) == 2 * 5  # the selection's and sample_rows' rows below the top ones
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model,n,k", [(GumbelLogistic(2, 8.0), 300, 60), (GumbelLogistic(5, 2.0), 500, 22)],
@@ -494,6 +491,16 @@ class TestTopRowLaw:
         # k-ratio 4, as in criterion 3
         assert self._max_z(GumbelLogistic(2, 2.0), 400, (40, 10), 8206) <= self.BAND
 
+    @pytest.mark.parametrize(
+        "model,seed",
+        [(Independence(2), 8212), (Comonotone(2), 8213), (GumbelLogistic(2, 1.0), 8214)],
+        ids=lambda x: x.label() if hasattr(x, "label") else str(x),
+    )
+    def test_d2_joint_cdf_at_deep_ranks(self, model, seed):
+        # depths 301 and 201, deeper than the 114 top rows a Gumbel (p > 1)
+        # selector draws before the rows below them: spacing sums at any depth
+        assert self._max_z(model, 400, (300, 200), seed) <= self.BAND
+
     def _max_beta_z(self, model, n, ranks, seed, reps):
         """Column j's order statistic at rank r_j is Beta(r_j, n + 1 - r_j):
         the largest |z| of its ecdf at that law's deciles, over the columns."""
@@ -509,6 +516,11 @@ class TestTopRowLaw:
     def test_d5_margins_are_beta(self):
         ranks = np.array([478, 490, 460, 495, 478])
         assert self._max_beta_z(GumbelLogistic(5, 2.0), 500, ranks, 8207, self.R) <= self.BAND
+
+    def test_margins_are_beta_at_deep_unequal_ranks(self):
+        # depths 400 (the minimum, a sum of all n spacings), 301 and 151
+        ranks = np.array([1, 100, 250])
+        assert self._max_beta_z(Independence(3), 400, ranks, 8215, self.R) <= self.BAND
 
     @pytest.mark.parametrize(
         "model,rank,reps,seed",
