@@ -128,19 +128,17 @@ def _cmd_dnorm(args) -> int:
         value = _parsed("--x", lambda x: dnorm_eval(spec, x, seed=args.seed), x)
         print(f"{value:.12g}")
         return EXIT_OK
-    _check(args.trials >= 1, "--trials must be >= 1")
-    report = dnorm_validate(spec, trials=args.trials, seed=args.seed or 0)
+    report = _parsed("dnorm validate input", lambda trials: dnorm_validate(spec, trials=trials, seed=args.seed or 0), args.trials)
     print(report)
     return EXIT_OK if report.passed else EXIT_CRITERION
 
 
 def _cmd_sample(args) -> int:
     model = from_json("copula", {"kind": args.copula, "d": args.d, "p": args.p})
-    _check(args.n >= 1, "-n must be >= 1")
-    _check(args.seed >= 0, "--seed must be >= 0")
     out = _out(args)
+    rows = _parsed("-n or --seed", lambda n: copula_sample(model, n, args.seed), args.n)
     header = [f"u{i + 1}" for i in range(model.d)]
-    _write_csv(out, header, copula_sample(model, args.n, args.seed))
+    _write_csv(out, header, rows)
     print(f"wrote {args.n} rows of {model.label()} to {out}")
     return EXIT_OK
 

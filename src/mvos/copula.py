@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .dnorm import DNormSpec, LogisticP, SupNorm, dnorm_eval
+from .dnorm import DNormSpec, LogisticP, SupNorm, _Dimensioned, dnorm_eval
 from .streams import rekey, seed_sfc64, stream_rng
 
 __all__ = [
@@ -67,13 +67,7 @@ SAMPLE_CHUNK = 65536
 
 
 @dataclass(frozen=True)
-class Independence:
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-
+class Independence(_Dimensioned):
     @property
     def tail_dnorm(self) -> DNormSpec:
         return LogisticP(1.0)
@@ -83,13 +77,7 @@ class Independence:
 
 
 @dataclass(frozen=True)
-class Comonotone:
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
-
+class Comonotone(_Dimensioned):
     @property
     def tail_dnorm(self) -> DNormSpec:
         return SupNorm()
@@ -99,15 +87,13 @@ class Comonotone:
 
 
 @dataclass(frozen=True)
-class GumbelLogistic:
+class GumbelLogistic(_Dimensioned):
     """Gumbel-Hougaard copula exp(-((-log u_1)^p + ... )^(1/p)), p >= 1."""
 
-    d: int
     p: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+        super().__post_init__()
         if not self.p >= 1:
             raise ValueError("Gumbel copula requires p >= 1")
 
@@ -598,8 +584,5 @@ def tail_expansion_check(model: CopulaModel, x, t_grid) -> np.ndarray:
         raise ValueError("t grid must be positive")
     if x.max() > 0 and np.any(t_grid * x.max() > 1):
         raise ValueError("t * max(x) must stay inside the unit cube")
-    rows = np.empty((t_grid.size, 2))
-    for idx, t in enumerate(t_grid):
-        rows[idx, 0] = t
-        rows[idx, 1] = (1.0 - copula_cdf(model, 1.0 - t * x)) / t
-    return rows
+    quotients = (1.0 - copula_cdf(model, 1.0 - np.multiply.outer(t_grid, x))) / t_grid
+    return np.column_stack((t_grid, quotients))

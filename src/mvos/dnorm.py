@@ -40,6 +40,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # generators
 
+@dataclass(frozen=True)
+class _Dimensioned:
+    """A model of dimension d >= 1: the generators here and the copula
+    models.  A subclass with more to check calls this check first."""
+
+    d: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("dimension must be >= 1")
+
+
 class Generator:
     """Base class for D-norm generators: Z >= 0 componentwise, E(Z_i) = 1.
 
@@ -58,14 +70,8 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class ConstantOne(Generator):
+class ConstantOne(Generator, _Dimensioned):
     """Degenerate generator Z = (1, ..., 1); its norm is the sup-norm."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
 
     def sample(self, size, rng):
         return np.ones((size, self.d))
@@ -75,14 +81,8 @@ class ConstantOne(Generator):
 
 
 @dataclass(frozen=True)
-class RandomIndex(Generator):
+class RandomIndex(Generator, _Dimensioned):
     """Z = d * e_J with J uniform on the coordinates; its norm is the 1-norm."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
 
     def sample(self, size, rng):
         out = np.zeros((size, self.d))
@@ -95,7 +95,7 @@ class RandomIndex(Generator):
 
 
 @dataclass(frozen=True)
-class FrechetLogistic(Generator):
+class FrechetLogistic(Generator, _Dimensioned):
     """Iid Frechet(shape p) components rescaled by Gamma(1 - 1/p) to unit mean.
 
     Generates the logistic norm (sum |x_i|^p)^(1/p).  Requires p > 1: the
@@ -103,12 +103,10 @@ class FrechetLogistic(Generator):
     already served by :class:`RandomIndex`.
     """
 
-    d: int
     p: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
+        super().__post_init__()
         if not self.p > 1:
             raise ValueError("FrechetLogistic requires p > 1")
 

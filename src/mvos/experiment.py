@@ -12,6 +12,13 @@ Three experiment kinds share one report shape:
 * ``representation``: compare raw order-statistic vectors against the
   correlated normal-square-ratio construction at sample sizes n and 2n.
 
+``run_experiment`` is the one runner body: for every kind it starts the
+timer, computes Sigma from the tail norm and the config's limit rank
+ratios, checks that it is a covariance and assembles the report.  Each
+kind's body only samples and summarizes, and returns its criteria and
+the report fields it owns.  A banded criterion (``sigma[i,j]``,
+``ks[i]``) passes iff |observed - target| <= tolerance (``_banded``).
+
 Each replication's order statistics come from ``copula.os_selector``,
 which draws only a sample's top values, O(k) of them for the ranks n - k.
 Without a positive-stable frailty (independence, comonotone, Gumbel with
@@ -40,7 +47,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +62,6 @@ from .orderstats import (
     standardize_copula_case,
     standardize_general_case,
     theoretical_sigma,
-    theoretical_sigma_equal_k,
 )
 from .streams import REPLICATION_ELEMENTS, derive_seed, replicate
 from .wire import InvalidConfigError, from_json, to_json
@@ -158,7 +164,7 @@ class ExperimentConfig:
                 raise InvalidConfigError(
                     f"a replication at n = {nn} would draw {elements} values at once, above the cap of "
                     f"{REPLICATION_ELEMENTS}: use a smaller k rule")
-        # the validated limit ratios, kept for the moment runner; not a
+        # the validated limit ratios, kept for run_experiment's Sigma; not a
         # field, so the wire format and the reports do not carry it
         object.__setattr__(self, "_ratios", ratios)
         if self.kind == "representation" and len(set(inter.rules)) != 1:
@@ -282,63 +288,34 @@ def _collect_os(
     return values, config.intermediate.k_vector(n)
 
 
-def _moment_criteria(
-    summary, sigma: np.ndarray, tol: TolerancePolicy
-) -> list[CriterionResult]:
+def _banded(name: str, observed: float, target: float, tolerance: float, gated: bool = True) -> CriterionResult:
+    """A criterion that passes iff |observed - target| <= tolerance."""
+    return CriterionResult(name, observed, target, tolerance, bool(abs(observed - target) <= tolerance), gated)
+
+
+def _moment_criteria(summary, sigma: np.ndarray, tol: TolerancePolicy) -> list[CriterionResult]:
     d = sigma.shape[0]
-    out = []
-    for i in range(d):
-        for j in range(i, d):
-            bound = tol.bound(float(summary.cov_se[i, j]))
-            obs = float(summary.cov[i, j])
-            tgt = float(sigma[i, j])
-            out.append(
-                CriterionResult(
-                    name=f"sigma[{i},{j}]",
-                    observed=obs,
-                    target=tgt,
-                    tolerance=bound,
-                    passed=bool(abs(obs - tgt) <= bound),
-                )
-            )
-    return out
+    return [
+        _banded(f"sigma[{i},{j}]", float(summary.cov[i, j]), float(sigma[i, j]), tol.bound(float(summary.cov_se[i, j])))
+        for i in range(d)
+        for j in range(i, d)
+    ]
 
 
 def _ks_criteria(values: np.ndarray, level: float, gated: bool) -> tuple[list[CriterionResult], np.ndarray, np.ndarray, float]:
+    """KS statistics are >= 0, so the band around target 0 is stat <= crit."""
     reps, d = values.shape
     crit = ks_critical_value(level, reps)
     stats = ks_against_standard_normal(values)
-    pvals = np.empty(d)
-    results = []
-    for i in range(d):
-        pvals[i] = ks_pvalue(stats[i], reps)
-        results.append(
-            CriterionResult(
-                name=f"ks[{i}]",
-                observed=float(stats[i]),
-                target=0.0,
-                tolerance=crit,
-                passed=bool(stats[i] <= crit),
-                gated=gated,
-            )
-        )
+    pvals = np.array([ks_pvalue(stat, reps) for stat in stats])
+    results = [_banded(f"ks[{i}]", float(stats[i]), 0.0, crit, gated) for i in range(d)]
     return results, stats, pvals, crit
 
 
-def _overall(criteria: Sequence[CriterionResult]) -> bool:
-    return all(c.passed for c in criteria if c.gated)
-
-
-def _run_moments(config: ExperimentConfig, threads: int) -> ExperimentReport:
+def _run_moments(config: ExperimentConfig, sigma: np.ndarray, threads: int) -> tuple[list[CriterionResult], dict]:
     """The copula and general kinds: order statistics standardized on the
     copula scale (no margins) or with the margins' norming constants, then
     moments and KS statistics against N(0, Sigma)."""
-    start = time.perf_counter()
-    sigma = theoretical_sigma(config.copula.tail_dnorm, config._ratios)
-    ok, min_eig = is_positive_semidefinite(sigma)
-    if not ok:
-        # sigma is a covariance by construction; a violation means a broken norm
-        raise RuntimeError(f"theoretical covariance not PSD (eigenvalue {min_eig:.3e})")
     raw, ks = _collect_os(config, config.n, config.seed, threads)
     if config.margins is None:
         standardized = standardize_copula_case(raw, config.n, ks)
@@ -351,14 +328,7 @@ def _run_moments(config: ExperimentConfig, threads: int) -> ExperimentReport:
     summary = moment_summary(standardized)
     criteria = _moment_criteria(summary, sigma, config.tolerance)
     ks_results, stats, pvals, crit = _ks_criteria(standardized, config.ks_level, config.gate_ks)
-    criteria.extend(ks_results)
-    return ExperimentReport(
-        kind=config.kind,
-        config=config_to_json(config),
-        theoretical_sigma=sigma,
-        criteria=criteria,
-        passed=_overall(criteria),
-        runtime_seconds=time.perf_counter() - start,
+    return criteria + ks_results, dict(
         empirical_cov=summary.cov,
         cov_stderr=summary.cov_se,
         mean=summary.mean,
@@ -369,11 +339,10 @@ def _run_moments(config: ExperimentConfig, threads: int) -> ExperimentReport:
     )
 
 
-def _run_representation(config: ExperimentConfig, threads: int) -> ExperimentReport:
+def _run_representation(config: ExperimentConfig, sigma: np.ndarray, threads: int) -> tuple[list[CriterionResult], dict]:
     """The representation kind: raw order statistics against the correlated
-    chi-square ratios at n and 2n, both arms drawn at the same (n, k)."""
-    start = time.perf_counter()
-    sigma = theoretical_sigma_equal_k(config.copula.tail_dnorm, config.copula.d)
+    chi-square ratios at n and 2n, both arms drawn at the same (n, k).
+    Lambda is gated before any sampling."""
     lam = config.lambda_override if config.lambda_override is not None else lambda_matrix(sigma)
     ok, min_eig = is_positive_semidefinite(lam)
     if not ok:
@@ -381,8 +350,8 @@ def _run_representation(config: ExperimentConfig, threads: int) -> ExperimentRep
 
     distances = {}
     for tag, nn in (("n", config.n), ("2n", 2 * config.n)):
-        k = int(config.intermediate.k_vector(nn)[0])
         raw, ks = _collect_os(config, nn, derive_seed(config.seed, 1, nn), threads)
+        k = int(ks[0])
         batch = OSBatch(
             values=raw,
             n=nn,
@@ -409,17 +378,7 @@ def _run_representation(config: ExperimentConfig, threads: int) -> ExperimentRep
             gated=False,
         )
     ]
-    return ExperimentReport(
-        kind="representation",
-        config=config_to_json(config),
-        theoretical_sigma=sigma,
-        criteria=criteria,
-        passed=_overall(criteria),
-        runtime_seconds=time.perf_counter() - start,
-        lambda_used=lam,
-        lambda_min_eigenvalue=min_eig,
-        distances=distances,
-    )
+    return criteria, dict(lambda_used=lam, lambda_min_eigenvalue=min_eig, distances=distances)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +386,12 @@ def _run_representation(config: ExperimentConfig, threads: int) -> ExperimentRep
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Run the config's experiment with ``threads`` workers.
+
+    Every kind shares one target, Sigma from the tail norm and the
+    config's limit rank ratios (all 1 for a representation config, whose
+    k rule is common), checked here to be a covariance.  The kind's body
+    then samples and summarizes, and the report is assembled here from
+    the criteria and fields it returns.
 
     ``copula`` and ``general`` configs check the limit law: standardized
     order statistics against N(0, Sigma), on the copula scale or with the
@@ -437,9 +402,23 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     entrywise square root of the limit covariance is not positive
     semidefinite, reporting the offending eigenvalue.
     """
-    if config.kind == "representation":
-        return _run_representation(config, threads)
-    return _run_moments(config, threads)
+    start = time.perf_counter()
+    sigma = theoretical_sigma(config.copula.tail_dnorm, config._ratios)
+    ok, min_eig = is_positive_semidefinite(sigma)
+    if not ok:
+        # sigma is a covariance by construction; a violation means a broken norm
+        raise RuntimeError(f"theoretical covariance not PSD (eigenvalue {min_eig:.3e})")
+    body = _run_representation if config.kind == "representation" else _run_moments
+    criteria, summary = body(config, sigma, threads)
+    return ExperimentReport(
+        kind=config.kind,
+        config=config_to_json(config),
+        theoretical_sigma=sigma,
+        criteria=criteria,
+        passed=all(c.passed for c in criteria if c.gated),
+        runtime_seconds=time.perf_counter() - start,
+        **summary,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,7 @@ REJECTED = [
     ("dnorm-not-json", ["dnorm", "eval", "--spec", "{kind:", "--x", "1,2"], None, {}),
     ("dnorm-unknown-kind", ["dnorm", "eval", "--spec", '{"kind":"cauchy"}', "--x", "1,2"], None, {}),
     ("dnorm-p-below-1", ["dnorm", "validate", "--spec", '{"kind":"logistic","p":0.5}'], None, {}),
+    ("dnorm-trials-0", ["dnorm", "validate", "--spec", '{"kind":"logistic","p":2}', "--trials", "0"], None, {}),
     ("cov-non-reciprocal", ["cov", "--dnorm", '{"kind":"sup"}', "--kratios", '{"d":2,"k":[[1,2],[2,1]]}'],
      None, {}),
     ("chi2rep-ragged", ["chi2rep", "--lambda", "[[1.0,0.5],[0.5]]", "-n", "100", "-k", "9", "-R", "5",

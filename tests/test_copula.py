@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,55 @@ class TestTailExpansion:
     def test_grid_leaving_cube_rejected(self):
         with pytest.raises(ValueError):
             tail_expansion_check(Independence(2), [1.0, 2.0], [0.6])
+
+    @pytest.mark.parametrize(
+        "model",
+        [Independence(3), Comonotone(3), GumbelLogistic(3, 2.0), GumbelLogistic(4, 64.0), GumbelLogistic(2, 1.0)],
+        ids=lambda m: m.label(),
+    )
+    def test_grid_equals_one_cdf_call_per_t(self, model):
+        # the whole grid is one copula_cdf call on 1 - t x; each row must
+        # equal the call at that t alone, bit for bit
+        x = np.linspace(0.25, 1.5, model.d)
+        t_grid = np.geomspace(0.5, 1e-9, 40)
+        rows = tail_expansion_check(model, x, t_grid)
+        for (t, quotient), t_alone in zip(rows, t_grid):
+            assert t == t_alone
+            assert quotient == (1.0 - copula_cdf(model, 1.0 - t_alone * x)) / t_alone
+
+
+class TestReplicationMemory:
+    """Peak memory of one replication against ``first_draw``, which the
+    config cap (``streams.REPLICATION_ELEMENTS``) bounds: tracemalloc's
+    peak over a one-replication ``replicate`` call, divided by 8 bytes per
+    value ``first_draw`` counts.  Large draws measure 2.2 to 3.0 (the
+    uniforms, their logs and the row divisors, or the top rows' uniforms
+    and the planes they become); small ones reach 4, where fixed costs
+    dominate.  Each case keeps 15% headroom over its measured factor."""
+
+    @pytest.mark.parametrize(
+        "model,n,rank,measured",
+        [
+            (Independence(2), 10**6, 10**6 - 200000, 2.52),  # spacings, one plane per column
+            (Comonotone(3), 10**6, 10**6 - 200000, 3.00),  # spacings, one shared plane
+            (GumbelLogistic(2, 2.0), 10**6, 10**6 - 10**4 + 1, 3.01),  # top rows in batches
+            (GumbelLogistic(2, 2.0), 20000, 2000, 2.33),  # past the L top rows: rest()
+        ],
+        ids=["spacings-independence", "spacings-comonotone", "gumbel-top-rows", "gumbel-rest"],
+    )
+    def test_peak_per_counted_value(self, model, n, rank, measured):
+        make, elements = os_selector(model, n, rank)
+        out = np.empty((1, model.d))
+        replicate(out, 1, 1, make, elements)  # the thread's generator pools, built once
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            replicate(out, 2, 1, make, elements)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        factor = peak / (8 * elements)
+        assert 1.0 <= factor <= 1.15 * measured
 
 
 class TestJson:

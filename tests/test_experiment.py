@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from mvos.chi2rep import NotPositiveSemidefiniteError
 from mvos.copula import Comonotone, GumbelLogistic, Independence, os_selector, sample_rows
 from mvos.margins import Pareto, StandardExponential, StandardNormal, Triangular, quantile_transform
+import mvos.experiment as experiment
 import mvos.orderstats as orderstats
 from mvos.orderstats import IntermediateSpec, PowerKRule, componentwise_os
 from mvos.streams import REPLICATION_ELEMENTS, stream_rng
@@ -347,11 +348,16 @@ class TestRepresentationExperiment:
         assert rep.distances["n"]["distance"] <= band
         assert rep.distances["2n"]["distance"] <= band
 
-    def test_lambda_override_refusal_names_eigenvalue(self):
+    def test_lambda_override_refusal_names_eigenvalue(self, monkeypatch):
         a = 3 ** -0.25
         bad = np.array([[1.0, 0.0, a], [0.0, 1.0, a], [a, a, 1.0]])
         cfg = ExperimentConfig(copula=GumbelLogistic(3, 2.0), n=200, replications=50,
                                seed=307, kind="representation", lambda_override=bad)
+
+        def never(*args, **kwargs):
+            raise AssertionError("sampling started before the refusal")
+
+        monkeypatch.setattr(experiment, "replicate", never)  # the refusal comes before any sampling
         with pytest.raises(NotPositiveSemidefiniteError) as err:
             run_experiment(cfg)
         assert err.value.min_eigenvalue == pytest.approx(1.0 - math.sqrt(2.0) * a, rel=1e-9)
