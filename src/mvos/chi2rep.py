@@ -114,8 +114,8 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
     lam = check_correlation(lam)
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
-    if r < 1:
-        raise ValueError("need at least one replication")
+    if not 1 <= r <= 2**32:
+        raise ValueError("need 1 <= replications <= 2**32")
     ok, min_eig = is_positive_semidefinite(lam)
     if not ok:
         raise NotPositiveSemidefiniteError(min_eig)

@@ -10,9 +10,10 @@ Subcommands:
 
 Exit codes, for every subcommand: 0 success (for experiments and
 validation, all gated criteria pass), 1 criterion failure, 2 invalid
-input, rejected before any sampling, 3 refusal because the square-root
-correlation matrix is not positive semidefinite.  MVOS_SEED overrides
-the configured seed and is flagged in the report.
+input, rejected before any sampling, or a result array too large to
+allocate, 3 refusal because the square-root correlation matrix is not
+positive semidefinite.  MVOS_SEED overrides the configured seed and is
+flagged in the report.
 """
 from __future__ import annotations
 
@@ -180,8 +181,7 @@ def _default_vm_grid(margin) -> list[float]:
 def _cmd_cov(args) -> int:
     spec = from_json("dnorm", _parsed("--dnorm", json.loads, args.dnorm))
     if args.equal_k:
-        _check(args.d >= 1, "--d must be >= 1")
-        ratios = KRatioMatrix.ones(args.d)
+        ratios = _parsed("--d", KRatioMatrix.ones, args.d)
     else:
         _check(bool(args.kratios), "either --kratios or --equal-k is required")
         ratios = _parsed("--kratios", _kratios, args.kratios)
@@ -287,6 +287,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except InvalidConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"input too large: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NotPositiveSemidefiniteError as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -72,7 +72,9 @@ def moment_summary(values) -> MomentSummary:
 
     The covariance stderr uses the delta-method variance
     (E[(X_i - m_i)^2 (X_j - m_j)^2] - cov_ij^2) / R, which needs no
-    normality assumption.
+    normality assumption.  The fourth moments are formed one column i at
+    a time, as the R x d products (X_i - m_i)(X_j - m_j) over j, so the
+    working memory is about 3 R d values at any d.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim != 2 or v.shape[0] < 2:
@@ -82,7 +84,6 @@ def moment_summary(values) -> MomentSummary:
     centered = v - mean
     cov = centered.T @ centered / r
     mean_se = np.sqrt(np.diag(cov) / r)
-    sq = centered[:, :, None] * centered[:, None, :]
-    second = np.mean(sq * sq, axis=0)
+    second = np.array([np.mean(np.square(centered * col[:, None]), axis=0) for col in centered.T])
     cov_se = np.sqrt(np.maximum(second - cov * cov, 0.0) / r)
     return MomentSummary(mean=mean, mean_se=mean_se, cov=cov, cov_se=cov_se)

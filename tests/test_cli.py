@@ -292,6 +292,10 @@ REJECTED = [
                               "--x", "1,2,3"], None, {}),
     ("cov-dimension-mismatch", ["cov", "--dnorm", '{"kind":"generator","gen":{"kind":"constant"},"d":3}',
                                 "--equal-k", "--d", "2"], None, {}),
+    ("chi2rep-R-above-2**32", ["chi2rep", "--lambda", "[[1.0,0.5],[0.5,1.0]]", "-n", "100", "-k", "9",
+                               "-R", str(2**32 + 1), "--seed", "1", "--out", "{out}"], None, {}),
+    ("cov-equal-k-d-0", ["cov", "--dnorm", '{"kind":"sup"}', "--equal-k", "--d", "0"], None, {}),
+    ("cov-equal-k-d-negative", ["cov", "--dnorm", '{"kind":"sup"}', "--equal-k", "--d", "-3"], None, {}),
     ("chi2rep-R-0", ["chi2rep", "--lambda", "[[1.0,0.5],[0.5,1.0]]", "-n", "10", "-k", "3", "-R", "0",
                      "--seed", "1", "--out", "{out}"], None, {}),
     ("negative-seed", ["sample", "--copula", "independence", "-n", "5", "--seed", "-1", "--out", "{out}"],
@@ -379,3 +383,25 @@ def test_invalid_input_exits_2_with_one_line(argv, config, env, tmp_path, capsys
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
     assert not out_path.exists()
+
+
+def test_allocation_failure_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    # the R x d result array is allocated before any draw; where it cannot
+    # be, as for R = 2**32 at d = 2 (64 GiB), the run exits 2 on one line
+    empty = np.empty
+
+    def no_room(shape, *args, **kwargs):
+        if np.prod(shape) >= 2**32:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return empty(shape, *args, **kwargs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampling started before the allocation")
+
+    monkeypatch.setattr(np, "empty", no_room)
+    monkeypatch.setattr(experiment, "replicate", never)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**GOOD_CONFIG, "replications": 2**32}))
+    code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

@@ -115,6 +115,21 @@ class TestKRatioMatrix:
         with pytest.raises(ValueError):
             KRatioMatrix(np.array([[2.0, 1.0], [1.0, 1.0]]))
 
+    def test_weights_form_at_d_1000(self):
+        # the form sqrt(w_i / w_j) is checked in O(d^2), so a wide config validates at once
+        w = np.random.default_rng(3).uniform(0.25, 4.0, size=1000)
+        m = np.sqrt(w[:, None] / w[None, :])
+        assert np.array_equal(KRatioMatrix(m).entries, m)
+        bad = m.copy()
+        bad[417, 3] *= 1 + 1e-6
+        with pytest.raises(ValueError):
+            KRatioMatrix(bad)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0,), (2, 3)])
+    def test_empty_or_not_square(self, shape):
+        with pytest.raises(ValueError):
+            KRatioMatrix(np.ones(shape))
+
 
 class TestIntermediateSpec:
     def test_power_rule(self):

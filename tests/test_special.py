@@ -61,7 +61,7 @@ class TestAgainstScipy:
 
 
 def test_runs_load_no_scipy(tmp_path):
-    # every experiment kind and the cov and sample commands, in a fresh process
+    # every experiment kind and every other subcommand, in a fresh process
     configs = [
         {"kind": "copula", "copula": {"kind": "gumbel", "d": 2, "p": 2.0}, "n": 500, "replications": 30, "seed": 1},
         {"kind": "general", "copula": {"kind": "independence", "d": 2}, "n": 500, "replications": 30, "seed": 2,
@@ -81,7 +81,14 @@ def test_runs_load_no_scipy(tmp_path):
         runs = [["experiment", "--config", path, "--out", path + ".out"] for path in {paths!r}]
         runs += [["cov", "--dnorm", '{{"kind":"logistic","p":2}}', "--equal-k", "--d", "2"],
                  ["sample", "--copula", "gumbel", "--p", "2", "-d", "2", "-n", "50", "--seed", "3",
-                  "--out", {str(tmp_path / "u.csv")!r}]]
+                  "--out", {str(tmp_path / "u.csv")!r}],
+                 ["check", "smirnov", "--margin", "pareto", "--alpha", "2"],
+                 ["check", "von-mises", "--margin", "triangular"],
+                 ["dnorm", "eval", "--spec", '{{"kind":"logistic","p":2}}', "--x", "3,4"],
+                 ["dnorm", "validate", "--spec",
+                  '{{"kind":"generator","gen":{{"kind":"frechet","p":2}},"d":2,"mc_samples":2000}}'],
+                 ["chi2rep", "--lambda", "[[1.0,0.5],[0.5,1.0]]", "-n", "100", "-k", "9", "-R", "50",
+                  "--seed", "1", "--out", {str(tmp_path / "r.csv")!r}]]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             codes = [main(argv) for argv in runs]
         print(json.dumps([codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]))
@@ -91,5 +98,6 @@ def test_runs_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     codes, loaded = json.loads(out.stdout)
     assert loaded == []
-    # a run may miss a criterion by chance (exit 1), but it must run to its report
-    assert all(c in (0, 1) for c in codes) and all(os.path.getsize(path + ".out") > 0 for path in paths)
+    # an experiment may miss a criterion by chance (exit 1), but it must run to its report
+    assert all(c in (0, 1) for c in codes[:len(paths)]) and all(os.path.getsize(path + ".out") > 0 for path in paths)
+    assert codes[len(paths):] == [0] * (len(codes) - len(paths))
