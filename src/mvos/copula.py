@@ -54,8 +54,8 @@ __all__ = [
     "tail_expansion_check",
 ]
 
-# stable proposals a top row holds; the i-th of n rows rejects one with
-# probability about i / n, so most replications need no second round
+# stable proposals a top row holds at p != 2; the i-th of n rows rejects
+# one with probability about i / n, so most replications need no second round
 _TRIES = 3
 
 # rows per step of the rows below the top ones
@@ -162,6 +162,29 @@ def _log_kanter(alpha: float, u: np.ndarray, log_w: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_frailty_half(log_theta: np.ndarray, log_u: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """log S for S with density proportional to s^(-1/2) exp(-theta s - 1 / (4 s)),
+    the frailty given a row maximum at alpha = 1/2, from uniforms U (given
+    as log U), U' and V on (0, 1]: 1 / S is inverse Gaussian IG(2 r, 2 r^2),
+    r = sqrt(theta), drawn as Michael, Schucany & Haas (1976) do.  With
+    E = -log U, E sin^2(pi U' / 2) is Gamma(1) Beta(1/2, 1/2) = Gamma(1/2)
+    in law, so nu = 2 E sin^2(pi U' / 2) is chi-square with one degree of
+    freedom.  The smaller root of the IG quadratic in nu is r z, with
+    z = 8 / (sqrt(t + 4) + sqrt(t))^2 and t = nu / r, which has no
+    cancellation and is 2 at nu = 0; 1 / S is that root where V (2 + z) <= 2,
+    else the larger one, 4 r / z.  Elementwise ufuncs only, so an element's
+    bits do not depend on its array."""
+    r = np.exp(np.multiply(log_theta, 0.5))
+    t = np.sin(np.multiply(u, math.pi / 2.0))
+    np.multiply(np.multiply(t, t, out=t), np.multiply(log_u, -2.0), out=t)  # nu
+    np.divide(t, r, out=t)
+    z = np.sqrt(t + 4.0)
+    z += np.sqrt(t, out=t)
+    np.divide(8.0, np.multiply(z, z, out=z), out=z)
+    inverse = np.where(np.multiply(v, 2.0 + z) <= 2.0, r * z, 4.0 * r / z)
+    return np.negative(np.log(inverse, out=inverse), out=inverse)
+
+
 def _stable(model: CopulaModel) -> bool:
     """Whether the model's rows share a positive-stable frailty: Gumbel with p > 1."""
     return isinstance(model, GumbelLogistic) and model.p > 1.0
@@ -226,11 +249,12 @@ class _Streams:
 
 
 def _spacing_terms(gens: Sequence[np.random.Generator], n: int, rows: int, width: int, scratch: dict) -> np.ndarray:
-    """The Renyi spacings of the first ``rows`` of n rows, negated: rows x
-    width x len(gens) values -E_i / (n - i + 1) at 1-based row i, with
-    log U = -E and U = 1 - V for each replication's uniforms V, ``width``
-    per row, drawn row by row by its generator in ``gens``.  A frailty-free
-    column's i-th largest latent value log U is the sum of its first i."""
+    """The Renyi spacings of the first ``rows`` of n rows: rows x width x
+    len(gens) values E_i / (n - i + 1) at 1-based row i, as log U divided
+    by -(n - i + 1), with log U = -E and U = 1 - V for each replication's
+    uniforms V, ``width`` per row, drawn row by row by its generator in
+    ``gens``.  A frailty-free column's i-th largest value log U is minus
+    the sum of its first i."""
     raw, e = _reused(scratch, "raw", (len(gens), rows, width)), _reused(scratch, "e", (rows, width, len(gens)))
     for gen, u in zip(gens, raw):
         gen.random(out=u)
@@ -261,7 +285,10 @@ class _MaxOrderRows(_Streams):
       Gamma(2 - alpha) U^(1 / (1 - alpha)) / theta, and X positive stable
       tilted by exp(-theta X), a Kanter variate accepted when a unit
       exponential A exceeds theta X (Devroye 2009), which happens with
-      probability exp(-theta^alpha) = exp(-g) = H(M).  Given S,
+      probability exp(-theta^alpha) = exp(-g) = H(M).  At p = 2 the
+      density is proportional to s^(-1/2) exp(-theta s - 1 / (4 s)), and
+      1 / S is inverse Gaussian, drawn exactly from three uniforms
+      (``_log_frailty_half``) with no proposals.  Given S,
       E_J = S e^-m and E_j = S e^-m + (F_j - F_J) by memorylessness, so
       the row is m - log1p((F_j - F_J) e^m / S), exactly m at J.
     * The stop bound.  Every value is at most its row's maximum, from
@@ -279,15 +306,17 @@ class _MaxOrderRows(_Streams):
       all n rows iid.
 
     Streams: each replication's Philox generator gives its key and the
-    seed of its main SFC64 generator (``_Streams``), then three words that
-    seed a second SFC64 for the Gamma variates.  The main one draws
-    ``width`` uniforms per top row, row by row (the row's spacing, its d
-    spreads, its Gamma variate's and [V, W, A] of each stable proposal),
-    then what the rows below use, then, in ``sample_rows``, the positions
-    of the top rows.  A top row none of whose ``_TRIES`` stable proposals
-    is accepted takes ``_TRIES`` more from the Philox stream keyed
-    (key, 2), then (key, 3) and so on, each in row order, so a row's values
-    do not depend on how the top rows are batched.
+    seed of its main SFC64 generator (``_Streams``), then, at p != 2, three
+    words that seed a second SFC64 for the Gamma variates.  The main one
+    draws ``width`` uniforms per top row, row by row, then what the rows
+    below use, then, in ``sample_rows``, the positions of the top rows.  A
+    top row's uniforms are its spacing and its d spreads, then at p = 2
+    the three of its frailty (d + 4 in all), and otherwise its Gamma
+    variate's and [V, W, A] of each of ``_TRIES`` stable proposals.  A top
+    row none of whose proposals is accepted takes ``_TRIES`` more from the
+    Philox stream keyed (key, 2), then (key, 3) and so on, each in row
+    order, so a row's values do not depend on how the top rows are
+    batched.
 
     Blocks: a block's replications draw their values with their own calls
     to their own generators, and every replication that goes on draws the
@@ -305,14 +334,17 @@ class _MaxOrderRows(_Streams):
         # acceptance, about 1 - L / n, stays above 5/8
         self.top = min(n // 8 + 64, 3 * n // 8)
         self.p, self.alpha, self.log_d = model.p, 1.0 / model.p, math.log(model.d)
-        self.width = self.d + 2 + 3 * _TRIES
+        # at p = 2 a top row's frailty is drawn in closed form
+        self.closed_form = model.p == 2.0
+        self.width = self.d + (4 if self.closed_form else 2 + 3 * _TRIES)
         self.scratch: dict[str, np.ndarray] = {}
 
     def start(self, rngs: Sequence[np.random.Generator]) -> None:
-        """Begin a block as ``_Streams.start`` does, and seed each
-        replication's Gamma SFC64 generator ``gammas[slot]``."""
+        """Begin a block as ``_Streams.start`` does and, at p != 2, seed
+        each replication's Gamma SFC64 generator ``gammas[slot]``."""
         super().start(rngs)
-        self.gammas = [seed_sfc64(self._pooled(slot, 1), rng.bit_generator.random_raw(3)) for slot, rng in enumerate(rngs)]
+        self.gammas = [] if self.closed_form else [
+            seed_sfc64(self._pooled(slot, 1), rng.bit_generator.random_raw(3)) for slot, rng in enumerate(rngs)]
         self.keyed, self.drawn, self.g, self.m = set(), 0, np.zeros(len(rngs)), np.full(len(rngs), math.inf)
 
     def _sub(self, slot: int, t: int) -> np.random.Generator:
@@ -333,7 +365,7 @@ class _MaxOrderRows(_Streams):
         for j, slot in enumerate(slots):
             self.rngs[slot].random(out=raw[j])
         np.subtract(1.0, raw.transpose(2, 0, 1), out=u)
-        logs = u[:self.d + 2]  # the spacing, the spreads and the Gamma's
+        logs = u[:self.d + 2]  # the spacing, the spreads and the frailty's first (its Gamma's at p != 2)
         np.log(logs, out=logs)  # log U = -E
         g = np.divide(logs[0], np.arange(i - self.n, i + c - self.n, dtype=float), out=logs[0])  # -(n - i + 1)
         g[:, 0] += self.g[slots]  # continue the sums of the rows drawn before
@@ -346,12 +378,15 @@ class _MaxOrderRows(_Streams):
         np.subtract(self.log_d, np.multiply(np.log(g, out=m[:, 1:]), self.p, out=m[:, 1:]), out=m[:, 1:])
         m = np.minimum.accumulate(m, axis=1, out=m)[:, 1:]
         log_theta = self.log_d - m
-        gamma = np.empty((b, c))
-        for row, slot in zip(gamma, slots):
-            self.gammas[slot].standard_gamma(2.0 - self.alpha, out=row)
-        log_y = np.log(gamma, out=gamma) + logs[-1] / (1.0 - self.alpha) - log_theta
-        log_x = self._tilted_stable(u[2 + self.d:].reshape(3 * _TRIES, -1), log_theta.ravel(), np.repeat(slots, c))
-        log_s = np.logaddexp(log_x.reshape(b, c), log_y)
+        if self.closed_form:
+            log_s = _log_frailty_half(log_theta, logs[-1], u[-2], u[-1])
+        else:
+            gamma = np.empty((b, c))
+            for row, slot in zip(gamma, slots):
+                self.gammas[slot].standard_gamma(2.0 - self.alpha, out=row)
+            log_y = np.log(gamma, out=gamma) + logs[-1] / (1.0 - self.alpha) - log_theta
+            log_x = self._tilted_stable(u[2 + self.d:].reshape(3 * _TRIES, -1), log_theta.ravel(), np.repeat(slots, c))
+            log_s = np.logaddexp(log_x.reshape(b, c), log_y)
         np.subtract(m, np.log1p(np.multiply(out, np.exp(m - log_s), out=out), out=out), out=out)
         self.m[slots] = m[:, -1]
         return m

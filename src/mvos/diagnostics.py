@@ -19,20 +19,33 @@ __all__ = [
 ]
 
 
+# values per cdf call in ks_statistic: a small sample's columns take one
+# call, as each call has a fixed cost, and a large one's one column each
+KS_BLOCK = 2**16
+
+
 def ks_statistic(sample, cdf: Callable[[np.ndarray], np.ndarray]):
     """One-sample Kolmogorov-Smirnov statistic against a continuous cdf.
 
-    An R x d matrix gives the d column statistics as an array, with one
-    sort and one ``cdf`` call for all columns.
+    An R x d matrix gives the d column statistics as an array: the columns
+    are sorted in one d x R copy, and ``cdf`` is called on a flat array of
+    as many whole columns as ``KS_BLOCK`` values hold (at least one), so
+    beyond that copy the working memory is a few blocks.
     """
-    x = np.sort(np.asarray(sample, dtype=float), axis=0)
-    n = len(x)
+    sample = np.asarray(sample, dtype=float)
+    n = len(sample)
     if n == 0:
         raise ValueError("empty sample")
-    f = np.asarray(cdf(x), dtype=float)
-    steps = (np.arange(1, n + 1) / n).reshape((n,) + (1,) * (x.ndim - 1))
-    stat = np.maximum(steps - f, f - (steps - 1.0 / n)).max(axis=0)
-    return float(stat) if x.ndim == 1 else stat
+    columns = np.array(sample.reshape(n, -1).T, order="C")
+    columns.sort(axis=1)
+    steps = np.arange(1, n + 1) / n
+    below = steps - 1.0 / n
+    stat, per = np.empty(len(columns)), max(1, KS_BLOCK // n)
+    for lo in range(0, len(columns), per):
+        block = columns[lo:lo + per]
+        f = np.asarray(cdf(block.ravel()), dtype=float).reshape(block.shape)
+        stat[lo:lo + per] = np.maximum(steps - f, f - below).max(axis=1)
+    return float(stat[0]) if sample.ndim == 1 else stat.reshape(sample.shape[1:])
 
 
 def ks_pvalue(stat: float, nobs: int) -> float:

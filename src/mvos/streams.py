@@ -39,7 +39,7 @@ BLOCK_ELEMENTS = 2**16
 BLOCK_REPLICATIONS = 64
 # array elements one replication may add to a draw, which a config must
 # respect before any sampling (experiment.ExperimentConfig), and threads
-# a replicate call may start.  A replication's peak memory is 2.2 to 3.0
+# a replicate call may start.  A replication's peak memory is 2.2 to 3.7
 # times 8 bytes per counted value for large draws and up to 4 times for
 # small ones (tracemalloc, tests/test_copula.py::TestReplicationMemory),
 # so about 512 MB per replication at the cap

@@ -24,11 +24,13 @@ from test_chi2rep import _random_correlation, _stream_contract_ratios
 
 R = 130  # more than two default blocks of the selection below
 # n = 100 and k = 25 stop about half the replications among the L = 37
-# top rows and send the others to the rows below, and make many top rows
-# reject all their in-row stable proposals, a few twice
+# top rows and send the others to the rows below; at p = 3 they also make
+# many top rows reject all their in-row stable proposals, a few twice
+# (p = 2 draws the frailty in closed form, with no proposals)
 MODEL, N, SEED = GumbelLogistic(2, 2.0), 100, 31
-CONFIG = ExperimentConfig(copula=MODEL, n=N, replications=R, seed=SEED,
-                          intermediate=IntermediateSpec((PowerKRule(2.5, 0.5),) * 2, "n-k"))
+INTERMEDIATE = IntermediateSpec((PowerKRule(2.5, 0.5),) * 2, "n-k")
+CONFIG = ExperimentConfig(copula=MODEL, n=N, replications=R, seed=SEED, intermediate=INTERMEDIATE)
+PROPOSALS = ExperimentConfig(copula=GumbelLogistic(2, 3.0), n=N, replications=R, seed=SEED, intermediate=INTERMEDIATE)
 RANKS = CONFIG.intermediate.ranks(N)
 LAM = _random_correlation(3, seed=3)
 
@@ -62,9 +64,13 @@ def _check_sizes(sizes, cap, threads, elements, count=R):
     assert max(sizes) == min(block, -(-count // threads))
 
 
+def _oracle(config):
+    return np.array([componentwise_os(sample_rows(config.copula, N, stream_rng(SEED, r)), RANKS) for r in range(R)])
+
+
 @pytest.fixture(scope="module")
 def selection_oracle():
-    return np.array([componentwise_os(sample_rows(MODEL, N, stream_rng(SEED, r)), RANKS) for r in range(R)])
+    return _oracle(CONFIG)
 
 
 class TestSelection:
@@ -101,15 +107,15 @@ class TestSelection:
         assert np.array_equal(values, selection_oracle)
         assert any(2 <= len(slots) < size for size, slots in blocks)
 
-    def test_block_with_proposal_redraws(self, selection_oracle, monkeypatch):
+    def test_block_with_proposal_redraws(self, monkeypatch):
         # a top row that rejects all of its in-row stable proposals draws
         # more from its replication's (key, 2) stream, and then (key, 3)
         keyed = set()
         sub = copula_module._MaxOrderRows._sub
         monkeypatch.setattr(copula_module._MaxOrderRows, "_sub",
                             lambda rows, slot, t: keyed.add((len(rows.rngs), t)) or sub(rows, slot, t))
-        values, _ = _collect_os(CONFIG, N, SEED, 1)
-        assert np.array_equal(values, selection_oracle)
+        values, _ = _collect_os(PROPOSALS, N, SEED, 1)
+        assert np.array_equal(values, _oracle(PROPOSALS))
         assert {2, 3} <= {t for size, t in keyed if size > 1}
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from mvos.copula import (
     sample_rows,
     tail_expansion_check,
 )
+from mvos._special import ndtr
 from mvos.chi2rep import ecdf_on_grid
 from mvos.diagnostics import ks_critical_value, ks_statistic
 from mvos.dnorm import dnorm_eval
@@ -211,20 +213,22 @@ class TestReplicationMemory:
     """Peak memory of one replication against ``first_draw``, which the
     config cap (``streams.REPLICATION_ELEMENTS``) bounds: tracemalloc's
     peak over a one-replication ``replicate`` call, divided by 8 bytes per
-    value ``first_draw`` counts.  Large draws measure 2.2 to 3.0 (the
+    value ``first_draw`` counts.  Large draws measure 2.2 to 3.7 (the
     uniforms, their logs and the row divisors, or the top rows' uniforms
-    and the planes they become); small ones reach 4, where fixed costs
-    dominate.  Each case keeps 15% headroom over its measured factor."""
+    and the planes they become, which at p = 2 outweigh the d + 4 uniforms
+    per row); small ones reach 4, where fixed costs dominate.  Each case
+    keeps 15% headroom over its measured factor."""
 
     @pytest.mark.parametrize(
         "model,n,rank,measured",
         [
             (Independence(2), 10**6, 10**6 - 200000, 2.52),  # spacings, one plane per column
             (Comonotone(3), 10**6, 10**6 - 200000, 3.00),  # spacings, one shared plane
-            (GumbelLogistic(2, 2.0), 10**6, 10**6 - 10**4 + 1, 3.01),  # top rows in batches
+            (GumbelLogistic(2, 3.0), 10**6, 10**6 - 10**4 + 1, 3.01),  # top rows in batches, stable proposals
+            (GumbelLogistic(2, 2.0), 10**6, 10**6 - 10**4 + 1, 3.70),  # top rows in batches, closed-form frailty
             (GumbelLogistic(2, 2.0), 20000, 2000, 2.33),  # past the L top rows: rest()
         ],
-        ids=["spacings-independence", "spacings-comonotone", "gumbel-top-rows", "gumbel-rest"],
+        ids=["spacings-independence", "spacings-comonotone", "gumbel-top-rows", "gumbel-p2-top-rows", "gumbel-rest"],
     )
     def test_peak_per_counted_value(self, model, n, rank, measured):
         make, elements = os_selector(model, n, rank)
@@ -239,6 +243,43 @@ class TestReplicationMemory:
             tracemalloc.stop()
         factor = peak / (8 * elements)
         assert 1.0 <= factor <= 1.15 * measured
+
+
+class TestFrailtyGivenMaximum:
+    """At p = 2 (alpha = 1/2) ``_MaxOrderRows`` draws a top row's frailty S
+    given the row maximum in closed form.  Its law must be the one the
+    Kanter and Gamma path draws at other p, whose Laplace transform is
+    (1 + l / theta)^(alpha - 1) exp(theta^alpha - (theta + l)^alpha), and
+    1 / S must be inverse Gaussian IG(2 sqrt(theta), 2 theta).  Each theta
+    draws R = 10^6 values from its own seed."""
+
+    R = 10**6
+    THETAS = [1e-8, 1e-4, 1e-2, 1.0]
+
+    def _frailty(self, theta, seed):
+        u = 1.0 - np.random.default_rng(seed).random((3, self.R))
+        log_s = copula_module._log_frailty_half(np.full(self.R, math.log(theta)), np.log(u[0]), u[1], u[2])
+        return np.exp(log_s)
+
+    @pytest.mark.parametrize("theta,seed", zip(THETAS, [8301, 8302, 8303, 8304]))
+    def test_laplace_transform(self, theta, seed):
+        # |z| <= 4.5 at l = theta / 10, theta and 10 theta
+        s = self._frailty(theta, seed)
+        for l in (0.1 * theta, theta, 10.0 * theta):
+            values = np.exp(-l * s)
+            want = (1.0 + l / theta) ** -0.5 * math.exp(math.sqrt(theta) - math.sqrt(theta + l))
+            assert abs(values.mean() - want) <= 4.5 * values.std() / math.sqrt(self.R)
+
+    @pytest.mark.parametrize("theta,seed", zip(THETAS, [8305, 8306, 8307, 8308]))
+    def test_inverse_is_inverse_gaussian(self, theta, seed):
+        # the IG(2 r, 2 r^2) cdf, r = sqrt(theta), against KS at level 1e-4
+        r = math.sqrt(theta)
+
+        def cdf(x):
+            root = np.sqrt(2.0 * x)
+            return ndtr((x - 2.0 * r) / root) + math.exp(2.0 * r) * ndtr(-(x + 2.0 * r) / root)
+
+        assert ks_statistic(1.0 / self._frailty(theta, seed), cdf) < ks_critical_value(1e-4, self.R)
 
 
 class TestJson:
@@ -414,25 +455,27 @@ class TestMaxOrderRows:
         monkeypatch.undo()  # sample_rows draws its rows in a batch
         self._check(model, n, ranks, 99)
 
-    @pytest.mark.parametrize("model", [Independence(3), GumbelLogistic(3, 1.0), GumbelLogistic(3, 2.0)],
-                             ids=lambda m: m.label())
+    @pytest.mark.parametrize("model", [Independence(3), GumbelLogistic(3, 1.0), GumbelLogistic(3, 2.0),
+                                       GumbelLogistic(3, 3.0)], ids=lambda m: m.label())
     def test_stream_layout(self, model):
         # a replication's Philox stream gives its key, then the three words
-        # of its main SFC64 and, with a positive-stable frailty, three of its
-        # Gamma SFC64, and nothing else, however many rows are drawn
+        # of its main SFC64 and, with a positive-stable frailty drawn from
+        # Gamma variates (p != 2), three of its Gamma SFC64, and nothing
+        # else, however many rows are drawn
         n, rng = 1000, stream_rng(105, 0)
         words = stream_rng(105, 0).bit_generator.random_raw(8)
         stable = copula_module._stable(model)
+        gamma = stable and model.p != 2.0
         streams = copula_module._MaxOrderRows(model, n) if stable else copula_module._Streams()
         streams.start([stream_rng(105, 0)])
         gammas = streams.gammas if stable else []
-        assert streams.keys == [words[0]] and len(gammas) == stable
+        assert streams.keys == [words[0]] and len(gammas) == gamma
         for gen, seed in zip([streams.rngs[0], *gammas], (words[1:4], words[4:7])):
             fresh = seed_sfc64(np.random.Generator(np.random.SFC64(0)), seed)
             assert np.array_equal(gen.bit_generator.random_raw(64), fresh.bit_generator.random_raw(64))
         streams.stop()
         sample_rows(model, n, rng)
-        assert rng.bit_generator.random_raw() == words[7 if stable else 4]
+        assert rng.bit_generator.random_raw() == words[7 if gamma else 4]
 
     @pytest.mark.parametrize("model", [Independence(1), Comonotone(2)], ids=lambda m: m.label())
     def test_spacing_sums_of_a_lone_column(self, model, monkeypatch):
@@ -458,11 +501,12 @@ class TestMaxOrderRows:
         self._check(model, n, ranks, 101, reps=5, threads=threads)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("model,n,k", [(GumbelLogistic(2, 8.0), 300, 60), (GumbelLogistic(5, 2.0), 500, 22)],
-                             ids=["gumbel-d2-p8-n300", "gumbel-d5-p2-n500"])
+    @pytest.mark.parametrize("model,n,k", [(GumbelLogistic(2, 8.0), 300, 60), (GumbelLogistic(5, 3.0), 500, 22)],
+                             ids=["gumbel-d2-p8-n300", "gumbel-d5-p3-n500"])
     def test_proposal_redraws_of_several_slots_at_once(self, model, n, k, threads, monkeypatch):
         # top rows of several replications of a block run out of in-row
-        # stable proposals in one round, and redraw them in one call
+        # stable proposals in one round, and redraw them in one call (p = 2
+        # draws no proposals)
         rounds = []
         tilted = copula_module._MaxOrderRows._tilted_stable
 
@@ -476,13 +520,17 @@ class TestMaxOrderRows:
         assert max(rounds) >= 2
 
     def test_proposal_streams_are_kept_between_calls(self):
-        # the thread's (slot, t) generators serve the next call, re-keyed
-        model, n, ranks = GumbelLogistic(2, 2.0), 300, np.full(2, 280)
+        # the thread's (slot, t) generators, the Gamma SFC64 (t = 1) and the
+        # proposal redraws' Philox (t >= 2), serve the next call, re-keyed;
+        # the pool starts empty, so this call builds them
+        model, n, ranks = GumbelLogistic(2, 3.0), 300, np.full(2, 280)
+        copula_module._idle.pool = None
         first = replicate(np.empty((20, 2)), 104, 1, *os_selector(model, n, ranks))
         pool = dict(copula_module._idle.pool)
         second = replicate(np.empty((20, 2)), 104, 1, *os_selector(model, n, ranks))
         assert np.array_equal(first, second)
-        assert (0, 1) in pool and all(copula_module._idle.pool[key] is gen for key, gen in pool.items())
+        assert (0, 1) in pool and any(t >= 2 for _, t in pool)
+        assert all(copula_module._idle.pool[key] is gen for key, gen in pool.items())
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_gumbel_p1_selects_the_independence_bits(self, d):

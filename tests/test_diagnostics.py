@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvos.diagnostics import moment_summary
+from mvos._special import ndtr
+from mvos.diagnostics import ks_statistic, moment_summary
 
 
 def _second_moments_rdd(centered):
@@ -37,3 +38,43 @@ def test_moment_summary_memory_linear_in_d():
     finally:
         tracemalloc.stop()
     assert peak < 4 * r * d * 8
+
+
+def _ks_whole_matrix(sample, cdf):
+    """The KS statistic through one sort, one cdf call and R x d
+    differences for all columns at once: the formula ks_statistic used to
+    form."""
+    x = np.sort(np.asarray(sample, dtype=float), axis=0)
+    n = len(x)
+    f = np.asarray(cdf(x), dtype=float)
+    steps = (np.arange(1, n + 1) / n).reshape((n,) + (1,) * (x.ndim - 1))
+    stat = np.maximum(steps - f, f - (steps - 1.0 / n)).max(axis=0)
+    return float(stat) if x.ndim == 1 else stat
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (500,), (1, 3), (9, 1), (64, 5), (4000, 12), (30, 2, 3),
+                                   (30000, 7), (70000, 2)])
+def test_ks_statistic_matches_whole_matrix_formula_bit_for_bit(shape):
+    # standard normal draws, a column of ties and one of a single value;
+    # the last two shapes take two columns and one column per cdf call
+    values = np.random.default_rng(sum(shape)).standard_normal(shape)
+    if values.ndim > 1 and values.shape[1] > 1:
+        values[::3, 0] = values[0, 0]
+        values[:, -1] = 0.25
+    for cdf in (ndtr, lambda x: np.clip(x, 0.0, 1.0)):
+        got, want = ks_statistic(values, cdf), _ks_whole_matrix(values, cdf)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+
+
+def test_ks_statistic_memory_is_one_copy_of_the_sample():
+    # the whole-matrix formula peaks at about 7.5 times R * d * 8 bytes here
+    r, d = 10**5, 100
+    values = np.random.default_rng(2).standard_normal((r, d))
+    tracemalloc.start()
+    try:
+        ks_statistic(values, ndtr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * r * d * 8
