@@ -23,10 +23,12 @@ bit:
   O(k) rows.
 
 A block's replications each draw from their own streams, and the
-arithmetic runs once on the block's arrays.  A replication's Philox stream
-gives a key and seeds the SFC64 generators that draw its uniforms
-(``streams.seed_sfc64``); Philox draws only the rare proposal redraws, whose
-streams are addressed by that key.
+arithmetic runs once on the block's arrays.  The first words of a
+replication's Philox stream give a key and seed the SFC64 generators that
+draw its uniforms; the selector computes them for a chunk of replications
+at once (``streams.philox_words``, ``streams.sfc64_states``), and
+``sample_rows`` reads them from its generator.  Philox draws only the rare
+proposal redraws, whose streams are addressed by that key.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .dnorm import DNormSpec, LogisticP, SupNorm, _Dimensioned, dnorm_eval
-from .streams import rekey, seed_sfc64, stream_rng
+from .streams import philox_words, rekey, sfc64_states, stream_rng
 
 __all__ = [
     "Independence",
@@ -162,27 +164,25 @@ def _log_kanter(alpha: float, u: np.ndarray, log_w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_frailty_half(log_theta: np.ndarray, log_u: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """log S for S with density proportional to s^(-1/2) exp(-theta s - 1 / (4 s)),
-    the frailty given a row maximum at alpha = 1/2, from uniforms U (given
-    as log U), U' and V on (0, 1]: 1 / S is inverse Gaussian IG(2 r, 2 r^2),
-    r = sqrt(theta), drawn as Michael, Schucany & Haas (1976) do.  With
-    E = -log U, E sin^2(pi U' / 2) is Gamma(1) Beta(1/2, 1/2) = Gamma(1/2)
-    in law, so nu = 2 E sin^2(pi U' / 2) is chi-square with one degree of
-    freedom.  The smaller root of the IG quadratic in nu is r z, with
-    z = 8 / (sqrt(t + 4) + sqrt(t))^2 and t = nu / r, which has no
-    cancellation and is 2 at nu = 0; 1 / S is that root where V (2 + z) <= 2,
-    else the larger one, 4 r / z.  Elementwise ufuncs only, so an element's
-    bits do not depend on its array."""
-    r = np.exp(np.multiply(log_theta, 0.5))
+def _inverse_frailty_half(r: np.ndarray, log_u: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """1 / S for S with density proportional to s^(-1/2) exp(-theta s - 1 / (4 s)),
+    the frailty given a row maximum at alpha = 1/2, r = sqrt(theta), from
+    uniforms U (given as log U), U' and V on (0, 1]: 1 / S is inverse
+    Gaussian IG(2 r, 2 r^2), drawn as Michael, Schucany & Haas (1976) do.
+    With E = -log U, E sin^2(pi U' / 2) is Gamma(1) Beta(1/2, 1/2) =
+    Gamma(1/2) in law, so nu = 2 E sin^2(pi U' / 2) is chi-square with one
+    degree of freedom.  The smaller root of the IG quadratic in nu is r z,
+    with z = 8 / (sqrt(t + 4) + sqrt(t))^2 and t = nu / r, which has no
+    cancellation and is 2 at nu = 0; 1 / S is that root where
+    V (2 + z) <= 2, else the larger one, 4 r / z.  Elementwise ufuncs only,
+    so an element's bits do not depend on its array."""
     t = np.sin(np.multiply(u, math.pi / 2.0))
     np.multiply(np.multiply(t, t, out=t), np.multiply(log_u, -2.0), out=t)  # nu
     np.divide(t, r, out=t)
     z = np.sqrt(t + 4.0)
     z += np.sqrt(t, out=t)
     np.divide(8.0, np.multiply(z, z, out=z), out=z)
-    inverse = np.where(np.multiply(v, 2.0 + z) <= 2.0, r * z, 4.0 * r / z)
-    return np.negative(np.log(inverse, out=inverse), out=inverse)
+    return np.where(np.multiply(v, 2.0 + z) <= 2.0, r * z, 4.0 * r / z)
 
 
 def _stable(model: CopulaModel) -> bool:
@@ -197,10 +197,16 @@ def _spacings(model: CopulaModel) -> int:
 
 
 def _to_uniform(model: GumbelLogistic, latent: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """exp(-exp(-x / p)), the nondecreasing map from ``_MaxOrderRows``'
-    latent scale to the copula's."""
-    u = np.divide(latent, -model.p, out=out)
-    return np.exp(np.negative(np.exp(u, out=u), out=u), out=u)
+    """The nondecreasing map from ``_MaxOrderRows``' latent scale to the
+    copula's: exp(-sqrt(-x)) at p = 2, where x = -E / S, else
+    exp(-exp(-x / p))."""
+    if model.p == 2.0:
+        u = np.negative(latent, out=out)
+        np.sqrt(u, out=u)
+    else:
+        u = np.divide(latent, -model.p, out=out)
+        np.exp(u, out=u)
+    return np.exp(np.negative(u, out=u), out=u)
 
 
 def _reused(store: dict, name: str, shape: tuple) -> np.ndarray:
@@ -213,6 +219,35 @@ def _reused(store: dict, name: str, shape: tuple) -> np.ndarray:
     return store[name][:size].reshape(shape)
 
 
+def _stream_seeds(words: np.ndarray) -> np.ndarray:
+    """Each replication's row of its key and SFC64 states, from the first
+    1 + 3 g words of its Philox stream (m x (1 + 3 g)): word 0 is the key,
+    and each next three words seed one SFC64 generator, numpy's seeding of
+    them (``streams.sfc64_states``)."""
+    seeds = np.empty((len(words), 1 + 4 * (words.shape[1] // 3)), np.uint64)
+    seeds[:, 0] = words[:, 0]
+    seeds[:, 1:] = sfc64_states(words[:, 1:].reshape(-1, 3)).reshape(len(words), -1)
+    return seeds
+
+
+def _key_seeds(gens: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``streams.replicate``'s ``prepare`` for draws with ``gens`` (1 or 2)
+    SFC64 generators a replication: ``_stream_seeds`` of a chunk of
+    replications' first words, computed from their Philox keys."""
+    def prepare(keys: np.ndarray) -> np.ndarray:
+        words = philox_words(keys, 1)
+        if gens > 1:  # words 4-6
+            words = np.concatenate((words, philox_words(keys, 2)[:, :3]), axis=1)
+        return _stream_seeds(words)
+
+    return prepare
+
+
+def _own_seeds(rng: np.random.Generator, gens: int) -> np.ndarray:
+    """``_stream_seeds`` of one replication, read from its Philox generator."""
+    return _stream_seeds(rng.bit_generator.random_raw(1 + 3 * gens)[None])
+
+
 # each thread's idle generators for the (slot, t) streams of _Streams; a
 # block takes them for its duration, so calls reuse them instead of building new ones
 _idle = threading.local()
@@ -220,20 +255,23 @@ _idle = threading.local()
 
 class _Streams:
     """A block of replications' generators.  Each replication's Philox
-    generator gives a 64-bit key, then three words that seed its main SFC64
-    generator (``streams.seed_sfc64``), which draws its uniforms.  Each
-    thread keeps its (slot, t) generators from block to block and from call
-    to call: t = 0 the main SFC64, t = 1 a second SFC64, t >= 2 the Philox
-    stream keyed (key, t)."""
+    stream gives a 64-bit key, then three words that seed its main SFC64
+    generator, which draws its uniforms; ``start`` gets them as rows of
+    ``_stream_seeds``.  Each thread keeps its (slot, t) generators from
+    block to block and from call to call: t = 0 the main SFC64, t = 1 a
+    second SFC64, t >= 2 the Philox stream keyed (key, t)."""
 
-    def start(self, rngs: Sequence[np.random.Generator]) -> None:
-        """Begin a block of replications, one from each Philox generator:
-        take the thread's idle generators for the block, read each
-        replication's key and seed its main SFC64 generator ``rngs[slot]``."""
+    # SFC64 generators a replication's Philox stream seeds
+    gens = 1
+
+    def start(self, seeds: np.ndarray) -> None:
+        """Begin a block of replications, one per row of ``seeds``
+        (``_stream_seeds``): take the thread's idle generators for the
+        block, keep each replication's key and set its main SFC64
+        generator ``rngs[slot]`` to its state."""
         self.pool, _idle.pool = getattr(_idle, "pool", None) or {}, None
-        words = [rng.bit_generator.random_raw(4) for rng in rngs]
-        self.keys = [w[0] for w in words]
-        self.rngs = [seed_sfc64(self._pooled(slot, 0), w[1:]) for slot, w in enumerate(words)]
+        self.keys = seeds[:, 0].tolist()
+        self.rngs = [self._seeded(slot, 0, state) for slot, state in enumerate(seeds[:, 1:5].tolist())]
 
     def stop(self) -> None:
         """End the block: hand the (slot, t) generators back to the thread."""
@@ -245,6 +283,13 @@ class _Streams:
         gen = self.pool.get((slot, t))
         if gen is None:
             gen = self.pool[slot, t] = np.random.Generator(np.random.SFC64(0) if t < 2 else np.random.Philox(0))
+        return gen
+
+    def _seeded(self, slot: int, t: int, state: list) -> np.random.Generator:
+        """The SFC64 generator for stream t < 2 of replication ``slot``, set
+        to ``state``: the whole state, so its past leaves no trace."""
+        gen = self._pooled(slot, t)
+        gen.bit_generator.state = {"bit_generator": "SFC64", "state": {"state": state}, "has_uint32": 0, "uinteger": 0}
         return gen
 
 
@@ -266,7 +311,8 @@ class _MaxOrderRows(_Streams):
     """A block of Gumbel (p > 1) replications' n rows on the latent scale,
     the top ones in decreasing order of the row maximum, as d x b x rows
     planes.  The latent value is log S - log E_j (S positive stable with
-    index alpha = 1 / p, E_j iid unit exponentials).  It is exact:
+    index alpha = 1 / p, E_j iid unit exponentials), and at p = 2 it is
+    -E_j / S, a nondecreasing function of it.  It is exact:
 
     * Renyi spacings.  With H(t) = C(t, ..., t) = t^(d^(1 / p)), the values
       -log H of the n row maxima are iid unit exponentials, whose i-th
@@ -288,26 +334,35 @@ class _MaxOrderRows(_Streams):
       probability exp(-theta^alpha) = exp(-g) = H(M).  At p = 2 the
       density is proportional to s^(-1/2) exp(-theta s - 1 / (4 s)), and
       1 / S is inverse Gaussian, drawn exactly from three uniforms
-      (``_log_frailty_half``) with no proposals.  Given S,
+      (``_inverse_frailty_half``) with no proposals.  Given S,
       E_J = S e^-m and E_j = S e^-m + (F_j - F_J) by memorylessness, so
       the row is m - log1p((F_j - F_J) e^m / S), exactly m at J.
+    * The p = 2 scale.  There theta = g^2, so sqrt(theta) = g, e^-m =
+      g^2 / d and exp(-(log S - log E_j)) = E_j / S.  So the row is kept
+      as -E_j / S = -(g^2 / d + (F_j - F_J) / S), exactly the maximum
+      -g^2 / d at J, and maps to the copula as exp(-sqrt(-x)); no log or
+      exp of g, theta or S is taken.  Other p keep the log scale, as g^p
+      underflows (p = 64).
     * The stop bound.  Every value is at most its row's maximum, from
-      which the spread subtracts a nonnegative number, and the sequential
-      sums and a running minimum keep the computed maxima nonincreasing,
-      so the values not yet drawn lie at or below the last maximum.  A
-      column with q drawn values at or above it has its q-th largest value
-      among them.
+      which the spread subtracts a nonnegative number (at p = 2 the
+      nonnegative product (F_j - F_J) / S), and the computed maxima do not
+      increase: the sequential sums g never decrease, which at p = 2 is
+      all -g^2 / d needs, and at other p a running minimum guards the
+      logs.  So the values not yet drawn lie at or below the last maximum.
+      A column with q drawn values at or above it has its q-th largest
+      value among them.
     * The Markov step.  The order statistics of the maxima form a Markov
       chain, so given the L largest the other n - L rows are iid with the
       law of a row whose maximum lies below m_L (m_0 = infinity):
       log S - log(F_j + S e^-m_L) with S now the tilted stable variate
-      alone, as the condition multiplies f_S(s) by exp(-theta s).  Placing
-      the top L rows at uniformly random positions among the others makes
-      all n rows iid.
+      alone, as the condition multiplies f_S(s) by exp(-theta s).  At
+      p = 2 that is -(F_j / S + g_L^2 / d), with the float g_L^2 / d of
+      the L-th maximum (0 for L = 0).  Placing the top L rows at uniformly
+      random positions among the others makes all n rows iid.
 
-    Streams: each replication's Philox generator gives its key and the
-    seed of its main SFC64 generator (``_Streams``), then, at p != 2, three
-    words that seed a second SFC64 for the Gamma variates.  The main one
+    Streams: each replication's first Philox words give its key and the
+    state of its main SFC64 generator (``_Streams``), then, at p != 2,
+    words 4-6 the state of a second SFC64 for the Gamma variates.  The main one
     draws ``width`` uniforms per top row, row by row, then what the rows
     below use, then, in ``sample_rows``, the positions of the top rows.  A
     top row's uniforms are its spacing and its d spreads, then at p = 2
@@ -334,18 +389,21 @@ class _MaxOrderRows(_Streams):
         # acceptance, about 1 - L / n, stays above 5/8
         self.top = min(n // 8 + 64, 3 * n // 8)
         self.p, self.alpha, self.log_d = model.p, 1.0 / model.p, math.log(model.d)
-        # at p = 2 a top row's frailty is drawn in closed form
+        # at p = 2 a top row's frailty is drawn in closed form, on the -E / S scale
         self.closed_form = model.p == 2.0
         self.width = self.d + (4 if self.closed_form else 2 + 3 * _TRIES)
+        self.gens = 1 if self.closed_form else 2
         self.scratch: dict[str, np.ndarray] = {}
 
-    def start(self, rngs: Sequence[np.random.Generator]) -> None:
-        """Begin a block as ``_Streams.start`` does and, at p != 2, seed
-        each replication's Gamma SFC64 generator ``gammas[slot]``."""
-        super().start(rngs)
+    def start(self, seeds: np.ndarray) -> None:
+        """Begin a block as ``_Streams.start`` does and, at p != 2, set each
+        replication's Gamma SFC64 generator ``gammas[slot]``."""
+        super().start(seeds)
         self.gammas = [] if self.closed_form else [
-            seed_sfc64(self._pooled(slot, 1), rng.bit_generator.random_raw(3)) for slot, rng in enumerate(rngs)]
-        self.keyed, self.drawn, self.g, self.m = set(), 0, np.zeros(len(rngs)), np.full(len(rngs), math.inf)
+            self._seeded(slot, 1, state) for slot, state in enumerate(seeds[:, 5:9].tolist())]
+        self.keyed, self.drawn, self.g = set(), 0, np.zeros(len(seeds))
+        # the last top row's maximum, which bounds the rows not yet drawn
+        self.m = np.full(len(seeds), 0.0 if self.closed_form else math.inf)
 
     def _sub(self, slot: int, t: int) -> np.random.Generator:
         """Replication ``slot``'s Philox stream keyed (key, t), t >= 2,
@@ -373,21 +431,25 @@ class _MaxOrderRows(_Streams):
         self.g[slots], self.drawn = g[:, -1], i + c
         spread = logs[1:-1]
         np.subtract(spread.max(axis=0), spread, out=out)  # F_j - F_J
-        m = np.empty((b, c + 1))
-        m[:, 0] = self.m[slots]
-        np.subtract(self.log_d, np.multiply(np.log(g, out=m[:, 1:]), self.p, out=m[:, 1:]), out=m[:, 1:])
-        m = np.minimum.accumulate(m, axis=1, out=m)[:, 1:]
-        log_theta = self.log_d - m
         if self.closed_form:
-            log_s = _log_frailty_half(log_theta, logs[-1], u[-2], u[-1])
+            # -(g^2 / d + (F_j - F_J) / S), 1 / S drawn with sqrt(theta) = g
+            inverse = _inverse_frailty_half(g, logs[-1], u[-2], u[-1])
+            m = np.multiply(g, g)
+            np.divide(m, -self.d, out=m)
+            np.subtract(m, np.multiply(out, inverse, out=out), out=out)
         else:
+            m = np.empty((b, c + 1))
+            m[:, 0] = self.m[slots]
+            np.subtract(self.log_d, np.multiply(np.log(g, out=m[:, 1:]), self.p, out=m[:, 1:]), out=m[:, 1:])
+            m = np.minimum.accumulate(m, axis=1, out=m)[:, 1:]
+            log_theta = self.log_d - m
             gamma = np.empty((b, c))
             for row, slot in zip(gamma, slots):
                 self.gammas[slot].standard_gamma(2.0 - self.alpha, out=row)
             log_y = np.log(gamma, out=gamma) + logs[-1] / (1.0 - self.alpha) - log_theta
             log_x = self._tilted_stable(u[2 + self.d:].reshape(3 * _TRIES, -1), log_theta.ravel(), np.repeat(slots, c))
             log_s = np.logaddexp(log_x.reshape(b, c), log_y)
-        np.subtract(m, np.log1p(np.multiply(out, np.exp(m - log_s), out=out), out=out), out=out)
+            np.subtract(m, np.log1p(np.multiply(out, np.exp(m - log_s), out=out), out=out), out=out)
         self.m[slots] = m[:, -1]
         return m
 
@@ -397,7 +459,11 @@ class _MaxOrderRows(_Streams):
         array ``out``, in chunks that keep the temporaries small."""
         m, rng = self.m[slot], self.rngs[slot]
         # the rows share theta, so the accepted proposals serve them in turn
-        log_theta = self.log_d - m
+        if self.closed_form:  # theta = g^2
+            g = self.g[slot]
+            log_theta = 2.0 * math.log(g) if g else -math.inf
+        else:
+            log_theta = self.log_d - m
         rate = math.exp(-math.exp(self.alpha * log_theta))  # exp(-theta^alpha)
         for start in range(0, len(out), _CHUNK):
             f = out[start:start + _CHUNK]
@@ -407,10 +473,12 @@ class _MaxOrderRows(_Streams):
                 log_x = log_positive_stable(self.alpha, size, rng)
                 parts.append(log_x[np.log(rng.standard_exponential(size)) > log_theta + log_x][:need])
                 need -= len(parts[-1])
-            # log S - log(F + S e^-m), which m = inf leaves unconditioned
             log_s = np.concatenate(parts)[:, None]
             rng.standard_exponential(out=f)
-            np.subtract(log_s, np.log(np.add(f, np.exp(log_s - m), out=f), out=f), out=f)
+            if self.closed_form:  # m - F / S = -(F / S + g^2 / d)
+                np.subtract(m, np.multiply(f, np.exp(np.negative(log_s, out=log_s), out=log_s), out=f), out=f)
+            else:  # log S - log(F + S e^-m), which m = inf leaves unconditioned
+                np.subtract(log_s, np.log(np.add(f, np.exp(log_s - m), out=f), out=f), out=f)
 
     def _tilted_stable(self, u: np.ndarray, log_theta: np.ndarray, slots: np.ndarray, t: int = 1) -> np.ndarray:
         """log X, X positive stable tilted by exp(-theta X), for each column
@@ -462,13 +530,17 @@ def first_draw(model: CopulaModel, n: int, ranks) -> int:
     return rows.width * min(first, rows.top) + (model.d * (n - rows.top) if first >= rows.top else 0)
 
 
-def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callable[[Sequence[np.random.Generator]], np.ndarray]], int]:
+def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
+        Callable[[], Callable[[np.ndarray], np.ndarray]], int, Callable[[np.ndarray], np.ndarray]]:
     """Block selector of the order statistics at the 1-based ``ranks`` (one,
-    or one per column), for ``streams.replicate``: returns ``(make, elements)``.
-    ``make()`` builds a selector that maps a block of replications'
-    generators to their b x d values, row r equal bit for bit to
-    ``componentwise_os(sample_rows(model, n, rngs[r]), ranks)``, and
-    ``elements`` is ``first_draw(model, n, ranks)``.
+    or one per column), for ``streams.replicate``: returns
+    ``(make, elements, prepare)``.  ``prepare`` maps a chunk of
+    replications' Philox keys to their rows of ``_stream_seeds``, and
+    ``make()`` builds a selector that maps a block's rows to its b x d
+    values, row r equal bit for bit to
+    ``componentwise_os(sample_rows(model, n, stream_rng(seed, r)), ranks)``;
+    no replication reads a Philox generator.  ``elements`` is
+    ``first_draw(model, n, ranks)``.
 
     Without a positive-stable frailty (independence, comonotone, Gumbel
     with p = 1) a column's depth-th largest value is minus the sum of its
@@ -489,14 +561,14 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
         # column j's sum among the distinct depths' sums, and its spacing plane
         at = (np.searchsorted(kth, depth), np.arange(d) if s > 1 else np.zeros(d, np.intp))
 
-        def make_sums() -> Callable[[Sequence[np.random.Generator]], np.ndarray]:
+        def make_sums() -> Callable[[np.ndarray], np.ndarray]:
             streams, scratch = _Streams(), {}
 
-            def select(rngs: Sequence[np.random.Generator]) -> np.ndarray:
-                streams.start(rngs)
+            def select(seeds: np.ndarray) -> np.ndarray:
+                streams.start(seeds)
                 e = _spacing_terms(streams.rngs, n, need, s, scratch)
                 streams.stop()
-                sums = np.empty((len(kth), s, len(rngs)))
+                sums = np.empty((len(kth), s, len(seeds)))
                 for q, k in enumerate(kth):
                     if sums[q].size > 1:  # row by row, as np.add.accumulate adds
                         np.add.reduce(e[:k], axis=0, out=sums[q])
@@ -506,7 +578,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
 
             return select
 
-        return make_sums, elements
+        return make_sums, elements, _key_seeds(_Streams.gens)
 
     first = _first_batch(model, need)
 
@@ -516,13 +588,13 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
         planes.partition(count - kth, axis=-1)  # in place: only the values at the ranks are read
         return planes[np.arange(d), ..., count - depth]
 
-    def make() -> Callable[[Sequence[np.random.Generator]], np.ndarray]:
+    def make() -> Callable[[np.ndarray], np.ndarray]:
         rows = _MaxOrderRows(model, n)
 
-        def select(rngs: Sequence[np.random.Generator]) -> np.ndarray:
-            out = np.empty((len(rngs), d))
-            rows.start(rngs)
-            slots, planes, size = np.arange(len(rngs)), None, first
+        def select(seeds: np.ndarray) -> np.ndarray:
+            out = np.empty((len(seeds), d))
+            rows.start(seeds)
+            slots, planes, size = np.arange(len(seeds)), None, first
             while slots.size and rows.drawn < rows.top:
                 batch = np.empty((d, len(slots), min(size, rows.top - rows.drawn)))
                 last = rows.next_rows(batch, slots)[:, -1]
@@ -543,7 +615,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
 
         return select
 
-    return make, elements
+    return make, elements, _key_seeds(_MaxOrderRows(model, n).gens)
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -560,7 +632,7 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     generator, and the rest, which are iid, in order at the others."""
     if not _stable(model):
         streams, s = _Streams(), _spacings(model)
-        streams.start([rng])
+        streams.start(_own_seeds(rng, streams.gens))
         e = _spacing_terms(streams.rngs, n, n, s, {})[..., 0]
         np.add.accumulate(e, axis=0, out=e)  # in row order, as the selector's reduce adds
         values = np.exp(np.negative(e, out=e), out=e)
@@ -569,7 +641,7 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
         streams.stop()
         return placed if s == model.d else np.repeat(placed, model.d, axis=1)
     rows = _MaxOrderRows(model, n)
-    rows.start([rng])
+    rows.start(_own_seeds(rng, rows.gens))
     top = np.empty((model.d, 1, rows.top))
     if rows.top:
         rows.next_rows(top, np.zeros(1, np.intp))

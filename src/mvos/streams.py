@@ -8,28 +8,32 @@ produces output identical to a serial run with the same master seed.
 Philox is counter-based: the stream ``stream_rng(seed, r)`` is fixed by a
 128-bit key, the ``SeedSequence(seed, spawn_key=(r,))`` hash, and a zero
 counter.  ``replicate`` computes the keys of all its replications at once
-(``stream_keys``) and re-keys a few generators instead of building one per
-replication; the streams are the same.  Each thread keeps its generators
-between calls.
+(``stream_keys``).  A draw that reads Philox generators gets a few,
+re-keyed block by block instead of built one per replication; each
+thread keeps them between calls.
 
 Philox is built to address a stream by its key, not for bulk throughput:
 numpy's SFC64 draws a block of doubles in less than half of Philox's
-time.  So a draw that needs many uniforms reads three words of its Philox
-stream and seeds an SFC64 generator with them (``seed_sfc64``), which
-draws the bulk; the Philox stream still fixes every value.  An SFC64
-starts from 192 bits of its Philox stream, and its period is at least
-2**64.
+time.  So a draw that needs many uniforms reads only the first words of
+each replication's Philox stream, which seed SFC64 generators that draw
+the bulk; the Philox stream still fixes every value.  Those words and
+seeded states are computed call-wide, for a chunk of replications at a
+time, on arrays: ``philox_words`` is Philox4x64-10 (Salmon et al., SC
+2011) at a given block counter, and ``sfc64_states`` numpy's seeding of
+SFC64 from three words, both bit for bit as numpy computes them.  An
+SFC64 starts from 192 bits of its Philox stream, and its period is at
+least 2**64.
 """
 from __future__ import annotations
 
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["stream_rng", "derive_seed", "stream_keys", "rekey", "seed_sfc64", "replicate"]
+__all__ = ["stream_rng", "derive_seed", "stream_keys", "philox_words", "sfc64_states", "rekey", "replicate"]
 
 # array elements (uniforms, normals) a block draw may hold for all of its
 # replications at once; a block holds at most BLOCK_ELEMENTS // elements
@@ -39,7 +43,7 @@ BLOCK_ELEMENTS = 2**16
 BLOCK_REPLICATIONS = 64
 # array elements one replication may add to a draw, which a config must
 # respect before any sampling (experiment.ExperimentConfig), and threads
-# a replicate call may start.  A replication's peak memory is 2.2 to 3.7
+# a replicate call may start.  A replication's peak memory is 2.2 to 3.2
 # times 8 bytes per counted value for large draws and up to 4 times for
 # small ones (tracemalloc, tests/test_copula.py::TestReplicationMemory),
 # so about 512 MB per replication at the cap
@@ -50,6 +54,17 @@ MAX_THREADS = 64
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
 _POOL = 4
+
+# Philox4x64's multipliers of counter words 0 and 2, with their 32-bit
+# halves, and its key increments (Random123, philox.h)
+_LOW, _32 = np.uint64(_MASK), np.uint64(32)
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_PHILOX_HI, _PHILOX_LO = _PHILOX_MUL >> _32, _PHILOX_MUL & _LOW
+_PHILOX_BUMP = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
+_PHILOX_ROUNDS = 10
+
+# replications whose words a replicate range holds at once, in whole blocks
+WORD_CHUNK = 1024
 
 # a tuple, as the Philox state setter reads its words one at a time, which
 # costs less from a tuple than from an array
@@ -123,6 +138,44 @@ def stream_keys(master_seed: int, start: int, stop: int) -> np.ndarray:
     return keys
 
 
+def philox_words(keys: np.ndarray, block: int) -> np.ndarray:
+    """The m x 4 uint64 words 4 (block - 1) to 4 block - 1 of the Philox
+    streams with the m x 2 uint64 ``keys``, each started at counter zero,
+    as ``Philox.random_raw`` returns them: one Philox4x64-10 block at the
+    counter (block, 0, 0, 0), numpy's first being 1, by 64-bit products
+    split into 32-bit halves on arrays."""
+    # the counter's words 0 and 2, which the rounds multiply, and 1 and 3
+    mul, rest = np.zeros((2, len(keys)), np.uint64), np.zeros((2, len(keys)), np.uint64)
+    mul[0] = block
+    key = keys.T.copy()
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += _PHILOX_BUMP
+        # the high and low 64 bits of each 128-bit product mul * multiplier
+        lo, hi = mul & _LOW, mul >> _32
+        cross, high_low = lo * _PHILOX_HI, hi * _PHILOX_LO
+        carry = (lo * _PHILOX_LO >> _32) + (cross & _LOW) + (high_low & _LOW)
+        high = hi * _PHILOX_HI + (cross >> _32) + (high_low >> _32) + (carry >> _32)
+        low = mul * _PHILOX_MUL
+        # (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        mul, rest = high[::-1] ^ rest ^ key, low[::-1]
+    return np.stack((mul[0], rest[0], mul[1], rest[1]), axis=1)
+
+
+def sfc64_states(words: np.ndarray) -> np.ndarray:
+    """The m x 4 uint64 states of SFC64 generators seeded from the m x 3
+    uint64 ``words`` (w0, w1, w2) as numpy seeds SFC64 from the three
+    words of a ``SeedSequence``: state (w0, w1, w2, 1), then 12 outputs
+    discarded, on arrays."""
+    a, b, c = (words[:, j].copy() for j in range(3))
+    for count in range(1, 13):
+        out = a + b + np.uint64(count)
+        a = b ^ (b >> np.uint64(11))
+        b = c + (c << np.uint64(3))
+        c = (c << np.uint64(24) | c >> np.uint64(40)) + out
+    return np.stack((a, b, c, np.full(len(words), 13, np.uint64)), axis=1)
+
+
 def rekey(gen: np.random.Generator, key) -> None:
     """Restart the Philox generator ``gen`` at counter zero of the stream
     with the 128-bit ``key`` (two 64-bit words, best as Python ints), as if
@@ -131,24 +184,13 @@ def rekey(gen: np.random.Generator, key) -> None:
                                "uinteger": 0, "state": {"counter": _ZERO, "key": key}}
 
 
-def seed_sfc64(gen: np.random.Generator, words: np.ndarray) -> np.random.Generator:
-    """Restart the SFC64 generator ``gen`` on three 64-bit ``words``
-    (w0, w1, w2), a uint64 array, as numpy seeds SFC64 from the three
-    words of a ``SeedSequence``: state (w0, w1, w2, 1), then 12 outputs
-    discarded.  Returns ``gen``, which is then the generator newly built
-    from those words, whatever it drew before."""
-    gen.bit_generator.state = {"bit_generator": "SFC64", "state": {"state": words.tolist() + [1]},
-                               "has_uint32": 0, "uinteger": 0}
-    gen.bit_generator.random_raw(12)
-    return gen
-
-
 def replicate(
     out: np.ndarray,
     seed: int,
     threads: int,
-    make_draw: Callable[[], Callable[[Sequence[np.random.Generator]], object]],
+    make_draw: Callable[[], Callable[[Sequence], object]],
     elements: int = 1,
+    prepare: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> np.ndarray:
     """Set ``out[r]`` to replication r's draw from ``stream_rng(seed, r)`` for
     every r, and return ``out``.
@@ -165,6 +207,12 @@ def replicate(
     each replication's values from its own generator alone, so neither the
     blocks nor the split change any value.  More than ``MAX_THREADS``
     threads raise ``ValueError`` before any thread or draw exists.
+
+    A draw that reads only the first words of each stream passes
+    ``prepare`` and gets no generator: ``prepare`` maps the keys
+    (``stream_keys``) of up to ``WORD_CHUNK`` consecutive replications, a
+    whole number of blocks, to one array row per replication, and the
+    draw gets its block's rows in place of the generators.
     """
     if threads > MAX_THREADS:
         raise ValueError(f"at most {MAX_THREADS} threads, got {threads}")
@@ -176,6 +224,14 @@ def replicate(
 
     def run_range(lo: int, hi: int) -> None:
         draw = make_draw()
+        if prepare is not None:
+            chunk = block * max(1, WORD_CHUNK // block)
+            for first in range(lo, hi, chunk):
+                rows = prepare(keys[first:min(first + chunk, hi)])
+                for start in range(0, len(rows), block):
+                    stop = min(start + block, len(rows))
+                    out[first + start:first + stop] = draw(rows[start:stop])
+            return
         gens, _idle.gens = getattr(_idle, "gens", None) or [], None
         gens += [np.random.Generator(np.random.Philox(0)) for _ in range(min(block, hi - lo) - len(gens))]
         for start in range(lo, hi, block):

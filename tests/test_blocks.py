@@ -42,12 +42,12 @@ def _spy_blocks(monkeypatch, module):
     """Record the size of every block the module's replicate hands out."""
     sizes, inner = [], module.replicate
 
-    def spy(out, seed, threads, make_draw, elements=1):
+    def spy(out, seed, threads, make_draw, elements=1, prepare=None):
         def make():
             draw = make_draw()
-            return lambda rngs: sizes.append(len(rngs)) or draw(rngs)
+            return lambda block: sizes.append(len(block)) or draw(block)
 
-        return inner(out, seed, threads, make, elements)
+        return inner(out, seed, threads, make, elements, prepare)
 
     monkeypatch.setattr(module, "replicate", spy)
     return sizes
@@ -100,7 +100,7 @@ class TestSelection:
         blocks = []
         start, rest = copula_module._MaxOrderRows.start, copula_module._MaxOrderRows.rest
         monkeypatch.setattr(copula_module._MaxOrderRows, "start",
-                            lambda rows, rngs: blocks.append((len(rngs), [])) or start(rows, rngs))
+                            lambda rows, seeds: blocks.append((len(seeds), [])) or start(rows, seeds))
         monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
                             lambda rows, slot, out: blocks[-1][1].append(slot) or rest(rows, slot, out))
         values, _ = _collect_os(CONFIG, N, SEED, 1)

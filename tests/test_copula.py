@@ -26,10 +26,11 @@ from mvos.chi2rep import ecdf_on_grid
 from mvos.diagnostics import ks_critical_value, ks_statistic
 from mvos.dnorm import dnorm_eval
 from mvos.orderstats import IntermediateSpec, componentwise_os
-from mvos.streams import replicate, seed_sfc64, stream_rng
+from mvos.streams import replicate, stream_keys, stream_rng
 from mvos.wire import from_json, to_json
 
 from exact_laws import beta_quantile_grid, os_joint_cdf
+from test_streams import sfc64_from_words
 
 
 class TestCdf:
@@ -213,7 +214,7 @@ class TestReplicationMemory:
     """Peak memory of one replication against ``first_draw``, which the
     config cap (``streams.REPLICATION_ELEMENTS``) bounds: tracemalloc's
     peak over a one-replication ``replicate`` call, divided by 8 bytes per
-    value ``first_draw`` counts.  Large draws measure 2.2 to 3.7 (the
+    value ``first_draw`` counts.  Large draws measure 2.2 to 3.2 (the
     uniforms, their logs and the row divisors, or the top rows' uniforms
     and the planes they become, which at p = 2 outweigh the d + 4 uniforms
     per row); small ones reach 4, where fixed costs dominate.  Each case
@@ -225,19 +226,19 @@ class TestReplicationMemory:
             (Independence(2), 10**6, 10**6 - 200000, 2.52),  # spacings, one plane per column
             (Comonotone(3), 10**6, 10**6 - 200000, 3.00),  # spacings, one shared plane
             (GumbelLogistic(2, 3.0), 10**6, 10**6 - 10**4 + 1, 3.01),  # top rows in batches, stable proposals
-            (GumbelLogistic(2, 2.0), 10**6, 10**6 - 10**4 + 1, 3.70),  # top rows in batches, closed-form frailty
+            (GumbelLogistic(2, 2.0), 10**6, 10**6 - 10**4 + 1, 3.20),  # top rows in batches, closed-form frailty
             (GumbelLogistic(2, 2.0), 20000, 2000, 2.33),  # past the L top rows: rest()
         ],
         ids=["spacings-independence", "spacings-comonotone", "gumbel-top-rows", "gumbel-p2-top-rows", "gumbel-rest"],
     )
     def test_peak_per_counted_value(self, model, n, rank, measured):
-        make, elements = os_selector(model, n, rank)
+        make, elements, prepare = os_selector(model, n, rank)
         out = np.empty((1, model.d))
-        replicate(out, 1, 1, make, elements)  # the thread's generator pools, built once
+        replicate(out, 1, 1, make, elements, prepare)  # the thread's generator pools, built once
         assert not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
-            replicate(out, 2, 1, make, elements)
+            replicate(out, 2, 1, make, elements, prepare)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,9 +247,10 @@ class TestReplicationMemory:
 
 
 class TestFrailtyGivenMaximum:
-    """At p = 2 (alpha = 1/2) ``_MaxOrderRows`` draws a top row's frailty S
-    given the row maximum in closed form.  Its law must be the one the
-    Kanter and Gamma path draws at other p, whose Laplace transform is
+    """At p = 2 (alpha = 1/2) ``_MaxOrderRows`` draws a top row's 1 / S,
+    S its frailty given the row maximum, in closed form from
+    r = sqrt(theta), the row's Renyi sum g.  The law of S must be the one
+    the Kanter and Gamma path draws at other p, whose Laplace transform is
     (1 + l / theta)^(alpha - 1) exp(theta^alpha - (theta + l)^alpha), and
     1 / S must be inverse Gaussian IG(2 sqrt(theta), 2 theta).  Each theta
     draws R = 10^6 values from its own seed."""
@@ -256,15 +258,14 @@ class TestFrailtyGivenMaximum:
     R = 10**6
     THETAS = [1e-8, 1e-4, 1e-2, 1.0]
 
-    def _frailty(self, theta, seed):
+    def _inverse(self, theta, seed):
         u = 1.0 - np.random.default_rng(seed).random((3, self.R))
-        log_s = copula_module._log_frailty_half(np.full(self.R, math.log(theta)), np.log(u[0]), u[1], u[2])
-        return np.exp(log_s)
+        return copula_module._inverse_frailty_half(np.full(self.R, math.sqrt(theta)), np.log(u[0]), u[1], u[2])
 
     @pytest.mark.parametrize("theta,seed", zip(THETAS, [8301, 8302, 8303, 8304]))
     def test_laplace_transform(self, theta, seed):
         # |z| <= 4.5 at l = theta / 10, theta and 10 theta
-        s = self._frailty(theta, seed)
+        s = 1.0 / self._inverse(theta, seed)
         for l in (0.1 * theta, theta, 10.0 * theta):
             values = np.exp(-l * s)
             want = (1.0 + l / theta) ** -0.5 * math.exp(math.sqrt(theta) - math.sqrt(theta + l))
@@ -279,7 +280,7 @@ class TestFrailtyGivenMaximum:
             root = np.sqrt(2.0 * x)
             return ndtr((x - 2.0 * r) / root) + math.exp(2.0 * r) * ndtr(-(x + 2.0 * r) / root)
 
-        assert ks_statistic(1.0 / self._frailty(theta, seed), cdf) < ks_critical_value(1e-4, self.R)
+        assert ks_statistic(self._inverse(theta, seed), cdf) < ks_critical_value(1e-4, self.R)
 
 
 class TestJson:
@@ -368,10 +369,11 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("model", STABLE_MODELS, ids=lambda m: m.label())
     def test_top_rows_do_not_depend_on_batches(self, model):
         rows, one = copula_module._MaxOrderRows(model, 4000), np.zeros(1, np.intp)
-        rows.start([stream_rng(94, 0)])
+        seeds = [copula_module._own_seeds(stream_rng(94, rep), rows.gens) for rep in range(3)]
+        rows.start(seeds[0])
         whole = np.empty((model.d, 1, rows.top))
         maxima = rows.next_rows(whole, one)
-        rows.start([stream_rng(94, 0)])
+        rows.start(seeds[0])
         parts, start = np.empty_like(whole), 0
         for size in itertools.cycle([1, 2, 5, 17, 64]):
             size = min(size, rows.top - start)
@@ -384,7 +386,7 @@ class TestMaxOrderRows:
         assert np.array_equal(whole.max(axis=0), maxima)
         assert np.all(np.diff(maxima) <= 0)
         # in a block, a replication's rows do not depend on the others'
-        rows.start([stream_rng(94, 1), stream_rng(94, 0), stream_rng(94, 2)])
+        rows.start(np.concatenate([seeds[1], seeds[0], seeds[2]]))
         block = np.empty((model.d, 3, rows.top))
         rows.next_rows(block, np.arange(3))
         assert np.array_equal(block[:, 1:2], whole)
@@ -417,38 +419,39 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("model", [Independence(3), GumbelLogistic(3, 1.0), Comonotone(3)], ids=lambda m: m.label())
     def test_spacing_draws_stop_at_the_depth(self, model, monkeypatch):
         # drawn by its own spacings, a column's depth-th value is its
-        # depth-th largest, so each replication reads its key and its main
-        # SFC64 seed from its Philox stream, draws from the SFC64 the
-        # spacings of exactly that many top rows, and no batch of rows
+        # depth-th largest, so each replication gets its key and its main
+        # SFC64 state, seeded from words 1-3 of its Philox stream, draws
+        # from the SFC64 the spacings of exactly that many top rows, and no
+        # batch of rows
         def no_rows(rows, out, slots):
             raise AssertionError("next_rows called")
 
         monkeypatch.setattr(copula_module._MaxOrderRows, "next_rows", no_rows)
         n, ranks = 20000, np.array([19376, 19990, 19500])
         spacings = 1 if isinstance(model, Comonotone) else 3
-        make, elements = os_selector(model, n, ranks)
-        words, mains = [], []
+        make, elements, prepare = os_selector(model, n, ranks)
+        rows, mains = [], []
 
         def spy():
             select = make()
 
-            def draw(rngs):
-                values = select(rngs)
-                # 64-bit words drawn: 4 per Philox counter step, the last step's up to its buffer position
-                for state in (rng.bit_generator.state for rng in rngs):
-                    words.append(4 * (int(state["state"]["counter"][0]) - 1) + state["buffer_pos"])
+            def draw(seeds):
+                values = select(seeds)
+                rows.extend(seeds.tolist())
                 mains.extend(copula_module._idle.pool[slot, 0].bit_generator.state["state"]["state"]
-                             for slot in range(len(rngs)))
+                             for slot in range(len(seeds)))
                 return values
 
             return draw
 
-        replicate(np.empty((3, 3)), 99, 1, spy, elements)
-        assert words == [4] * 3
-        for rep, state in enumerate(mains):
-            # the main SFC64 seeded from words 1-3, after one word per uniform
-            seed = stream_rng(99, rep).bit_generator.random_raw(4)[1:]
-            main = seed_sfc64(np.random.Generator(np.random.SFC64(0)), seed)
+        replicate(np.empty((3, 3)), 99, 1, spy, elements, prepare)
+        assert len(rows) == len(mains) == 3
+        for rep, (row, state) in enumerate(zip(rows, mains)):
+            # the key, then the main SFC64 seeded from words 1-3, which
+            # draws one word per uniform
+            words = stream_rng(99, rep).bit_generator.random_raw(4)
+            main = sfc64_from_words(words[1:])
+            assert row[0] == words[0] and row[1:] == main.bit_generator.state["state"]["state"].tolist()
             main.bit_generator.random_raw(spacings * 625)
             assert np.array_equal(main.bit_generator.state["state"]["state"], state)
         assert elements == spacings * 625
@@ -461,21 +464,62 @@ class TestMaxOrderRows:
         # a replication's Philox stream gives its key, then the three words
         # of its main SFC64 and, with a positive-stable frailty drawn from
         # Gamma variates (p != 2), three of its Gamma SFC64, and nothing
-        # else, however many rows are drawn
+        # else, however many rows are drawn; the selector computes the same
+        # rows from the replications' keys
         n, rng = 1000, stream_rng(105, 0)
         words = stream_rng(105, 0).bit_generator.random_raw(8)
         stable = copula_module._stable(model)
         gamma = stable and model.p != 2.0
         streams = copula_module._MaxOrderRows(model, n) if stable else copula_module._Streams()
-        streams.start([stream_rng(105, 0)])
+        seeds = copula_module._own_seeds(stream_rng(105, 0), streams.gens)
+        assert np.array_equal(os_selector(model, n, n)[2](stream_keys(105, 0, 1)), seeds)
+        streams.start(seeds)
         gammas = streams.gammas if stable else []
         assert streams.keys == [words[0]] and len(gammas) == gamma
         for gen, seed in zip([streams.rngs[0], *gammas], (words[1:4], words[4:7])):
-            fresh = seed_sfc64(np.random.Generator(np.random.SFC64(0)), seed)
-            assert np.array_equal(gen.bit_generator.random_raw(64), fresh.bit_generator.random_raw(64))
+            assert np.array_equal(gen.bit_generator.random_raw(64), sfc64_from_words(seed).bit_generator.random_raw(64))
         streams.stop()
         sample_rows(model, n, rng)
         assert rng.bit_generator.random_raw() == words[7 if gamma else 4]
+
+    @pytest.mark.parametrize("model", [GumbelLogistic(2, 2.0), GumbelLogistic(2, 3.0), Independence(3)],
+                             ids=lambda m: m.label())
+    def test_selection_reads_no_philox_generator(self, model, monkeypatch):
+        # the selector's words and SFC64 states come from the keys of a
+        # chunk of replications at once: no replication builds, re-keys or
+        # reads a Philox generator, and no generator's random_raw is called
+        # (at p = 3 no top row of these replications redraws its stable
+        # proposals, which would key a (key, t) stream)
+        calls = []
+
+        class Philox(np.random.Philox):
+            def __init__(self, *args, **kwargs):
+                calls.append("Philox")
+                super().__init__(*args, **kwargs)
+
+            def random_raw(self, *args, **kwargs):
+                calls.append("random_raw")
+                return super().random_raw(*args, **kwargs)
+
+        class SFC64(np.random.SFC64):
+            def random_raw(self, *args, **kwargs):
+                calls.append("random_raw")
+                return super().random_raw(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", Philox)
+        monkeypatch.setattr(np.random, "SFC64", SFC64)
+        for module in (streams_module, copula_module):
+            monkeypatch.setattr(module, "rekey", lambda *args: calls.append("rekey"))
+        # the thread's pools are built anew, from the counting classes
+        monkeypatch.setattr(copula_module._idle, "pool", None, raising=False)
+        monkeypatch.setattr(streams_module._idle, "gens", None, raising=False)
+        n = 20000
+        ranks = IntermediateSpec.equal(model.d).ranks(n)
+        got = replicate(np.empty((200, model.d)), 106, 1, *os_selector(model, n, ranks))
+        assert calls == [] and isinstance(copula_module._idle.pool[0, 0].bit_generator, SFC64)
+        monkeypatch.undo()
+        for rep in (0, 199):
+            assert np.array_equal(got[rep], componentwise_os(sample_rows(model, n, stream_rng(106, rep)), ranks))
 
     @pytest.mark.parametrize("model", [Independence(1), Comonotone(2)], ids=lambda m: m.label())
     def test_spacing_sums_of_a_lone_column(self, model, monkeypatch):
@@ -643,3 +687,124 @@ class TestTopRowLaw:
         for i, j in itertools.combinations(range(3), 2):
             cdf = os_joint_cdf(Independence(2), n, (ks[i], ks[j]), (grids[i], grids[j]))
             assert self._z(ecdf_on_grid(values[:, [i, j]], [grids[i], grids[j]]), cdf) <= self.BAND
+
+
+def _log_frailty_half(log_theta, log_u, u, v):
+    """The log-scale p = 2 frailty draw before the rows moved to the -E / S
+    scale, verbatim: log S with 1 / S = IG(2 r, 2 r^2), r = exp(log theta / 2)."""
+    r = np.exp(np.multiply(log_theta, 0.5))
+    t = np.sin(np.multiply(u, math.pi / 2.0))
+    np.multiply(np.multiply(t, t, out=t), np.multiply(log_u, -2.0), out=t)  # nu
+    np.divide(t, r, out=t)
+    z = np.sqrt(t + 4.0)
+    z += np.sqrt(t, out=t)
+    np.divide(8.0, np.multiply(z, z, out=z), out=z)
+    inverse = np.where(np.multiply(v, 2.0 + z) <= 2.0, r * z, 4.0 * r / z)
+    return np.negative(np.log(inverse, out=inverse), out=inverse)
+
+
+class _LogScaleRows(copula_module._MaxOrderRows):
+    """The oracle: p = 2 rows on the log S - log E_j scale of every other p,
+    with the combine of the top rows and of the rows below them verbatim as
+    they were before p = 2 moved to -E_j / S."""
+
+    def start(self, seeds):
+        super().start(seeds)
+        self.m = np.full(len(seeds), math.inf)
+
+    def next_rows(self, out, slots):
+        b, c, i = len(slots), out.shape[2], self.drawn
+        raw, u = copula_module._reused(self.scratch, "raw", (b, c, self.width)), copula_module._reused(self.scratch, "u", (self.width, b, c))
+        for j, slot in enumerate(slots):
+            self.rngs[slot].random(out=raw[j])
+        np.subtract(1.0, raw.transpose(2, 0, 1), out=u)
+        logs = u[:self.d + 2]  # the spacing, the spreads and the frailty's first (its Gamma's at p != 2)
+        np.log(logs, out=logs)  # log U = -E
+        g = np.divide(logs[0], np.arange(i - self.n, i + c - self.n, dtype=float), out=logs[0])  # -(n - i + 1)
+        g[:, 0] += self.g[slots]  # continue the sums of the rows drawn before
+        np.add.accumulate(g, axis=1, out=g)  # sequential, so batches do not change the sums
+        self.g[slots], self.drawn = g[:, -1], i + c
+        spread = logs[1:-1]
+        np.subtract(spread.max(axis=0), spread, out=out)  # F_j - F_J
+        m = np.empty((b, c + 1))
+        m[:, 0] = self.m[slots]
+        np.subtract(self.log_d, np.multiply(np.log(g, out=m[:, 1:]), self.p, out=m[:, 1:]), out=m[:, 1:])
+        m = np.minimum.accumulate(m, axis=1, out=m)[:, 1:]
+        log_theta = self.log_d - m
+        log_s = _log_frailty_half(log_theta, logs[-1], u[-2], u[-1])
+        np.subtract(m, np.log1p(np.multiply(out, np.exp(m - log_s), out=out), out=out), out=out)
+        self.m[slots] = m[:, -1]
+        return m
+
+    def rest(self, slot, out):
+        m, rng = self.m[slot], self.rngs[slot]
+        # the rows share theta, so the accepted proposals serve them in turn
+        log_theta = self.log_d - m
+        rate = math.exp(-math.exp(self.alpha * log_theta))  # exp(-theta^alpha)
+        for start in range(0, len(out), copula_module._CHUNK):
+            f = out[start:start + copula_module._CHUNK]
+            parts, need = [np.empty(0)], len(f)
+            while need:
+                size = int((need + 4.0 * math.sqrt(need)) / rate) + 16
+                log_x = log_positive_stable(self.alpha, size, rng)
+                parts.append(log_x[np.log(rng.standard_exponential(size)) > log_theta + log_x][:need])
+                need -= len(parts[-1])
+            # log S - log(F + S e^-m), which m = inf leaves unconditioned
+            log_s = np.concatenate(parts)[:, None]
+            rng.standard_exponential(out=f)
+            np.subtract(log_s, np.log(np.add(f, np.exp(log_s - m), out=f), out=f), out=f)
+
+
+def _log_scale_to_uniform(model, latent, out=None):
+    """exp(-exp(-x / p)), the oracle's map to the copula, verbatim."""
+    u = np.divide(latent, -model.p, out=out)
+    return np.exp(np.negative(np.exp(u, out=u), out=u), out=u)
+
+
+# the p = 2 selections of the benchmark's workloads, and d = 1 and 3 with a
+# column deep among the rows below the top ones
+P2_SIZES = [(model, n, inter.ranks(n)) for model, n, inter in WORKLOAD_SIZES
+            if isinstance(model, GumbelLogistic) and model.p == 2.0]
+P2_SIZES += [(GumbelLogistic(1, 2.0), 3000, np.array([2946])), (GumbelLogistic(3, 2.0), 3000, np.array([2946, 2500, 1]))]
+
+
+class TestMinusEOverS:
+    """At p = 2 ``_MaxOrderRows`` keeps -E_j / S in place of log S - log E_j,
+    a nondecreasing function of it, from the same uniforms: the same rows
+    are picked, and only the rounding of the values moves."""
+
+    @pytest.mark.parametrize("model,n,ranks", P2_SIZES, ids=lambda x: x.label() if hasattr(x, "label") else None)
+    def test_same_rows_as_the_log_scale(self, model, n, ranks, monkeypatch):
+        for rep in range(3):
+            new = sample_rows(model, n, stream_rng(107, rep))
+            with monkeypatch.context() as patch:
+                patch.setattr(copula_module, "_MaxOrderRows", _LogScaleRows)
+                patch.setattr(copula_module, "_to_uniform", _log_scale_to_uniform)
+                old = sample_rows(model, n, stream_rng(107, rep))
+            cols = np.arange(model.d)
+            # the row at each column's rank, and its 1 - U
+            at_new, at_old = np.argsort(new, axis=0)[ranks - 1, cols], np.argsort(old, axis=0)[ranks - 1, cols]
+            assert np.array_equal(at_new, at_old)
+            assert_allclose(1.0 - new[at_new, cols], 1.0 - old[at_old, cols], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("model,n,ranks", P2_SIZES, ids=lambda x: x.label() if hasattr(x, "label") else None)
+    def test_values_at_most_their_row_maxima(self, model, n, ranks):
+        # batches of 1, 2, 5, 17 and 64 rows: every value is at most its
+        # row's maximum, the maxima never increase within or across
+        # batches, and the rows below the top ones lie at or below the last
+        rows, slots, reps = copula_module._MaxOrderRows(model, n), np.arange(3), 3
+        rows.start(np.concatenate([copula_module._own_seeds(stream_rng(108, rep), rows.gens) for rep in range(reps)]))
+        last = np.zeros(reps)
+        for size in itertools.cycle([1, 2, 5, 17, 64]):
+            size = min(size, rows.top - rows.drawn)
+            if not size:
+                break
+            out = np.empty((model.d, reps, size))
+            maxima = rows.next_rows(out, slots)
+            assert np.all(out <= maxima) and np.array_equal(out.max(axis=0), maxima)
+            assert np.all(np.diff(maxima, axis=1) <= 0) and np.all(maxima[:, 0] <= last)
+            last = maxima[:, -1]
+        for slot in slots:
+            below = np.empty((n - rows.top, model.d))
+            rows.rest(slot, below)
+            assert np.all(below <= last[slot])

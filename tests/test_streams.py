@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import mvos.copula as copula_module
 import mvos.streams as streams_module
-from mvos.streams import derive_seed, replicate, seed_sfc64, stream_keys, stream_rng
+from mvos.streams import derive_seed, philox_words, replicate, sfc64_states, stream_keys, stream_rng
 
 
 @pytest.mark.parametrize("fn", [stream_rng, derive_seed])
@@ -47,21 +48,81 @@ class TestStreamKeys:
             stream_keys(1, 3, 2)
 
 
-class TestSeedSfc64:
-    """An SFC64 seeded from three words of a stream is the one numpy seeds
-    from the same three ``SeedSequence`` words."""
+class _Words:
+    """A seed sequence that hands a bit generator the given words, so that
+    numpy's own seeding runs on them."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert n_words == len(self.words) and dtype == np.uint64
+        return self.words
+
+
+np.random.bit_generator.ISeedSequence.register(_Words)
+
+
+def sfc64_from_words(words) -> np.random.Generator:
+    """The SFC64 generator numpy seeds from three 64-bit words."""
+    return np.random.Generator(np.random.SFC64(_Words(words)))
+
+
+# keys of real streams, keys whose words are all ones (every key bump
+# carries) or zero, and random ones
+KEYS = np.concatenate([stream_keys(7, 0, 40), stream_keys(2**64 + 5, 2**32 - 3, 2**32),
+                       np.array([[2**64 - 1, 2**64 - 1], [2**64 - 1, 0], [0, 2**64 - 1], [0, 0]], np.uint64),
+                       np.random.default_rng(5).integers(0, 2**64, (60, 2), np.uint64, endpoint=False)])
+
+
+class TestPhiloxWords:
+    """The words of a block of each key's Philox stream, bit for bit
+    ``Philox.random_raw``'s."""
+
+    @pytest.mark.parametrize("block", [1, 2])
+    @pytest.mark.parametrize("length", [0, 1, 7, len(KEYS)])
+    def test_equals_random_raw(self, block, length):
+        keys = KEYS[-length:] if length else KEYS[:0]
+        words = philox_words(keys, block)
+        assert words.dtype == np.uint64 and words.shape == (length, 4)
+        for key, got in zip(keys.tolist(), words):
+            raw = np.random.Philox(key=key[0] | key[1] << 64).random_raw(4 * block)
+            assert np.array_equal(got, raw[-4:])
+
+    def test_stream_rng_words(self):
+        keys = stream_keys(11, 0, 9)
+        words = np.concatenate((philox_words(keys, 1), philox_words(keys, 2)), axis=1)
+        assert np.array_equal(words, [stream_rng(11, r).bit_generator.random_raw(8) for r in range(9)])
+
+
+class TestSfc64States:
+    """An SFC64 set to the state seeded from three words of a stream is the
+    one numpy seeds from the same three words."""
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**128 + 3])
-    def test_equals_numpy_seeding(self, seed):
+    def test_equals_numpy_seeding(self, seed, monkeypatch):
         words = np.random.SeedSequence(seed).generate_state(3, np.uint64)
         used = np.random.Generator(np.random.SFC64(99))
         used.random(1001)  # a pooled generator's past, an odd half-word included, leaves no trace
         used.integers(2**32, dtype=np.uint32)
-        gen = seed_sfc64(used, words)
-        assert gen is used
+        monkeypatch.setattr(copula_module._idle, "pool", {(0, 0): used}, raising=False)
+        streams = copula_module._Streams()
+        streams.start(copula_module._stream_seeds(np.concatenate((np.array([7], np.uint64), words))[None]))
+        gen = streams.rngs[0]
+        streams.stop()
+        assert gen is used and streams.keys == [7]
         want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
         assert np.array_equal(gen.bit_generator.random_raw(1000), want.bit_generator.random_raw(1000))
         assert np.array_equal(gen.integers(2**32, size=5, dtype=np.uint32), want.integers(2**32, size=5, dtype=np.uint32))
+
+    @pytest.mark.parametrize("length", [0, 1, 7, 101])
+    def test_equals_numpy_seeding_of_raw_words(self, length):
+        words = np.random.default_rng(length).integers(0, 2**64, (length, 3), np.uint64, endpoint=False)
+        words[:1] = 2**64 - 1  # every addition carries
+        states = sfc64_states(words)
+        assert states.dtype == np.uint64 and states.shape == (length, 4)
+        for seed, state in zip(words, states):
+            assert np.array_equal(sfc64_from_words(seed).bit_generator.state["state"]["state"], state)
 
 
 def _draw(rngs):
@@ -142,6 +203,32 @@ class TestReplicate:
         out = replicate(np.empty((self.COUNT, 3)), 9, threads, make_draw, elements)
         assert [seen[v] for v in out[:, 0] if v in seen] == blocks
         assert np.array_equal(out, [stream_rng(9, r).standard_normal(3) for r in range(self.COUNT)])
+
+    @pytest.mark.parametrize("threads,cap,chunk,calls", [(1, 2, 5, [4, 3]), (2, 2, 5, [4, 3]), (3, 2, 1, [2, 1, 2, 1, 1]),
+                                                         (1, 3, 1024, [7]), (2, 64, 1024, [4, 3])])
+    def test_prepared_rows(self, threads, cap, chunk, calls, monkeypatch):
+        # prepare runs once per chunk of a range, a whole number of blocks,
+        # and each block's draw gets its replications' rows; no generator is re-keyed
+        monkeypatch.setattr(streams_module, "BLOCK_REPLICATIONS", cap)
+        monkeypatch.setattr(streams_module, "WORD_CHUNK", chunk)
+        prepared, blocks = [], []
+
+        def prepare(keys):
+            prepared.append(len(keys))
+            return philox_words(keys, 1)
+
+        def draw(rows):
+            blocks.append(len(rows))
+            return rows[:, 1:].astype(float)
+
+        def never(*args):
+            raise AssertionError("a generator was re-keyed")
+
+        monkeypatch.setattr(streams_module, "rekey", never)
+        out = replicate(np.empty((self.COUNT, 3)), 12, threads, lambda: draw, 1, prepare)
+        assert sorted(prepared) == sorted(calls) and max(blocks) == min(cap, -(-self.COUNT // threads))
+        assert np.array_equal(out, [stream_rng(12, r).bit_generator.random_raw(4)[1:].astype(float)
+                                    for r in range(self.COUNT)])
 
     @pytest.mark.parametrize("threads", [streams_module.MAX_THREADS + 1, 10**6])
     def test_too_many_threads_rejected_before_any_work(self, threads, monkeypatch):
