@@ -15,11 +15,12 @@ matrix, which Bartlett's decomposition draws exactly from at most d
 Gamma variates and d^2 normals, those above the diagonal completing the
 chi-squares on it, so a replication costs O(d^2) whatever n is.  At
 d = 1 it is the univariate representation.  It draws ``RATIO_CHUNK``
-replications per stream, a few generator calls a chunk, and
+replications per stream, a few generator calls a chunk, from the SFC64
+generator that ``streams`` seeds from the stream's first words, and
 ``streams.replicate`` runs the chunks as its replications: at most
 ``streams.BLOCK_REPLICATIONS`` chunks a block and
 ``streams.BLOCK_ELEMENTS`` factor entries, with the arithmetic once per
-block.  So there is no replication loop of its own.
+block.  So there is no replication loop or seeding of its own.
 
 The grid distance codes each sample's rows by grid cell once and takes
 the difference of the two joint empirical cdfs as one signed count table.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .dnorm import is_positive_semidefinite, _check_symmetric
 from .orderstats import OSBatch
-from .streams import replicate
+from .streams import Streams, replicate
 
 # replications per derived stream of the ratio sampler: chunk c holds
 # replications c * RATIO_CHUNK to (c + 1) * RATIO_CHUNK - 1; the chunk
@@ -102,8 +103,9 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
     Z[j, l] the normals above the diagonal of a d x q normal matrix.
 
     Replications come in chunks of ``RATIO_CHUNK``, each drawn in full.
-    Chunk c draws from the stream keyed by (seed, c) the numerator's
-    factors and then the remainder's, each as one ``standard_normal``
+    Chunk c draws from the SFC64 generator seeded by words 1-3 of the
+    stream (seed, c) (``streams.stream_seeds``) the numerator's factors
+    and then the remainder's, each as one ``standard_normal``
     call of shape (RATIO_CHUNK, d, q) and one ``standard_gamma`` call of
     shape (RATIO_CHUNK, q).  ``streams.replicate`` runs the chunks, split
     by whole chunks across ``threads``, and the diagonals and the products
@@ -139,7 +141,8 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
         z[:, range(q), range(q)] = np.sqrt(g, out=g)
         return np.square(root @ z).sum(axis=2)
 
-    def draw(rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    def draw(streams: Streams) -> np.ndarray:
+        rngs = streams.rngs
         stacks = [(np.empty((len(rngs), RATIO_CHUNK, d, q)), np.empty((len(rngs), RATIO_CHUNK, q)))
                   for q, _, _ in factors]
         for j, rng in enumerate(rngs):

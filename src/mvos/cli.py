@@ -31,7 +31,6 @@ from .copula import copula_sample
 from .dnorm import dnorm_validate, dnorm_eval
 from .margins import make_k_rule, smirnov_check, von_mises_check
 from .orderstats import KRatioMatrix, theoretical_sigma
-from .streams import MAX_THREADS
 from .experiment import (
     InvalidConfigError,
     config_from_json,
@@ -159,8 +158,9 @@ def _cmd_check(args) -> int:
         k_rule = _parsed("--k-rule", make_k_rule, args.k_rule)
         n_grid = [int(n) for n in _parsed("--n-grid", _floats, args.n_grid)]
         _check(min(n_grid) >= 2, "--n-grid values must be >= 2")
+        x = _parsed("--x", _floats, args.x)
         header = ["n", "k", "x", "quotient", "clipped"]
-        table = smirnov_check(margin, _parsed("--x", _floats, args.x), n_grid, k_rule)
+        table = _parsed("--n-grid", lambda n_grid: smirnov_check(margin, x, n_grid, k_rule), n_grid)
     else:
         grid = _parsed("--x-grid", _floats, args.x_grid) if args.x_grid else _default_vm_grid(margin)
         result = _parsed("--x-grid", lambda g: von_mises_check(margin, g), grid)
@@ -204,7 +204,6 @@ def _cmd_chi2rep(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    _check(1 <= args.threads <= MAX_THREADS, f"--threads must lie in [1, {MAX_THREADS}]")
     out, csv = _out(args), _out(args, "csv")
     obj = _parsed("--config", _read_json, args.config)
     env_seed = os.environ.get("MVOS_SEED")

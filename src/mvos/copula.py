@@ -22,25 +22,24 @@ bit:
   each replication once its columns' order statistics are known, after
   O(k) rows.
 
-A block's replications each draw from their own streams, and the
-arithmetic runs once on the block's arrays.  The first words of a
-replication's Philox stream give a key and seed the SFC64 generators that
-draw its uniforms; the selector computes them for a chunk of replications
-at once (``streams.philox_words``, ``streams.sfc64_states``), and
-``sample_rows`` reads them from its generator.  Philox draws only the rare
-proposal redraws, whose streams are addressed by that key.
+A block's replications each draw from their own generators, and the
+arithmetic runs once on the block's arrays.  This module only samples:
+``streams`` seeds each replication's SFC64 generators, which draw its
+uniforms, and keys the Philox streams of the rare proposal redraws
+(``streams.Streams``).  The selector gets them from ``streams.replicate``,
+and ``sample_rows`` seeds them from the first words of its generator
+(``streams.stream_seeds``), so both draw the same values.
 """
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .dnorm import DNormSpec, LogisticP, SupNorm, _Dimensioned, dnorm_eval
-from .streams import philox_words, rekey, sfc64_states, stream_rng
+from .streams import Streams, stream_rng, stream_seeds
 
 __all__ = [
     "Independence",
@@ -62,6 +61,18 @@ _TRIES = 3
 
 # rows per step of the rows below the top ones
 _CHUNK = 4096
+
+# the largest Gumbel p.  _log_kanter's terms are log sin(alpha V), at least
+# -745 while alpha V stays above the smallest double, p log sin V, and
+# (p - 1)(log sin((1 - alpha) V) - log W).  For the nonzero uniforms and
+# exponentials numpy draws (U >= 2**-53, V = pi U, W >= 2**-60),
+# |log sin| <= 37 and |log W| <= 42, so |log X| <= 37 p + 79 p + 745, and
+# the latent maxima m = log d - p log g are at most 81 p for n < 2**63.
+# The sums the sampler forms of them (log theta + log X, m - log S) stay
+# below 2**8 p, and p <= 2**1014 keeps them below 2**1022, a factor 4
+# under the largest double.  Past the cap they overflow: p = 4e307 gave
+# NaN rows.
+MAX_P = 2.0**1014
 
 # rows per derived stream inside copula_sample; the chunk layout is part of
 # the reproducibility contract, so treat it as frozen
@@ -90,14 +101,14 @@ class Comonotone(_Dimensioned):
 
 @dataclass(frozen=True)
 class GumbelLogistic(_Dimensioned):
-    """Gumbel-Hougaard copula exp(-((-log u_1)^p + ... )^(1/p)), p >= 1."""
+    """Gumbel-Hougaard copula exp(-((-log u_1)^p + ... )^(1/p)), 1 <= p <= ``MAX_P``."""
 
     p: float
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.p >= 1:
-            raise ValueError("Gumbel copula requires p >= 1")
+        if not 1 <= self.p <= MAX_P:
+            raise ValueError(f"Gumbel copula requires 1 <= p <= 2**1014, got p = {self.p}")
 
     @property
     def tail_dnorm(self) -> DNormSpec:
@@ -219,80 +230,6 @@ def _reused(store: dict, name: str, shape: tuple) -> np.ndarray:
     return store[name][:size].reshape(shape)
 
 
-def _stream_seeds(words: np.ndarray) -> np.ndarray:
-    """Each replication's row of its key and SFC64 states, from the first
-    1 + 3 g words of its Philox stream (m x (1 + 3 g)): word 0 is the key,
-    and each next three words seed one SFC64 generator, numpy's seeding of
-    them (``streams.sfc64_states``)."""
-    seeds = np.empty((len(words), 1 + 4 * (words.shape[1] // 3)), np.uint64)
-    seeds[:, 0] = words[:, 0]
-    seeds[:, 1:] = sfc64_states(words[:, 1:].reshape(-1, 3)).reshape(len(words), -1)
-    return seeds
-
-
-def _key_seeds(gens: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``streams.replicate``'s ``prepare`` for draws with ``gens`` (1 or 2)
-    SFC64 generators a replication: ``_stream_seeds`` of a chunk of
-    replications' first words, computed from their Philox keys."""
-    def prepare(keys: np.ndarray) -> np.ndarray:
-        words = philox_words(keys, 1)
-        if gens > 1:  # words 4-6
-            words = np.concatenate((words, philox_words(keys, 2)[:, :3]), axis=1)
-        return _stream_seeds(words)
-
-    return prepare
-
-
-def _own_seeds(rng: np.random.Generator, gens: int) -> np.ndarray:
-    """``_stream_seeds`` of one replication, read from its Philox generator."""
-    return _stream_seeds(rng.bit_generator.random_raw(1 + 3 * gens)[None])
-
-
-# each thread's idle generators for the (slot, t) streams of _Streams; a
-# block takes them for its duration, so calls reuse them instead of building new ones
-_idle = threading.local()
-
-
-class _Streams:
-    """A block of replications' generators.  Each replication's Philox
-    stream gives a 64-bit key, then three words that seed its main SFC64
-    generator, which draws its uniforms; ``start`` gets them as rows of
-    ``_stream_seeds``.  Each thread keeps its (slot, t) generators from
-    block to block and from call to call: t = 0 the main SFC64, t = 1 a
-    second SFC64, t >= 2 the Philox stream keyed (key, t)."""
-
-    # SFC64 generators a replication's Philox stream seeds
-    gens = 1
-
-    def start(self, seeds: np.ndarray) -> None:
-        """Begin a block of replications, one per row of ``seeds``
-        (``_stream_seeds``): take the thread's idle generators for the
-        block, keep each replication's key and set its main SFC64
-        generator ``rngs[slot]`` to its state."""
-        self.pool, _idle.pool = getattr(_idle, "pool", None) or {}, None
-        self.keys = seeds[:, 0].tolist()
-        self.rngs = [self._seeded(slot, 0, state) for slot, state in enumerate(seeds[:, 1:5].tolist())]
-
-    def stop(self) -> None:
-        """End the block: hand the (slot, t) generators back to the thread."""
-        _idle.pool = self.pool
-
-    def _pooled(self, slot: int, t: int) -> np.random.Generator:
-        """The block's generator for stream t of replication ``slot``: SFC64
-        for t < 2, Philox otherwise."""
-        gen = self.pool.get((slot, t))
-        if gen is None:
-            gen = self.pool[slot, t] = np.random.Generator(np.random.SFC64(0) if t < 2 else np.random.Philox(0))
-        return gen
-
-    def _seeded(self, slot: int, t: int, state: list) -> np.random.Generator:
-        """The SFC64 generator for stream t < 2 of replication ``slot``, set
-        to ``state``: the whole state, so its past leaves no trace."""
-        gen = self._pooled(slot, t)
-        gen.bit_generator.state = {"bit_generator": "SFC64", "state": {"state": state}, "has_uint32": 0, "uinteger": 0}
-        return gen
-
-
 def _spacing_terms(gens: Sequence[np.random.Generator], n: int, rows: int, width: int, scratch: dict) -> np.ndarray:
     """The Renyi spacings of the first ``rows`` of n rows: rows x width x
     len(gens) values E_i / (n - i + 1) at 1-based row i, as log U divided
@@ -307,7 +244,7 @@ def _spacing_terms(gens: Sequence[np.random.Generator], n: int, rows: int, width
     return np.divide(e, np.arange(-n, rows - n, dtype=float)[:, None, None], out=e)
 
 
-class _MaxOrderRows(_Streams):
+class _MaxOrderRows:
     """A block of Gumbel (p > 1) replications' n rows on the latent scale,
     the top ones in decreasing order of the row maximum, as d x b x rows
     planes.  The latent value is log S - log E_j (S positive stable with
@@ -360,9 +297,8 @@ class _MaxOrderRows(_Streams):
       the L-th maximum (0 for L = 0).  Placing the top L rows at uniformly
       random positions among the others makes all n rows iid.
 
-    Streams: each replication's first Philox words give its key and the
-    state of its main SFC64 generator (``_Streams``), then, at p != 2,
-    words 4-6 the state of a second SFC64 for the Gamma variates.  The main one
+    Streams: each replication has a main SFC64 generator and, at p != 2,
+    a second one for the Gamma variates (``streams.Streams``).  The main one
     draws ``width`` uniforms per top row, row by row, then what the rows
     below use, then, in ``sample_rows``, the positions of the top rows.  A
     top row's uniforms are its spacing and its d spreads, then at p = 2
@@ -392,27 +328,18 @@ class _MaxOrderRows(_Streams):
         # at p = 2 a top row's frailty is drawn in closed form, on the -E / S scale
         self.closed_form = model.p == 2.0
         self.width = self.d + (4 if self.closed_form else 2 + 3 * _TRIES)
+        # SFC64 generators a replication needs: the main one, and the Gamma one at p != 2
         self.gens = 1 if self.closed_form else 2
         self.scratch: dict[str, np.ndarray] = {}
 
-    def start(self, seeds: np.ndarray) -> None:
-        """Begin a block as ``_Streams.start`` does and, at p != 2, set each
-        replication's Gamma SFC64 generator ``gammas[slot]``."""
-        super().start(seeds)
-        self.gammas = [] if self.closed_form else [
-            self._seeded(slot, 1, state) for slot, state in enumerate(seeds[:, 5:9].tolist())]
-        self.keyed, self.drawn, self.g = set(), 0, np.zeros(len(seeds))
+    def start(self, streams: Streams) -> None:
+        """Begin a block of the replications whose generators ``streams``
+        holds, with ``gens`` SFC64 each: the main ones draw the uniforms,
+        ``gammas`` the Gamma variates, and ``keyed`` the proposal redraws."""
+        self.rngs, self.gammas, self.keyed = streams.rngs, streams.seconds, streams.keyed
+        self.drawn, self.g = 0, np.zeros(len(self.rngs))
         # the last top row's maximum, which bounds the rows not yet drawn
-        self.m = np.full(len(seeds), 0.0 if self.closed_form else math.inf)
-
-    def _sub(self, slot: int, t: int) -> np.random.Generator:
-        """Replication ``slot``'s Philox stream keyed (key, t), t >= 2,
-        started at its first use in the replication."""
-        gen = self._pooled(slot, t)
-        if (slot, t) not in self.keyed:
-            self.keyed.add((slot, t))
-            rekey(gen, (self.keys[slot], t))
-        return gen
+        self.m = np.full(len(self.rngs), 0.0 if self.closed_form else math.inf)
 
     def next_rows(self, out: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Write the next c top rows of the replications ``slots``, each of
@@ -495,7 +422,7 @@ class _MaxOrderRows(_Streams):
             owner, more = slots[redo], np.empty((3 * _TRIES, redo.size))
             for slot in np.unique(owner):
                 cols = np.flatnonzero(owner == slot)
-                more[:, cols] = 1.0 - self._sub(int(slot), t + 1).random((cols.size, 3 * _TRIES)).T
+                more[:, cols] = 1.0 - self.keyed(int(slot), t + 1).random((cols.size, 3 * _TRIES)).T
             log_x[redo] = self._tilted_stable(more, log_theta[redo], owner, t + 1)
         return log_x
 
@@ -531,16 +458,14 @@ def first_draw(model: CopulaModel, n: int, ranks) -> int:
 
 
 def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
-        Callable[[], Callable[[np.ndarray], np.ndarray]], int, Callable[[np.ndarray], np.ndarray]]:
+        Callable[[], Callable[[Streams], np.ndarray]], int, int]:
     """Block selector of the order statistics at the 1-based ``ranks`` (one,
     or one per column), for ``streams.replicate``: returns
-    ``(make, elements, prepare)``.  ``prepare`` maps a chunk of
-    replications' Philox keys to their rows of ``_stream_seeds``, and
-    ``make()`` builds a selector that maps a block's rows to its b x d
-    values, row r equal bit for bit to
-    ``componentwise_os(sample_rows(model, n, stream_rng(seed, r)), ranks)``;
-    no replication reads a Philox generator.  ``elements`` is
-    ``first_draw(model, n, ranks)``.
+    ``(make, elements, gens)``.  ``make()`` builds a selector that maps a
+    block's ``streams.Streams``, with ``gens`` SFC64 generators a
+    replication, to its b x d values, row r equal bit for bit to
+    ``componentwise_os(sample_rows(model, n, stream_rng(seed, r)), ranks)``.
+    ``elements`` is ``first_draw(model, n, ranks)``.
 
     Without a positive-stable frailty (independence, comonotone, Gumbel
     with p = 1) a column's depth-th largest value is minus the sum of its
@@ -561,14 +486,12 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
         # column j's sum among the distinct depths' sums, and its spacing plane
         at = (np.searchsorted(kth, depth), np.arange(d) if s > 1 else np.zeros(d, np.intp))
 
-        def make_sums() -> Callable[[np.ndarray], np.ndarray]:
-            streams, scratch = _Streams(), {}
+        def make_sums() -> Callable[[Streams], np.ndarray]:
+            scratch = {}
 
-            def select(seeds: np.ndarray) -> np.ndarray:
-                streams.start(seeds)
+            def select(streams: Streams) -> np.ndarray:
                 e = _spacing_terms(streams.rngs, n, need, s, scratch)
-                streams.stop()
-                sums = np.empty((len(kth), s, len(seeds)))
+                sums = np.empty((len(kth), s, len(streams.rngs)))
                 for q, k in enumerate(kth):
                     if sums[q].size > 1:  # row by row, as np.add.accumulate adds
                         np.add.reduce(e[:k], axis=0, out=sums[q])
@@ -578,7 +501,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
 
             return select
 
-        return make_sums, elements, _key_seeds(_Streams.gens)
+        return make_sums, elements, 1
 
     first = _first_batch(model, need)
 
@@ -588,13 +511,13 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
         planes.partition(count - kth, axis=-1)  # in place: only the values at the ranks are read
         return planes[np.arange(d), ..., count - depth]
 
-    def make() -> Callable[[np.ndarray], np.ndarray]:
+    def make() -> Callable[[Streams], np.ndarray]:
         rows = _MaxOrderRows(model, n)
 
-        def select(seeds: np.ndarray) -> np.ndarray:
-            out = np.empty((len(seeds), d))
-            rows.start(seeds)
-            slots, planes, size = np.arange(len(seeds)), None, first
+        def select(streams: Streams) -> np.ndarray:
+            rows.start(streams)
+            out = np.empty((len(rows.rngs), d))
+            slots, planes, size = np.arange(len(rows.rngs)), None, first
             while slots.size and rows.drawn < rows.top:
                 batch = np.empty((d, len(slots), min(size, rows.top - rows.drawn)))
                 last = rows.next_rows(batch, slots)[:, -1]
@@ -610,12 +533,11 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
                 rows.rest(slot, rest)
                 below = rest.T if planes is None else np.concatenate((planes[:, j], rest.T), axis=1)
                 out[slot] = _to_uniform(model, pick(below))
-            rows.stop()
             return out
 
         return select
 
-    return make, elements, _key_seeds(_MaxOrderRows(model, n).gens)
+    return make, elements, _MaxOrderRows(model, n).gens
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -629,10 +551,14 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     For Gumbel with p > 1 they are all n rows of
     ``_MaxOrderRows`` for a block of one replication, the top rows at a
     uniformly random ordered set of positions, drawn by its main SFC64
-    generator, and the rest, which are iid, in order at the others."""
+    generator, and the rest, which are iid, in order at the others.  The
+    SFC64 generators are seeded from the first words of ``rng``
+    (``streams.stream_seeds``), as ``streams.replicate`` seeds them for
+    the selector."""
+    streams = Streams()
     if not _stable(model):
-        streams, s = _Streams(), _spacings(model)
-        streams.start(_own_seeds(rng, streams.gens))
+        s = _spacings(model)
+        streams.start(stream_seeds(rng))
         e = _spacing_terms(streams.rngs, n, n, s, {})[..., 0]
         np.add.accumulate(e, axis=0, out=e)  # in row order, as the selector's reduce adds
         values = np.exp(np.negative(e, out=e), out=e)
@@ -641,7 +567,8 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
         streams.stop()
         return placed if s == model.d else np.repeat(placed, model.d, axis=1)
     rows = _MaxOrderRows(model, n)
-    rows.start(_own_seeds(rng, rows.gens))
+    streams.start(stream_seeds(rng, rows.gens))
+    rows.start(streams)
     top = np.empty((model.d, 1, rows.top))
     if rows.top:
         rows.next_rows(top, np.zeros(1, np.intp))
@@ -649,7 +576,7 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     drawn[:rows.top] = top[:, 0].T
     rows.rest(0, drawn[rows.top:])
     place, free = rows.rngs[0].choice(n, rows.top, replace=False), np.ones(n, dtype=bool)
-    rows.stop()
+    streams.stop()
     free[place] = False
     out = np.empty_like(drawn)
     out[place], out[free] = drawn[:rows.top], drawn[rows.top:]

@@ -63,7 +63,7 @@ from .orderstats import (
     standardize_general_case,
     theoretical_sigma,
 )
-from .streams import REPLICATION_ELEMENTS, derive_seed, replicate
+from .streams import REPLICATION_ELEMENTS, check_threads, derive_seed, replicate
 from .wire import InvalidConfigError, from_json, to_json
 
 __all__ = [
@@ -400,8 +400,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentRepo
     n and 2n and record whether the grid distance decreased, as an
     ungated criterion; they refuse (before any sampling) when the
     entrywise square root of the limit covariance is not positive
-    semidefinite, reporting the offending eigenvalue.
+    semidefinite, reporting the offending eigenvalue.  ``threads``
+    outside [1, ``streams.MAX_THREADS``] raise ``InvalidConfigError``
+    before any of that.
     """
+    check_threads(threads, InvalidConfigError)
     start = time.perf_counter()
     sigma = theoretical_sigma(config.copula.tail_dnorm, config._ratios)
     ok, min_eig = is_positive_semidefinite(sigma)

@@ -7,33 +7,35 @@ produces output identical to a serial run with the same master seed.
 
 Philox is counter-based: the stream ``stream_rng(seed, r)`` is fixed by a
 128-bit key, the ``SeedSequence(seed, spawn_key=(r,))`` hash, and a zero
-counter.  ``replicate`` computes the keys of all its replications at once
-(``stream_keys``).  A draw that reads Philox generators gets a few,
-re-keyed block by block instead of built one per replication; each
-thread keeps them between calls.
+counter.  Philox is built to address a stream by its key, not for bulk
+throughput: numpy's SFC64 draws a block of doubles in less than half of
+Philox's time.  So a draw reads only the first words of its Philox
+stream, and this module alone lays them out: word 0 is a key, and each
+next three words seed one SFC64 generator, which draws the bulk.  The
+rare extra streams a draw may need are Philox streams keyed (key, t),
+t >= 2.  The Philox stream still fixes every value.  An SFC64 starts
+from 192 bits of its Philox stream, and its period is at least 2**64.
 
-Philox is built to address a stream by its key, not for bulk throughput:
-numpy's SFC64 draws a block of doubles in less than half of Philox's
-time.  So a draw that needs many uniforms reads only the first words of
-each replication's Philox stream, which seed SFC64 generators that draw
-the bulk; the Philox stream still fixes every value.  Those words and
-seeded states are computed call-wide, for a chunk of replications at a
-time, on arrays: ``philox_words`` is Philox4x64-10 (Salmon et al., SC
-2011) at a given block counter, and ``sfc64_states`` numpy's seeding of
-SFC64 from three words, both bit for bit as numpy computes them.  An
-SFC64 starts from 192 bits of its Philox stream, and its period is at
-least 2**64.
+``replicate`` computes the keys of all its replications at once
+(``stream_keys``), and their words and seeded SFC64 states for a chunk
+of replications at a time, on arrays (``stream_seeds``):
+``philox_words`` is Philox4x64-10 (Salmon et al., SC 2011) at a given
+block counter, and ``sfc64_states`` numpy's seeding of SFC64 from three
+words, both bit for bit as numpy computes them.  ``Streams`` sets a block
+of replications' generators to those states and hands them to the draw;
+each thread keeps the generators in one pool between blocks and calls.
 """
 from __future__ import annotations
 
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Optional, Sequence
+from typing import Callable, Union
 
 import numpy as np
 
-__all__ = ["stream_rng", "derive_seed", "stream_keys", "philox_words", "sfc64_states", "rekey", "replicate"]
+__all__ = ["stream_rng", "derive_seed", "stream_keys", "philox_words", "sfc64_states", "stream_seeds", "Streams",
+           "check_threads", "replicate"]
 
 # array elements (uniforms, normals) a block draw may hold for all of its
 # replications at once; a block holds at most BLOCK_ELEMENTS // elements
@@ -70,8 +72,8 @@ WORD_CHUNK = 1024
 # costs less from a tuple than from an array
 _ZERO = (0, 0, 0, 0)
 
-# each thread's idle generators for replicate; a range takes them for its
-# duration, so a replicate call made inside a draw builds its own
+# each thread's idle (slot, t) generators of Streams; a block takes them
+# for its duration, so a replicate call made inside a draw builds its own
 _idle = threading.local()
 
 
@@ -176,73 +178,128 @@ def sfc64_states(words: np.ndarray) -> np.ndarray:
     return np.stack((a, b, c, np.full(len(words), 13, np.uint64)), axis=1)
 
 
-def rekey(gen: np.random.Generator, key) -> None:
-    """Restart the Philox generator ``gen`` at counter zero of the stream
-    with the 128-bit ``key`` (two 64-bit words, best as Python ints), as if
-    newly built with it."""
-    gen.bit_generator.state = {"bit_generator": "Philox", "buffer": _ZERO, "buffer_pos": 4, "has_uint32": 0,
-                               "uinteger": 0, "state": {"counter": _ZERO, "key": key}}
+def stream_seeds(source: Union[np.ndarray, np.random.Generator], gens: int = 1) -> np.ndarray:
+    """Each stream's row of its key and ``gens`` (1 or 2) SFC64 states, an
+    m x (1 + 4 gens) uint64 array: word 0 of the stream is the key, and
+    words 1-3, then 4-6, seed the SFC64 generators as numpy seeds them
+    (``sfc64_states``).  ``source`` is the m x 2 uint64 keys of m streams
+    at counter zero, whose words are computed (``philox_words``), or one
+    Philox generator, whose next 1 + 3 gens words are read."""
+    if gens not in (1, 2):
+        raise ValueError(f"a stream seeds 1 or 2 SFC64 generators, not {gens}")
+    if isinstance(source, np.random.Generator):
+        words = source.bit_generator.random_raw(1 + 3 * gens)[None]
+    else:
+        words = philox_words(source, 1)
+        if gens > 1:
+            words = np.concatenate((words, philox_words(source, 2)[:, :3]), axis=1)
+    seeds = np.empty((len(words), 1 + 4 * gens), np.uint64)
+    seeds[:, 0] = words[:, 0]
+    seeds[:, 1:] = sfc64_states(words[:, 1:].reshape(-1, 3)).reshape(len(words), -1)
+    return seeds
+
+
+class Streams:
+    """A block of replications' generators, one replication per row of
+    ``stream_seeds`` given to ``start``: ``rngs[slot]`` is replication
+    ``slot``'s main SFC64 generator, ``seconds[slot]`` its second SFC64,
+    if its row seeds one, and ``keyed(slot, t)`` its Philox stream keyed
+    (key, t), t >= 2.  Each thread keeps its (slot, t) generators from
+    block to block and from call to call, in one pool: SFC64 for t < 2,
+    Philox otherwise."""
+
+    def start(self, seeds: np.ndarray) -> None:
+        """Begin a block: take the thread's idle generators and set each
+        replication's SFC64 generators to its states."""
+        self.pool, _idle.pool = getattr(_idle, "pool", None) or {}, None
+        self.keys, self.used = seeds[:, 0].tolist(), set()
+        states = seeds[:, 1:].reshape(len(seeds), -1, 4).swapaxes(0, 1).tolist()
+        gens = [[self._seeded(slot, t, state) for slot, state in enumerate(rows)] for t, rows in enumerate(states)]
+        self.rngs, self.seconds = gens[0], gens[1] if len(gens) > 1 else []
+
+    def stop(self) -> None:
+        """End the block: hand the (slot, t) generators back to the thread."""
+        _idle.pool = self.pool
+
+    def keyed(self, slot: int, t: int) -> np.random.Generator:
+        """Replication ``slot``'s Philox stream keyed (key, t), t >= 2,
+        at counter zero at its first use in the block."""
+        gen = self._pooled(slot, t)
+        if (slot, t) not in self.used:
+            self.used.add((slot, t))
+            gen.bit_generator.state = {"bit_generator": "Philox", "buffer": _ZERO, "buffer_pos": 4, "has_uint32": 0,
+                                       "uinteger": 0, "state": {"counter": _ZERO, "key": (self.keys[slot], t)}}
+        return gen
+
+    def _pooled(self, slot: int, t: int) -> np.random.Generator:
+        """The block's generator for stream t of replication ``slot``: SFC64
+        for t < 2, Philox otherwise."""
+        gen = self.pool.get((slot, t))
+        if gen is None:
+            gen = self.pool[slot, t] = np.random.Generator(np.random.SFC64(0) if t < 2 else np.random.Philox(0))
+        return gen
+
+    def _seeded(self, slot: int, t: int, state: list) -> np.random.Generator:
+        """The SFC64 generator for stream t < 2 of replication ``slot``, set
+        to ``state``: the whole state, so its past leaves no trace."""
+        gen = self._pooled(slot, t)
+        gen.bit_generator.state = {"bit_generator": "SFC64", "state": {"state": state}, "has_uint32": 0, "uinteger": 0}
+        return gen
+
+
+def check_threads(threads: int, error: type = ValueError) -> None:
+    """Raise ``error`` unless 1 <= threads <= ``MAX_THREADS``."""
+    if not 1 <= threads <= MAX_THREADS:
+        raise error(f"need at least 1 and at most {MAX_THREADS} threads, got {threads}")
 
 
 def replicate(
     out: np.ndarray,
     seed: int,
     threads: int,
-    make_draw: Callable[[], Callable[[Sequence], object]],
+    make_draw: Callable[[], Callable[[Streams], object]],
     elements: int = 1,
-    prepare: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    gens: int = 1,
 ) -> np.ndarray:
-    """Set ``out[r]`` to replication r's draw from ``stream_rng(seed, r)`` for
-    every r, and return ``out``.
+    """Set ``out[r]`` to replication r's draw from stream (seed, r) for every
+    r, and return ``out``.
 
     The replications are split into contiguous ranges, one per thread, and
     each range into blocks of consecutive replications.  ``make_draw()``
     is called once per range, so each range can allocate its working
     buffers once and reuse them.  Its result is called once per block with
-    the block's generators, in replication order, each at the start of its
-    replication's stream, and returns the block's rows of ``out``.  A
-    block holds at most ``BLOCK_REPLICATIONS`` replications and at most
-    ``BLOCK_ELEMENTS // elements``, ``elements`` being the array elements
-    one replication adds to the draw's working arrays.  The draw must make
-    each replication's values from its own generator alone, so neither the
-    blocks nor the split change any value.  More than ``MAX_THREADS``
-    threads raise ``ValueError`` before any thread or draw exists.
-
-    A draw that reads only the first words of each stream passes
-    ``prepare`` and gets no generator: ``prepare`` maps the keys
-    (``stream_keys``) of up to ``WORD_CHUNK`` consecutive replications, a
-    whole number of blocks, to one array row per replication, and the
-    draw gets its block's rows in place of the generators.
+    the block's ``Streams``, whose generators are the block's
+    replications' in replication order, ``gens`` SFC64 each, seeded from
+    the first words of their Philox streams; it returns the block's rows
+    of ``out``.  The seeds are computed from the keys of up to
+    ``WORD_CHUNK`` consecutive replications at once, a whole number of
+    blocks.  A block holds at most ``BLOCK_REPLICATIONS`` replications
+    and at most ``BLOCK_ELEMENTS // elements``, ``elements`` being the
+    array elements one replication adds to the draw's working arrays.  The
+    draw must make each replication's values from its own generators
+    alone, so neither the blocks nor the split change any value.
+    ``threads`` outside [1, ``MAX_THREADS``] raise ``ValueError`` before
+    any thread or draw exists.
     """
-    if threads > MAX_THREADS:
-        raise ValueError(f"at most {MAX_THREADS} threads, got {threads}")
+    check_threads(threads)
     count = len(out)
     if not count:
         return out
     keys = stream_keys(seed, 0, count)
     block = max(1, min(BLOCK_REPLICATIONS, BLOCK_ELEMENTS // max(elements, 1)))
+    chunk = block * max(1, WORD_CHUNK // block)
 
     def run_range(lo: int, hi: int) -> None:
-        draw = make_draw()
-        if prepare is not None:
-            chunk = block * max(1, WORD_CHUNK // block)
-            for first in range(lo, hi, chunk):
-                rows = prepare(keys[first:min(first + chunk, hi)])
-                for start in range(0, len(rows), block):
-                    stop = min(start + block, len(rows))
-                    out[first + start:first + stop] = draw(rows[start:stop])
-            return
-        gens, _idle.gens = getattr(_idle, "gens", None) or [], None
-        gens += [np.random.Generator(np.random.Philox(0)) for _ in range(min(block, hi - lo) - len(gens))]
-        for start in range(lo, hi, block):
-            stop = min(start + block, hi)
-            # rekey sets the whole state, so a generator's last use leaves no trace
-            for gen, key in zip(gens, keys[start:stop].tolist()):
-                rekey(gen, key)
-            out[start:stop] = draw(gens[:stop - start])
-        _idle.gens = gens
+        draw, streams = make_draw(), Streams()
+        for first in range(lo, hi, chunk):
+            seeds = stream_seeds(keys[first:min(first + chunk, hi)], gens)
+            for start in range(0, len(seeds), block):
+                stop = min(start + block, len(seeds))
+                streams.start(seeds[start:stop])
+                out[first + start:first + stop] = draw(streams)
+                streams.stop()
 
-    if threads <= 1:
+    if threads == 1:
         run_range(0, count)
         return out
     step = math.ceil(count / threads)

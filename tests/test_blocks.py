@@ -42,12 +42,12 @@ def _spy_blocks(monkeypatch, module):
     """Record the size of every block the module's replicate hands out."""
     sizes, inner = [], module.replicate
 
-    def spy(out, seed, threads, make_draw, elements=1, prepare=None):
+    def spy(out, seed, threads, make_draw, elements=1, gens=1):
         def make():
             draw = make_draw()
-            return lambda block: sizes.append(len(block)) or draw(block)
+            return lambda block: sizes.append(len(block.rngs)) or draw(block)
 
-        return inner(out, seed, threads, make, elements, prepare)
+        return inner(out, seed, threads, make, elements, gens)
 
     monkeypatch.setattr(module, "replicate", spy)
     return sizes
@@ -100,7 +100,7 @@ class TestSelection:
         blocks = []
         start, rest = copula_module._MaxOrderRows.start, copula_module._MaxOrderRows.rest
         monkeypatch.setattr(copula_module._MaxOrderRows, "start",
-                            lambda rows, seeds: blocks.append((len(seeds), [])) or start(rows, seeds))
+                            lambda rows, streams: blocks.append((len(streams.rngs), [])) or start(rows, streams))
         monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
                             lambda rows, slot, out: blocks[-1][1].append(slot) or rest(rows, slot, out))
         values, _ = _collect_os(CONFIG, N, SEED, 1)
@@ -111,9 +111,9 @@ class TestSelection:
         # a top row that rejects all of its in-row stable proposals draws
         # more from its replication's (key, 2) stream, and then (key, 3)
         keyed = set()
-        sub = copula_module._MaxOrderRows._sub
-        monkeypatch.setattr(copula_module._MaxOrderRows, "_sub",
-                            lambda rows, slot, t: keyed.add((len(rows.rngs), t)) or sub(rows, slot, t))
+        sub = streams_module.Streams.keyed
+        monkeypatch.setattr(streams_module.Streams, "keyed",
+                            lambda streams, slot, t: keyed.add((len(streams.rngs), t)) or sub(streams, slot, t))
         values, _ = _collect_os(PROPOSALS, N, SEED, 1)
         assert np.array_equal(values, _oracle(PROPOSALS))
         assert {2, 3} <= {t for size, t in keyed if size > 1}

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from mvos import chi2rep
+from mvos import chi2rep, streams
 from mvos.chi2rep import (
     NotPositiveSemidefiniteError,
     correlated_ratio_sample,
@@ -18,6 +18,7 @@ from mvos.orderstats import OSBatch, theoretical_sigma_equal_k, standardize_copu
 from mvos.streams import stream_rng
 
 from exact_laws import beta_quantile_grid, ratio_joint_cdf
+from test_streams import sfc64_from_words
 
 
 def _univariate_ratios(i, n, r, seed):
@@ -129,6 +130,15 @@ class TestCorrelatedRatio:
         with pytest.raises(ValueError):
             correlated_ratio_sample(np.array([[2.0, 0.0], [0.0, 2.0]]), 50, 5, 5, seed=0)
 
+    @pytest.mark.parametrize("threads", [0, -2, 65])
+    def test_threads_out_of_range_rejected_before_any_draw(self, threads, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a stream was seeded")
+
+        monkeypatch.setattr(streams, "stream_keys", never)
+        with pytest.raises(ValueError, match="at least 1 and at most 64 threads"):
+            correlated_ratio_sample(np.eye(2), 50, 5, 5, seed=0, threads=threads)
+
 
 def _brute_force_ratios(lam, n, k, r, seed):
     """The definition: per replication, 2(n+1) N(0, Lambda) vectors, squared
@@ -198,7 +208,8 @@ def _stream_contract_ratios(lam, n, k, r, seed):
     """The documented stream, spelled out entry by entry (reference).
 
     Replication rep is row rep % 64 of chunk rep // 64, and every chunk is
-    drawn in full from stream_rng(seed, chunk).  A chunk draws the
+    drawn in full from the SFC64 generator that numpy seeds from words 1-3
+    of the Philox stream stream_rng(seed, chunk).  A chunk draws the
     numerator's factors (m = 2(n-k)) and then the remainder's
     (m = 2(k+1)), each as a 64 x d x q normal array, q = min(d, m), and
     then a 64 x q array of Gamma((m - q + 1) / 2) variates.  A factor keeps
@@ -211,7 +222,7 @@ def _stream_contract_ratios(lam, n, k, r, seed):
     chunks = -(-r // 64)
     out = np.empty((64 * chunks, d))
     for c in range(chunks):
-        rng = stream_rng(seed, c)
+        rng = sfc64_from_words(stream_rng(seed, c).bit_generator.random_raw(4)[1:])
         parts = []
         for m in (2 * (n - k), 2 * (k + 1)):
             q = min(d, m)

@@ -282,10 +282,19 @@ REJECTED = [
                                "-R", "5", "--seed", "1", "--out", "{out}"], None, {}),
     ("sample-p-below-1", ["sample", "--copula", "gumbel", "--p", "0.5", "-n", "10", "--seed", "1",
                           "--out", "{out}"], None, {}),
+    # p past copula.MAX_P overflows the stable proposals (p = inf divided by zero)
+    ("sample-p-infinite", ["sample", "--copula", "gumbel", "--p", "Infinity", "-d", "2", "-n", "10", "--seed", "1",
+                           "--out", "{out}"], None, {}),
+    ("sample-p-1e308", ["sample", "--copula", "gumbel", "--p", "1e308", "-d", "2", "-n", "10", "--seed", "1",
+                        "--out", "{out}"], None, {}),
+    ("experiment-p-1e308", ["experiment", "--config", "{config}"],
+     {"copula": {"kind": "gumbel", "d": 2, "p": 1e308}}, {}),
     ("sample-n-0", ["sample", "--copula", "independence", "-n", "0", "--seed", "1", "--out", "{out}"],
      None, {}),
     ("check-alpha-negative", ["check", "von-mises", "--margin", "pareto", "--alpha", "-1"], None, {}),
     ("check-k-rule-2", ["check", "smirnov", "--margin", "exponential", "--k-rule", "2"], None, {}),
+    # b = F^-1(1 - k/n) is inf at n = 1e300, where the density vanishes
+    ("check-smirnov-n-1e300", ["check", "smirnov", "--margin", "normal", "--n-grid", "1e300"], None, {}),
     ("check-grid-past-endpoint", ["check", "von-mises", "--margin", "triangular", "--x-grid", "0.5,2"],
      None, {}),
     ("dnorm-x-wrong-length", ["dnorm", "eval", "--spec", '{"kind":"generator","gen":{"kind":"constant"},"d":2}',

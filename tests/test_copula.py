@@ -26,11 +26,18 @@ from mvos.chi2rep import ecdf_on_grid
 from mvos.diagnostics import ks_critical_value, ks_statistic
 from mvos.dnorm import dnorm_eval
 from mvos.orderstats import IntermediateSpec, componentwise_os
-from mvos.streams import replicate, stream_keys, stream_rng
+from mvos.streams import Streams, replicate, stream_keys, stream_rng, stream_seeds
 from mvos.wire import from_json, to_json
 
 from exact_laws import beta_quantile_grid, os_joint_cdf
 from test_streams import sfc64_from_words
+
+
+def _started(seeds):
+    """A block of the replications with these ``stream_seeds`` rows."""
+    streams = Streams()
+    streams.start(seeds)
+    return streams
 
 
 class TestCdf:
@@ -124,6 +131,21 @@ class TestSampling:
     def test_rejects_zero_rows(self):
         with pytest.raises(ValueError):
             copula_sample(Independence(2), 0, seed=1)
+
+    @pytest.mark.parametrize("n", [3, 10, 100])
+    def test_finite_rows_at_the_largest_p(self, n):
+        # the stable proposals, top rows and rows below them stay finite at p = MAX_P
+        model = GumbelLogistic(2, copula_module.MAX_P)
+        for seed in range(40):
+            rows = copula_sample(model, n, seed)
+            assert np.all(np.isfinite(rows)) and np.all((rows >= 0.0) & (rows <= 1.0))
+        got = replicate(np.empty((40, 2)), 3, 1, *os_selector(model, n, np.full(2, n - n // 3)))
+        assert np.all(np.isfinite(got))
+
+    @pytest.mark.parametrize("p", [np.nextafter(2.0**1014, np.inf), 4e307, 1e308, np.inf, np.nan, 0.5])
+    def test_rejects_p_past_the_cap(self, p):
+        with pytest.raises(ValueError, match="1 <= p <= 2"):
+            GumbelLogistic(2, p)
 
     def test_positive_stable_laplace_transform(self):
         # E exp(-s S) = exp(-s^alpha), checked by Monte Carlo at a few s
@@ -232,13 +254,13 @@ class TestReplicationMemory:
         ids=["spacings-independence", "spacings-comonotone", "gumbel-top-rows", "gumbel-p2-top-rows", "gumbel-rest"],
     )
     def test_peak_per_counted_value(self, model, n, rank, measured):
-        make, elements, prepare = os_selector(model, n, rank)
+        make, elements, gens = os_selector(model, n, rank)
         out = np.empty((1, model.d))
-        replicate(out, 1, 1, make, elements, prepare)  # the thread's generator pools, built once
+        replicate(out, 1, 1, make, elements, gens)  # the thread's generator pool, built once
         assert not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
-            replicate(out, 2, 1, make, elements, prepare)
+            replicate(out, 2, 1, make, elements, gens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -369,11 +391,11 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("model", STABLE_MODELS, ids=lambda m: m.label())
     def test_top_rows_do_not_depend_on_batches(self, model):
         rows, one = copula_module._MaxOrderRows(model, 4000), np.zeros(1, np.intp)
-        seeds = [copula_module._own_seeds(stream_rng(94, rep), rows.gens) for rep in range(3)]
-        rows.start(seeds[0])
+        seeds = [stream_seeds(stream_rng(94, rep), rows.gens) for rep in range(3)]
+        rows.start(_started(seeds[0]))
         whole = np.empty((model.d, 1, rows.top))
         maxima = rows.next_rows(whole, one)
-        rows.start(seeds[0])
+        rows.start(_started(seeds[0]))
         parts, start = np.empty_like(whole), 0
         for size in itertools.cycle([1, 2, 5, 17, 64]):
             size = min(size, rows.top - start)
@@ -386,7 +408,7 @@ class TestMaxOrderRows:
         assert np.array_equal(whole.max(axis=0), maxima)
         assert np.all(np.diff(maxima) <= 0)
         # in a block, a replication's rows do not depend on the others'
-        rows.start(np.concatenate([seeds[1], seeds[0], seeds[2]]))
+        rows.start(_started(np.concatenate([seeds[1], seeds[0], seeds[2]])))
         block = np.empty((model.d, 3, rows.top))
         rows.next_rows(block, np.arange(3))
         assert np.array_equal(block[:, 1:2], whole)
@@ -419,39 +441,33 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("model", [Independence(3), GumbelLogistic(3, 1.0), Comonotone(3)], ids=lambda m: m.label())
     def test_spacing_draws_stop_at_the_depth(self, model, monkeypatch):
         # drawn by its own spacings, a column's depth-th value is its
-        # depth-th largest, so each replication gets its key and its main
-        # SFC64 state, seeded from words 1-3 of its Philox stream, draws
-        # from the SFC64 the spacings of exactly that many top rows, and no
-        # batch of rows
+        # depth-th largest, so each replication's main SFC64, seeded from
+        # words 1-3 of its Philox stream, draws the spacings of exactly that
+        # many top rows, and no batch of rows
         def no_rows(rows, out, slots):
             raise AssertionError("next_rows called")
 
         monkeypatch.setattr(copula_module._MaxOrderRows, "next_rows", no_rows)
         n, ranks = 20000, np.array([19376, 19990, 19500])
         spacings = 1 if isinstance(model, Comonotone) else 3
-        make, elements, prepare = os_selector(model, n, ranks)
-        rows, mains = [], []
+        make, elements, gens = os_selector(model, n, ranks)
+        mains = []
 
         def spy():
             select = make()
 
-            def draw(seeds):
-                values = select(seeds)
-                rows.extend(seeds.tolist())
-                mains.extend(copula_module._idle.pool[slot, 0].bit_generator.state["state"]["state"]
-                             for slot in range(len(seeds)))
+            def draw(streams):
+                values = select(streams)
+                mains.extend(rng.bit_generator.state["state"]["state"] for rng in streams.rngs)
                 return values
 
             return draw
 
-        replicate(np.empty((3, 3)), 99, 1, spy, elements, prepare)
-        assert len(rows) == len(mains) == 3
-        for rep, (row, state) in enumerate(zip(rows, mains)):
-            # the key, then the main SFC64 seeded from words 1-3, which
-            # draws one word per uniform
-            words = stream_rng(99, rep).bit_generator.random_raw(4)
-            main = sfc64_from_words(words[1:])
-            assert row[0] == words[0] and row[1:] == main.bit_generator.state["state"]["state"].tolist()
+        replicate(np.empty((3, 3)), 99, 1, spy, elements, gens)
+        assert gens == 1 and len(mains) == 3
+        for rep, state in enumerate(mains):
+            # the main SFC64 seeded from words 1-3 draws one word per uniform
+            main = sfc64_from_words(stream_rng(99, rep).bit_generator.random_raw(4)[1:])
             main.bit_generator.random_raw(spacings * 625)
             assert np.array_equal(main.bit_generator.state["state"]["state"], state)
         assert elements == spacings * 625
@@ -464,19 +480,16 @@ class TestMaxOrderRows:
         # a replication's Philox stream gives its key, then the three words
         # of its main SFC64 and, with a positive-stable frailty drawn from
         # Gamma variates (p != 2), three of its Gamma SFC64, and nothing
-        # else, however many rows are drawn; the selector computes the same
-        # rows from the replications' keys
+        # else, however many rows are drawn; the selector's blocks get the
+        # same generators, seeded from the replications' keys
         n, rng = 1000, stream_rng(105, 0)
         words = stream_rng(105, 0).bit_generator.random_raw(8)
-        stable = copula_module._stable(model)
-        gamma = stable and model.p != 2.0
-        streams = copula_module._MaxOrderRows(model, n) if stable else copula_module._Streams()
-        seeds = copula_module._own_seeds(stream_rng(105, 0), streams.gens)
-        assert np.array_equal(os_selector(model, n, n)[2](stream_keys(105, 0, 1)), seeds)
-        streams.start(seeds)
-        gammas = streams.gammas if stable else []
-        assert streams.keys == [words[0]] and len(gammas) == gamma
-        for gen, seed in zip([streams.rngs[0], *gammas], (words[1:4], words[4:7])):
+        gamma = copula_module._stable(model) and model.p != 2.0
+        gens = os_selector(model, n, n)[2]
+        assert gens == 1 + gamma
+        streams = _started(stream_seeds(stream_keys(105, 0, 1), gens))
+        assert streams.keys == [words[0]] and len(streams.seconds) == gamma
+        for gen, seed in zip([streams.rngs[0], *streams.seconds], (words[1:4], words[4:7])):
             assert np.array_equal(gen.bit_generator.random_raw(64), sfc64_from_words(seed).bit_generator.random_raw(64))
         streams.stop()
         sample_rows(model, n, rng)
@@ -486,8 +499,8 @@ class TestMaxOrderRows:
                              ids=lambda m: m.label())
     def test_selection_reads_no_philox_generator(self, model, monkeypatch):
         # the selector's words and SFC64 states come from the keys of a
-        # chunk of replications at once: no replication builds, re-keys or
-        # reads a Philox generator, and no generator's random_raw is called
+        # chunk of replications at once: no replication builds or reads a
+        # Philox generator, and no generator's random_raw is called
         # (at p = 3 no top row of these replications redraws its stable
         # proposals, which would key a (key, t) stream)
         calls = []
@@ -508,15 +521,12 @@ class TestMaxOrderRows:
 
         monkeypatch.setattr(np.random, "Philox", Philox)
         monkeypatch.setattr(np.random, "SFC64", SFC64)
-        for module in (streams_module, copula_module):
-            monkeypatch.setattr(module, "rekey", lambda *args: calls.append("rekey"))
-        # the thread's pools are built anew, from the counting classes
-        monkeypatch.setattr(copula_module._idle, "pool", None, raising=False)
-        monkeypatch.setattr(streams_module._idle, "gens", None, raising=False)
+        # the thread's pool is built anew, from the counting classes
+        monkeypatch.setattr(streams_module._idle, "pool", None, raising=False)
         n = 20000
         ranks = IntermediateSpec.equal(model.d).ranks(n)
         got = replicate(np.empty((200, model.d)), 106, 1, *os_selector(model, n, ranks))
-        assert calls == [] and isinstance(copula_module._idle.pool[0, 0].bit_generator, SFC64)
+        assert calls == [] and isinstance(streams_module._idle.pool[0, 0].bit_generator, SFC64)
         monkeypatch.undo()
         for rep in (0, 199):
             assert np.array_equal(got[rep], componentwise_os(sample_rows(model, n, stream_rng(106, rep)), ranks))
@@ -568,13 +578,13 @@ class TestMaxOrderRows:
         # proposal redraws' Philox (t >= 2), serve the next call, re-keyed;
         # the pool starts empty, so this call builds them
         model, n, ranks = GumbelLogistic(2, 3.0), 300, np.full(2, 280)
-        copula_module._idle.pool = None
+        streams_module._idle.pool = None
         first = replicate(np.empty((20, 2)), 104, 1, *os_selector(model, n, ranks))
-        pool = dict(copula_module._idle.pool)
+        pool = dict(streams_module._idle.pool)
         second = replicate(np.empty((20, 2)), 104, 1, *os_selector(model, n, ranks))
         assert np.array_equal(first, second)
         assert (0, 1) in pool and any(t >= 2 for _, t in pool)
-        assert all(copula_module._idle.pool[key] is gen for key, gen in pool.items())
+        assert all(streams_module._idle.pool[key] is gen for key, gen in pool.items())
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_gumbel_p1_selects_the_independence_bits(self, d):
@@ -708,9 +718,9 @@ class _LogScaleRows(copula_module._MaxOrderRows):
     with the combine of the top rows and of the rows below them verbatim as
     they were before p = 2 moved to -E_j / S."""
 
-    def start(self, seeds):
-        super().start(seeds)
-        self.m = np.full(len(seeds), math.inf)
+    def start(self, streams):
+        super().start(streams)
+        self.m = np.full(len(self.rngs), math.inf)
 
     def next_rows(self, out, slots):
         b, c, i = len(slots), out.shape[2], self.drawn
@@ -793,7 +803,7 @@ class TestMinusEOverS:
         # row's maximum, the maxima never increase within or across
         # batches, and the rows below the top ones lie at or below the last
         rows, slots, reps = copula_module._MaxOrderRows(model, n), np.arange(3), 3
-        rows.start(np.concatenate([copula_module._own_seeds(stream_rng(108, rep), rows.gens) for rep in range(reps)]))
+        rows.start(_started(np.concatenate([stream_seeds(stream_rng(108, rep), rows.gens) for rep in range(reps)])))
         last = np.zeros(reps)
         for size in itertools.cycle([1, 2, 5, 17, 64]):
             size = min(size, rows.top - rows.drawn)

@@ -233,6 +233,18 @@ class TestCopulaExperiment:
         blobs = {report_json_bytes(run_experiment(cfg, threads=t)) for t in (1, 2, 5)}
         assert len(blobs) == 1
 
+    @pytest.mark.parametrize("kind", ["copula", "representation"])
+    @pytest.mark.parametrize("threads", [0, -5, 65])
+    def test_threads_out_of_range_rejected_before_sigma(self, kind, threads, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("Sigma or sampling started before the refusal")
+
+        monkeypatch.setattr(experiment, "theoretical_sigma", never)
+        monkeypatch.setattr(experiment, "replicate", never)
+        cfg = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=200, replications=20, seed=303, kind=kind)
+        with pytest.raises(InvalidConfigError, match="at least 1 and at most 64 threads"):
+            run_experiment(cfg, threads=threads)
+
     def test_convention_shift_below_stderr(self):
         # moving from rank n-k to n-k+1 changes each standardized component by
         # about one scaled spacing (~1/sqrt(k)) and the covariance by O(1/k)

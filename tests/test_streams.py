@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-import mvos.copula as copula_module
 import mvos.streams as streams_module
-from mvos.streams import derive_seed, philox_words, replicate, sfc64_states, stream_keys, stream_rng
+from mvos.streams import Streams, derive_seed, philox_words, replicate, sfc64_states, stream_keys, stream_rng, stream_seeds
 
 
 @pytest.mark.parametrize("fn", [stream_rng, derive_seed])
@@ -105,12 +104,12 @@ class TestSfc64States:
         used = np.random.Generator(np.random.SFC64(99))
         used.random(1001)  # a pooled generator's past, an odd half-word included, leaves no trace
         used.integers(2**32, dtype=np.uint32)
-        monkeypatch.setattr(copula_module._idle, "pool", {(0, 0): used}, raising=False)
-        streams = copula_module._Streams()
-        streams.start(copula_module._stream_seeds(np.concatenate((np.array([7], np.uint64), words))[None]))
+        monkeypatch.setattr(streams_module._idle, "pool", {(0, 0): used}, raising=False)
+        streams = Streams()
+        streams.start(np.concatenate((np.array([7], np.uint64), sfc64_states(words[None])[0]))[None])
         gen = streams.rngs[0]
         streams.stop()
-        assert gen is used and streams.keys == [7]
+        assert gen is used and streams.keys == [7] and streams.seconds == []
         want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
         assert np.array_equal(gen.bit_generator.random_raw(1000), want.bit_generator.random_raw(1000))
         assert np.array_equal(gen.integers(2**32, size=5, dtype=np.uint32), want.integers(2**32, size=5, dtype=np.uint32))
@@ -125,8 +124,38 @@ class TestSfc64States:
             assert np.array_equal(sfc64_from_words(seed).bit_generator.state["state"]["state"], state)
 
 
-def _draw(rngs):
-    return np.array([rng.standard_normal(3) for rng in rngs])
+class TestStreamSeeds:
+    """A stream's row of its key and SFC64 states: word 0, then numpy's
+    seeding of SFC64 from words 1-3 and, for a second generator, 4-6."""
+
+    @pytest.mark.parametrize("gens", [1, 2])
+    def test_keys_and_generator_give_the_same_rows(self, gens):
+        seeds = stream_seeds(stream_keys(13, 0, 9), gens)
+        assert seeds.dtype == np.uint64 and seeds.shape == (9, 1 + 4 * gens)
+        for r, row in enumerate(seeds):
+            rng = stream_rng(13, r)
+            words = stream_rng(13, r).bit_generator.random_raw(1 + 3 * gens)
+            assert np.array_equal(stream_seeds(rng, gens), row[None])
+            assert rng.bit_generator.random_raw() == stream_rng(13, r).bit_generator.random_raw(2 + 3 * gens)[-1]
+            assert row[0] == words[0]
+            for t in range(gens):
+                want = sfc64_from_words(words[1 + 3 * t:4 + 3 * t]).bit_generator.state["state"]["state"]
+                assert np.array_equal(row[1 + 4 * t:5 + 4 * t], want)
+
+    @pytest.mark.parametrize("gens", [0, 3])
+    def test_one_or_two_generators(self, gens):
+        with pytest.raises(ValueError, match="1 or 2"):
+            stream_seeds(stream_keys(13, 0, 2), gens)
+
+
+def _main(seed, r):
+    """The SFC64 generator replicate hands replication r: numpy's seeding
+    from words 1-3 of the Philox stream (seed, r)."""
+    return sfc64_from_words(stream_rng(seed, r).bit_generator.random_raw(4)[1:])
+
+
+def _draw(streams):
+    return np.array([rng.standard_normal(3) for rng in streams.rngs])
 
 
 class TestReplicate:
@@ -136,7 +165,21 @@ class TestReplicate:
         out = np.empty((self.COUNT, 3))
         assert replicate(out, 5, 1, lambda: _draw) is out
         for r in range(self.COUNT):
-            assert np.array_equal(out[r], stream_rng(5, r).standard_normal(3))
+            assert np.array_equal(out[r], _main(5, r).standard_normal(3))
+
+    def test_second_generators_and_keyed_streams(self):
+        # gens = 2 seeds a second SFC64 from words 4-6, and keyed(slot, t)
+        # is the Philox stream keyed (word 0, t) at counter zero
+        def draw(streams):
+            return np.array([[a.random(), b.random(), streams.keyed(slot, 3).random()]
+                             for slot, (a, b) in enumerate(zip(streams.rngs, streams.seconds))])
+
+        out = replicate(np.empty((self.COUNT, 3)), 14, 2, lambda: draw, 1, 2)
+        for r in range(self.COUNT):
+            words = stream_rng(14, r).bit_generator.random_raw(7)
+            keyed = np.random.Generator(np.random.Philox(key=int(words[0]) | 3 << 64))
+            want = [sfc64_from_words(words[1:4]).random(), sfc64_from_words(words[4:7]).random(), keyed.random()]
+            assert np.array_equal(out[r], want)
 
     def test_threads_change_no_bit(self):
         serial = replicate(np.empty((self.COUNT, 3)), 6, 1, lambda: _draw)
@@ -144,18 +187,18 @@ class TestReplicate:
             assert np.array_equal(replicate(np.empty((self.COUNT, 3)), 6, threads, lambda: _draw), serial)
 
     def test_kept_generators_change_no_stream(self):
-        want = [stream_rng(10, r).standard_normal(3) for r in range(self.COUNT)]
-        for _ in range(2):  # the second call re-keys the first call's generators
+        want = [_main(10, r).standard_normal(3) for r in range(self.COUNT)]
+        for _ in range(2):  # the second call sets the first call's generators anew
             assert np.array_equal(replicate(np.empty((self.COUNT, 3)), 10, 1, lambda: _draw), want)
         inner = []
 
-        def draw(rngs):
+        def draw(streams):
             # a replicate call inside a draw must leave the generators handed to it alone
             inner.append(replicate(np.empty((self.COUNT, 3)), 11, 1, lambda: _draw))
-            return _draw(rngs)
+            return _draw(streams)
 
         assert np.array_equal(replicate(np.empty((self.COUNT, 3)), 10, 1, lambda: draw), want)
-        assert inner and all(np.array_equal(v, [stream_rng(11, r).standard_normal(3) for r in range(self.COUNT)])
+        assert inner and all(np.array_equal(v, [_main(11, r).standard_normal(3) for r in range(self.COUNT)])
                              for v in inner)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -172,15 +215,15 @@ class TestReplicate:
             log = []
             logs.append(log)  # list.append is atomic, so ranges may call this at once
 
-            def draw(rngs):
-                log.extend(rngs)
-                return [rng.random() for rng in rngs]
+            def draw(streams):
+                log.extend(streams.rngs)
+                return [rng.random() for rng in streams.rngs]
 
             return draw
 
         out = replicate(np.empty(self.COUNT), 8, threads, make_draw)
         assert sorted(len(log) for log in logs) == sorted(hi - lo for lo, hi in ranges)
-        assert np.array_equal(out, [stream_rng(8, r).random() for r in range(self.COUNT)])
+        assert np.array_equal(out, [_main(8, r).random() for r in range(self.COUNT)])
 
     @pytest.mark.parametrize(
         "threads,cap,elements,blocks",
@@ -193,42 +236,44 @@ class TestReplicate:
         seen = {}
 
         def make_draw():
-            def draw(rngs):
-                values = _draw(rngs)
-                seen[values[0, 0]] = len(rngs)  # keyed by the block's first value, as ranges run at once
+            def draw(streams):
+                values = _draw(streams)
+                seen[values[0, 0]] = len(streams.rngs)  # keyed by the block's first value, as ranges run at once
                 return values
 
             return draw
 
         out = replicate(np.empty((self.COUNT, 3)), 9, threads, make_draw, elements)
         assert [seen[v] for v in out[:, 0] if v in seen] == blocks
-        assert np.array_equal(out, [stream_rng(9, r).standard_normal(3) for r in range(self.COUNT)])
+        assert np.array_equal(out, [_main(9, r).standard_normal(3) for r in range(self.COUNT)])
 
     @pytest.mark.parametrize("threads,cap,chunk,calls", [(1, 2, 5, [4, 3]), (2, 2, 5, [4, 3]), (3, 2, 1, [2, 1, 2, 1, 1]),
                                                          (1, 3, 1024, [7]), (2, 64, 1024, [4, 3])])
-    def test_prepared_rows(self, threads, cap, chunk, calls, monkeypatch):
-        # prepare runs once per chunk of a range, a whole number of blocks,
-        # and each block's draw gets its replications' rows; no generator is re-keyed
+    def test_seeds_per_chunk(self, threads, cap, chunk, calls, monkeypatch):
+        # the seeds are computed once per chunk of a range, a whole number
+        # of blocks, from the chunk's keys; no Philox generator is built
         monkeypatch.setattr(streams_module, "BLOCK_REPLICATIONS", cap)
         monkeypatch.setattr(streams_module, "WORD_CHUNK", chunk)
-        prepared, blocks = [], []
+        seeded, blocks, inner = [], [], stream_seeds
 
-        def prepare(keys):
-            prepared.append(len(keys))
-            return philox_words(keys, 1)
+        def spy(keys, gens):
+            seeded.append(len(keys))
+            return inner(keys, gens)
 
-        def draw(rows):
-            blocks.append(len(rows))
-            return rows[:, 1:].astype(float)
+        def draw(streams):
+            blocks.append(len(streams.rngs))
+            return _draw(streams)
 
         def never(*args):
-            raise AssertionError("a generator was re-keyed")
+            raise AssertionError("a Philox generator was built")
 
-        monkeypatch.setattr(streams_module, "rekey", never)
-        out = replicate(np.empty((self.COUNT, 3)), 12, threads, lambda: draw, 1, prepare)
-        assert sorted(prepared) == sorted(calls) and max(blocks) == min(cap, -(-self.COUNT // threads))
-        assert np.array_equal(out, [stream_rng(12, r).bit_generator.random_raw(4)[1:].astype(float)
-                                    for r in range(self.COUNT)])
+        monkeypatch.setattr(streams_module, "stream_seeds", spy)
+        monkeypatch.setattr(np.random, "Philox", never)
+        monkeypatch.setattr(streams_module._idle, "pool", None, raising=False)
+        out = replicate(np.empty((self.COUNT, 3)), 12, threads, lambda: draw)
+        monkeypatch.undo()
+        assert sorted(seeded) == sorted(calls) and max(blocks) == min(cap, -(-self.COUNT // threads))
+        assert np.array_equal(out, [_main(12, r).standard_normal(3) for r in range(self.COUNT)])
 
     @pytest.mark.parametrize("threads", [streams_module.MAX_THREADS + 1, 10**6])
     def test_too_many_threads_rejected_before_any_work(self, threads, monkeypatch):
@@ -238,3 +283,14 @@ class TestReplicate:
         monkeypatch.setattr(streams_module, "ThreadPoolExecutor", never)
         with pytest.raises(ValueError, match=f"at most {streams_module.MAX_THREADS} threads"):
             replicate(np.empty((200, 3)), 1, threads, never)
+
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_too_few_threads_rejected_before_any_work(self, threads, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a key, a pool or a draw was computed")
+
+        monkeypatch.setattr(streams_module, "stream_keys", never)
+        with pytest.raises(ValueError, match="at least 1"):
+            replicate(np.empty((200, 3)), 1, threads, never)
+        with pytest.raises(ValueError, match="at least 1"):
+            replicate(np.empty((0, 3)), 1, threads, never)
