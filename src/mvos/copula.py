@@ -23,12 +23,13 @@ bit:
   O(k) rows.
 
 A block's replications each draw from their own generators, and the
-arithmetic runs once on the block's arrays.  This module only samples:
-``streams`` seeds each replication's SFC64 generators, which draw its
-uniforms, and keys the Philox streams of the rare proposal redraws
-(``streams.Streams``).  The selector gets them from ``streams.replicate``,
-and ``sample_rows`` seeds them from the first words of its generator
-(``streams.stream_seeds``), so both draw the same values.
+arithmetic runs once on the block's arrays.  This module only samples: a
+replication draws from the SFC64 streams of one ``SeedSequence`` child
+(``streams``), stream 0 its uniforms, stream 1 its Gamma variates and
+streams t >= 2 the rare proposal redraws.  The selector gets them from
+``streams.replicate``, and ``sample_rows`` spawns the child from its
+generator's seed sequence and seeds them through numpy's own
+constructors (``streams.child_stream``), so both draw the same values.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .dnorm import DNormSpec, LogisticP, SupNorm, _Dimensioned, dnorm_eval
-from .streams import Streams, stream_rng, stream_seeds
+from .streams import Streams, child_stream, stream_rng
 
 __all__ = [
     "Independence",
@@ -297,24 +298,24 @@ class _MaxOrderRows:
       the L-th maximum (0 for L = 0).  Placing the top L rows at uniformly
       random positions among the others makes all n rows iid.
 
-    Streams: each replication has a main SFC64 generator and, at p != 2,
-    a second one for the Gamma variates (``streams.Streams``).  The main one
+    Streams: each replication has a main SFC64 generator, its stream 0,
+    and, at p != 2, its stream 1 for the Gamma variates
+    (``streams.Streams``).  The main one
     draws ``width`` uniforms per top row, row by row, then what the rows
     below use, then, in ``sample_rows``, the positions of the top rows.  A
     top row's uniforms are its spacing and its d spreads, then at p = 2
     the three of its frailty (d + 4 in all), and otherwise its Gamma
     variate's and [V, W, A] of each of ``_TRIES`` stable proposals.  A top
     row none of whose proposals is accepted takes ``_TRIES`` more from the
-    Philox stream keyed (key, 2), then (key, 3) and so on, each in row
-    order, so a row's values do not depend on how the top rows are
-    batched.
+    replication's stream 2, then stream 3 and so on, each in row order,
+    so a row's values do not depend on how the top rows are batched.
 
     Blocks: a block's replications draw their values with their own calls
     to their own generators, and every replication that goes on draws the
     same number of top rows in a batch.  The arithmetic then runs once on
     the block's planes, elementwise or along the row axis, so a
     replication's values do not depend on the other replications in its
-    block.  The redraws from (key, t >= 2) are drawn one replication at a
+    block.  The redraws from streams t >= 2 are drawn one replication at a
     time and computed in one call per round, and the rows below the top
     ones are drawn one replication at a time.
     """
@@ -335,8 +336,8 @@ class _MaxOrderRows:
     def start(self, streams: Streams) -> None:
         """Begin a block of the replications whose generators ``streams``
         holds, with ``gens`` SFC64 each: the main ones draw the uniforms,
-        ``gammas`` the Gamma variates, and ``keyed`` the proposal redraws."""
-        self.rngs, self.gammas, self.keyed = streams.rngs, streams.seconds, streams.keyed
+        ``gammas`` the Gamma variates, and ``redraw`` the proposal redraws."""
+        self.rngs, self.gammas, self.redraw = streams.rngs, streams.seconds, streams.stream
         self.drawn, self.g = 0, np.zeros(len(self.rngs))
         # the last top row's maximum, which bounds the rows not yet drawn
         self.m = np.full(len(self.rngs), 0.0 if self.closed_form else math.inf)
@@ -418,11 +419,11 @@ class _MaxOrderRows:
         redo = np.flatnonzero(~(e[1] > log_theta + log_x))
         if redo.size and len(u) > 3:
             log_x[redo] = self._tilted_stable(u[3:, redo], log_theta[redo], slots[redo], t)
-        elif redo.size:  # out of proposals: more from each replication's Philox (key, t + 1), in row order
+        elif redo.size:  # out of proposals: more from each replication's stream t + 1, in row order
             owner, more = slots[redo], np.empty((3 * _TRIES, redo.size))
             for slot in np.unique(owner):
                 cols = np.flatnonzero(owner == slot)
-                more[:, cols] = 1.0 - self.keyed(int(slot), t + 1).random((cols.size, 3 * _TRIES)).T
+                more[:, cols] = 1.0 - self.redraw(int(slot), t + 1).random((cols.size, 3 * _TRIES)).T
             log_x[redo] = self._tilted_stable(more, log_theta[redo], owner, t + 1)
         return log_x
 
@@ -541,7 +542,8 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n iid rows from the model using the supplied Philox generator.
+    """Draw n iid rows from the model with the streams of one child of
+    ``rng``'s seed sequence, as ``streams.stream_rng`` seeds it.
 
     Without a positive-stable frailty each column's n values are minus the
     running sums of its n spacings (``_spacing_terms``; comonotone columns
@@ -551,24 +553,25 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     For Gumbel with p > 1 they are all n rows of
     ``_MaxOrderRows`` for a block of one replication, the top rows at a
     uniformly random ordered set of positions, drawn by its main SFC64
-    generator, and the rest, which are iid, in order at the others.  The
-    SFC64 generators are seeded from the first words of ``rng``
-    (``streams.stream_seeds``), as ``streams.replicate`` seeds them for
-    the selector."""
-    streams = Streams()
+    generator, and the rest, which are iid, in order at the others.  Each
+    call spawns the next child C of the seed sequence, and its stream t
+    is ``streams.child_stream(C, t)``: for a fresh ``stream_rng(seed, r)``
+    C is ``SeedSequence(seed, spawn_key=(r, 0))``, as ``streams.replicate``
+    seeds replication r for the selector.  A generator without a
+    ``SeedSequence`` raises ``ValueError``."""
+    seq = rng.bit_generator.seed_seq
+    if not isinstance(seq, np.random.SeedSequence):
+        raise ValueError("sample_rows needs a generator seeded by a SeedSequence, such as streams.stream_rng returns")
+    (child,) = seq.spawn(1)
     if not _stable(model):
-        s = _spacings(model)
-        streams.start(stream_seeds(rng))
-        e = _spacing_terms(streams.rngs, n, n, s, {})[..., 0]
+        s, gen = _spacings(model), child_stream(child, 0)
+        e = _spacing_terms([gen], n, n, s, {})[..., 0]
         np.add.accumulate(e, axis=0, out=e)  # in row order, as the selector's reduce adds
         values = np.exp(np.negative(e, out=e), out=e)
-        gen = streams.rngs[0]
         placed = np.stack([values[gen.permutation(n), j] for j in range(s)], axis=1)
-        streams.stop()
         return placed if s == model.d else np.repeat(placed, model.d, axis=1)
     rows = _MaxOrderRows(model, n)
-    streams.start(stream_seeds(rng, rows.gens))
-    rows.start(streams)
+    rows.start(Streams([[child_stream(child, t)] for t in range(rows.gens)], lambda slot: child))
     top = np.empty((model.d, 1, rows.top))
     if rows.top:
         rows.next_rows(top, np.zeros(1, np.intp))
@@ -576,7 +579,6 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     drawn[:rows.top] = top[:, 0].T
     rows.rest(0, drawn[rows.top:])
     place, free = rows.rngs[0].choice(n, rows.top, replace=False), np.ones(n, dtype=bool)
-    streams.stop()
     free[place] = False
     out = np.empty_like(drawn)
     out[place], out[free] = drawn[:rows.top], drawn[rows.top:]

@@ -125,7 +125,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise InvalidConfigError("seed must be >= 0")
         # a moment summary needs two replications, a distance one; the
-        # replication keys are 32-bit (streams.stream_keys)
+        # replication indices are 32-bit spawn key words (streams.stream_states)
         least = 1 if self.kind == "representation" else 2
         if not least <= self.replications <= 2**32:
             raise InvalidConfigError(f"{self.kind} experiments need {least} <= replications <= 2**32")

@@ -109,14 +109,14 @@ class TestSelection:
 
     def test_block_with_proposal_redraws(self, monkeypatch):
         # a top row that rejects all of its in-row stable proposals draws
-        # more from its replication's (key, 2) stream, and then (key, 3)
-        keyed = set()
-        sub = streams_module.Streams.keyed
-        monkeypatch.setattr(streams_module.Streams, "keyed",
-                            lambda streams, slot, t: keyed.add((len(streams.rngs), t)) or sub(streams, slot, t))
+        # more from its replication's stream 2, and then stream 3
+        redraws = set()
+        sub = streams_module.Streams.stream
+        monkeypatch.setattr(streams_module.Streams, "stream",
+                            lambda streams, slot, t: redraws.add((len(streams.rngs), t)) or sub(streams, slot, t))
         values, _ = _collect_os(PROPOSALS, N, SEED, 1)
         assert np.array_equal(values, _oracle(PROPOSALS))
-        assert {2, 3} <= {t for size, t in keyed if size > 1}
+        assert {2, 3} <= {t for size, t in redraws if size > 1}
 
 
 class TestRatioSamplers:

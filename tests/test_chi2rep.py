@@ -18,7 +18,7 @@ from mvos.orderstats import OSBatch, theoretical_sigma_equal_k, standardize_copu
 from mvos.streams import stream_rng
 
 from exact_laws import beta_quantile_grid, ratio_joint_cdf
-from test_streams import sfc64_from_words
+from test_streams import numpy_stream
 
 
 def _univariate_ratios(i, n, r, seed):
@@ -135,7 +135,7 @@ class TestCorrelatedRatio:
         def never(*args, **kwargs):
             raise AssertionError("a stream was seeded")
 
-        monkeypatch.setattr(streams, "stream_keys", never)
+        monkeypatch.setattr(streams, "stream_states", never)
         with pytest.raises(ValueError, match="at least 1 and at most 64 threads"):
             correlated_ratio_sample(np.eye(2), 50, 5, 5, seed=0, threads=threads)
 
@@ -208,8 +208,8 @@ def _stream_contract_ratios(lam, n, k, r, seed):
     """The documented stream, spelled out entry by entry (reference).
 
     Replication rep is row rep % 64 of chunk rep // 64, and every chunk is
-    drawn in full from the SFC64 generator that numpy seeds from words 1-3
-    of the Philox stream stream_rng(seed, chunk).  A chunk draws the
+    drawn in full from its stream 0, numpy's SFC64 seeded by
+    SeedSequence(seed, spawn_key=(chunk, 0, 0)).  A chunk draws the
     numerator's factors (m = 2(n-k)) and then the remainder's
     (m = 2(k+1)), each as a 64 x d x q normal array, q = min(d, m), and
     then a 64 x q array of Gamma((m - q + 1) / 2) variates.  A factor keeps
@@ -222,7 +222,7 @@ def _stream_contract_ratios(lam, n, k, r, seed):
     chunks = -(-r // 64)
     out = np.empty((64 * chunks, d))
     for c in range(chunks):
-        rng = sfc64_from_words(stream_rng(seed, c).bit_generator.random_raw(4)[1:])
+        rng = numpy_stream(seed, c)
         parts = []
         for m in (2 * (n - k), 2 * (k + 1)):
             q = min(d, m)

@@ -26,18 +26,18 @@ from mvos.chi2rep import ecdf_on_grid
 from mvos.diagnostics import ks_critical_value, ks_statistic
 from mvos.dnorm import dnorm_eval
 from mvos.orderstats import IntermediateSpec, componentwise_os
-from mvos.streams import Streams, replicate, stream_keys, stream_rng, stream_seeds
+from mvos.streams import Streams, replicate, stream_rng
 from mvos.wire import from_json, to_json
 
 from exact_laws import beta_quantile_grid, os_joint_cdf
-from test_streams import sfc64_from_words
+from test_streams import numpy_stream
 
 
-def _started(seeds):
-    """A block of the replications with these ``stream_seeds`` rows."""
-    streams = Streams()
-    streams.start(seeds)
-    return streams
+def _block(seed, reps, gens):
+    """A block of replications ``reps`` of the stream ``seed``, with ``gens``
+    generators each, built by numpy's own constructors."""
+    return Streams([[numpy_stream(seed, r, t) for r in reps] for t in range(gens)],
+                   lambda slot: np.random.SeedSequence(seed, spawn_key=(reps[slot], 0)))
 
 
 class TestCdf:
@@ -391,11 +391,10 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("model", STABLE_MODELS, ids=lambda m: m.label())
     def test_top_rows_do_not_depend_on_batches(self, model):
         rows, one = copula_module._MaxOrderRows(model, 4000), np.zeros(1, np.intp)
-        seeds = [stream_seeds(stream_rng(94, rep), rows.gens) for rep in range(3)]
-        rows.start(_started(seeds[0]))
+        rows.start(_block(94, [0], rows.gens))
         whole = np.empty((model.d, 1, rows.top))
         maxima = rows.next_rows(whole, one)
-        rows.start(_started(seeds[0]))
+        rows.start(_block(94, [0], rows.gens))
         parts, start = np.empty_like(whole), 0
         for size in itertools.cycle([1, 2, 5, 17, 64]):
             size = min(size, rows.top - start)
@@ -408,7 +407,7 @@ class TestMaxOrderRows:
         assert np.array_equal(whole.max(axis=0), maxima)
         assert np.all(np.diff(maxima) <= 0)
         # in a block, a replication's rows do not depend on the others'
-        rows.start(_started(np.concatenate([seeds[1], seeds[0], seeds[2]])))
+        rows.start(_block(94, [1, 0, 2], rows.gens))
         block = np.empty((model.d, 3, rows.top))
         rows.next_rows(block, np.arange(3))
         assert np.array_equal(block[:, 1:2], whole)
@@ -441,9 +440,9 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("model", [Independence(3), GumbelLogistic(3, 1.0), Comonotone(3)], ids=lambda m: m.label())
     def test_spacing_draws_stop_at_the_depth(self, model, monkeypatch):
         # drawn by its own spacings, a column's depth-th value is its
-        # depth-th largest, so each replication's main SFC64, seeded from
-        # words 1-3 of its Philox stream, draws the spacings of exactly that
-        # many top rows, and no batch of rows
+        # depth-th largest, so each replication's main SFC64, its stream 0,
+        # draws the spacings of exactly that many top rows, and no batch of
+        # rows
         def no_rows(rows, out, slots):
             raise AssertionError("next_rows called")
 
@@ -466,8 +465,8 @@ class TestMaxOrderRows:
         replicate(np.empty((3, 3)), 99, 1, spy, elements, gens)
         assert gens == 1 and len(mains) == 3
         for rep, state in enumerate(mains):
-            # the main SFC64 seeded from words 1-3 draws one word per uniform
-            main = sfc64_from_words(stream_rng(99, rep).bit_generator.random_raw(4)[1:])
+            # the main SFC64 draws one word per uniform
+            main = numpy_stream(99, rep)
             main.bit_generator.random_raw(spacings * 625)
             assert np.array_equal(main.bit_generator.state["state"]["state"], state)
         assert elements == spacings * 625
@@ -476,33 +475,59 @@ class TestMaxOrderRows:
 
     @pytest.mark.parametrize("model", [Independence(3), GumbelLogistic(3, 1.0), GumbelLogistic(3, 2.0),
                                        GumbelLogistic(3, 3.0)], ids=lambda m: m.label())
-    def test_stream_layout(self, model):
-        # a replication's Philox stream gives its key, then the three words
-        # of its main SFC64 and, with a positive-stable frailty drawn from
-        # Gamma variates (p != 2), three of its Gamma SFC64, and nothing
-        # else, however many rows are drawn; the selector's blocks get the
-        # same generators, seeded from the replications' keys
+    def test_stream_layout(self, model, monkeypatch):
+        # sample_rows spawns one child C of its generator's seed sequence
+        # and draws from C's stream 0 and, with a positive-stable frailty
+        # drawn from Gamma variates (p != 2), its stream 1, then only from
+        # streams t >= 2 for proposal redraws; it reads no word of the
+        # Philox generator itself.  The selector's blocks get the same
+        # streams of the same child.
+        built, inner = [], streams_module.child_stream
+
+        def spy(child, t):
+            built.append((child.entropy, child.spawn_key, t))
+            return inner(child, t)
+
+        monkeypatch.setattr(copula_module, "child_stream", spy)
+        monkeypatch.setattr(streams_module, "child_stream", spy)
         n, rng = 1000, stream_rng(105, 0)
-        words = stream_rng(105, 0).bit_generator.random_raw(8)
         gamma = copula_module._stable(model) and model.p != 2.0
         gens = os_selector(model, n, n)[2]
         assert gens == 1 + gamma
-        streams = _started(stream_seeds(stream_keys(105, 0, 1), gens))
-        assert streams.keys == [words[0]] and len(streams.seconds) == gamma
-        for gen, seed in zip([streams.rngs[0], *streams.seconds], (words[1:4], words[4:7])):
-            assert np.array_equal(gen.bit_generator.random_raw(64), sfc64_from_words(seed).bit_generator.random_raw(64))
-        streams.stop()
         sample_rows(model, n, rng)
-        assert rng.bit_generator.random_raw() == words[7 if gamma else 4]
+        assert built[:gens] == [(105, (0, 0), t) for t in range(gens)]
+        assert all(seed == 105 and key == (0, 0) and t >= 2 for seed, key, t in built[gens:])
+        assert rng.bit_generator.seed_seq.n_children_spawned == 1
+        assert rng.bit_generator.random_raw() == stream_rng(105, 0).bit_generator.random_raw()
+
+    @pytest.mark.parametrize("model", [Independence(2), Comonotone(2), GumbelLogistic(2, 2.0), GumbelLogistic(2, 3.0)],
+                             ids=lambda m: m.label())
+    def test_calls_on_one_generator_spawn_new_children(self, model):
+        # each call spawns the next child, so a second call on the same
+        # generator draws other rows; the first call's rows are the selector's
+        n, ranks, rng = 400, np.full(model.d, 380), stream_rng(107, 2)
+        first, second = sample_rows(model, n, rng), sample_rows(model, n, rng)
+        assert not np.array_equal(first, second)
+        selected = replicate(np.empty((3, model.d)), 107, 1, *os_selector(model, n, ranks))
+        assert np.array_equal(selected[2], componentwise_os(first, ranks))
+        assert not np.array_equal(selected[2], componentwise_os(second, ranks))
+
+    @pytest.mark.parametrize("model", [Independence(2), GumbelLogistic(2, 2.0)], ids=lambda m: m.label())
+    def test_rejects_a_generator_without_a_seed_sequence(self, model):
+        # a Philox set by its key has no seed sequence to spawn a child from
+        rng = np.random.Generator(np.random.Philox(key=5))
+        assert rng.bit_generator.seed_seq is None
+        with pytest.raises(ValueError, match="stream_rng"):
+            sample_rows(model, 10, rng)
 
     @pytest.mark.parametrize("model", [GumbelLogistic(2, 2.0), GumbelLogistic(2, 3.0), Independence(3)],
                              ids=lambda m: m.label())
     def test_selection_reads_no_philox_generator(self, model, monkeypatch):
-        # the selector's words and SFC64 states come from the keys of a
-        # chunk of replications at once: no replication builds or reads a
+        # the selector's SFC64 states come from the replication indices of
+        # a chunk of replications at once: no replication builds or reads a
         # Philox generator, and no generator's random_raw is called
         # (at p = 3 no top row of these replications redraws its stable
-        # proposals, which would key a (key, t) stream)
+        # proposals, which would build a stream t >= 2)
         calls = []
 
         class Philox(np.random.Philox):
@@ -573,17 +598,31 @@ class TestMaxOrderRows:
         self._check(model, n, np.full(model.d, n - k), 102, reps=128, threads=threads)
         assert max(rounds) >= 2
 
-    def test_proposal_streams_are_kept_between_calls(self):
-        # the thread's (slot, t) generators, the Gamma SFC64 (t = 1) and the
-        # proposal redraws' Philox (t >= 2), serve the next call, re-keyed;
-        # the pool starts empty, so this call builds them
-        model, n, ranks = GumbelLogistic(2, 3.0), 300, np.full(2, 280)
+    def test_redraw_streams_are_numpys(self, monkeypatch):
+        # a top row out of in-row proposals takes round t's from its
+        # replication's stream t >= 2, numpy's SFC64(SeedSequence(seed,
+        # spawn_key=(r, 0, t))), built once in the block; only the streams
+        # t < 2 are kept, and they serve the next call
+        model, n, ranks = GumbelLogistic(2, 8.0), 300, np.full(2, 240)
+        built, inner = [], streams_module.child_stream
+
+        def spy(child, t):
+            gen = inner(child, t)
+            built.append((child.entropy, child.spawn_key, t, gen.bit_generator.state["state"]["state"]))
+            return gen
+
+        monkeypatch.setattr(streams_module, "child_stream", spy)
         streams_module._idle.pool = None
-        first = replicate(np.empty((20, 2)), 104, 1, *os_selector(model, n, ranks))
+        first = replicate(np.empty((40, 2)), 104, 1, *os_selector(model, n, ranks))
         pool = dict(streams_module._idle.pool)
-        second = replicate(np.empty((20, 2)), 104, 1, *os_selector(model, n, ranks))
+        second = replicate(np.empty((40, 2)), 104, 1, *os_selector(model, n, ranks))
         assert np.array_equal(first, second)
-        assert (0, 1) in pool and any(t >= 2 for _, t in pool)
+        assert {2, 3} <= {t for *_, t, _ in built}
+        assert len({(key, t) for _, key, t, _ in built}) == len(built) / 2  # once per block and call
+        for seed, (r, zero), t, state in built:
+            assert seed == 104 and zero == 0 and t >= 2
+            assert np.array_equal(state, numpy_stream(104, r, t).bit_generator.state["state"]["state"])
+        assert (0, 1) in pool and all(t < 2 for _, t in pool)
         assert all(streams_module._idle.pool[key] is gen for key, gen in pool.items())
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -803,7 +842,7 @@ class TestMinusEOverS:
         # row's maximum, the maxima never increase within or across
         # batches, and the rows below the top ones lie at or below the last
         rows, slots, reps = copula_module._MaxOrderRows(model, n), np.arange(3), 3
-        rows.start(_started(np.concatenate([stream_seeds(stream_rng(108, rep), rows.gens) for rep in range(reps)])))
+        rows.start(_block(108, range(reps), rows.gens))
         last = np.zeros(reps)
         for size in itertools.cycle([1, 2, 5, 17, 64]):
             size = min(size, rows.top - rows.drawn)

@@ -272,13 +272,17 @@ class TestCopulaExperiment:
         assert errs[64] >= errs[4096]
 
     def test_marginal_normality_ks_copula_scale(self):
-        # on the copula scale the centering shift (n-k)/((n+1) sqrt(k)) needs
-        # k growing faster than sqrt(n) to clear the critical value at this n;
-        # only KS is gated here, since at this k the variance carries its own
-        # (1 - k/n) = 0.916 finite-n shrinkage
-        cfg = ExperimentConfig(copula=Independence(2), n=20000, replications=5000, seed=306,
-                               kind="copula",
-                               intermediate=IntermediateSpec.equal(2, gamma=0.75, convention="n-k"))
+        # a column's exact law is U_(n-k+1) ~ Beta(n - k + 1, k), centred
+        # within sqrt(k) / (n + 1) of the copula-scale centering and skewed
+        # by -2 / sqrt(k); at n = 10^7 and k = 10^4 the exact chance that
+        # either column's KS statistic reaches the critical value at level
+        # 1e-3 and R = 5000 is 2.35e-3 (1.96e-3 for two exactly normal
+        # columns), and a location error of 0.1 or a scale error of 10%
+        # fails the test with probability 1.00 or 0.90
+        inter = IntermediateSpec.equal(2, c=3.1623, gamma=0.5, convention="n-k+1")
+        cfg = ExperimentConfig(copula=Independence(2), n=10**7, replications=5000, seed=306,
+                               kind="copula", intermediate=inter)
+        assert list(inter.k_vector(cfg.n)) == [10**4] * 2 and cfg.ks_level == 1e-3
         rep = run_experiment(cfg)
         assert all(s < rep.ks_critical for s in rep.ks_stats)
         assert abs(rep.empirical_cov[0, 1]) <= max(0.05, 4 * rep.cov_stderr[0, 1])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mvos.streams as streams_module
-from mvos.streams import Streams, derive_seed, philox_words, replicate, sfc64_states, stream_keys, stream_rng, stream_seeds
+from mvos.streams import child_stream, derive_seed, replicate, stream_rng, stream_states
 
 
 @pytest.mark.parametrize("fn", [stream_rng, derive_seed])
@@ -11,147 +11,113 @@ def test_seed_is_required(fn):
         fn(None)
 
 
-class TestStreamKeys:
-    """The vectorised hash gives the keys ``stream_rng`` gets, bit for bit."""
+def numpy_stream(seed, r, t=0) -> np.random.Generator:
+    """Stream t of replication r: numpy's SFC64 seeded by
+    ``SeedSequence(seed, spawn_key=(r, 0, t))``."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(r, 0, t))))
+
+
+def _state(gen):
+    return gen.bit_generator.state["state"]["state"]
+
+
+class TestStreamStates:
+    """The vectorised hash and seeding give the states numpy's own
+    ``SFC64(SeedSequence(seed, spawn_key=(r, 0, t)))`` starts from, bit for bit."""
 
     # one entropy word, two (real derive_seed outputs, as the runners use
-    # for the sizes of a representation run) and three
-    SEEDS = [0, 1, 2**31 - 1, 2**32, derive_seed(7, 1, 10000), derive_seed(7, 1, 20000), 2**64 + 5]
-
-    @staticmethod
-    def _key(seed, r):
-        return stream_rng(seed, r).bit_generator.state["state"]["key"]
+    # for the sizes of a representation run), three, and past 2**64
+    SEEDS = [0, 1, 2**31 - 1, 2**32, derive_seed(7, 1, 10000), derive_seed(7, 1, 20000), 2**64 + 5, 2**70 + 3]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_keys_equal_stream_rng(self, seed):
-        keys = stream_keys(seed, 0, 5000)
-        assert keys.dtype == np.uint64 and keys.shape == (5000, 2)
-        assert np.array_equal(keys, [self._key(seed, r) for r in range(5000)])
+    def test_states_equal_numpy(self, seed):
+        for t in (0, 1, 5):
+            states = stream_states(seed, 0, 500, t)
+            assert states.dtype == np.uint64 and states.shape == (500, 4)
+            assert np.array_equal(states, [_state(numpy_stream(seed, r, t)) for r in range(500)])
 
     def test_seed_words(self):
-        assert [s.bit_length() > 32 for s in self.SEEDS] == [False] * 3 + [True] * 4
+        assert [s.bit_length() > 32 for s in self.SEEDS] == [False] * 3 + [True] * 5
         assert 2**62 <= self.SEEDS[4] < 2**63 and 2**62 <= self.SEEDS[5] < 2**63
+        assert self.SEEDS[6].bit_length() == 65 and self.SEEDS[7].bit_length() == 71
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_largest_replication(self, seed):
         # r = 2**32 - 1 is the last one-word spawn key; 2**32 would take two
         top = 2**32
-        assert np.array_equal(stream_keys(seed, top - 2, top), [self._key(seed, r) for r in (top - 2, top - 1)])
+        for t in (0, 1, 2**32 - 1):
+            want = [_state(numpy_stream(seed, r, t)) for r in (top - 2, top - 1)]
+            assert np.array_equal(stream_states(seed, top - 2, top, t), want)
         with pytest.raises(ValueError):
-            stream_keys(seed, top - 1, top + 1)
+            stream_states(seed, top - 1, top + 1, 0)
+        with pytest.raises(ValueError):
+            stream_states(seed, 0, 1, 2**32)
+
+    @pytest.mark.parametrize("start,stop", [(0, 0), (3, 4), (5, 12), (100, 201)])
+    def test_ranges_are_slices(self, start, stop):
+        # a chunk's states are rows of any longer range: no row depends on
+        # where its range starts
+        assert np.array_equal(stream_states(9, start, stop, 1), stream_states(9, 0, 201, 1)[start:stop])
 
     def test_rejects_negative_seed_and_range(self):
         with pytest.raises(ValueError):
-            stream_keys(-1, 0, 3)
+            stream_states(-1, 0, 3, 0)
         with pytest.raises(ValueError):
-            stream_keys(1, 3, 2)
+            stream_states(1, 3, 2, 0)
+        assert stream_states(1, 3, 3, 0).shape == (0, 4)
 
 
-class _Words:
-    """A seed sequence that hands a bit generator the given words, so that
-    numpy's own seeding runs on them."""
+class TestChildStream:
+    """Stream t of a spawned child C is numpy's SFC64 seeded by C's child t,
+    and the child a fresh ``stream_rng(seed, r)`` spawns is (seed, (r, 0))."""
 
-    def __init__(self, words):
-        self.words = np.asarray(words, np.uint64)
+    @pytest.mark.parametrize("t", [0, 1, 2, 2**32 - 1])
+    def test_equals_numpy_stream(self, t):
+        child = np.random.SeedSequence(21, spawn_key=(4, 0))
+        gen = child_stream(child, t)
+        assert isinstance(gen.bit_generator, np.random.SFC64) and child.n_children_spawned == 0
+        assert np.array_equal(gen.bit_generator.random_raw(100), numpy_stream(21, 4, t).bit_generator.random_raw(100))
+        if t < 3:  # numpy's own spawn of C gives the same child t
+            spawned = np.random.SeedSequence(21, spawn_key=(4, 0)).spawn(t + 1)[t]
+            assert np.array_equal(_state(child_stream(child, t)), _state(np.random.Generator(np.random.SFC64(spawned))))
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        assert n_words == len(self.words) and dtype == np.uint64
-        return self.words
+    @pytest.mark.parametrize("gens", [1, 2])
+    def test_stream_rng_child_seeds_the_replicated_generators(self, gens):
+        children = []
 
+        def draw(streams):
+            children.extend(streams.child(slot).spawn_key for slot in range(len(streams.rngs)))
+            return np.array([[g.random() for g in gs] for gs in zip(streams.rngs, *[streams.seconds] * (gens - 1))])
 
-np.random.bit_generator.ISeedSequence.register(_Words)
-
-
-def sfc64_from_words(words) -> np.random.Generator:
-    """The SFC64 generator numpy seeds from three 64-bit words."""
-    return np.random.Generator(np.random.SFC64(_Words(words)))
-
-
-# keys of real streams, keys whose words are all ones (every key bump
-# carries) or zero, and random ones
-KEYS = np.concatenate([stream_keys(7, 0, 40), stream_keys(2**64 + 5, 2**32 - 3, 2**32),
-                       np.array([[2**64 - 1, 2**64 - 1], [2**64 - 1, 0], [0, 2**64 - 1], [0, 0]], np.uint64),
-                       np.random.default_rng(5).integers(0, 2**64, (60, 2), np.uint64, endpoint=False)])
-
-
-class TestPhiloxWords:
-    """The words of a block of each key's Philox stream, bit for bit
-    ``Philox.random_raw``'s."""
-
-    @pytest.mark.parametrize("block", [1, 2])
-    @pytest.mark.parametrize("length", [0, 1, 7, len(KEYS)])
-    def test_equals_random_raw(self, block, length):
-        keys = KEYS[-length:] if length else KEYS[:0]
-        words = philox_words(keys, block)
-        assert words.dtype == np.uint64 and words.shape == (length, 4)
-        for key, got in zip(keys.tolist(), words):
-            raw = np.random.Philox(key=key[0] | key[1] << 64).random_raw(4 * block)
-            assert np.array_equal(got, raw[-4:])
-
-    def test_stream_rng_words(self):
-        keys = stream_keys(11, 0, 9)
-        words = np.concatenate((philox_words(keys, 1), philox_words(keys, 2)), axis=1)
-        assert np.array_equal(words, [stream_rng(11, r).bit_generator.random_raw(8) for r in range(9)])
+        out = replicate(np.empty((5, gens)), 13, 1, lambda: draw, 1, gens)
+        assert children == [(r, 0) for r in range(5)]
+        for r in range(5):
+            (child,) = stream_rng(13, r).bit_generator.seed_seq.spawn(1)
+            assert child.spawn_key == (r, 0)
+            assert np.array_equal(out[r], [child_stream(child, t).random() for t in range(gens)])
 
 
 class TestSfc64States:
-    """An SFC64 set to the state seeded from three words of a stream is the
-    one numpy seeds from the same three words."""
+    """A kept generator set to a replication's state is the one numpy seeds."""
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**128 + 3])
     def test_equals_numpy_seeding(self, seed, monkeypatch):
-        words = np.random.SeedSequence(seed).generate_state(3, np.uint64)
         used = np.random.Generator(np.random.SFC64(99))
-        used.random(1001)  # a pooled generator's past, an odd half-word included, leaves no trace
+        used.random(1001)  # a kept generator's past, an odd half-word included, leaves no trace
         used.integers(2**32, dtype=np.uint32)
         monkeypatch.setattr(streams_module._idle, "pool", {(0, 0): used}, raising=False)
-        streams = Streams()
-        streams.start(np.concatenate((np.array([7], np.uint64), sfc64_states(words[None])[0]))[None])
-        gen = streams.rngs[0]
-        streams.stop()
-        assert gen is used and streams.keys == [7] and streams.seconds == []
-        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
-        assert np.array_equal(gen.bit_generator.random_raw(1000), want.bit_generator.random_raw(1000))
-        assert np.array_equal(gen.integers(2**32, size=5, dtype=np.uint32), want.integers(2**32, size=5, dtype=np.uint32))
+        handed = []
 
-    @pytest.mark.parametrize("length", [0, 1, 7, 101])
-    def test_equals_numpy_seeding_of_raw_words(self, length):
-        words = np.random.default_rng(length).integers(0, 2**64, (length, 3), np.uint64, endpoint=False)
-        words[:1] = 2**64 - 1  # every addition carries
-        states = sfc64_states(words)
-        assert states.dtype == np.uint64 and states.shape == (length, 4)
-        for seed, state in zip(words, states):
-            assert np.array_equal(sfc64_from_words(seed).bit_generator.state["state"]["state"], state)
+        def draw(streams):
+            handed.append(streams)
+            return np.zeros((len(streams.rngs), 1))
 
-
-class TestStreamSeeds:
-    """A stream's row of its key and SFC64 states: word 0, then numpy's
-    seeding of SFC64 from words 1-3 and, for a second generator, 4-6."""
-
-    @pytest.mark.parametrize("gens", [1, 2])
-    def test_keys_and_generator_give_the_same_rows(self, gens):
-        seeds = stream_seeds(stream_keys(13, 0, 9), gens)
-        assert seeds.dtype == np.uint64 and seeds.shape == (9, 1 + 4 * gens)
-        for r, row in enumerate(seeds):
-            rng = stream_rng(13, r)
-            words = stream_rng(13, r).bit_generator.random_raw(1 + 3 * gens)
-            assert np.array_equal(stream_seeds(rng, gens), row[None])
-            assert rng.bit_generator.random_raw() == stream_rng(13, r).bit_generator.random_raw(2 + 3 * gens)[-1]
-            assert row[0] == words[0]
-            for t in range(gens):
-                want = sfc64_from_words(words[1 + 3 * t:4 + 3 * t]).bit_generator.state["state"]["state"]
-                assert np.array_equal(row[1 + 4 * t:5 + 4 * t], want)
-
-    @pytest.mark.parametrize("gens", [0, 3])
-    def test_one_or_two_generators(self, gens):
-        with pytest.raises(ValueError, match="1 or 2"):
-            stream_seeds(stream_keys(13, 0, 2), gens)
-
-
-def _main(seed, r):
-    """The SFC64 generator replicate hands replication r: numpy's seeding
-    from words 1-3 of the Philox stream (seed, r)."""
-    return sfc64_from_words(stream_rng(seed, r).bit_generator.random_raw(4)[1:])
+        replicate(np.empty((1, 1)), seed, 1, lambda: draw)
+        (streams,) = handed
+        assert streams.rngs == [used] and streams.seconds == [] and streams_module._idle.pool == {(0, 0): used}
+        want = numpy_stream(seed, 0)
+        assert np.array_equal(used.bit_generator.random_raw(1000), want.bit_generator.random_raw(1000))
+        assert np.array_equal(used.integers(2**32, size=5, dtype=np.uint32), want.integers(2**32, size=5, dtype=np.uint32))
 
 
 def _draw(streams):
@@ -165,21 +131,25 @@ class TestReplicate:
         out = np.empty((self.COUNT, 3))
         assert replicate(out, 5, 1, lambda: _draw) is out
         for r in range(self.COUNT):
-            assert np.array_equal(out[r], _main(5, r).standard_normal(3))
+            assert np.array_equal(out[r], numpy_stream(5, r).standard_normal(3))
 
-    def test_second_generators_and_keyed_streams(self):
-        # gens = 2 seeds a second SFC64 from words 4-6, and keyed(slot, t)
-        # is the Philox stream keyed (word 0, t) at counter zero
+    def test_second_generators_and_redraw_streams(self):
+        # gens = 2 hands each replication its streams 0 and 1, and
+        # stream(slot, t) is its stream t, built at its first use in a block
         def draw(streams):
-            return np.array([[a.random(), b.random(), streams.keyed(slot, 3).random()]
+            return np.array([[a.random(), b.random(), streams.stream(slot, 3).random(), streams.stream(slot, 3).random()]
                              for slot, (a, b) in enumerate(zip(streams.rngs, streams.seconds))])
 
-        out = replicate(np.empty((self.COUNT, 3)), 14, 2, lambda: draw, 1, 2)
+        out = replicate(np.empty((self.COUNT, 4)), 14, 2, lambda: draw, 1, 2)
         for r in range(self.COUNT):
-            words = stream_rng(14, r).bit_generator.random_raw(7)
-            keyed = np.random.Generator(np.random.Philox(key=int(words[0]) | 3 << 64))
-            want = [sfc64_from_words(words[1:4]).random(), sfc64_from_words(words[4:7]).random(), keyed.random()]
+            redraw = numpy_stream(14, r, 3)
+            want = [numpy_stream(14, r, 0).random(), numpy_stream(14, r, 1).random(), redraw.random(), redraw.random()]
             assert np.array_equal(out[r], want)
+
+    @pytest.mark.parametrize("gens", [0, 3])
+    def test_one_or_two_generators(self, gens):
+        with pytest.raises(ValueError, match="1 or 2"):
+            replicate(np.empty((2, 3)), 13, 1, lambda: _draw, 1, gens)
 
     def test_threads_change_no_bit(self):
         serial = replicate(np.empty((self.COUNT, 3)), 6, 1, lambda: _draw)
@@ -187,7 +157,7 @@ class TestReplicate:
             assert np.array_equal(replicate(np.empty((self.COUNT, 3)), 6, threads, lambda: _draw), serial)
 
     def test_kept_generators_change_no_stream(self):
-        want = [_main(10, r).standard_normal(3) for r in range(self.COUNT)]
+        want = [numpy_stream(10, r).standard_normal(3) for r in range(self.COUNT)]
         for _ in range(2):  # the second call sets the first call's generators anew
             assert np.array_equal(replicate(np.empty((self.COUNT, 3)), 10, 1, lambda: _draw), want)
         inner = []
@@ -198,7 +168,7 @@ class TestReplicate:
             return _draw(streams)
 
         assert np.array_equal(replicate(np.empty((self.COUNT, 3)), 10, 1, lambda: draw), want)
-        assert inner and all(np.array_equal(v, [_main(11, r).standard_normal(3) for r in range(self.COUNT)])
+        assert inner and all(np.array_equal(v, [numpy_stream(11, r).standard_normal(3) for r in range(self.COUNT)])
                              for v in inner)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -223,7 +193,7 @@ class TestReplicate:
 
         out = replicate(np.empty(self.COUNT), 8, threads, make_draw)
         assert sorted(len(log) for log in logs) == sorted(hi - lo for lo, hi in ranges)
-        assert np.array_equal(out, [_main(8, r).random() for r in range(self.COUNT)])
+        assert np.array_equal(out, [numpy_stream(8, r).random() for r in range(self.COUNT)])
 
     @pytest.mark.parametrize(
         "threads,cap,elements,blocks",
@@ -245,20 +215,21 @@ class TestReplicate:
 
         out = replicate(np.empty((self.COUNT, 3)), 9, threads, make_draw, elements)
         assert [seen[v] for v in out[:, 0] if v in seen] == blocks
-        assert np.array_equal(out, [_main(9, r).standard_normal(3) for r in range(self.COUNT)])
+        assert np.array_equal(out, [numpy_stream(9, r).standard_normal(3) for r in range(self.COUNT)])
 
     @pytest.mark.parametrize("threads,cap,chunk,calls", [(1, 2, 5, [4, 3]), (2, 2, 5, [4, 3]), (3, 2, 1, [2, 1, 2, 1, 1]),
                                                          (1, 3, 1024, [7]), (2, 64, 1024, [4, 3])])
-    def test_seeds_per_chunk(self, threads, cap, chunk, calls, monkeypatch):
-        # the seeds are computed once per chunk of a range, a whole number
-        # of blocks, from the chunk's keys; no Philox generator is built
+    def test_states_per_chunk(self, threads, cap, chunk, calls, monkeypatch):
+        # the states are computed once per chunk of a range, a whole number
+        # of blocks, from the chunk's replication indices; no Philox
+        # generator is built
         monkeypatch.setattr(streams_module, "BLOCK_REPLICATIONS", cap)
-        monkeypatch.setattr(streams_module, "WORD_CHUNK", chunk)
-        seeded, blocks, inner = [], [], stream_seeds
+        monkeypatch.setattr(streams_module, "STATE_CHUNK", chunk)
+        seeded, blocks, inner = [], [], stream_states
 
-        def spy(keys, gens):
-            seeded.append(len(keys))
-            return inner(keys, gens)
+        def spy(seed, start, stop, t):
+            seeded.append(stop - start)
+            return inner(seed, start, stop, t)
 
         def draw(streams):
             blocks.append(len(streams.rngs))
@@ -267,13 +238,13 @@ class TestReplicate:
         def never(*args):
             raise AssertionError("a Philox generator was built")
 
-        monkeypatch.setattr(streams_module, "stream_seeds", spy)
+        monkeypatch.setattr(streams_module, "stream_states", spy)
         monkeypatch.setattr(np.random, "Philox", never)
         monkeypatch.setattr(streams_module._idle, "pool", None, raising=False)
         out = replicate(np.empty((self.COUNT, 3)), 12, threads, lambda: draw)
         monkeypatch.undo()
         assert sorted(seeded) == sorted(calls) and max(blocks) == min(cap, -(-self.COUNT // threads))
-        assert np.array_equal(out, [_main(12, r).standard_normal(3) for r in range(self.COUNT)])
+        assert np.array_equal(out, [numpy_stream(12, r).standard_normal(3) for r in range(self.COUNT)])
 
     @pytest.mark.parametrize("threads", [streams_module.MAX_THREADS + 1, 10**6])
     def test_too_many_threads_rejected_before_any_work(self, threads, monkeypatch):
@@ -287,9 +258,9 @@ class TestReplicate:
     @pytest.mark.parametrize("threads", [0, -5])
     def test_too_few_threads_rejected_before_any_work(self, threads, monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("a key, a pool or a draw was computed")
+            raise AssertionError("a state, a pool or a draw was computed")
 
-        monkeypatch.setattr(streams_module, "stream_keys", never)
+        monkeypatch.setattr(streams_module, "stream_states", never)
         with pytest.raises(ValueError, match="at least 1"):
             replicate(np.empty((200, 3)), 1, threads, never)
         with pytest.raises(ValueError, match="at least 1"):
