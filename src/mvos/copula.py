@@ -20,15 +20,16 @@ bit:
 * With one (Gumbel, p > 1), ``_MaxOrderRows`` draws top rows in decreasing
   order of their maximum; the selector draws them in batches and stops
   each replication once its columns' order statistics are known, after
-  O(k) rows.
+  O(k) rows.  At p = 2 every row is a top row, drawn in closed form; at
+  other p the rows below the top ones are drawn by rejection.
 
 A block's replications each draw from their own generators, and the
 arithmetic runs once on the block's arrays.  This module only samples: a
 replication draws from the SFC64 streams of one ``SeedSequence`` child
-(``streams``), stream 0 its uniforms, stream 1 its Gamma variates and
-streams t >= 2 the rare proposal redraws.  The selector gets them from
-``streams.replicate``, and ``sample_rows`` spawns the child from its
-generator's seed sequence and seeds them through numpy's own
+(``streams``), stream 0 its uniforms and, at p != 2, stream 1 its Gamma
+variates and streams t >= 2 the rare proposal redraws.  The selector gets
+them from ``streams.replicate``, and ``sample_rows`` spawns the child from
+its generator's seed sequence and seeds them through numpy's own
 constructors (``streams.child_stream``), so both draw the same values.
 """
 from __future__ import annotations
@@ -60,7 +61,7 @@ __all__ = [
 # one with probability about i / n, so most replications need no second round
 _TRIES = 3
 
-# rows per step of the rows below the top ones
+# rows per step of sample_rows' top rows and of the rows below them
 _CHUNK = 4096
 
 # the largest Gumbel p.  _log_kanter's terms are log sin(alpha V), at least
@@ -272,15 +273,17 @@ class _MaxOrderRows:
       probability exp(-theta^alpha) = exp(-g) = H(M).  At p = 2 the
       density is proportional to s^(-1/2) exp(-theta s - 1 / (4 s)), and
       1 / S is inverse Gaussian, drawn exactly from three uniforms
-      (``_inverse_frailty_half``) with no proposals.  Given S,
-      E_J = S e^-m and E_j = S e^-m + (F_j - F_J) by memorylessness, so
-      the row is m - log1p((F_j - F_J) e^m / S), exactly m at J.
+      (``_inverse_frailty_half``) with no proposals, for every g > 0.
+      Given S, E_J = S e^-m and E_j = S e^-m + (F_j - F_J) by
+      memorylessness, so the row is m - log1p((F_j - F_J) e^m / S),
+      exactly m at J.
     * The p = 2 scale.  There theta = g^2, so sqrt(theta) = g, e^-m =
       g^2 / d and exp(-(log S - log E_j)) = E_j / S.  So the row is kept
       as -E_j / S = -(g^2 / d + (F_j - F_J) / S), exactly the maximum
       -g^2 / d at J, and maps to the copula as exp(-sqrt(-x)); no log or
       exp of g, theta or S is taken.  Other p keep the log scale, as g^p
-      underflows (p = 64).
+      underflows (p = 64).  As the Renyi sums and the law given the
+      maximum hold at every depth, all n rows are top rows at p = 2.
     * The stop bound.  Every value is at most its row's maximum, from
       which the spread subtracts a nonnegative number (at p = 2 the
       nonnegative product (F_j - F_J) / S), and the computed maxima do not
@@ -289,21 +292,20 @@ class _MaxOrderRows:
       logs.  So the values not yet drawn lie at or below the last maximum.
       A column with q drawn values at or above it has its q-th largest
       value among them.
-    * The Markov step.  The order statistics of the maxima form a Markov
-      chain, so given the L largest the other n - L rows are iid with the
-      law of a row whose maximum lies below m_L (m_0 = infinity):
+    * The Markov step (p != 2).  The order statistics of the maxima form
+      a Markov chain, so given the L largest the other n - L rows are iid
+      with the law of a row whose maximum lies below m_L (m_0 = infinity):
       log S - log(F_j + S e^-m_L) with S now the tilted stable variate
-      alone, as the condition multiplies f_S(s) by exp(-theta s).  At
-      p = 2 that is -(F_j / S + g_L^2 / d), with the float g_L^2 / d of
-      the L-th maximum (0 for L = 0).  Placing the top L rows at uniformly
-      random positions among the others makes all n rows iid.
+      alone, as the condition multiplies f_S(s) by exp(-theta s).  Placing
+      the top L rows at uniformly random positions among the others makes
+      all n rows iid.
 
     Streams: each replication has a main SFC64 generator, its stream 0,
     and, at p != 2, its stream 1 for the Gamma variates
-    (``streams.Streams``).  The main one
-    draws ``width`` uniforms per top row, row by row, then what the rows
-    below use, then, in ``sample_rows``, the positions of the top rows.  A
-    top row's uniforms are its spacing and its d spreads, then at p = 2
+    (``streams.Streams``).  The main one draws ``width`` uniforms per top
+    row, row by row, then what the rows below use (p != 2), then, in
+    ``sample_rows``, the positions of the top rows.  A top row's uniforms
+    are its spacing and its d spreads, then at p = 2
     the three of its frailty (d + 4 in all), and otherwise its Gamma
     variate's and [V, W, A] of each of ``_TRIES`` stable proposals.  A top
     row none of whose proposals is accepted takes ``_TRIES`` more from the
@@ -322,12 +324,12 @@ class _MaxOrderRows:
 
     def __init__(self, model: GumbelLogistic, n: int):
         self.n, self.d = n, model.d
-        # L: enough rows for intermediate ranks, while every tilted
-        # acceptance, about 1 - L / n, stays above 5/8
-        self.top = min(n // 8 + 64, 3 * n // 8)
         self.p, self.alpha, self.log_d = model.p, 1.0 / model.p, math.log(model.d)
         # at p = 2 a top row's frailty is drawn in closed form, on the -E / S scale
         self.closed_form = model.p == 2.0
+        # L: every row at p = 2; else enough rows for intermediate ranks,
+        # while every tilted acceptance, about 1 - L / n, stays above 5/8
+        self.top = n if self.closed_form else min(n // 8 + 64, 3 * n // 8)
         self.width = self.d + (4 if self.closed_form else 2 + 3 * _TRIES)
         # SFC64 generators a replication needs: the main one, and the Gamma one at p != 2
         self.gens = 1 if self.closed_form else 2
@@ -340,7 +342,7 @@ class _MaxOrderRows:
         self.rngs, self.gammas, self.redraw = streams.rngs, streams.seconds, streams.stream
         self.drawn, self.g = 0, np.zeros(len(self.rngs))
         # the last top row's maximum, which bounds the rows not yet drawn
-        self.m = np.full(len(self.rngs), 0.0 if self.closed_form else math.inf)
+        self.m = np.full(len(self.rngs), math.inf)
 
     def next_rows(self, out: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Write the next c top rows of the replications ``slots``, each of
@@ -382,16 +384,12 @@ class _MaxOrderRows:
         return m
 
     def rest(self, slot: int, out: np.ndarray) -> None:
-        """After all L top rows of replication ``slot``, write its other
-        n - L rows, iid given maxima below the L-th, into the (n - L) x d
-        array ``out``, in chunks that keep the temporaries small."""
+        """After all L top rows of replication ``slot`` (p != 2), write its
+        other n - L rows, iid given maxima below the L-th, into the
+        (n - L) x d array ``out``, in chunks that keep the temporaries small."""
         m, rng = self.m[slot], self.rngs[slot]
         # the rows share theta, so the accepted proposals serve them in turn
-        if self.closed_form:  # theta = g^2
-            g = self.g[slot]
-            log_theta = 2.0 * math.log(g) if g else -math.inf
-        else:
-            log_theta = self.log_d - m
+        log_theta = self.log_d - m
         rate = math.exp(-math.exp(self.alpha * log_theta))  # exp(-theta^alpha)
         for start in range(0, len(out), _CHUNK):
             f = out[start:start + _CHUNK]
@@ -403,10 +401,8 @@ class _MaxOrderRows:
                 need -= len(parts[-1])
             log_s = np.concatenate(parts)[:, None]
             rng.standard_exponential(out=f)
-            if self.closed_form:  # m - F / S = -(F / S + g^2 / d)
-                np.subtract(m, np.multiply(f, np.exp(np.negative(log_s, out=log_s), out=log_s), out=f), out=f)
-            else:  # log S - log(F + S e^-m), which m = inf leaves unconditioned
-                np.subtract(log_s, np.log(np.add(f, np.exp(log_s - m), out=f), out=f), out=f)
+            # log S - log(F + S e^-m), which m = inf leaves unconditioned
+            np.subtract(log_s, np.log(np.add(f, np.exp(log_s - m), out=f), out=f), out=f)
 
     def _tilted_stable(self, u: np.ndarray, log_theta: np.ndarray, slots: np.ndarray, t: int = 1) -> np.ndarray:
         """log X, X positive stable tilted by exp(-theta X), for each column
@@ -449,8 +445,9 @@ def first_draw(model: CopulaModel, n: int, ranks) -> int:
     at once, which ``streams.replicate`` sizes its blocks by: without a
     positive-stable frailty, the spacings of the deepest column's depth
     rows; for Gumbel with p > 1, the uniforms of the first batch of top
-    rows and, if that batch reaches the L top rows, the d (n - L) values of
-    the rows below them."""
+    rows (up to (d + 4) n at p = 2, where all n rows are top rows) and, if
+    that batch reaches the L top rows, the d (n - L) values of the rows
+    below them."""
     depth = int(_depths(model, n, ranks).max())
     if not _stable(model):
         return _spacings(model) * depth
@@ -476,8 +473,9 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
     order as ``sample_rows`` does.  With one (Gumbel, p > 1) the block
     draws ``_MaxOrderRows``' top rows in batches, the first sized by
     ``_first_batch``, and a replication stops once every column's value at
-    its rank is at or above the last row maximum; one still going after L
-    top rows draws the rest and selects on all n."""
+    its rank is at or above the last row maximum, or all n rows are drawn;
+    one still going after L < n top rows (p != 2) draws the rest and
+    selects on all n."""
     d, depth = model.d, _depths(model, n, ranks)
     kth, need = np.unique(depth), int(depth.max())
     elements = first_draw(model, n, ranks)
@@ -525,7 +523,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
                 planes = batch if planes is None else np.concatenate((planes, batch), axis=2)
                 if rows.drawn >= need:
                     picked = pick(planes)
-                    done = np.all(picked >= last, axis=0)
+                    done = np.all(picked >= last, axis=0) | (rows.drawn == n)
                     out[slots[done]] = _to_uniform(model, picked[:, done].T)
                     slots, planes = slots[~done], planes[:, ~done]
                 size = max(rows.drawn // 2, 1)
@@ -550,11 +548,11 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     share one sequence), its order statistics in decreasing order, put in
     a uniformly random order of its own, which makes them iid; the main
     SFC64 generator draws the orders after the spacings, column by column.
-    For Gumbel with p > 1 they are all n rows of
-    ``_MaxOrderRows`` for a block of one replication, the top rows at a
-    uniformly random ordered set of positions, drawn by its main SFC64
-    generator, and the rest, which are iid, in order at the others.  Each
-    call spawns the next child C of the seed sequence, and its stream t
+    For Gumbel with p > 1 they are all n rows of ``_MaxOrderRows`` for a
+    block of one replication, the top rows (all n at p = 2) at a uniformly
+    random ordered set of positions, drawn by its main SFC64 generator, and
+    the rest, which are iid, in order at the others.  Each call spawns the
+    next child C of the seed sequence, and its stream t
     is ``streams.child_stream(C, t)``: for a fresh ``stream_rng(seed, r)``
     C is ``SeedSequence(seed, spawn_key=(r, 0))``, as ``streams.replicate``
     seeds replication r for the selector.  A generator without a
@@ -573,8 +571,9 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     rows = _MaxOrderRows(model, n)
     rows.start(Streams([[child_stream(child, t)] for t in range(rows.gens)], lambda slot: child))
     top = np.empty((model.d, 1, rows.top))
-    if rows.top:
-        rows.next_rows(top, np.zeros(1, np.intp))
+    # in batches, which keep the temporaries small and change no value
+    for start in range(0, rows.top, _CHUNK):
+        rows.next_rows(top[:, :, start:start + _CHUNK], np.zeros(1, np.intp))
     drawn = np.empty((n, model.d))
     drawn[:rows.top] = top[:, 0].T
     rows.rest(0, drawn[rows.top:])

@@ -23,10 +23,11 @@ from mvos.streams import stream_rng
 from test_chi2rep import _random_correlation, _stream_contract_ratios
 
 R = 130  # more than two default blocks of the selection below
-# n = 100 and k = 25 stop about half the replications among the L = 37
-# top rows and send the others to the rows below; at p = 3 they also make
-# many top rows reject all their in-row stable proposals, a few twice
-# (p = 2 draws the frailty in closed form, with no proposals)
+# n = 100 and k = 25: at p = 2 every row is a top row, drawn in closed form
+# with no proposals, and the replications stop after different numbers of
+# them; at p = 3 they stop about half the replications among the L = 37 top
+# rows and send the others to the rows below, and make many top rows reject
+# all their in-row stable proposals, a few twice
 MODEL, N, SEED = GumbelLogistic(2, 2.0), 100, 31
 INTERMEDIATE = IntermediateSpec((PowerKRule(2.5, 0.5),) * 2, "n-k")
 CONFIG = ExperimentConfig(copula=MODEL, n=N, replications=R, seed=SEED, intermediate=INTERMEDIATE)
@@ -73,6 +74,11 @@ def selection_oracle():
     return _oracle(CONFIG)
 
 
+@pytest.fixture(scope="module")
+def proposals_oracle():
+    return _oracle(PROPOSALS)
+
+
 class TestSelection:
     @pytest.mark.parametrize("cap,threads", SETUPS)
     def test_blocks_and_threads(self, cap, threads, selection_oracle, monkeypatch):
@@ -94,7 +100,7 @@ class TestSelection:
         assert np.array_equal(values, selection_oracle)
         assert any(0 < b < a for a, b in zip(active, active[1:]))
 
-    def test_block_with_rows_below_the_top(self, selection_oracle, monkeypatch):
+    def test_block_with_rows_below_the_top(self, proposals_oracle, monkeypatch):
         # some replications of a block draw the rows below the top ones,
         # the others of the block stop among the top rows
         blocks = []
@@ -103,11 +109,11 @@ class TestSelection:
                             lambda rows, streams: blocks.append((len(streams.rngs), [])) or start(rows, streams))
         monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
                             lambda rows, slot, out: blocks[-1][1].append(slot) or rest(rows, slot, out))
-        values, _ = _collect_os(CONFIG, N, SEED, 1)
-        assert np.array_equal(values, selection_oracle)
+        values, _ = _collect_os(PROPOSALS, N, SEED, 1)
+        assert np.array_equal(values, proposals_oracle)
         assert any(2 <= len(slots) < size for size, slots in blocks)
 
-    def test_block_with_proposal_redraws(self, monkeypatch):
+    def test_block_with_proposal_redraws(self, proposals_oracle, monkeypatch):
         # a top row that rejects all of its in-row stable proposals draws
         # more from its replication's stream 2, and then stream 3
         redraws = set()
@@ -115,7 +121,7 @@ class TestSelection:
         monkeypatch.setattr(streams_module.Streams, "stream",
                             lambda streams, slot, t: redraws.add((len(streams.rngs), t)) or sub(streams, slot, t))
         values, _ = _collect_os(PROPOSALS, N, SEED, 1)
-        assert np.array_equal(values, _oracle(PROPOSALS))
+        assert np.array_equal(values, proposals_oracle)
         assert {2, 3} <= {t for size, t in redraws if size > 1}
 
 

@@ -343,9 +343,13 @@ REJECTED = [
      {"copula": {"kind": "gumbel", "d": 2, "p": 2.0}, "n": 10**18}, {}),
     ("general-n-1e18", ["experiment", "--config", "{config}"],
      {"kind": "general", "margins": [{"kind": "exponential"}] * 2, "n": 10**18}, {}),
-    # k = 8511380 of n = 10^7 sends Gumbel's first batch past the L = 1250064
-    # top rows, so the 2 (n - L) values below them count too: 33750704 values
+    # k = 8511380 of n = 10^7 sends Gumbel p = 3's first batch past the
+    # L = 1250064 top rows, so the 2 (n - L) values below them count too:
+    # 33750704 values; at p = 2 every row is a top row, (d + 4) n = 6·10^7
     ("gumbel-rows-below-the-top-over-cap", ["experiment", "--config", "{config}"],
+     {"copula": {"kind": "gumbel", "d": 2, "p": 3.0}, "n": 10**7,
+      "intermediate": {"rules": [{"c": 1.0, "gamma": 0.99}] * 2}}, {}),
+    ("gumbel-p2-all-top-rows-over-cap", ["experiment", "--config", "{config}"],
      {"copula": {"kind": "gumbel", "d": 2, "p": 2.0}, "n": 10**7,
       "intermediate": {"rules": [{"c": 1.0, "gamma": 0.99}] * 2}}, {}),
     # n = (2**23 - 1)**2 stays at the cap, 2n exceeds it

@@ -23,6 +23,7 @@ from mvos.copula import (
 )
 from mvos._special import ndtr
 from mvos.chi2rep import ecdf_on_grid
+from mvos.cli import main
 from mvos.diagnostics import ks_critical_value, ks_statistic
 from mvos.dnorm import dnorm_eval
 from mvos.orderstats import IntermediateSpec, componentwise_os
@@ -249,9 +250,11 @@ class TestReplicationMemory:
             (Comonotone(3), 10**6, 10**6 - 200000, 3.00),  # spacings, one shared plane
             (GumbelLogistic(2, 3.0), 10**6, 10**6 - 10**4 + 1, 3.01),  # top rows in batches, stable proposals
             (GumbelLogistic(2, 2.0), 10**6, 10**6 - 10**4 + 1, 3.20),  # top rows in batches, closed-form frailty
-            (GumbelLogistic(2, 2.0), 20000, 2000, 2.33),  # past the L top rows: rest()
+            (GumbelLogistic(2, 3.0), 20000, 2000, 2.33),  # past the L top rows: rest()
+            (GumbelLogistic(2, 2.0), 20000, 2000, 3.19),  # a first batch of all n rows, (d + 4) n uniforms
         ],
-        ids=["spacings-independence", "spacings-comonotone", "gumbel-top-rows", "gumbel-p2-top-rows", "gumbel-rest"],
+        ids=["spacings-independence", "spacings-comonotone", "gumbel-top-rows", "gumbel-p2-top-rows", "gumbel-rest",
+             "gumbel-p2-all-rows"],
     )
     def test_peak_per_counted_value(self, model, n, rank, measured):
         make, elements, gens = os_selector(model, n, rank)
@@ -266,6 +269,20 @@ class TestReplicationMemory:
             tracemalloc.stop()
         factor = peak / (8 * elements)
         assert 1.0 <= factor <= 1.15 * measured
+
+    def test_sample_rows_draws_its_top_rows_in_batches(self):
+        # at p = 2 all n rows are top rows; drawn in one batch their
+        # temporaries took the peak to 9.6 n d 8 bytes at n = 10^6, in
+        # batches it is 3.6 (the top rows, their copy and the output)
+        model, n = GumbelLogistic(2, 2.0), 10**6
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            sample_rows(model, n, stream_rng(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * 3.63 * 8 * n * model.d
 
 
 class TestFrailtyGivenMaximum:
@@ -357,19 +374,49 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("rank", ["1", "n"])
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_equals_sample_rows_at_extreme_ranks(self, model, rank, monkeypatch):
-        # rank 1 needs every row, so a Gumbel (p > 1) selector draws the
-        # rows below the top ones too, and a frailty-free one sums all n
-        # spacings; rank n needs only each column's largest value
+        # rank 1 needs every row, so a Gumbel (p > 1) selector draws all n
+        # top rows at p = 2 and the rows below the top ones too at other p,
+        # and a frailty-free one sums all n spacings; rank n needs only each
+        # column's largest value
         rests = []
         rest = copula_module._MaxOrderRows.rest
         monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
                             lambda rows, slot, out: rests.append(slot) or rest(rows, slot, out))
         n = 3000
         got = replicate(np.empty((3, model.d)), 92, 1, *os_selector(model, n, np.full(model.d, 1 if rank == "1" else n)))
-        assert rests == ([0, 1, 2] if rank == "1" and copula_module._stable(model) else [])
+        assert rests == ([0, 1, 2] if rank == "1" and copula_module._stable(model) and model.p != 2.0 else [])
         for rep in range(3):
             rows = sample_rows(model, n, stream_rng(92, rep))
             assert np.array_equal(got[rep], rows.min(axis=0) if rank == "1" else rows.max(axis=0))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_p2_draws_every_row_as_a_top_row(self, d, threads, tmp_path, monkeypatch):
+        # at p = 2 the top rows' law is exact at every depth, so all n rows
+        # are top rows: no selection, sample_rows, copula_sample or
+        # `mvos sample` draws a stable proposal, and the selector calls
+        # rest() for no replication, at ranks deep past n / 8 + 64 and at
+        # rank 1, while its values stay those of sample_rows
+        def stable(*args):
+            raise AssertionError("stable proposal drawn at p = 2")
+
+        rests = []
+        rest = copula_module._MaxOrderRows.rest
+        monkeypatch.setattr(copula_module, "log_positive_stable", stable)
+        monkeypatch.setattr(copula_module, "_log_kanter", stable)
+        monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
+                            lambda rows, slot, out: rests.append(slot) or rest(rows, slot, out))
+        model, n = GumbelLogistic(d, 2.0), 3000
+        assert copula_module._MaxOrderRows(model, n).top == n
+        for ranks in (np.array([1, 1500, 2000])[:d], np.array([10, 400, 1])[:d]):
+            got = replicate(np.empty((5, d)), 109, threads, *os_selector(model, n, ranks))
+            assert rests == []
+            for rep in range(5):
+                assert np.array_equal(got[rep], componentwise_os(sample_rows(model, n, stream_rng(109, rep)), ranks))
+            rests.clear()  # sample_rows hands rest() its n - L = 0 rows
+        assert copula_sample(model, SAMPLE_CHUNK + 7, seed=110).shape == (SAMPLE_CHUNK + 7, d)
+        assert main(["sample", "--copula", "gumbel", "--p", "2", "-d", str(d), "-n", "3000",
+                     "--seed", "1", "--out", str(tmp_path / "rows.csv")]) == 0
 
     @pytest.mark.parametrize("first", [1, 7, 10**9])
     def test_selection_does_not_depend_on_the_first_batch(self, first, monkeypatch):
@@ -415,13 +462,16 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_small_samples(self, model, n):
-        # below n = 3 there are no top rows and every row is unconditioned
+        # at p != 2 below n = 3 there are no top rows and every row is
+        # unconditioned; at p = 2 every row is a top row
         for rank in range(1, n + 1):
             self._check(model, n, np.full(model.d, rank), 97)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_unconditioned_rows_follow_the_copula(self, n):
-        model, reps = GumbelLogistic(2, 2.0), 10000
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_unconditioned_rows_follow_the_copula(self, p, n):
+        # p = 3 draws these rows below no top row, p = 2 as top rows
+        model, reps = GumbelLogistic(2, p), 10000
         rows = np.concatenate([sample_rows(model, n, stream_rng(98, rep)) for rep in range(reps)])
         for point in ([0.5, 0.7], [0.9, 0.2], [0.3, 0.3]):
             c = copula_cdf(model, point)
@@ -684,12 +734,15 @@ class TestTopRowLaw:
 
     @pytest.mark.parametrize(
         "model,seed",
-        [(Independence(2), 8212), (Comonotone(2), 8213), (GumbelLogistic(2, 1.0), 8214)],
+        [(Independence(2), 8212), (Comonotone(2), 8213), (GumbelLogistic(2, 1.0), 8214),
+         (GumbelLogistic(2, 2.0), 8216), (GumbelLogistic(2, 3.0), 8217)],
         ids=lambda x: x.label() if hasattr(x, "label") else str(x),
     )
     def test_d2_joint_cdf_at_deep_ranks(self, model, seed):
-        # depths 301 and 201, deeper than the 114 top rows a Gumbel (p > 1)
-        # selector draws before the rows below them: spacing sums at any depth
+        # depths 301 and 201, deeper than the 114 top rows a Gumbel p != 2
+        # selector draws before the rows below them: spacing sums at any
+        # depth, p = 2 top rows past the old cap of 114, and p = 3 rows below
+        # the top ones
         assert self._max_z(model, 400, (300, 200), seed) <= self.BAND
 
     def _max_beta_z(self, model, n, ranks, seed, reps):
@@ -754,12 +807,8 @@ def _log_frailty_half(log_theta, log_u, u, v):
 
 class _LogScaleRows(copula_module._MaxOrderRows):
     """The oracle: p = 2 rows on the log S - log E_j scale of every other p,
-    with the combine of the top rows and of the rows below them verbatim as
-    they were before p = 2 moved to -E_j / S."""
-
-    def start(self, streams):
-        super().start(streams)
-        self.m = np.full(len(self.rngs), math.inf)
+    with the combine of the top rows verbatim as it was before p = 2 moved
+    to -E_j / S."""
 
     def next_rows(self, out, slots):
         b, c, i = len(slots), out.shape[2], self.drawn
@@ -785,23 +834,6 @@ class _LogScaleRows(copula_module._MaxOrderRows):
         self.m[slots] = m[:, -1]
         return m
 
-    def rest(self, slot, out):
-        m, rng = self.m[slot], self.rngs[slot]
-        # the rows share theta, so the accepted proposals serve them in turn
-        log_theta = self.log_d - m
-        rate = math.exp(-math.exp(self.alpha * log_theta))  # exp(-theta^alpha)
-        for start in range(0, len(out), copula_module._CHUNK):
-            f = out[start:start + copula_module._CHUNK]
-            parts, need = [np.empty(0)], len(f)
-            while need:
-                size = int((need + 4.0 * math.sqrt(need)) / rate) + 16
-                log_x = log_positive_stable(self.alpha, size, rng)
-                parts.append(log_x[np.log(rng.standard_exponential(size)) > log_theta + log_x][:need])
-                need -= len(parts[-1])
-            # log S - log(F + S e^-m), which m = inf leaves unconditioned
-            log_s = np.concatenate(parts)[:, None]
-            rng.standard_exponential(out=f)
-            np.subtract(log_s, np.log(np.add(f, np.exp(log_s - m), out=f), out=f), out=f)
 
 
 def _log_scale_to_uniform(model, latent, out=None):
@@ -811,7 +843,7 @@ def _log_scale_to_uniform(model, latent, out=None):
 
 
 # the p = 2 selections of the benchmark's workloads, and d = 1 and 3 with a
-# column deep among the rows below the top ones
+# column deeper than the n / 8 + 64 top rows of other p
 P2_SIZES = [(model, n, inter.ranks(n)) for model, n, inter in WORKLOAD_SIZES
             if isinstance(model, GumbelLogistic) and model.p == 2.0]
 P2_SIZES += [(GumbelLogistic(1, 2.0), 3000, np.array([2946])), (GumbelLogistic(3, 2.0), 3000, np.array([2946, 2500, 1]))]
@@ -838,10 +870,11 @@ class TestMinusEOverS:
 
     @pytest.mark.parametrize("model,n,ranks", P2_SIZES, ids=lambda x: x.label() if hasattr(x, "label") else None)
     def test_values_at_most_their_row_maxima(self, model, n, ranks):
-        # batches of 1, 2, 5, 17 and 64 rows: every value is at most its
-        # row's maximum, the maxima never increase within or across
-        # batches, and the rows below the top ones lie at or below the last
+        # batches of 1, 2, 5, 17 and 64 rows through all n rows, each a top
+        # row: every value is at most its row's maximum, and the maxima
+        # never increase within or across batches
         rows, slots, reps = copula_module._MaxOrderRows(model, n), np.arange(3), 3
+        assert rows.top == n
         rows.start(_block(108, range(reps), rows.gens))
         last = np.zeros(reps)
         for size in itertools.cycle([1, 2, 5, 17, 64]):
@@ -853,7 +886,3 @@ class TestMinusEOverS:
             assert np.all(out <= maxima) and np.array_equal(out.max(axis=0), maxima)
             assert np.all(np.diff(maxima, axis=1) <= 0) and np.all(maxima[:, 0] <= last)
             last = maxima[:, -1]
-        for slot in slots:
-            below = np.empty((n - rows.top, model.d))
-            rows.rest(slot, below)
-            assert np.all(below <= last[slot])

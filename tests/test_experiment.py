@@ -333,11 +333,19 @@ class TestGeneralExperiment:
         assert abs(rep.empirical_cov[0, 1]) <= max(0.05, 4 * rep.cov_stderr[0, 1])
 
     def test_marginal_normality_ks_at_scale(self):
-        # with k = floor(n^0.7) the centering shift is far below the KS
-        # critical value at this replication count
-        cfg = ExperimentConfig(copula=Independence(2), n=20000, replications=5000, seed=305,
+        # a column's exact law: U_(n-k+1) ~ Beta(n - k + 1, k), mapped by the
+        # exponential quantile and its norming constants b = log(n / k) and
+        # a = 1 / sqrt(k), with a mean of about 1 / (2 sqrt(k)) and a
+        # skewness of about 1 / sqrt(k); at n = 10^8 and k = 2·10^4 the exact
+        # chance that either column's KS statistic reaches the critical value
+        # at level 1e-3 and R = 5000 is 2.21e-3 (1.96e-3 for two exactly
+        # normal columns), and a location error of 0.1 or a scale error of
+        # 10% fails the test with probability 1.00 or 0.91
+        inter = IntermediateSpec.equal(2, c=2.0, gamma=0.5, convention="n-k+1")
+        cfg = ExperimentConfig(copula=Independence(2), n=10**8, replications=5000, seed=305,
                                kind="general", margins=(StandardExponential(), StandardExponential()),
-                               intermediate=IntermediateSpec.equal(2, gamma=0.7, convention="n-k+1"))
+                               intermediate=inter)
+        assert list(inter.k_vector(cfg.n)) == [2 * 10**4] * 2 and cfg.ks_level == 1e-3
         rep = run_experiment(cfg)
         assert all(s < rep.ks_critical for s in rep.ks_stats)
         assert rep.passed
