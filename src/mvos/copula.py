@@ -20,8 +20,9 @@ bit:
 * With one (Gumbel, p > 1), ``_MaxOrderRows`` draws top rows in decreasing
   order of their maximum; the selector draws them in batches and stops
   each replication once its columns' order statistics are known, after
-  O(k) rows.  At p = 2 every row is a top row, drawn in closed form; at
-  other p the rows below the top ones are drawn by rejection.
+  O(k) rows.  At p = 2 every row is a top row, drawn in closed form (at
+  d = 2 from four uniforms, with no frailty); at other p the rows below
+  the top ones are drawn by rejection.
 
 A block's replications each draw from their own generators, and the
 arithmetic runs once on the block's arrays.  This module only samples: a
@@ -198,6 +199,21 @@ def _inverse_frailty_half(r: np.ndarray, log_u: np.ndarray, u: np.ndarray, v: np
     return np.where(np.multiply(v, 2.0 + z) <= 2.0, r * z, 4.0 * r / z)
 
 
+def _pair_gap(g: np.ndarray, log_u: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """D (D + 2 g), D = min(E, g V / U), from E = -log U' and uniforms U'
+    (given as log U') and U = 1 - V on (0, 1]: the gap X = Delta / S below
+    a top row's maximum -g^2 / 2 at p = 2 and d = 2, where Delta is a unit
+    exponential and S the row's frailty.  Given g, S has Laplace transform
+    (g / h) exp(g - h), h = sqrt(g^2 + x), so P(sqrt(g^2 + X) > h) = P(X >
+    h^2 - g^2) = (g / h) exp(g - h) = P(g + E > h) P(g / U > h) for h >= g:
+    sqrt(g^2 + X) is min(g + E, g / U) = g + D in law, and X = (g + D)^2 -
+    g^2 = D (D + 2 g), a form with no cancellation.  Elementwise ufuncs
+    only, so an element's bits do not depend on its array."""
+    d = np.divide(v, u)
+    np.minimum(np.multiply(d, g, out=d), np.negative(log_u), out=d)
+    return np.multiply(d, np.add(d, np.multiply(g, 2.0)), out=d)
+
+
 def _stable(model: CopulaModel) -> bool:
     """Whether the model's rows share a positive-stable frailty: Gumbel with p > 1."""
     return isinstance(model, GumbelLogistic) and model.p > 1.0
@@ -284,9 +300,18 @@ class _MaxOrderRows:
       exp of g, theta or S is taken.  Other p keep the log scale, as g^p
       underflows (p = 64).  As the Renyi sums and the law given the
       maximum hold at every depth, all n rows are top rows at p = 2.
+    * The p = 2, d = 2 gap.  There the row is the maximum -g^2 / 2 in a
+      uniformly random column J and -g^2 / 2 - X in the other, X =
+      (F_j - F_J) / S with F_j - F_J a unit exponential.  Given g, S's
+      Laplace transform is (g / h) exp(g - h), h = sqrt(g^2 + x), which is
+      X's survival function and factors as P(g + E > h) P(g / U > h), so
+      X = D (D + 2 g) with D = min(E, g (1 - U) / U), E a unit exponential
+      and U uniform (``_pair_gap``): no frailty is drawn.  At other d the
+      d - 1 gaps share one S, and no such factorisation holds.
     * The stop bound.  Every value is at most its row's maximum, from
       which the spread subtracts a nonnegative number (at p = 2 the
-      nonnegative product (F_j - F_J) / S), and the computed maxima do not
+      nonnegative product (F_j - F_J) / S, or D (D + 2 g) at d = 2), and
+      the computed maxima do not
       increase: the sequential sums g never decrease, which at p = 2 is
       all -g^2 / d needs, and at other p a running minimum guards the
       logs.  So the values not yet drawn lie at or below the last maximum.
@@ -305,9 +330,13 @@ class _MaxOrderRows:
     (``streams.Streams``).  The main one draws ``width`` uniforms per top
     row, row by row, then what the rows below use (p != 2), then, in
     ``sample_rows``, the positions of the top rows.  A top row's uniforms
-    are its spacing and its d spreads, then at p = 2
-    the three of its frailty (d + 4 in all), and otherwise its Gamma
-    variate's and [V, W, A] of each of ``_TRIES`` stable proposals.  A top
+    are, at p = 2 and d = 2, [spacing, E, U, coin], 4 in all: with uniforms
+    V_0 to V_3 drawn in that order, the spacing's and E's unit exponentials
+    are -log(1 - V), U = 1 - V_2, and the maximum is in column 0 where
+    V_3 < 1 / 2, else in column 1; at other d its spacing and its d
+    spreads, then at p = 2 the three of its frailty (d + 4 in all), and
+    otherwise its Gamma variate's and [V, W, A] of each of ``_TRIES``
+    stable proposals.  A top
     row none of whose proposals is accepted takes ``_TRIES`` more from the
     replication's stream 2, then stream 3 and so on, each in row order,
     so a row's values do not depend on how the top rows are batched.
@@ -325,12 +354,14 @@ class _MaxOrderRows:
     def __init__(self, model: GumbelLogistic, n: int):
         self.n, self.d = n, model.d
         self.p, self.alpha, self.log_d = model.p, 1.0 / model.p, math.log(model.d)
-        # at p = 2 a top row's frailty is drawn in closed form, on the -E / S scale
+        # at p = 2 a top row's frailty is drawn in closed form, on the -E / S
+        # scale, and at d = 2 the lower column's gap is drawn with no frailty
         self.closed_form = model.p == 2.0
+        self.pair = self.closed_form and self.d == 2
         # L: every row at p = 2; else enough rows for intermediate ranks,
         # while every tilted acceptance, about 1 - L / n, stays above 5/8
         self.top = n if self.closed_form else min(n // 8 + 64, 3 * n // 8)
-        self.width = self.d + (4 if self.closed_form else 2 + 3 * _TRIES)
+        self.width = 4 if self.pair else self.d + (4 if self.closed_form else 2 + 3 * _TRIES)
         # SFC64 generators a replication needs: the main one, and the Gamma one at p != 2
         self.gens = 1 if self.closed_form else 2
         self.scratch: dict[str, np.ndarray] = {}
@@ -353,21 +384,34 @@ class _MaxOrderRows:
         for j, slot in enumerate(slots):
             self.rngs[slot].random(out=raw[j])
         np.subtract(1.0, raw.transpose(2, 0, 1), out=u)
-        logs = u[:self.d + 2]  # the spacing, the spreads and the frailty's first (its Gamma's at p != 2)
+        # the spacing and E at d = 2, p = 2; else the spacing, the spreads
+        # and the frailty's first (its Gamma's at p != 2)
+        logs = u[:2] if self.pair else u[:self.d + 2]
         np.log(logs, out=logs)  # log U = -E
         g = np.divide(logs[0], np.arange(i - self.n, i + c - self.n, dtype=float), out=logs[0])  # -(n - i + 1)
         g[:, 0] += self.g[slots]  # continue the sums of the rows drawn before
         np.add.accumulate(g, axis=1, out=g)  # sequential, so batches do not change the sums
         self.g[slots], self.drawn = g[:, -1], i + c
-        spread = logs[1:-1]
-        np.subtract(spread.max(axis=0), spread, out=out)  # F_j - F_J
-        if self.closed_form:
+        if self.pair:
+            # the maximum -g^2 / 2 in column 0 where the coin's uniform lies
+            # below 1 / 2, else in column 1, and -g^2 / 2 - D (D + 2 g) in
+            # the other; 1 - U is U's uniform exactly
+            m = np.multiply(g, g)
+            np.divide(m, -2.0, out=m)
+            lower = np.subtract(m, _pair_gap(g, logs[1], raw[:, :, 2], u[2]))
+            first = np.greater(u[3], 0.5)
+            np.copyto(out, m)
+            np.copyto(out[0], lower, where=~first)
+            np.copyto(out[1], lower, where=first)
+        elif self.closed_form:
+            np.subtract(logs[1:-1].max(axis=0), logs[1:-1], out=out)  # F_j - F_J
             # -(g^2 / d + (F_j - F_J) / S), 1 / S drawn with sqrt(theta) = g
             inverse = _inverse_frailty_half(g, logs[-1], u[-2], u[-1])
             m = np.multiply(g, g)
             np.divide(m, -self.d, out=m)
             np.subtract(m, np.multiply(out, inverse, out=out), out=out)
         else:
+            np.subtract(logs[1:-1].max(axis=0), logs[1:-1], out=out)  # F_j - F_J
             m = np.empty((b, c + 1))
             m[:, 0] = self.m[slots]
             np.subtract(self.log_d, np.multiply(np.log(g, out=m[:, 1:]), self.p, out=m[:, 1:]), out=m[:, 1:])
@@ -445,9 +489,9 @@ def first_draw(model: CopulaModel, n: int, ranks) -> int:
     at once, which ``streams.replicate`` sizes its blocks by: without a
     positive-stable frailty, the spacings of the deepest column's depth
     rows; for Gumbel with p > 1, the uniforms of the first batch of top
-    rows (up to (d + 4) n at p = 2, where all n rows are top rows) and, if
-    that batch reaches the L top rows, the d (n - L) values of the rows
-    below them."""
+    rows (at p = 2, where all n rows are top rows, 4 a row at d = 2 and
+    d + 4 at other d) and, if that batch reaches the L top rows (p != 2),
+    the d (n - L) values of the rows below them."""
     depth = int(_depths(model, n, ranks).max())
     if not _stable(model):
         return _spacings(model) * depth
@@ -550,8 +594,9 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     SFC64 generator draws the orders after the spacings, column by column.
     For Gumbel with p > 1 they are all n rows of ``_MaxOrderRows`` for a
     block of one replication, the top rows (all n at p = 2) at a uniformly
-    random ordered set of positions, drawn by its main SFC64 generator, and
-    the rest, which are iid, in order at the others.  Each call spawns the
+    random ordered set of positions, drawn by its main SFC64 generator and
+    written there from the rows' planes, and the rest, which are iid, in
+    order at the others.  Each call spawns the
     next child C of the seed sequence, and its stream t
     is ``streams.child_stream(C, t)``: for a fresh ``stream_rng(seed, r)``
     C is ``SeedSequence(seed, spawn_key=(r, 0))``, as ``streams.replicate``
@@ -570,17 +615,16 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
         return placed if s == model.d else np.repeat(placed, model.d, axis=1)
     rows = _MaxOrderRows(model, n)
     rows.start(Streams([[child_stream(child, t)] for t in range(rows.gens)], lambda slot: child))
-    top = np.empty((model.d, 1, rows.top))
+    top, below = np.empty((model.d, 1, rows.top)), np.empty((n - rows.top, model.d))
     # in batches, which keep the temporaries small and change no value
     for start in range(0, rows.top, _CHUNK):
         rows.next_rows(top[:, :, start:start + _CHUNK], np.zeros(1, np.intp))
-    drawn = np.empty((n, model.d))
-    drawn[:rows.top] = top[:, 0].T
-    rows.rest(0, drawn[rows.top:])
+    if len(below):
+        rows.rest(0, below)
     place, free = rows.rngs[0].choice(n, rows.top, replace=False), np.ones(n, dtype=bool)
     free[place] = False
-    out = np.empty_like(drawn)
-    out[place], out[free] = drawn[:rows.top], drawn[rows.top:]
+    out = np.empty((n, model.d))
+    out[place], out[free] = top[:, 0].T, below
     return _to_uniform(model, out, out=out)
 
 

@@ -18,13 +18,16 @@ in less than half of Philox's time, and its period is at least 2**64.
 
 ``replicate`` computes the states of streams 0 and 1 for up to
 ``STATE_CHUNK`` replications at once, on arrays (``stream_states``, numpy's
-``SeedSequence`` hash and SFC64 seeding, bit for bit), and sets generators
-that each thread keeps between blocks and calls to them.  ``Streams``
+``SeedSequence`` hash and SFC64 seeding, bit for bit, hashing each (r, 0)
+once for both streams), and writes them into generators that each thread
+keeps between blocks and calls to them, through a view of each one's
+state struct.  ``Streams``
 hands a block's generators to the draw and builds a stream t >= 2 from
 its ``SeedSequence`` when the draw first asks for it.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +45,7 @@ BLOCK_ELEMENTS = 2**16
 BLOCK_REPLICATIONS = 64
 # array elements one replication may add to a draw, which a config must
 # respect before any sampling (experiment.ExperimentConfig), and threads
-# a replicate call may start.  A replication's peak memory is 2.2 to 3.2
+# a replicate call may start.  A replication's peak memory is 2.2 to 3.5
 # times 8 bytes per counted value for large draws and up to 4 times for
 # small ones (tracemalloc, tests/test_copula.py::TestReplicationMemory),
 # so about 512 MB per replication at the cap
@@ -56,6 +59,8 @@ _POOL = 4
 
 # replications whose states a replicate range holds at once, in whole blocks
 STATE_CHUNK = 1024
+# uint64 words of numpy's SFC64 state struct: s[4], then has_uint32 and uinteger
+_STATE_WORDS = 5
 
 # each thread's idle (slot, t) generators of replicate; a range takes them
 # for its duration, so a replicate call made inside a draw builds its own
@@ -83,13 +88,14 @@ def child_stream(child: np.random.SeedSequence, t: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def stream_states(master_seed: int, start: int, stop: int, t: int) -> np.ndarray:
+def stream_states(master_seed: int, start: int, stop: int, t) -> np.ndarray:
     """The (stop - start) x 4 uint64 states of
     ``SFC64(SeedSequence(master_seed, spawn_key=(r, 0, t)))`` for
     start <= r < stop, before their first draw: the sequence's
     ``generate_state(3, np.uint64)`` by the same uint32 hash on arrays, then
     numpy's seeding of SFC64 from those three words, state (w0, w1, w2, 1)
-    with 12 outputs discarded.
+    with 12 outputs discarded.  A sequence of streams ``t`` gives their
+    len(t) x (stop - start) x 4 states, hashing the common (r, 0) once.
 
     r and t must lie below 2**32, where a spawn key entry is one 32-bit word.
     """
@@ -98,12 +104,16 @@ def stream_states(master_seed: int, start: int, stop: int, t: int) -> np.ndarray
         raise ValueError("master seed must be nonnegative")
     if not 0 <= start <= stop <= 2**32:
         raise ValueError(f"replication range [{start}, {stop}) must lie in [0, 2**32)")
-    if not 0 <= t < 2**32:
+    ts = [int(s) for s in np.atleast_1d(t)]
+    if not all(0 <= s < 2**32 for s in ts):
         raise ValueError(f"stream {t} must lie in [0, 2**32)")
+    # the last spawn word: a Python int, or the streams' column, against
+    # which the rest broadcasts the replications' row
+    last = ts[0] if np.ndim(t) == 0 else np.array(ts, dtype=np.uint32)[:, None]
     # the sequence's entropy words, the run entropy padded to the pool size
     # as there is a spawn key: Python ints, but the replications' array
     words = [(master_seed >> s) & _MASK for s in range(0, max(master_seed.bit_length(), 1), 32)]
-    entropy = words + [0] * (_POOL - len(words)) + [np.arange(start, stop, dtype=np.uint32), 0, t]
+    entropy = words + [0] * (_POOL - len(words)) + [np.arange(start, stop, dtype=np.uint32), 0, last]
     const = _INIT_A
 
     def hashmix(value):
@@ -139,7 +149,7 @@ def stream_states(master_seed: int, start: int, stop: int, t: int) -> np.ndarray
         a = b ^ (b >> np.uint64(11))
         b = c + (c << np.uint64(3))
         c = (c << np.uint64(24) | c >> np.uint64(40)) + out
-    return np.stack((a, b, c, np.full(stop - start, 13, np.uint64)), axis=1)
+    return np.stack((a, b, c, np.full(a.shape, 13, np.uint64)), axis=-1)
 
 
 class Streams:
@@ -161,13 +171,20 @@ class Streams:
         return gen
 
 
-def _seeded(pool: dict, slot: int, t: int, state: list) -> np.random.Generator:
+def _seeded(pool: dict, slot: int, t: int, state: np.ndarray) -> np.random.Generator:
     """The pooled SFC64 generator for stream t of block slot ``slot``, set
-    to ``state``: the whole state, so its past leaves no trace."""
-    gen = pool.get((slot, t))
-    if gen is None:
-        gen = pool[slot, t] = np.random.Generator(np.random.SFC64(0))
-    gen.bit_generator.state = {"bit_generator": "SFC64", "state": {"state": state}, "has_uint32": 0, "uinteger": 0}
+    to ``state``: its 4 state words and a zero buffered-uint32 word, so its
+    past leaves no trace.  They are written through a uint64 view of the
+    state numpy's SFC64 keeps at ``bit_generator.ctypes.state_address``,
+    which sets it as numpy's ``state`` setter does without parsing a dict;
+    the pool keeps the generator, and so the memory the view writes, alive."""
+    entry = pool.get((slot, t))
+    if entry is None:
+        gen = np.random.Generator(np.random.SFC64(0))
+        address = ctypes.cast(gen.bit_generator.ctypes.state_address, ctypes.POINTER(ctypes.c_uint64))
+        entry = pool[slot, t] = gen, np.ctypeslib.as_array(address, shape=(_STATE_WORDS,))
+    gen, words = entry
+    words[:] = state
     return gen
 
 
@@ -218,7 +235,8 @@ def replicate(
         draw, pool, _idle.pool = make_draw(), getattr(_idle, "pool", None) or {}, None
         for first in range(lo, hi, chunk):
             last = min(first + chunk, hi)
-            states = [stream_states(seed, first, last, t).tolist() for t in range(gens)]
+            states = np.zeros((gens, last - first, _STATE_WORDS), np.uint64)
+            states[..., :4] = stream_states(seed, first, last, range(gens))
             for start in range(first, last, block):
                 stop = min(start + block, last)
                 gen_rows = [[_seeded(pool, slot, t, state) for slot, state in enumerate(rows[start - first:stop - first])]

@@ -35,9 +35,9 @@ WORKLOADS, REPLAY = _load("workloads"), _load("replay")
 
 # every workload with a few replications at one thread, and copula-gumbel
 # and general-indep with enough at two threads that each thread's range
-# spans two blocks (45 and 35 replications a block)
+# spans two blocks (64 and 35 replications a block)
 CASES = [pytest.param(workload, 3, 1, id=workload) for workload in sorted(WORKLOADS.WORKLOADS)]
-CASES.append(pytest.param("copula-gumbel", 95, 2, id="copula-gumbel-two-blocks-per-thread"))
+CASES.append(pytest.param("copula-gumbel", 130, 2, id="copula-gumbel-two-blocks-per-thread"))
 CASES.append(pytest.param("general-indep", 75, 2, id="general-indep-two-blocks-per-thread"))
 
 

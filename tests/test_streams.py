@@ -35,6 +35,8 @@ class TestStreamStates:
             states = stream_states(seed, 0, 500, t)
             assert states.dtype == np.uint64 and states.shape == (500, 4)
             assert np.array_equal(states, [_state(numpy_stream(seed, r, t)) for r in range(500)])
+        # several streams at once, from one hash of (r, 0)
+        assert np.array_equal(stream_states(seed, 0, 500, (0, 1, 5)), [stream_states(seed, 0, 500, t) for t in (0, 1, 5)])
 
     def test_seed_words(self):
         assert [s.bit_length() > 32 for s in self.SEEDS] == [False] * 3 + [True] * 5
@@ -102,10 +104,12 @@ class TestSfc64States:
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**128 + 3])
     def test_equals_numpy_seeding(self, seed, monkeypatch):
-        used = np.random.Generator(np.random.SFC64(99))
+        pool = {}
+        used = streams_module._seeded(pool, 0, 0, [99, 98, 97, 1, 0])
         used.random(1001)  # a kept generator's past, an odd half-word included, leaves no trace
         used.integers(2**32, dtype=np.uint32)
-        monkeypatch.setattr(streams_module._idle, "pool", {(0, 0): used}, raising=False)
+        assert used.bit_generator.state["has_uint32"] == 1
+        monkeypatch.setattr(streams_module._idle, "pool", pool, raising=False)
         handed = []
 
         def draw(streams):
@@ -114,10 +118,31 @@ class TestSfc64States:
 
         replicate(np.empty((1, 1)), seed, 1, lambda: draw)
         (streams,) = handed
-        assert streams.rngs == [used] and streams.seconds == [] and streams_module._idle.pool == {(0, 0): used}
+        assert streams.rngs == [used] and streams.seconds == [] and streams_module._idle.pool is pool and list(pool) == [(0, 0)]
         want = numpy_stream(seed, 0)
         assert np.array_equal(used.bit_generator.random_raw(1000), want.bit_generator.random_raw(1000))
         assert np.array_equal(used.integers(2**32, size=5, dtype=np.uint32), want.integers(2**32, size=5, dtype=np.uint32))
+
+    @pytest.mark.parametrize("t", [0, 1])
+    def test_state_view_sets_what_numpys_setter_sets(self, t):
+        # the pooled view holds numpy's SFC64 state struct: writing its four
+        # state words and a zero buffer word gives the state numpy's dict
+        # setter gives, a buffered half-word of the generator's past dropped
+        pool = {}
+        gen = streams_module._seeded(pool, 3, t, [5, 6, 7, 1, 0])
+        other = np.random.Generator(np.random.SFC64(5))
+        for g in (gen, other):
+            g.random(3)
+            g.integers(2**32, dtype=np.uint32)
+        want = numpy_stream(17, 4, t).bit_generator.state
+        other.bit_generator.state = want
+        assert streams_module._seeded(pool, 3, t, [*want["state"]["state"], 0]) is gen
+        for g in (gen, other):
+            got = g.bit_generator.state
+            assert np.array_equal(got["state"]["state"], want["state"]["state"])
+            assert (got["has_uint32"], got["uinteger"]) == (0, 0)
+        assert np.array_equal(gen.integers(2**32, size=7, dtype=np.uint32), other.integers(2**32, size=7, dtype=np.uint32))
+        assert np.array_equal(gen.bit_generator.random_raw(9), other.bit_generator.random_raw(9))
 
 
 def _draw(streams):
