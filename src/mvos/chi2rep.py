@@ -48,7 +48,6 @@ __all__ = [
     "correlated_ratio_sample",
     "representation_distance",
     "quantile_grid",
-    "ecdf_on_grid",
 ]
 
 
@@ -186,28 +185,6 @@ def _running_sums(counts: np.ndarray) -> np.ndarray:
         for i in range(1, len(layers)):
             layers[i] += layers[i - 1]
     return counts
-
-
-def ecdf_on_grid(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
-    """Joint empirical cdf of the rows of ``values`` on a tensor grid.
-
-    One count per grid cell, summed cumulatively along every axis, gives
-    the number of rows at or below each grid node: code c <= m exactly
-    when the m-th smallest grid point is >= the value.  Memory is
-    O(R d + prod(len(g) + 1)), and the exact integer counts make the
-    result equal to the mean of the R x grid indicator array.
-    """
-    values = np.asarray(values, dtype=float)
-    r, d = values.shape
-    if len(grid) != d:
-        raise ValueError("grid dimension mismatch")
-    grid = [np.asarray(g, dtype=float) for g in grid]
-    orders = [np.argsort(g, kind="stable") for g in grid]
-    counts = _running_sums(_cell_counts(values, [g[order] for g, order in zip(grid, orders)]))
-    for axis, order in enumerate(orders):
-        # back to the grid's own order, which drops the cell above the last point
-        counts = counts.take(np.argsort(order), axis=axis)
-    return counts / r
 
 
 def representation_distance(os_batch: OSBatch, ratios: np.ndarray) -> float:

@@ -5,9 +5,10 @@ Each model carries the norm governing its upper-tail expansion
 the sup-norm for comonotonicity, and the logistic p-norm for the
 Gumbel-Hougaard family.
 
-Each family has one sampler, which ``sample_rows`` and ``os_selector``
-share, so selecting on ``sample_rows`` gives the selector's values bit for
-bit:
+``sample_rows`` and ``os_selector`` draw from the same streams, so
+selecting on ``sample_rows`` gives the selector's values bit for bit,
+except for Gumbel configs at p != 2 whose selection stops among the top
+rows:
 
 * Without a positive-stable frailty (independence, comonotone, and Gumbel
   with p = 1, the independence law) a column is a univariate sample, or
@@ -20,18 +21,22 @@ bit:
 * With one (Gumbel, p > 1), ``_MaxOrderRows`` draws top rows in decreasing
   order of their maximum; the selector draws them in batches and stops
   each replication once its columns' order statistics are known, after
-  O(k) rows.  At p = 2 every row is a top row, drawn in closed form (at
-  d = 2 from four uniforms, with no frailty); at other p the rows below
-  the top ones are drawn by rejection.
+  O(k) rows.  At p = 2 every row is drawn so, in closed form (at d = 2
+  from four uniforms, with no frailty), and ``sample_rows`` places all n
+  at random.  At other p ``sample_rows`` draws Marshall & Olkin's (1988)
+  rows, U_j = exp(-(E_j / S)^(1 / p)) (``_marshall_olkin``), and so does
+  the selector of a config whose first batch of top rows would reach
+  deep into the sample (``_marshall_olkin_path``), selecting on all n.
 
 A block's replications each draw from their own generators, and the
 arithmetic runs once on the block's arrays.  This module only samples: a
 replication draws from the SFC64 streams of one ``SeedSequence`` child
-(``streams``), stream 0 its uniforms and, at p != 2, stream 1 its Gamma
-variates and streams t >= 2 the rare proposal redraws.  The selector gets
-them from ``streams.replicate``, and ``sample_rows`` spawns the child from
-its generator's seed sequence and seeds them through numpy's own
-constructors (``streams.child_stream``), so both draw the same values.
+(``streams``), stream 0 its uniforms, and the top rows at p != 2 stream 1
+their Gamma variates and streams t >= 2 the rare proposal redraws.  The
+selector gets them from ``streams.replicate``, and ``sample_rows`` spawns
+the child from its generator's seed sequence and seeds them through
+numpy's own constructors (``streams.child_stream``), so both draw the
+same values.
 """
 from __future__ import annotations
 
@@ -62,7 +67,8 @@ __all__ = [
 # one with probability about i / n, so most replications need no second round
 _TRIES = 3
 
-# rows per step of sample_rows' top rows and of the rows below them
+# rows per step of sample_rows' p = 2 top rows and of Marshall-Olkin rows,
+# which keeps the temporaries small
 _CHUNK = 4096
 
 # the largest Gumbel p.  _log_kanter's terms are log sin(alpha V), at least
@@ -238,6 +244,21 @@ def _to_uniform(model: GumbelLogistic, latent: np.ndarray, out: Optional[np.ndar
     return np.exp(np.negative(u, out=u), out=u)
 
 
+def _marshall_olkin(model: GumbelLogistic, out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill the n x d array ``out`` with n iid Gumbel (p > 1) rows on the
+    latent scale log S - log E_j, S positive stable with index 1 / p and
+    E_j iid unit exponentials, which ``_to_uniform`` maps to
+    U_j = exp(-(E_j / S)^(1 / p)) (Marshall & Olkin 1988).  Chunks of
+    ``_CHUNK`` rows each draw their S (``log_positive_stable``), then their
+    exponentials, from ``rng``."""
+    for start in range(0, len(out), _CHUNK):
+        f = out[start:start + _CHUNK]
+        log_s = log_positive_stable(1.0 / model.p, len(f), rng)[:, None]
+        rng.standard_exponential(out=f)
+        np.subtract(log_s, np.log(f, out=f), out=f)
+    return out
+
+
 def _reused(store: dict, name: str, shape: tuple) -> np.ndarray:
     """An array of the given shape that a range's blocks reuse: a freed
     block-sized temporary lets malloc hand its pages back, and the next
@@ -265,7 +286,7 @@ def _spacing_terms(gens: Sequence[np.random.Generator], n: int, rows: int, width
 class _MaxOrderRows:
     """A block of Gumbel (p > 1) replications' n rows on the latent scale,
     the top ones in decreasing order of the row maximum, as d x b x rows
-    planes.  The latent value is log S - log E_j (S positive stable with
+    planes, to any depth.  The latent value is log S - log E_j (S positive stable with
     index alpha = 1 / p, E_j iid unit exponentials), and at p = 2 it is
     -E_j / S, a nondecreasing function of it.  It is exact:
 
@@ -298,8 +319,8 @@ class _MaxOrderRows:
       as -E_j / S = -(g^2 / d + (F_j - F_J) / S), exactly the maximum
       -g^2 / d at J, and maps to the copula as exp(-sqrt(-x)); no log or
       exp of g, theta or S is taken.  Other p keep the log scale, as g^p
-      underflows (p = 64).  As the Renyi sums and the law given the
-      maximum hold at every depth, all n rows are top rows at p = 2.
+      underflows (p = 64).  The Renyi sums and the law given the maximum
+      hold at every depth, so any of the n rows can be drawn as a top row.
     * The p = 2, d = 2 gap.  There the row is the maximum -g^2 / 2 in a
       uniformly random column J and -g^2 / 2 - X in the other, X =
       (F_j - F_J) / S with F_j - F_J a unit exponential.  Given g, S's
@@ -317,29 +338,23 @@ class _MaxOrderRows:
       logs.  So the values not yet drawn lie at or below the last maximum.
       A column with q drawn values at or above it has its q-th largest
       value among them.
-    * The Markov step (p != 2).  The order statistics of the maxima form
-      a Markov chain, so given the L largest the other n - L rows are iid
-      with the law of a row whose maximum lies below m_L (m_0 = infinity):
-      log S - log(F_j + S e^-m_L) with S now the tilted stable variate
-      alone, as the condition multiplies f_S(s) by exp(-theta s).  Placing
-      the top L rows at uniformly random positions among the others makes
-      all n rows iid.
 
     Streams: each replication has a main SFC64 generator, its stream 0,
     and, at p != 2, its stream 1 for the Gamma variates
     (``streams.Streams``).  The main one draws ``width`` uniforms per top
-    row, row by row, then what the rows below use (p != 2), then, in
-    ``sample_rows``, the positions of the top rows.  A top row's uniforms
+    row, row by row, then, in ``sample_rows``, the positions of the rows
+    (p = 2).  A top row's uniforms
     are, at p = 2 and d = 2, [spacing, E, U, coin], 4 in all: with uniforms
     V_0 to V_3 drawn in that order, the spacing's and E's unit exponentials
     are -log(1 - V), U = 1 - V_2, and the maximum is in column 0 where
     V_3 < 1 / 2, else in column 1; at other d its spacing and its d
     spreads, then at p = 2 the three of its frailty (d + 4 in all), and
     otherwise its Gamma variate's and [V, W, A] of each of ``_TRIES``
-    stable proposals.  A top
-    row none of whose proposals is accepted takes ``_TRIES`` more from the
-    replication's stream 2, then stream 3 and so on, each in row order,
-    so a row's values do not depend on how the top rows are batched.
+    stable proposals.  A top row none of whose proposals is accepted takes
+    ``_TRIES`` more from the replication's stream 2, then stream 3 and so
+    on, each in row order, so a row's values do not depend on how the top
+    rows are batched.  Row i rejects a proposal with probability about
+    i / n, so a row deep in the sample may take many rounds.
 
     Blocks: a block's replications draw their values with their own calls
     to their own generators, and every replication that goes on draws the
@@ -347,8 +362,7 @@ class _MaxOrderRows:
     the block's planes, elementwise or along the row axis, so a
     replication's values do not depend on the other replications in its
     block.  The redraws from streams t >= 2 are drawn one replication at a
-    time and computed in one call per round, and the rows below the top
-    ones are drawn one replication at a time.
+    time and computed in one call per round.
     """
 
     def __init__(self, model: GumbelLogistic, n: int):
@@ -358,9 +372,6 @@ class _MaxOrderRows:
         # scale, and at d = 2 the lower column's gap is drawn with no frailty
         self.closed_form = model.p == 2.0
         self.pair = self.closed_form and self.d == 2
-        # L: every row at p = 2; else enough rows for intermediate ranks,
-        # while every tilted acceptance, about 1 - L / n, stays above 5/8
-        self.top = n if self.closed_form else min(n // 8 + 64, 3 * n // 8)
         self.width = 4 if self.pair else self.d + (4 if self.closed_form else 2 + 3 * _TRIES)
         # SFC64 generators a replication needs: the main one, and the Gamma one at p != 2
         self.gens = 1 if self.closed_form else 2
@@ -427,44 +438,27 @@ class _MaxOrderRows:
         self.m[slots] = m[:, -1]
         return m
 
-    def rest(self, slot: int, out: np.ndarray) -> None:
-        """After all L top rows of replication ``slot`` (p != 2), write its
-        other n - L rows, iid given maxima below the L-th, into the
-        (n - L) x d array ``out``, in chunks that keep the temporaries small."""
-        m, rng = self.m[slot], self.rngs[slot]
-        # the rows share theta, so the accepted proposals serve them in turn
-        log_theta = self.log_d - m
-        rate = math.exp(-math.exp(self.alpha * log_theta))  # exp(-theta^alpha)
-        for start in range(0, len(out), _CHUNK):
-            f = out[start:start + _CHUNK]
-            parts, need = [np.empty(0)], len(f)
-            while need:
-                size = int((need + 4.0 * math.sqrt(need)) / rate) + 16
-                log_x = log_positive_stable(self.alpha, size, rng)
-                parts.append(log_x[np.log(rng.standard_exponential(size)) > log_theta + log_x][:need])
-                need -= len(parts[-1])
-            log_s = np.concatenate(parts)[:, None]
-            rng.standard_exponential(out=f)
-            # log S - log(F + S e^-m), which m = inf leaves unconditioned
-            np.subtract(log_s, np.log(np.add(f, np.exp(log_s - m), out=f), out=f), out=f)
-
-    def _tilted_stable(self, u: np.ndarray, log_theta: np.ndarray, slots: np.ndarray, t: int = 1) -> np.ndarray:
+    def _tilted_stable(self, u: np.ndarray, log_theta: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """log X, X positive stable tilted by exp(-theta X), for each column
         of u, whose planes hold [V / pi, W, A] of the row's proposals in
         turn and which belongs to replication ``slots``; a proposal is
-        computed only where those before it failed."""
-        e = np.log(u[1:3])
-        np.log(np.negative(e, out=e), out=e)  # log W, log A
-        log_x = _log_kanter(self.alpha, u[0], e[0])
-        redo = np.flatnonzero(~(e[1] > log_theta + log_x))
-        if redo.size and len(u) > 3:
-            log_x[redo] = self._tilted_stable(u[3:, redo], log_theta[redo], slots[redo], t)
-        elif redo.size:  # out of proposals: more from each replication's stream t + 1, in row order
-            owner, more = slots[redo], np.empty((3 * _TRIES, redo.size))
-            for slot in np.unique(owner):
-                cols = np.flatnonzero(owner == slot)
-                more[:, cols] = 1.0 - self.redraw(int(slot), t + 1).random((cols.size, 3 * _TRIES)).T
-            log_x[redo] = self._tilted_stable(more, log_theta[redo], owner, t + 1)
+        computed only where those before it failed, and a row out of them
+        takes ``_TRIES`` more from its replication's stream 2, then stream 3
+        and so on."""
+        log_x, todo, t = np.empty(len(log_theta)), np.arange(len(log_theta)), 1
+        while todo.size:
+            if not len(u):  # out of proposals: more from each replication's next stream, in row order
+                t += 1
+                owner, u = slots[todo], np.empty((3 * _TRIES, todo.size))
+                for slot in np.unique(owner):
+                    cols = np.flatnonzero(owner == slot)
+                    u[:, cols] = 1.0 - self.redraw(int(slot), t).random((cols.size, 3 * _TRIES)).T
+            e = np.log(u[1:3])
+            np.log(np.negative(e, out=e), out=e)  # log W, log A
+            x = _log_kanter(self.alpha, u[0], e[0])
+            accept = e[1] > log_theta[todo] + x
+            log_x[todo[accept]] = x[accept]
+            todo, u = todo[~accept], u[3:, ~accept]
         return log_x
 
 
@@ -473,6 +467,17 @@ def _first_batch(model: GumbelLogistic, depth: int) -> int:
     row's maximum passes a high level ||(1, ..., 1)||_D times as often as
     a column's value does, and the margin makes a second batch rare."""
     return int(dnorm_eval(model.tail_dnorm, np.ones(model.d)) * (depth + 2.0 * math.sqrt(depth))) + 8
+
+
+def _marshall_olkin_path(model: GumbelLogistic, n: int, depth: int) -> bool:
+    """Whether a Gumbel (p > 1) selection to the given depth draws all n
+    rows by ``_marshall_olkin`` rather than top rows: at p != 2, where its
+    first batch reaches L = min(n / 8 + 64, 3 n / 8) rows.  Past L a top
+    row rejects a tilted-stable proposal with probability above about
+    L / n, and drawing all n rows costs less.  The choice depends on the
+    config alone, as switching a replication after it failed to stop
+    would bias its law."""
+    return model.p != 2.0 and _first_batch(model, depth) >= min(n // 8 + 64, 3 * n // 8)
 
 
 def _depths(model: CopulaModel, n: int, ranks) -> np.ndarray:
@@ -488,15 +493,16 @@ def first_draw(model: CopulaModel, n: int, ranks) -> int:
     """The values one replication of ``os_selector(model, n, ranks)`` draws
     at once, which ``streams.replicate`` sizes its blocks by: without a
     positive-stable frailty, the spacings of the deepest column's depth
-    rows; for Gumbel with p > 1, the uniforms of the first batch of top
-    rows (at p = 2, where all n rows are top rows, 4 a row at d = 2 and
-    d + 4 at other d) and, if that batch reaches the L top rows (p != 2),
-    the d (n - L) values of the rows below them."""
+    rows; for Gumbel with p > 1, the d n values of all n rows on the
+    Marshall-Olkin path (``_marshall_olkin_path``), else the uniforms of
+    the first batch of top rows, at most n (4 a row at p = 2 and d = 2,
+    d + 4 at p = 2 and other d, and d + 11 at other p)."""
     depth = int(_depths(model, n, ranks).max())
     if not _stable(model):
         return _spacings(model) * depth
-    rows, first = _MaxOrderRows(model, n), _first_batch(model, depth)
-    return rows.width * min(first, rows.top) + (model.d * (n - rows.top) if first >= rows.top else 0)
+    if _marshall_olkin_path(model, n, depth):
+        return model.d * n
+    return _MaxOrderRows(model, n).width * min(_first_batch(model, depth), n)
 
 
 def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
@@ -505,9 +511,10 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
     or one per column), for ``streams.replicate``: returns
     ``(make, elements, gens)``.  ``make()`` builds a selector that maps a
     block's ``streams.Streams``, with ``gens`` SFC64 generators a
-    replication, to its b x d values, row r equal bit for bit to
-    ``componentwise_os(sample_rows(model, n, stream_rng(seed, r)), ranks)``.
-    ``elements`` is ``first_draw(model, n, ranks)``.
+    replication, to its b x d values.  ``elements`` is
+    ``first_draw(model, n, ranks)``.  Row r has the law of
+    ``componentwise_os(sample_rows(model, n, stream_rng(seed, r)), ranks)``,
+    and equals it bit for bit except for top rows at p != 2.
 
     Without a positive-stable frailty (independence, comonotone, Gumbel
     with p = 1) a column's depth-th largest value is minus the sum of its
@@ -517,9 +524,10 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
     order as ``sample_rows`` does.  With one (Gumbel, p > 1) the block
     draws ``_MaxOrderRows``' top rows in batches, the first sized by
     ``_first_batch``, and a replication stops once every column's value at
-    its rank is at or above the last row maximum, or all n rows are drawn;
-    one still going after L < n top rows (p != 2) draws the rest and
-    selects on all n."""
+    its rank is at or above the last row maximum, or all n rows are drawn.
+    A config on the Marshall-Olkin path (``_marshall_olkin_path``) draws
+    all n rows of each replication instead, as ``sample_rows`` does, and
+    selects on them with one partition per block."""
     d, depth = model.d, _depths(model, n, ranks)
     kth, need = np.unique(depth), int(depth.max())
     elements = first_draw(model, n, ranks)
@@ -546,13 +554,27 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
 
         return make_sums, elements, 1
 
-    first = _first_batch(model, need)
-
     def pick(planes: np.ndarray) -> np.ndarray:
         """The values at the ranks."""
         count = planes.shape[-1]
         planes.partition(count - kth, axis=-1)  # in place: only the values at the ranks are read
         return planes[np.arange(d), ..., count - depth]
+
+    if _marshall_olkin_path(model, n, need):
+        def make_rows() -> Callable[[Streams], np.ndarray]:
+            scratch = {}
+
+            def select(streams: Streams) -> np.ndarray:
+                rows = _reused(scratch, "rows", (len(streams.rngs), n, d))
+                for latent, rng in zip(rows, streams.rngs):
+                    _marshall_olkin(model, latent, rng)
+                return _to_uniform(model, pick(rows.transpose(2, 0, 1)).T)
+
+            return select
+
+        return make_rows, elements, 1
+
+    first = _first_batch(model, need)
 
     def make() -> Callable[[Streams], np.ndarray]:
         rows = _MaxOrderRows(model, n)
@@ -561,8 +583,8 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
             rows.start(streams)
             out = np.empty((len(rows.rngs), d))
             slots, planes, size = np.arange(len(rows.rngs)), None, first
-            while slots.size and rows.drawn < rows.top:
-                batch = np.empty((d, len(slots), min(size, rows.top - rows.drawn)))
+            while slots.size:
+                batch = np.empty((d, len(slots), min(size, n - rows.drawn)))
                 last = rows.next_rows(batch, slots)[:, -1]
                 planes = batch if planes is None else np.concatenate((planes, batch), axis=2)
                 if rows.drawn >= need:
@@ -571,11 +593,6 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
                     out[slots[done]] = _to_uniform(model, picked[:, done].T)
                     slots, planes = slots[~done], planes[:, ~done]
                 size = max(rows.drawn // 2, 1)
-            for j, slot in enumerate(slots):
-                rest = np.empty((n - rows.top, d))
-                rows.rest(slot, rest)
-                below = rest.T if planes is None else np.concatenate((planes[:, j], rest.T), axis=1)
-                out[slot] = _to_uniform(model, pick(below))
             return out
 
         return select
@@ -592,39 +609,39 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     share one sequence), its order statistics in decreasing order, put in
     a uniformly random order of its own, which makes them iid; the main
     SFC64 generator draws the orders after the spacings, column by column.
-    For Gumbel with p > 1 they are all n rows of ``_MaxOrderRows`` for a
-    block of one replication, the top rows (all n at p = 2) at a uniformly
-    random ordered set of positions, drawn by its main SFC64 generator and
-    written there from the rows' planes, and the rest, which are iid, in
-    order at the others.  Each call spawns the
-    next child C of the seed sequence, and its stream t
-    is ``streams.child_stream(C, t)``: for a fresh ``stream_rng(seed, r)``
-    C is ``SeedSequence(seed, spawn_key=(r, 0))``, as ``streams.replicate``
-    seeds replication r for the selector.  A generator without a
-    ``SeedSequence`` raises ``ValueError``."""
+    For Gumbel at p = 2 they are all n top rows of ``_MaxOrderRows`` for a
+    block of one replication, put in a uniformly random order drawn by its
+    main SFC64 generator; at other p > 1 they are ``_marshall_olkin``'s
+    rows from that generator.  Each call spawns the next child C of the
+    seed sequence, and its stream t is ``streams.child_stream(C, t)``: for
+    a fresh ``stream_rng(seed, r)`` C is ``SeedSequence(seed,
+    spawn_key=(r, 0))``, as ``streams.replicate`` seeds replication r for
+    the selector.  A generator without a ``SeedSequence`` raises
+    ``ValueError``."""
     seq = rng.bit_generator.seed_seq
     if not isinstance(seq, np.random.SeedSequence):
         raise ValueError("sample_rows needs a generator seeded by a SeedSequence, such as streams.stream_rng returns")
     (child,) = seq.spawn(1)
+    gen = child_stream(child, 0)
     if not _stable(model):
-        s, gen = _spacings(model), child_stream(child, 0)
+        s = _spacings(model)
         e = _spacing_terms([gen], n, n, s, {})[..., 0]
         np.add.accumulate(e, axis=0, out=e)  # in row order, as the selector's reduce adds
         values = np.exp(np.negative(e, out=e), out=e)
         placed = np.stack([values[gen.permutation(n), j] for j in range(s)], axis=1)
         return placed if s == model.d else np.repeat(placed, model.d, axis=1)
+    if model.p != 2.0:
+        latent = _marshall_olkin(model, np.empty((n, model.d)), gen)
+        return _to_uniform(model, latent, out=latent)
     rows = _MaxOrderRows(model, n)
-    rows.start(Streams([[child_stream(child, t)] for t in range(rows.gens)], lambda slot: child))
-    top, below = np.empty((model.d, 1, rows.top)), np.empty((n - rows.top, model.d))
+    rows.start(Streams([[gen]], lambda slot: child))
+    top = np.empty((model.d, 1, n))
     # in batches, which keep the temporaries small and change no value
-    for start in range(0, rows.top, _CHUNK):
+    for start in range(0, n, _CHUNK):
         rows.next_rows(top[:, :, start:start + _CHUNK], np.zeros(1, np.intp))
-    if len(below):
-        rows.rest(0, below)
-    place, free = rows.rngs[0].choice(n, rows.top, replace=False), np.ones(n, dtype=bool)
-    free[place] = False
+    place = gen.choice(n, n, replace=False)
     out = np.empty((n, model.d))
-    out[place], out[free] = top[:, 0].T, below
+    out[place] = top[:, 0].T
     return _to_uniform(model, out, out=out)
 
 

@@ -26,14 +26,14 @@ p = 1) a column's order statistic is a sum of Rényi spacings, so it draws
 exactly n - r + 1 spacings per column for the rank r, at any rank (one
 sequence for comonotone columns), and sums them; Gumbel with p > 1 draws
 whole rows in decreasing order of their maximum and stops once every
-column's order statistic is known.  For ``general`` the marginal quantile
+column's order statistic is known, or, at p != 2 and ranks deep into the
+sample, draws all n rows.  For ``general`` the marginal quantile
 functions then run on the R x d selected values only.  Monotone maps
 commute with order statistics, so this gives the same values as
-transforming all n x d draws of ``copula.sample_rows`` and selecting
-afterwards.  Config validation bounds the values a replication draws at
-once by ``copula.first_draw``, the size the selector's blocks are cut by:
-the spacings, or Gumbel's first batch of top rows together with the rows
-below them when that batch reaches them.
+transforming all n x d drawn rows and selecting afterwards.  Config
+validation bounds the values a replication draws at once by
+``copula.first_draw``, the size the selector's blocks are cut by: the
+spacings, Gumbel's first batch of top rows, or its n rows.
 
 Every experiment is a pure function of (config, master seed).  Replication
 r draws from the stream keyed by r, so results do not depend on the worker

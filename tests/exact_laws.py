@@ -6,16 +6,40 @@ each grid value (Reiss 1989, the binomial representation of order
 statistic cdfs).  ``ratio_joint_cdf`` is the joint cdf of the correlated
 chi-square ratios, from Kibble's (1941) mixture representation of the
 bivariate gamma law.  Both margins are exactly Beta(n-k, k+1).
+``ecdf_on_grid`` is the joint empirical cdf a sample is held against them.
 """
 import numpy as np
 from scipy import special, stats
 
+from mvos.chi2rep import _cell_counts, _running_sums
 from mvos.copula import copula_cdf
 
 
 def beta_quantile_grid(n, k, levels=np.linspace(0.1, 0.9, 9)):
     """Quantiles of the common Beta(n-k, k+1) margin."""
     return stats.beta(n - k, k + 1).ppf(levels)
+
+
+def ecdf_on_grid(values, grid):
+    """Joint empirical cdf of the rows of ``values`` on a tensor grid.
+
+    One count per grid cell, summed cumulatively along every axis, gives
+    the number of rows at or below each grid node: code c <= m exactly
+    when the m-th smallest grid point is >= the value.  Memory is
+    O(R d + prod(len(g) + 1)), and the exact integer counts make the
+    result equal to the mean of the R x grid indicator array.
+    """
+    values = np.asarray(values, dtype=float)
+    r, d = values.shape
+    if len(grid) != d:
+        raise ValueError("grid dimension mismatch")
+    grid = [np.asarray(g, dtype=float) for g in grid]
+    orders = [np.argsort(g, kind="stable") for g in grid]
+    counts = _running_sums(_cell_counts(values, [g[order] for g, order in zip(grid, orders)]))
+    for axis, order in enumerate(orders):
+        # back to the grid's own order, which drops the cell above the last point
+        counts = counts.take(np.argsort(order), axis=axis)
+    return counts / r
 
 
 def os_joint_cdf(model, n, k, x):

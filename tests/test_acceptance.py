@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mvos.chi2rep import (
-    NotPositiveSemidefiniteError,
-    correlated_ratio_sample,
-    ecdf_on_grid,
-)
+from mvos.chi2rep import NotPositiveSemidefiniteError, correlated_ratio_sample
 from mvos.copula import GumbelLogistic, Independence
 from mvos.dnorm import (
     ConstantOne,
@@ -46,7 +42,7 @@ from mvos.experiment import (
 )
 from mvos.streams import derive_seed
 
-from exact_laws import beta_quantile_grid, os_joint_cdf, ratio_joint_cdf
+from exact_laws import beta_quantile_grid, ecdf_on_grid, os_joint_cdf, ratio_joint_cdf
 
 GUMBEL_SIGMA = 2.0 - math.sqrt(2.0)          # 0.585786...
 UNEQUAL_SIGMA = 2.5 - math.sqrt(4.25)        # 0.438447...

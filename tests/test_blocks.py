@@ -2,10 +2,12 @@
 
 ``streams.replicate`` hands each thread's replications to the samplers in
 blocks.  Whatever the block size, the thread count, the batch sizes, and
-whether a replication in a block draws the rows below the top ones or
+whether a replication in a block draws all n Marshall-Olkin rows or
 redraws tilted-stable proposals, every replication must equal its own
 per-replication oracle: ``componentwise_os(sample_rows(...))`` for the
-selection and the documented per-chunk stream for the ratio sampler.
+selection where it shares the draws of ``sample_rows``, its selection in
+blocks of one replication for Gumbel top rows at p != 2, and the
+documented per-chunk stream for the ratio sampler.
 """
 import numpy as np
 import pytest
@@ -25,13 +27,17 @@ from test_chi2rep import _random_correlation, _stream_contract_ratios
 R = 130  # more than two default blocks of the selection below
 # n = 100 and k = 25: at p = 2 every row is a top row, drawn in closed form
 # with no proposals, and the replications stop after different numbers of
-# them; at p = 3 they stop about half the replications among the L = 37 top
-# rows and send the others to the rows below, and make many top rows reject
-# all their in-row stable proposals, a few twice
+# them; at p = 3 the first batch reaches L = 37 rows, so every replication
+# draws all n Marshall-Olkin rows.  At n = 300 and k = 54 p = 3 draws top
+# rows, and many of them reject all their in-row stable proposals, a few
+# twice
 MODEL, N, SEED = GumbelLogistic(2, 2.0), 100, 31
 INTERMEDIATE = IntermediateSpec((PowerKRule(2.5, 0.5),) * 2, "n-k")
 CONFIG = ExperimentConfig(copula=MODEL, n=N, replications=R, seed=SEED, intermediate=INTERMEDIATE)
-PROPOSALS = ExperimentConfig(copula=GumbelLogistic(2, 3.0), n=N, replications=R, seed=SEED, intermediate=INTERMEDIATE)
+MARSHALL_OLKIN = ExperimentConfig(copula=GumbelLogistic(2, 3.0), n=N, replications=R, seed=SEED,
+                                  intermediate=INTERMEDIATE)
+PROPOSALS = ExperimentConfig(copula=GumbelLogistic(2, 3.0), n=300, replications=R, seed=SEED,
+                             intermediate=IntermediateSpec((PowerKRule(1.0, 0.7),) * 2, "n-k"))
 RANKS = CONFIG.intermediate.ranks(N)
 LAM = _random_correlation(3, seed=3)
 
@@ -75,8 +81,16 @@ def selection_oracle():
 
 
 @pytest.fixture(scope="module")
+def marshall_olkin_oracle():
+    return _oracle(MARSHALL_OLKIN)
+
+
+@pytest.fixture(scope="module")
 def proposals_oracle():
-    return _oracle(PROPOSALS)
+    # top rows at p != 2 draw rows of their own: their selection in blocks of one
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams_module, "BLOCK_REPLICATIONS", 1)
+        return _collect_os(PROPOSALS, PROPOSALS.n, SEED, 1)[0]
 
 
 class TestSelection:
@@ -100,18 +114,15 @@ class TestSelection:
         assert np.array_equal(values, selection_oracle)
         assert any(0 < b < a for a, b in zip(active, active[1:]))
 
-    def test_block_with_rows_below_the_top(self, proposals_oracle, monkeypatch):
-        # some replications of a block draw the rows below the top ones,
-        # the others of the block stop among the top rows
-        blocks = []
-        start, rest = copula_module._MaxOrderRows.start, copula_module._MaxOrderRows.rest
-        monkeypatch.setattr(copula_module._MaxOrderRows, "start",
-                            lambda rows, streams: blocks.append((len(streams.rngs), [])) or start(rows, streams))
-        monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
-                            lambda rows, slot, out: blocks[-1][1].append(slot) or rest(rows, slot, out))
-        values, _ = _collect_os(PROPOSALS, N, SEED, 1)
-        assert np.array_equal(values, proposals_oracle)
-        assert any(2 <= len(slots) < size for size, slots in blocks)
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_blocks_of_marshall_olkin_rows(self, threads, marshall_olkin_oracle, monkeypatch):
+        # blocks of several replications, each of which draws all n rows
+        sizes, draw = [], copula_module._marshall_olkin
+        monkeypatch.setattr(copula_module, "_marshall_olkin", lambda model, out, rng: sizes.append(len(out)) or draw(model, out, rng))
+        blocks = _spy_blocks(monkeypatch, experiment_module)
+        values, _ = _collect_os(MARSHALL_OLKIN, N, SEED, threads)
+        assert np.array_equal(values, marshall_olkin_oracle)
+        assert sizes == [N] * R and max(blocks) > 1
 
     def test_block_with_proposal_redraws(self, proposals_oracle, monkeypatch):
         # a top row that rejects all of its in-row stable proposals draws
@@ -120,7 +131,7 @@ class TestSelection:
         sub = streams_module.Streams.stream
         monkeypatch.setattr(streams_module.Streams, "stream",
                             lambda streams, slot, t: redraws.add((len(streams.rngs), t)) or sub(streams, slot, t))
-        values, _ = _collect_os(PROPOSALS, N, SEED, 1)
+        values, _ = _collect_os(PROPOSALS, PROPOSALS.n, SEED, 1)
         assert np.array_equal(values, proposals_oracle)
         assert {2, 3} <= {t for size, t in redraws if size > 1}
 

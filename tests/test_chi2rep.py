@@ -9,7 +9,6 @@ from mvos import chi2rep, streams
 from mvos.chi2rep import (
     NotPositiveSemidefiniteError,
     correlated_ratio_sample,
-    ecdf_on_grid,
     quantile_grid,
     representation_distance,
 )
@@ -17,7 +16,7 @@ from mvos.dnorm import LogisticP, lambda_matrix
 from mvos.orderstats import OSBatch, theoretical_sigma_equal_k, standardize_copula_case
 from mvos.streams import stream_rng
 
-from exact_laws import beta_quantile_grid, ratio_joint_cdf
+from exact_laws import beta_quantile_grid, ecdf_on_grid, ratio_joint_cdf
 from test_streams import numpy_stream
 
 

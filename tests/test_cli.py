@@ -343,9 +343,9 @@ REJECTED = [
      {"copula": {"kind": "gumbel", "d": 2, "p": 2.0}, "n": 10**18}, {}),
     ("general-n-1e18", ["experiment", "--config", "{config}"],
      {"kind": "general", "margins": [{"kind": "exponential"}] * 2, "n": 10**18}, {}),
-    # k = 8511380 of n = 10^7 sends Gumbel p = 3's first batch past the
-    # L = 1250064 top rows, so the 2 (n - L) values below them count too:
-    # 33750704 values; at p = 2 every row is a top row, (d + 4) n = 6·10^7
+    # k = 8511380 of n = 10^7 sends Gumbel p = 3's first batch past
+    # L = 1250064 rows, so it draws all n Marshall-Olkin rows, d n = 2·10^7
+    # values; at p = 2 every row is a top row, 4 n = 4·10^7 at d = 2
     ("gumbel-rows-below-the-top-over-cap", ["experiment", "--config", "{config}"],
      {"copula": {"kind": "gumbel", "d": 2, "p": 3.0}, "n": 10**7,
       "intermediate": {"rules": [{"c": 1.0, "gamma": 0.99}] * 2}}, {}),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,6 @@ from mvos.copula import (
     tail_expansion_check,
 )
 from mvos._special import ndtr
-from mvos.chi2rep import ecdf_on_grid
 from mvos.cli import main
 from mvos.diagnostics import ks_critical_value, ks_statistic
 from mvos.dnorm import dnorm_eval
@@ -30,8 +30,25 @@ from mvos.orderstats import IntermediateSpec, componentwise_os
 from mvos.streams import Streams, replicate, stream_rng
 from mvos.wire import from_json, to_json
 
-from exact_laws import beta_quantile_grid, os_joint_cdf
+from exact_laws import beta_quantile_grid, ecdf_on_grid, os_joint_cdf
 from test_streams import numpy_stream
+
+
+def _shares_sample_rows(model, n, ranks):
+    """Whether the selection's values are ``componentwise_os(sample_rows(...))``'s:
+    all but Gumbel top rows at p != 2, which draw their own rows."""
+    depth = int(np.max(copula_module._depths(model, n, ranks)))
+    return not copula_module._stable(model) or model.p == 2.0 or copula_module._marshall_olkin_path(model, n, depth)
+
+
+def _reference(model, n, ranks, seed, reps):
+    """The selection's values as ``componentwise_os(sample_rows(...))`` where it
+    shares their draws, else as a selection in blocks of one replication."""
+    if _shares_sample_rows(model, n, ranks):
+        return np.array([componentwise_os(sample_rows(model, n, stream_rng(seed, r)), ranks) for r in range(reps)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams_module, "BLOCK_REPLICATIONS", 1)
+        return replicate(np.empty((reps, model.d)), seed, 1, *os_selector(model, n, ranks))
 
 
 def _block(seed, reps, gens):
@@ -111,6 +128,17 @@ class TestSampling:
             se = np.sqrt(th * (1.0 - th) / n)
             assert abs(emp - th) <= 4.0 * se
 
+    def test_marshall_olkin_rows_follow_the_copula(self):
+        # p != 2 rows are Marshall-Olkin's exp(-(E_j / S)^(1 / p))
+        n = 10**5
+        model = GumbelLogistic(2, 3.0)
+        u = copula_sample(model, n, seed=23)
+        rng = np.random.default_rng(79)
+        for _ in range(10):
+            pt = rng.uniform(0.2, 0.9, size=2)
+            th = copula_cdf(model, pt)
+            assert abs(np.mean(np.all(u <= pt, axis=1)) - th) <= 4.0 * np.sqrt(th * (1.0 - th) / n)
+
     @pytest.mark.parametrize("model", [Independence(2), GumbelLogistic(2, 2.0), GumbelLogistic(3, 1.3)],
                              ids=lambda m: m.label())
     def test_margins_uniform_ks(self, model):
@@ -135,13 +163,15 @@ class TestSampling:
 
     @pytest.mark.parametrize("n", [3, 10, 100])
     def test_finite_rows_at_the_largest_p(self, n):
-        # the stable proposals, top rows and rows below them stay finite at p = MAX_P
+        # Marshall-Olkin rows, and top rows with their stable proposals (the
+        # column maxima at n = 100), stay finite at p = MAX_P
         model = GumbelLogistic(2, copula_module.MAX_P)
         for seed in range(40):
             rows = copula_sample(model, n, seed)
             assert np.all(np.isfinite(rows)) and np.all((rows >= 0.0) & (rows <= 1.0))
-        got = replicate(np.empty((40, 2)), 3, 1, *os_selector(model, n, np.full(2, n - n // 3)))
-        assert np.all(np.isfinite(got))
+        for rank in (n - n // 3, n):
+            got = replicate(np.empty((40, 2)), 3, 1, *os_selector(model, n, np.full(2, rank)))
+            assert np.all(np.isfinite(got))
 
     @pytest.mark.parametrize("p", [np.nextafter(2.0**1014, np.inf), 4e307, 1e308, np.inf, np.nan, 0.5])
     def test_rejects_p_past_the_cap(self, p):
@@ -233,6 +263,10 @@ class TestTailExpansion:
             assert quotient == (1.0 - copula_cdf(model, 1.0 - t_alone * x)) / t_alone
 
 
+# tracemalloc factors of the Marshall-Olkin path: a selection's, and sample_rows'
+MO_MEASURED, MO_SAMPLE_MEASURED = 1.93, 1.07
+
+
 class TestReplicationMemory:
     """Peak memory of one replication against ``first_draw``, which the
     config cap (``streams.REPLICATION_ELEMENTS``) bounds: tracemalloc's
@@ -240,8 +274,10 @@ class TestReplicationMemory:
     value ``first_draw`` counts.  Large draws measure 2.2 to 3.5 (the
     uniforms, their logs and the row divisors, or the top rows' uniforms
     and the planes they become, which at p = 2 outweigh the uniforms of a
-    row, 4 at d = 2 and d + 4 at other d); small ones reach 4, where fixed
-    costs dominate.  Each case keeps 15% headroom over its measured factor."""
+    row, 4 at d = 2 and d + 4 at other d), or 1.9 for Marshall-Olkin rows
+    at n = 2·10^4 (the rows, and one chunk's temporaries, which weigh less
+    as n grows); small ones reach 4, where fixed costs dominate.  Each case keeps 15% headroom over its measured
+    factor."""
 
     @pytest.mark.parametrize(
         "model,n,rank,measured",
@@ -250,10 +286,10 @@ class TestReplicationMemory:
             (Comonotone(3), 10**6, 10**6 - 200000, 3.00),  # spacings, one shared plane
             (GumbelLogistic(2, 3.0), 10**6, 10**6 - 10**4 + 1, 3.01),  # top rows in batches, stable proposals
             (GumbelLogistic(2, 2.0), 10**6, 10**6 - 10**4 + 1, 3.51),  # top rows in batches, no frailty at d = 2
-            (GumbelLogistic(2, 3.0), 20000, 2000, 2.33),  # past the L top rows: rest()
+            (GumbelLogistic(2, 3.0), 20000, 2000, MO_MEASURED),  # past L: all n rows by Marshall-Olkin
             (GumbelLogistic(2, 2.0), 20000, 2000, 3.51),  # a first batch of all n rows, 4 n uniforms at d = 2
         ],
-        ids=["spacings-independence", "spacings-comonotone", "gumbel-top-rows", "gumbel-p2-top-rows", "gumbel-rest",
+        ids=["spacings-independence", "spacings-comonotone", "gumbel-top-rows", "gumbel-p2-top-rows", "gumbel-marshall-olkin",
              "gumbel-p2-all-rows"],
     )
     def test_peak_per_counted_value(self, model, n, rank, measured):
@@ -284,6 +320,18 @@ class TestReplicationMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.15 * 2.58 * 8 * n * model.d
+
+    def test_marshall_olkin_sample_rows_peak(self):
+        # at p != 2 the n rows and one chunk's temporaries
+        model, n = GumbelLogistic(2, 3.0), 10**6
+        assert not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            sample_rows(model, n, stream_rng(1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * MO_SAMPLE_MEASURED * 8 * n * model.d
 
 
 class TestFrailtyGivenMaximum:
@@ -376,15 +424,15 @@ WORKLOAD_SIZES = [
 
 
 class TestMaxOrderRows:
-    """The selector reads its order statistics off the top rows of the very
-    sample ``sample_rows`` returns."""
+    """The selector reads its order statistics off the top rows, or the
+    Marshall-Olkin rows, of the very sample ``sample_rows`` returns; Gumbel
+    top rows at p != 2 draw rows of their own, which must not depend on
+    the blocks (``_reference``)."""
 
     @staticmethod
     def _check(model, n, ranks, seed, reps=3, threads=1):
         got = replicate(np.empty((reps, model.d)), seed, threads, *os_selector(model, n, ranks))
-        for rep in range(reps):
-            want = componentwise_os(sample_rows(model, n, stream_rng(seed, rep)), ranks)
-            assert np.array_equal(got[rep], want)
+        assert np.array_equal(got, _reference(model, n, ranks, seed, reps))
 
     @pytest.mark.parametrize("model,n,inter", WORKLOAD_SIZES, ids=lambda x: getattr(x, "label", lambda: x)())
     def test_equals_sample_rows_at_workload_sizes(self, model, n, inter):
@@ -394,48 +442,44 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_equals_sample_rows_at_extreme_ranks(self, model, rank, monkeypatch):
         # rank 1 needs every row, so a Gumbel (p > 1) selector draws all n
-        # top rows at p = 2 and the rows below the top ones too at other p,
-        # and a frailty-free one sums all n spacings; rank n needs only each
-        # column's largest value
-        rests = []
-        rest = copula_module._MaxOrderRows.rest
-        monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
-                            lambda rows, slot, out: rests.append(slot) or rest(rows, slot, out))
+        # top rows at p = 2 and all n Marshall-Olkin rows at other p, and a
+        # frailty-free one sums all n spacings; rank n needs only each
+        # column's largest value, which top rows at p != 2 find with draws
+        # of their own, the same in blocks of one and after batches of one row
         n = 3000
-        got = replicate(np.empty((3, model.d)), 92, 1, *os_selector(model, n, np.full(model.d, 1 if rank == "1" else n)))
-        assert rests == ([0, 1, 2] if rank == "1" and copula_module._stable(model) and model.p != 2.0 else [])
-        for rep in range(3):
-            rows = sample_rows(model, n, stream_rng(92, rep))
-            assert np.array_equal(got[rep], rows.min(axis=0) if rank == "1" else rows.max(axis=0))
+        ranks = np.full(model.d, 1 if rank == "1" else n)
+        got = replicate(np.empty((3, model.d)), 92, 1, *os_selector(model, n, ranks))
+        if _shares_sample_rows(model, n, ranks):
+            for rep in range(3):
+                rows = sample_rows(model, n, stream_rng(92, rep))
+                assert np.array_equal(got[rep], rows.min(axis=0) if rank == "1" else rows.max(axis=0))
+        else:
+            monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
+            assert np.array_equal(got, _reference(model, n, ranks, 92, 3))
 
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_p2_draws_every_row_as_a_top_row(self, d, threads, tmp_path, monkeypatch):
         # at p = 2 the top rows' law is exact at every depth, so all n rows
         # are top rows: no selection, sample_rows, copula_sample or
-        # `mvos sample` draws a stable proposal, and the selector calls
-        # rest() for no replication, at ranks deep past n / 8 + 64 and at
-        # rank 1, while its values stay those of sample_rows; at d = 2 none
-        # draws a frailty either, as the lower column's gap comes from two
-        # uniforms, while other d draw one for every row
+        # `mvos sample` draws a stable proposal or a Marshall-Olkin row, at
+        # ranks deep past n / 8 + 64 and at rank 1, while the selection's
+        # values stay those of sample_rows; at d = 2 none draws a frailty
+        # either, as the lower column's gap comes from two uniforms, while
+        # other d draw one for every row
         def stable(*args):
             raise AssertionError("stable proposal drawn at p = 2")
 
-        rests, frailties = [], []
-        rest, inverse = copula_module._MaxOrderRows.rest, copula_module._inverse_frailty_half
+        frailties, inverse = [], copula_module._inverse_frailty_half
         monkeypatch.setattr(copula_module, "log_positive_stable", stable)
         monkeypatch.setattr(copula_module, "_log_kanter", stable)
+        monkeypatch.setattr(copula_module, "_marshall_olkin", stable)
         monkeypatch.setattr(copula_module, "_inverse_frailty_half", lambda *args: frailties.append(1) or inverse(*args))
-        monkeypatch.setattr(copula_module._MaxOrderRows, "rest",
-                            lambda rows, slot, out: rests.append(slot) or rest(rows, slot, out))
         model, n = GumbelLogistic(d, 2.0), 3000
-        assert copula_module._MaxOrderRows(model, n).top == n
         for ranks in (np.array([1, 1500, 2000])[:d], np.array([10, 400, 1])[:d]):
             got = replicate(np.empty((5, d)), 109, threads, *os_selector(model, n, ranks))
-            assert rests == []
             for rep in range(5):
                 assert np.array_equal(got[rep], componentwise_os(sample_rows(model, n, stream_rng(109, rep)), ranks))
-            rests.clear()  # sample_rows hands rest() its n - L = 0 rows
         assert copula_sample(model, SAMPLE_CHUNK + 7, seed=110).shape == (SAMPLE_CHUNK + 7, d)
         assert main(["sample", "--copula", "gumbel", "--p", "2", "-d", str(d), "-n", "3000",
                      "--seed", "1", "--out", str(tmp_path / "rows.csv")]) == 0
@@ -460,14 +504,18 @@ class TestMaxOrderRows:
 
     @pytest.mark.parametrize("model", STABLE_MODELS, ids=lambda m: m.label())
     def test_top_rows_do_not_depend_on_batches(self, model):
+        # all n rows at p = 2; at other p, 1000 rows, past L = 564 rows
+        # (where a selection would draw Marshall-Olkin rows), with many
+        # more redraws
         rows, one = copula_module._MaxOrderRows(model, 4000), np.zeros(1, np.intp)
+        count = 4000 if model.p == 2.0 else 1000
         rows.start(_block(94, [0], rows.gens))
-        whole = np.empty((model.d, 1, rows.top))
+        whole = np.empty((model.d, 1, count))
         maxima = rows.next_rows(whole, one)
         rows.start(_block(94, [0], rows.gens))
         parts, start = np.empty_like(whole), 0
         for size in itertools.cycle([1, 2, 5, 17, 64]):
-            size = min(size, rows.top - start)
+            size = min(size, count - start)
             if not size:
                 break
             rows.next_rows(parts[:, :, start:start + size], one)
@@ -478,22 +526,22 @@ class TestMaxOrderRows:
         assert np.all(np.diff(maxima) <= 0)
         # in a block, a replication's rows do not depend on the others'
         rows.start(_block(94, [1, 0, 2], rows.gens))
-        block = np.empty((model.d, 3, rows.top))
+        block = np.empty((model.d, 3, count))
         rows.next_rows(block, np.arange(3))
         assert np.array_equal(block[:, 1:2], whole)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_small_samples(self, model, n):
-        # at p != 2 below n = 3 there are no top rows and every row is
-        # unconditioned; at p = 2 every row is a top row
+        # at p != 2 every selection this small draws all n Marshall-Olkin
+        # rows; at p = 2 every row is a top row
         for rank in range(1, n + 1):
             self._check(model, n, np.full(model.d, rank), 97)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_unconditioned_rows_follow_the_copula(self, p, n):
-        # p = 3 draws these rows below no top row, p = 2 as top rows
+        # p = 3 draws these rows by Marshall-Olkin, p = 2 as top rows
         model, reps = GumbelLogistic(2, p), 10000
         rows = np.concatenate([sample_rows(model, n, stream_rng(98, rep)) for rep in range(reps)])
         for point in ([0.5, 0.7], [0.9, 0.2], [0.3, 0.3]):
@@ -550,11 +598,10 @@ class TestMaxOrderRows:
                                        GumbelLogistic(3, 3.0)], ids=lambda m: m.label())
     def test_stream_layout(self, model, monkeypatch):
         # sample_rows spawns one child C of its generator's seed sequence
-        # and draws from C's stream 0 and, with a positive-stable frailty
-        # drawn from Gamma variates (p != 2), its stream 1, then only from
-        # streams t >= 2 for proposal redraws; it reads no word of the
-        # Philox generator itself.  The selector's blocks get the same
-        # streams of the same child.
+        # and draws from C's stream 0 alone; it reads no word of the Philox
+        # generator itself.  The selector's blocks get the same stream of
+        # the same child, and top rows at p != 2 its stream 1 too, for
+        # their Gamma variates.
         built, inner = [], streams_module.child_stream
 
         def spy(child, t):
@@ -565,11 +612,10 @@ class TestMaxOrderRows:
         monkeypatch.setattr(streams_module, "child_stream", spy)
         n, rng = 1000, stream_rng(105, 0)
         gamma = copula_module._stable(model) and model.p != 2.0
-        gens = os_selector(model, n, n)[2]
-        assert gens == 1 + gamma
+        assert os_selector(model, n, n)[2] == 1 + gamma  # top rows at rank n
+        assert os_selector(model, n, 1)[2] == 1  # every row
         sample_rows(model, n, rng)
-        assert built[:gens] == [(105, (0, 0), t) for t in range(gens)]
-        assert all(seed == 105 and key == (0, 0) and t >= 2 for seed, key, t in built[gens:])
+        assert built == [(105, (0, 0), 0)]
         assert rng.bit_generator.seed_seq.n_children_spawned == 1
         assert rng.bit_generator.random_raw() == stream_rng(105, 0).bit_generator.random_raw()
 
@@ -577,8 +623,9 @@ class TestMaxOrderRows:
                              ids=lambda m: m.label())
     def test_calls_on_one_generator_spawn_new_children(self, model):
         # each call spawns the next child, so a second call on the same
-        # generator draws other rows; the first call's rows are the selector's
-        n, ranks, rng = 400, np.full(model.d, 380), stream_rng(107, 2)
+        # generator draws other rows; the first call's rows are the
+        # selector's, at a depth (301) that Gumbel p != 2 draws all n rows for
+        n, ranks, rng = 400, np.full(model.d, 100), stream_rng(107, 2)
         first, second = sample_rows(model, n, rng), sample_rows(model, n, rng)
         assert not np.array_equal(first, second)
         selected = replicate(np.empty((3, model.d)), 107, 1, *os_selector(model, n, ranks))
@@ -626,8 +673,11 @@ class TestMaxOrderRows:
         got = replicate(np.empty((200, model.d)), 106, 1, *os_selector(model, n, ranks))
         assert calls == [] and isinstance(streams_module._idle.pool[0, 0][0].bit_generator, SFC64)
         monkeypatch.undo()
-        for rep in (0, 199):
-            assert np.array_equal(got[rep], componentwise_os(sample_rows(model, n, stream_rng(106, rep)), ranks))
+        if _shares_sample_rows(model, n, ranks):
+            for rep in (0, 199):
+                assert np.array_equal(got[rep], componentwise_os(sample_rows(model, n, stream_rng(106, rep)), ranks))
+        else:
+            assert np.array_equal(got, _reference(model, n, ranks, 106, 200))
 
     @pytest.mark.parametrize("model", [Independence(1), Comonotone(2)], ids=lambda m: m.label())
     def test_spacing_sums_of_a_lone_column(self, model, monkeypatch):
@@ -640,10 +690,9 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("model", [Independence(3), Comonotone(3)], ids=lambda m: m.label())
     def test_spacing_ranks_deeper_than_the_top_rows(self, model, threads, monkeypatch):
-        # a depth past the L = 314 top rows that Gumbel (p > 1) draws
-        # before the rows below them is still a sum of spacings, drawn to
-        # exactly that depth; the selection and sample_rows build no
-        # generator of top rows
+        # a depth (1501) past which Gumbel p != 2 draws all n rows is still
+        # a sum of spacings, drawn to exactly that depth; the selection and
+        # sample_rows build no generator of top rows
         def no_rows(model, n):
             raise AssertionError("_MaxOrderRows built")
 
@@ -658,14 +707,18 @@ class TestMaxOrderRows:
     def test_proposal_redraws_of_several_slots_at_once(self, model, n, k, threads, monkeypatch):
         # top rows of several replications of a block run out of in-row
         # stable proposals in one round, and redraw them in one call (p = 2
-        # draws no proposals)
+        # draws no proposals): the replications of each redraw round
         rounds = []
         tilted = copula_module._MaxOrderRows._tilted_stable
 
-        def spy(rows, u, log_theta, slots, t=1):
-            if t > 1:
-                rounds.append(len(np.unique(slots)))
-            return tilted(rows, u, log_theta, slots, t)
+        def spy(rows, u, log_theta, slots):
+            redraw, seen = rows.redraw, {}
+            rows.redraw = lambda slot, t: seen.setdefault(t, set()).add(slot) or redraw(slot, t)
+            try:
+                return tilted(rows, u, log_theta, slots)
+            finally:
+                rows.redraw = redraw
+                rounds.extend(len(slots) for slots in seen.values())
 
         monkeypatch.setattr(copula_module._MaxOrderRows, "_tilted_stable", spy)
         self._check(model, n, np.full(model.d, n - k), 102, reps=128, threads=threads)
@@ -732,15 +785,15 @@ class TestTopRowLaw:
     R = 10**5
     BAND = 4.5
 
-    def _z(self, emp, cdf):
-        return float(np.abs((emp - cdf) / np.sqrt(cdf * (1.0 - cdf) / self.R)).max())
+    def _z(self, emp, cdf, reps=R):
+        return float(np.abs((emp - cdf) / np.sqrt(cdf * (1.0 - cdf) / reps)).max())
 
-    def _max_z(self, model, n, k, seed):
+    def _max_z(self, model, n, k, seed, reps=R):
         k1, k2 = np.broadcast_to(k, 2)
         grids = [beta_quantile_grid(n, k1), beta_quantile_grid(n, k2)]
         ranks = np.array([n - k1, n - k2])
-        values = replicate(np.empty((self.R, 2)), seed, 1, *os_selector(model, n, ranks))
-        return self._z(ecdf_on_grid(values, grids), os_joint_cdf(model, n, (k1, k2), grids))
+        values = replicate(np.empty((reps, 2)), seed, 1, *os_selector(model, n, ranks))
+        return self._z(ecdf_on_grid(values, grids), os_joint_cdf(model, n, (k1, k2), grids), reps)
 
     @pytest.mark.parametrize(
         "model,seed",
@@ -762,11 +815,30 @@ class TestTopRowLaw:
         ids=lambda x: x.label() if hasattr(x, "label") else str(x),
     )
     def test_d2_joint_cdf_at_deep_ranks(self, model, seed):
-        # depths 301 and 201, deeper than the 114 top rows a Gumbel p != 2
-        # selector draws before the rows below them: spacing sums at any
-        # depth, p = 2 top rows past the old cap of 114, and p = 3 rows below
-        # the top ones
+        # depths 301 and 201, past L = 114 rows: spacing sums at any depth,
+        # p = 2 top rows, and p = 3 Marshall-Olkin rows
         assert self._max_z(model, 400, (300, 200), seed) <= self.BAND
+
+    def test_d2_joint_cdf_past_the_old_cap(self, monkeypatch):
+        # a first batch of one row keeps p = 3 on top rows, which then run
+        # to depths 20 and 16 of n = 40, past L = 15 rows (where a config
+        # would draw Marshall-Olkin rows)
+        monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
+        assert self._max_z(GumbelLogistic(2, 3.0), 40, (19, 15), 8218, reps=10**4) <= self.BAND
+
+    def test_redraw_rounds_past_the_recursion_limit(self, monkeypatch):
+        # top rows down to the last of n = 4000 (rank 1, first batch of
+        # one row) accept a tilted-stable proposal with probability about
+        # 1 / n, so the last rows take hundreds of redraw rounds of three
+        # proposals, more than the recursion limit were each proposal a
+        # stack frame; the values are those of blocks of one replication
+        monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
+        model, n, ranks = GumbelLogistic(2, 3.0), 4000, np.ones(2, int)
+        rounds, stream = [], streams_module.Streams.stream
+        monkeypatch.setattr(streams_module.Streams, "stream", lambda streams, slot, t: rounds.append(t) or stream(streams, slot, t))
+        got = replicate(np.empty((3, 2)), 8219, 1, *os_selector(model, n, ranks))
+        assert 3 * max(rounds) > sys.getrecursionlimit()
+        assert np.array_equal(got, _reference(model, n, ranks, 8219, 3))
 
     def _max_beta_z(self, model, n, ranks, seed, reps):
         """Column j's order statistic at rank r_j is Beta(r_j, n + 1 - r_j):
@@ -901,11 +973,10 @@ class TestMinusEOverS:
         # row: every value is at most its row's maximum, and the maxima
         # never increase within or across batches
         rows, slots, reps = copula_module._MaxOrderRows(model, n), np.arange(3), 3
-        assert rows.top == n
         rows.start(_block(108, range(reps), rows.gens))
         last = np.zeros(reps)
         for size in itertools.cycle([1, 2, 5, 17, 64]):
-            size = min(size, rows.top - rows.drawn)
+            size = min(size, n - rows.drawn)
             if not size:
                 break
             out = np.empty((model.d, reps, size))

@@ -28,6 +28,8 @@ from mvos.experiment import (
 )
 from mvos.diagnostics import ks_against_standard_normal, ks_pvalue
 
+from test_copula import _reference, _shares_sample_rows
+
 GUMBEL_TARGET = 2.0 - math.sqrt(2.0)
 
 
@@ -202,12 +204,18 @@ class TestSelectionOnLatentDraw:
         if copula.d == 5:
             assert min(cfg.intermediate.ranks(n)) == (2 if general else 1)
         got, ks = _collect_os(cfg, n, seed, threads)
-        want = np.empty((reps, copula.d))
-        for rep in range(reps):
-            rows = sample_rows(copula, n, stream_rng(seed, rep))
+        ranks = cfg.intermediate.ranks(n)
+        if _shares_sample_rows(copula, n, ranks):
+            want = np.empty((reps, copula.d))
+            for rep in range(reps):
+                rows = sample_rows(copula, n, stream_rng(seed, rep))
+                if general:
+                    rows = quantile_transform(cfg.margins, rows)
+                want[rep] = componentwise_os(rows, ranks)
+        else:  # Gumbel top rows at p != 2 draw rows of their own
+            want = _reference(copula, n, ranks, seed, reps)
             if general:
-                rows = quantile_transform(cfg.margins, rows)
-            want[rep] = componentwise_os(rows, cfg.intermediate.ranks(n))
+                want = quantile_transform(cfg.margins, want)
         assert np.array_equal(got, want)
         assert np.array_equal(ks, cfg.intermediate.k_vector(n))
 
