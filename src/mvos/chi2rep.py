@@ -34,7 +34,7 @@ import numpy as np
 
 from .dnorm import is_positive_semidefinite, _check_symmetric
 from .orderstats import OSBatch
-from .streams import Streams, replicate
+from .streams import replicate
 
 # replications per derived stream of the ratio sampler: chunk c holds
 # replications c * RATIO_CHUNK to (c + 1) * RATIO_CHUNK - 1; the chunk
@@ -140,8 +140,7 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
         z[:, range(q), range(q)] = np.sqrt(g, out=g)
         return np.square(root @ z).sum(axis=2)
 
-    def draw(streams: Streams) -> np.ndarray:
-        rngs = streams.rngs
+    def draw(rngs: list) -> np.ndarray:
         stacks = [(np.empty((len(rngs), RATIO_CHUNK, d, q)), np.empty((len(rngs), RATIO_CHUNK, q)))
                   for q, _, _ in factors]
         for j, rng in enumerate(rngs):

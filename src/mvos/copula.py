@@ -28,15 +28,13 @@ rows:
   the selector of a config whose first batch of top rows would reach
   deep into the sample (``_marshall_olkin_path``), selecting on all n.
 
-A block's replications each draw from their own generators, and the
+A block's replications each draw from their own generator, and the
 arithmetic runs once on the block's arrays.  This module only samples: a
-replication draws from the SFC64 streams of one ``SeedSequence`` child
-(``streams``), stream 0 its uniforms, and the top rows at p != 2 stream 1
-their Gamma variates and streams t >= 2 the rare proposal redraws.  The
-selector gets them from ``streams.replicate``, and ``sample_rows`` spawns
-the child from its generator's seed sequence and seeds them through
-numpy's own constructors (``streams.child_stream``), so both draw the
-same values.
+replication draws every variate from one SFC64 generator, stream 0 of one
+``SeedSequence`` child (``streams``).  The selector gets it from
+``streams.replicate``, and ``sample_rows`` spawns the child from its
+generator's seed sequence and seeds it through numpy's own constructors
+(``streams.child_stream``), so both draw the same values.
 """
 from __future__ import annotations
 
@@ -47,7 +45,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .dnorm import DNormSpec, LogisticP, SupNorm, _Dimensioned, dnorm_eval
-from .streams import Streams, child_stream, stream_rng
+from .streams import child_stream, stream_rng
 
 __all__ = [
     "Independence",
@@ -269,16 +267,16 @@ def _reused(store: dict, name: str, shape: tuple) -> np.ndarray:
     return store[name][:size].reshape(shape)
 
 
-def _spacing_terms(gens: Sequence[np.random.Generator], n: int, rows: int, width: int, scratch: dict) -> np.ndarray:
+def _spacing_terms(rngs: Sequence[np.random.Generator], n: int, rows: int, width: int, scratch: dict) -> np.ndarray:
     """The Renyi spacings of the first ``rows`` of n rows: rows x width x
-    len(gens) values E_i / (n - i + 1) at 1-based row i, as log U divided
+    len(rngs) values E_i / (n - i + 1) at 1-based row i, as log U divided
     by -(n - i + 1), with log U = -E and U = 1 - V for each replication's
     uniforms V, ``width`` per row, drawn row by row by its generator in
-    ``gens``.  A frailty-free column's i-th largest value log U is minus
+    ``rngs``.  A frailty-free column's i-th largest value log U is minus
     the sum of its first i."""
-    raw, e = _reused(scratch, "raw", (len(gens), rows, width)), _reused(scratch, "e", (rows, width, len(gens)))
-    for gen, u in zip(gens, raw):
-        gen.random(out=u)
+    raw, e = _reused(scratch, "raw", (len(rngs), rows, width)), _reused(scratch, "e", (rows, width, len(rngs)))
+    for rng, u in zip(rngs, raw):
+        rng.random(out=u)
     np.log(np.subtract(1.0, raw.transpose(1, 2, 0), out=e), out=e)  # rows first
     return np.divide(e, np.arange(-n, rows - n, dtype=float)[:, None, None], out=e)
 
@@ -339,30 +337,34 @@ class _MaxOrderRows:
       A column with q drawn values at or above it has its q-th largest
       value among them.
 
-    Streams: each replication has a main SFC64 generator, its stream 0,
-    and, at p != 2, its stream 1 for the Gamma variates
-    (``streams.Streams``).  The main one draws ``width`` uniforms per top
-    row, row by row, then, in ``sample_rows``, the positions of the rows
-    (p = 2).  A top row's uniforms
-    are, at p = 2 and d = 2, [spacing, E, U, coin], 4 in all: with uniforms
-    V_0 to V_3 drawn in that order, the spacing's and E's unit exponentials
-    are -log(1 - V), U = 1 - V_2, and the maximum is in column 0 where
-    V_3 < 1 / 2, else in column 1; at other d its spacing and its d
-    spreads, then at p = 2 the three of its frailty (d + 4 in all), and
-    otherwise its Gamma variate's and [V, W, A] of each of ``_TRIES``
-    stable proposals.  A top row none of whose proposals is accepted takes
-    ``_TRIES`` more from the replication's stream 2, then stream 3 and so
-    on, each in row order, so a row's values do not depend on how the top
-    rows are batched.  Row i rejects a proposal with probability about
-    i / n, so a row deep in the sample may take many rounds.
+    Streams: each replication draws every variate from one SFC64
+    generator, its stream 0 (``streams``).  For each batch of c top rows
+    it draws ``width`` uniforms per row, row by row, then, at p != 2, the
+    batch's c Gamma variates, then the batch's proposal redraw rounds;
+    ``sample_rows`` then draws the positions of the rows (p = 2).  A top
+    row's uniforms are, at p = 2 and d = 2, [spacing, E, U, coin], 4 in
+    all: with uniforms V_0 to V_3 drawn in that order, the spacing's and
+    E's unit exponentials are -log(1 - V), U = 1 - V_2, and the maximum is
+    in column 0 where V_3 < 1 / 2, else in column 1; at other d its
+    spacing and its d spreads, then at p = 2 the three of its frailty
+    (d + 4 in all), and otherwise its Gamma variate's and [V, W, A] of
+    each of ``_TRIES`` stable proposals.  A top row none of whose
+    proposals is accepted takes ``_TRIES`` more in the batch's next
+    round, each round in row order.  Every variate is a fresh draw of one
+    iid stream, so the rows' law is exact.  At p = 2 a row's values do not
+    depend on how the top rows are batched; at other p they do, as a
+    batch's Gamma variates and redraws follow its uniforms, so a change
+    of ``_first_batch`` changes the p != 2 stream.  Row i rejects a
+    proposal with probability about i / n, so a row deep in the sample
+    may take many rounds.
 
     Blocks: a block's replications draw their values with their own calls
     to their own generators, and every replication that goes on draws the
     same number of top rows in a batch.  The arithmetic then runs once on
     the block's planes, elementwise or along the row axis, so a
     replication's values do not depend on the other replications in its
-    block.  The redraws from streams t >= 2 are drawn one replication at a
-    time and computed in one call per round.
+    block, nor on the blocks or threads.  A round's redraws are drawn one
+    replication at a time and computed in one call per round.
     """
 
     def __init__(self, model: GumbelLogistic, n: int):
@@ -373,18 +375,14 @@ class _MaxOrderRows:
         self.closed_form = model.p == 2.0
         self.pair = self.closed_form and self.d == 2
         self.width = 4 if self.pair else self.d + (4 if self.closed_form else 2 + 3 * _TRIES)
-        # SFC64 generators a replication needs: the main one, and the Gamma one at p != 2
-        self.gens = 1 if self.closed_form else 2
         self.scratch: dict[str, np.ndarray] = {}
 
-    def start(self, streams: Streams) -> None:
-        """Begin a block of the replications whose generators ``streams``
-        holds, with ``gens`` SFC64 each: the main ones draw the uniforms,
-        ``gammas`` the Gamma variates, and ``redraw`` the proposal redraws."""
-        self.rngs, self.gammas, self.redraw = streams.rngs, streams.seconds, streams.stream
-        self.drawn, self.g = 0, np.zeros(len(self.rngs))
+    def start(self, rngs: list) -> None:
+        """Begin a block of the replications whose SFC64 generators ``rngs``
+        holds, one each, which draws all of its variates."""
+        self.rngs, self.drawn, self.g = rngs, 0, np.zeros(len(rngs))
         # the last top row's maximum, which bounds the rows not yet drawn
-        self.m = np.full(len(self.rngs), math.inf)
+        self.m = np.full(len(rngs), math.inf)
 
     def next_rows(self, out: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Write the next c top rows of the replications ``slots``, each of
@@ -430,7 +428,7 @@ class _MaxOrderRows:
             log_theta = self.log_d - m
             gamma = np.empty((b, c))
             for row, slot in zip(gamma, slots):
-                self.gammas[slot].standard_gamma(2.0 - self.alpha, out=row)
+                self.rngs[slot].standard_gamma(2.0 - self.alpha, out=row)
             log_y = np.log(gamma, out=gamma) + logs[-1] / (1.0 - self.alpha) - log_theta
             log_x = self._tilted_stable(u[2 + self.d:].reshape(3 * _TRIES, -1), log_theta.ravel(), np.repeat(slots, c))
             log_s = np.logaddexp(log_x.reshape(b, c), log_y)
@@ -442,17 +440,16 @@ class _MaxOrderRows:
         """log X, X positive stable tilted by exp(-theta X), for each column
         of u, whose planes hold [V / pi, W, A] of the row's proposals in
         turn and which belongs to replication ``slots``; a proposal is
-        computed only where those before it failed, and a row out of them
-        takes ``_TRIES`` more from its replication's stream 2, then stream 3
-        and so on."""
-        log_x, todo, t = np.empty(len(log_theta)), np.arange(len(log_theta)), 1
+        computed only where those before it failed, and the rows out of them
+        take ``_TRIES`` more each from their replications' generators, a
+        round at a time, in row order."""
+        log_x, todo = np.empty(len(log_theta)), np.arange(len(log_theta))
         while todo.size:
-            if not len(u):  # out of proposals: more from each replication's next stream, in row order
-                t += 1
+            if not len(u):  # out of proposals: a round more from each replication's generator, in row order
                 owner, u = slots[todo], np.empty((3 * _TRIES, todo.size))
                 for slot in np.unique(owner):
                     cols = np.flatnonzero(owner == slot)
-                    u[:, cols] = 1.0 - self.redraw(int(slot), t).random((cols.size, 3 * _TRIES)).T
+                    u[:, cols] = 1.0 - self.rngs[slot].random((cols.size, 3 * _TRIES)).T
             e = np.log(u[1:3])
             np.log(np.negative(e, out=e), out=e)  # log W, log A
             x = _log_kanter(self.alpha, u[0], e[0])
@@ -505,14 +502,12 @@ def first_draw(model: CopulaModel, n: int, ranks) -> int:
     return _MaxOrderRows(model, n).width * min(_first_batch(model, depth), n)
 
 
-def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
-        Callable[[], Callable[[Streams], np.ndarray]], int, int]:
+def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callable[[list], np.ndarray]], int]:
     """Block selector of the order statistics at the 1-based ``ranks`` (one,
     or one per column), for ``streams.replicate``: returns
-    ``(make, elements, gens)``.  ``make()`` builds a selector that maps a
-    block's ``streams.Streams``, with ``gens`` SFC64 generators a
-    replication, to its b x d values.  ``elements`` is
-    ``first_draw(model, n, ranks)``.  Row r has the law of
+    ``(make, elements)``.  ``make()`` builds a selector that maps a block's
+    list of SFC64 generators, one a replication, to its b x d values.
+    ``elements`` is ``first_draw(model, n, ranks)``.  Row r has the law of
     ``componentwise_os(sample_rows(model, n, stream_rng(seed, r)), ranks)``,
     and equals it bit for bit except for top rows at p != 2.
 
@@ -537,12 +532,12 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
         # column j's sum among the distinct depths' sums, and its spacing plane
         at = (np.searchsorted(kth, depth), np.arange(d) if s > 1 else np.zeros(d, np.intp))
 
-        def make_sums() -> Callable[[Streams], np.ndarray]:
+        def make_sums() -> Callable[[list], np.ndarray]:
             scratch = {}
 
-            def select(streams: Streams) -> np.ndarray:
-                e = _spacing_terms(streams.rngs, n, need, s, scratch)
-                sums = np.empty((len(kth), s, len(streams.rngs)))
+            def select(rngs: list) -> np.ndarray:
+                e = _spacing_terms(rngs, n, need, s, scratch)
+                sums = np.empty((len(kth), s, len(rngs)))
                 for q, k in enumerate(kth):
                     if sums[q].size > 1:  # row by row, as np.add.accumulate adds
                         np.add.reduce(e[:k], axis=0, out=sums[q])
@@ -552,7 +547,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
 
             return select
 
-        return make_sums, elements, 1
+        return make_sums, elements
 
     def pick(planes: np.ndarray) -> np.ndarray:
         """The values at the ranks."""
@@ -561,28 +556,28 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
         return planes[np.arange(d), ..., count - depth]
 
     if _marshall_olkin_path(model, n, need):
-        def make_rows() -> Callable[[Streams], np.ndarray]:
+        def make_rows() -> Callable[[list], np.ndarray]:
             scratch = {}
 
-            def select(streams: Streams) -> np.ndarray:
-                rows = _reused(scratch, "rows", (len(streams.rngs), n, d))
-                for latent, rng in zip(rows, streams.rngs):
+            def select(rngs: list) -> np.ndarray:
+                rows = _reused(scratch, "rows", (len(rngs), n, d))
+                for latent, rng in zip(rows, rngs):
                     _marshall_olkin(model, latent, rng)
                 return _to_uniform(model, pick(rows.transpose(2, 0, 1)).T)
 
             return select
 
-        return make_rows, elements, 1
+        return make_rows, elements
 
     first = _first_batch(model, need)
 
-    def make() -> Callable[[Streams], np.ndarray]:
+    def make() -> Callable[[list], np.ndarray]:
         rows = _MaxOrderRows(model, n)
 
-        def select(streams: Streams) -> np.ndarray:
-            rows.start(streams)
-            out = np.empty((len(rows.rngs), d))
-            slots, planes, size = np.arange(len(rows.rngs)), None, first
+        def select(rngs: list) -> np.ndarray:
+            rows.start(rngs)
+            out = np.empty((len(rngs), d))
+            slots, planes, size = np.arange(len(rngs)), None, first
             while slots.size:
                 batch = np.empty((d, len(slots), min(size, n - rows.drawn)))
                 last = rows.next_rows(batch, slots)[:, -1]
@@ -597,7 +592,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[
 
         return select
 
-    return make, elements, _MaxOrderRows(model, n).gens
+    return make, elements
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -613,8 +608,8 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     block of one replication, put in a uniformly random order drawn by its
     main SFC64 generator; at other p > 1 they are ``_marshall_olkin``'s
     rows from that generator.  Each call spawns the next child C of the
-    seed sequence, and its stream t is ``streams.child_stream(C, t)``: for
-    a fresh ``stream_rng(seed, r)`` C is ``SeedSequence(seed,
+    seed sequence and draws from its stream 0, ``streams.child_stream(C,
+    0)``: for a fresh ``stream_rng(seed, r)`` C is ``SeedSequence(seed,
     spawn_key=(r, 0))``, as ``streams.replicate`` seeds replication r for
     the selector.  A generator without a ``SeedSequence`` raises
     ``ValueError``."""
@@ -634,7 +629,7 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
         latent = _marshall_olkin(model, np.empty((n, model.d)), gen)
         return _to_uniform(model, latent, out=latent)
     rows = _MaxOrderRows(model, n)
-    rows.start(Streams([[gen]], lambda slot: child))
+    rows.start([gen])
     top = np.empty((model.d, 1, n))
     # in batches, which keep the temporaries small and change no value
     for start in range(0, n, _CHUNK):

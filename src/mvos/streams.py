@@ -9,21 +9,18 @@ to a serial run with the same master seed.
 ``stream_rng(seed, r)`` is the Philox generator of the stream (seed, r).
 A replicated draw spawns one child C from its generator's seed sequence,
 ``SeedSequence(seed, spawn_key=(r, 0))`` for a fresh ``stream_rng(seed,
-r)``, and draws only from numpy's SFC64 generators seeded by C's children
-(``child_stream``): its stream t is ``SFC64(SeedSequence(seed,
-spawn_key=(r, 0, t)))``.  Stream 0 draws the uniforms, stream 1 a draw's
-second variates (``copula``'s Gamma variates), and each stream t >= 2
-one round of the rare proposal redraws.  SFC64 draws a block of doubles
-in less than half of Philox's time, and its period is at least 2**64.
+r)``, and draws only from numpy's SFC64 generator seeded by C's child 0
+(``child_stream``), ``SFC64(SeedSequence(seed, spawn_key=(r, 0, 0)))``:
+one generator a replication, for all of its variates.  SFC64 draws a
+block of doubles in less than half of Philox's time, and its period is
+at least 2**64.
 
-``replicate`` computes the states of streams 0 and 1 for up to
-``STATE_CHUNK`` replications at once, on arrays (``stream_states``, numpy's
-``SeedSequence`` hash and SFC64 seeding, bit for bit, hashing each (r, 0)
-once for both streams), and writes them into generators that each thread
-keeps between blocks and calls to them, through a view of each one's
-state struct.  ``Streams``
-hands a block's generators to the draw and builds a stream t >= 2 from
-its ``SeedSequence`` when the draw first asks for it.
+``replicate`` computes those states for up to ``STATE_CHUNK``
+replications at once, on arrays (``stream_states``, numpy's
+``SeedSequence`` hash and SFC64 seeding, bit for bit), and writes them
+into generators that each thread keeps between blocks and calls to them,
+through a view of each one's state struct; it hands a block's generators
+to the draw as a list.
 """
 from __future__ import annotations
 
@@ -35,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["stream_rng", "derive_seed", "child_stream", "stream_states", "Streams", "check_threads", "replicate"]
+__all__ = ["stream_rng", "derive_seed", "child_stream", "stream_states", "check_threads", "replicate"]
 
 # array elements (uniforms, normals) a block draw may hold for all of its
 # replications at once; a block holds at most BLOCK_ELEMENTS // elements
@@ -62,7 +59,7 @@ STATE_CHUNK = 1024
 # uint64 words of numpy's SFC64 state struct: s[4], then has_uint32 and uinteger
 _STATE_WORDS = 5
 
-# each thread's idle (slot, t) generators of replicate; a range takes them
+# each thread's idle generators of replicate, by block slot; a range takes them
 # for its duration, so a replicate call made inside a draw builds its own
 _idle = threading.local()
 
@@ -88,14 +85,13 @@ def child_stream(child: np.random.SeedSequence, t: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def stream_states(master_seed: int, start: int, stop: int, t) -> np.ndarray:
+def stream_states(master_seed: int, start: int, stop: int, t: int) -> np.ndarray:
     """The (stop - start) x 4 uint64 states of
     ``SFC64(SeedSequence(master_seed, spawn_key=(r, 0, t)))`` for
     start <= r < stop, before their first draw: the sequence's
     ``generate_state(3, np.uint64)`` by the same uint32 hash on arrays, then
     numpy's seeding of SFC64 from those three words, state (w0, w1, w2, 1)
-    with 12 outputs discarded.  A sequence of streams ``t`` gives their
-    len(t) x (stop - start) x 4 states, hashing the common (r, 0) once.
+    with 12 outputs discarded.
 
     r and t must lie below 2**32, where a spawn key entry is one 32-bit word.
     """
@@ -104,16 +100,13 @@ def stream_states(master_seed: int, start: int, stop: int, t) -> np.ndarray:
         raise ValueError("master seed must be nonnegative")
     if not 0 <= start <= stop <= 2**32:
         raise ValueError(f"replication range [{start}, {stop}) must lie in [0, 2**32)")
-    ts = [int(s) for s in np.atleast_1d(t)]
-    if not all(0 <= s < 2**32 for s in ts):
+    t = int(t)
+    if not 0 <= t < 2**32:
         raise ValueError(f"stream {t} must lie in [0, 2**32)")
-    # the last spawn word: a Python int, or the streams' column, against
-    # which the rest broadcasts the replications' row
-    last = ts[0] if np.ndim(t) == 0 else np.array(ts, dtype=np.uint32)[:, None]
     # the sequence's entropy words, the run entropy padded to the pool size
     # as there is a spawn key: Python ints, but the replications' array
     words = [(master_seed >> s) & _MASK for s in range(0, max(master_seed.bit_length(), 1), 32)]
-    entropy = words + [0] * (_POOL - len(words)) + [np.arange(start, stop, dtype=np.uint32), 0, last]
+    entropy = words + [0] * (_POOL - len(words)) + [np.arange(start, stop, dtype=np.uint32), 0, t]
     const = _INIT_A
 
     def hashmix(value):
@@ -152,37 +145,18 @@ def stream_states(master_seed: int, start: int, stop: int, t) -> np.ndarray:
     return np.stack((a, b, c, np.full(a.shape, 13, np.uint64)), axis=-1)
 
 
-class Streams:
-    """A block of replications' generators: ``rngs[slot]`` is stream 0 of
-    replication ``slot``'s child ``child(slot)``, ``seconds[slot]`` its
-    stream 1, if the draw has two generators a replication, and
-    ``stream(slot, t)`` its stream t >= 2, built from its ``SeedSequence``
-    at its first use in the block."""
-
-    def __init__(self, gens: list, child: Callable[[int], np.random.SeedSequence]):
-        self.rngs, self.seconds = gens[0], gens[1] if len(gens) > 1 else []
-        self.child, self.built = child, {}
-
-    def stream(self, slot: int, t: int) -> np.random.Generator:
-        """Stream t >= 2 of replication ``slot``."""
-        gen = self.built.get((slot, t))
-        if gen is None:
-            gen = self.built[slot, t] = child_stream(self.child(slot), t)
-        return gen
-
-
-def _seeded(pool: dict, slot: int, t: int, state: np.ndarray) -> np.random.Generator:
-    """The pooled SFC64 generator for stream t of block slot ``slot``, set
-    to ``state``: its 4 state words and a zero buffered-uint32 word, so its
-    past leaves no trace.  They are written through a uint64 view of the
+def _seeded(pool: dict, slot: int, state: np.ndarray) -> np.random.Generator:
+    """The pooled SFC64 generator of block slot ``slot``, set to ``state``:
+    its 4 state words and a zero buffered-uint32 word, so its past leaves
+    no trace.  They are written through a uint64 view of the
     state numpy's SFC64 keeps at ``bit_generator.ctypes.state_address``,
     which sets it as numpy's ``state`` setter does without parsing a dict;
     the pool keeps the generator, and so the memory the view writes, alive."""
-    entry = pool.get((slot, t))
+    entry = pool.get(slot)
     if entry is None:
         gen = np.random.Generator(np.random.SFC64(0))
         address = ctypes.cast(gen.bit_generator.ctypes.state_address, ctypes.POINTER(ctypes.c_uint64))
-        entry = pool[slot, t] = gen, np.ctypeslib.as_array(address, shape=(_STATE_WORDS,))
+        entry = pool[slot] = gen, np.ctypeslib.as_array(address, shape=(_STATE_WORDS,))
     gen, words = entry
     words[:] = state
     return gen
@@ -198,9 +172,8 @@ def replicate(
     out: np.ndarray,
     seed: int,
     threads: int,
-    make_draw: Callable[[], Callable[[Streams], object]],
+    make_draw: Callable[[], Callable[[list], object]],
     elements: int = 1,
-    gens: int = 1,
 ) -> np.ndarray:
     """Set ``out[r]`` to replication r's draw from stream (seed, r) for every
     r, and return ``out``.
@@ -209,22 +182,19 @@ def replicate(
     each range into blocks of consecutive replications.  ``make_draw()``
     is called once per range, so each range can allocate its working
     buffers once and reuse them.  Its result is called once per block with
-    the block's ``Streams``, whose generators are the block's
-    replications' in replication order: streams 0 to ``gens`` - 1 (1 or 2)
-    of each replication's child ``SeedSequence(seed, spawn_key=(r, 0))``,
-    and its streams t >= 2 on request; it returns the block's rows of
-    ``out``.  The states are computed for up to ``STATE_CHUNK``
-    consecutive replications at once, a whole number of blocks.  A block
+    the list of the block's generators, one a replication, in replication
+    order: stream 0 of each replication's child ``SeedSequence(seed,
+    spawn_key=(r, 0))``; it returns the block's rows of ``out``.  The
+    states are computed for up to ``STATE_CHUNK`` consecutive replications
+    at once, a whole number of blocks.  A block
     holds at most ``BLOCK_REPLICATIONS`` replications and at most
     ``BLOCK_ELEMENTS // elements``, ``elements`` being the array elements
     one replication adds to the draw's working arrays.  The draw must make
-    each replication's values from its own generators alone, so neither
+    each replication's values from its own generator alone, so neither
     the blocks nor the split change any value.  ``threads`` outside [1,
     ``MAX_THREADS``] raise ``ValueError`` before any thread or draw exists.
     """
     check_threads(threads)
-    if gens not in (1, 2):
-        raise ValueError(f"a replication has 1 or 2 pooled generators, not {gens}")
     count = len(out)
     if not count:
         return out
@@ -235,13 +205,11 @@ def replicate(
         draw, pool, _idle.pool = make_draw(), getattr(_idle, "pool", None) or {}, None
         for first in range(lo, hi, chunk):
             last = min(first + chunk, hi)
-            states = np.zeros((gens, last - first, _STATE_WORDS), np.uint64)
-            states[..., :4] = stream_states(seed, first, last, range(gens))
+            states = np.zeros((last - first, _STATE_WORDS), np.uint64)
+            states[:, :4] = stream_states(seed, first, last, 0)
             for start in range(first, last, block):
-                stop = min(start + block, last)
-                gen_rows = [[_seeded(pool, slot, t, state) for slot, state in enumerate(rows[start - first:stop - first])]
-                            for t, rows in enumerate(states)]
-                out[start:stop] = draw(Streams(gen_rows, lambda slot, r=start: _seed_sequence(seed, (r + slot, 0))))
+                rows = states[start - first:min(start + block, last) - first]
+                out[start:start + len(rows)] = draw([_seeded(pool, slot, state) for slot, state in enumerate(rows)])
         _idle.pool = pool
 
     if threads == 1:

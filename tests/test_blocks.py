@@ -23,6 +23,7 @@ from mvos.orderstats import IntermediateSpec, PowerKRule, componentwise_os
 from mvos.streams import stream_rng
 
 from test_chi2rep import _random_correlation, _stream_contract_ratios
+from test_copula import _spy_rounds
 
 R = 130  # more than two default blocks of the selection below
 # n = 100 and k = 25: at p = 2 every row is a top row, drawn in closed form
@@ -30,7 +31,7 @@ R = 130  # more than two default blocks of the selection below
 # them; at p = 3 the first batch reaches L = 37 rows, so every replication
 # draws all n Marshall-Olkin rows.  At n = 300 and k = 54 p = 3 draws top
 # rows, and many of them reject all their in-row stable proposals, a few
-# twice
+# in two rounds
 MODEL, N, SEED = GumbelLogistic(2, 2.0), 100, 31
 INTERMEDIATE = IntermediateSpec((PowerKRule(2.5, 0.5),) * 2, "n-k")
 CONFIG = ExperimentConfig(copula=MODEL, n=N, replications=R, seed=SEED, intermediate=INTERMEDIATE)
@@ -49,12 +50,12 @@ def _spy_blocks(monkeypatch, module):
     """Record the size of every block the module's replicate hands out."""
     sizes, inner = [], module.replicate
 
-    def spy(out, seed, threads, make_draw, elements=1, gens=1):
+    def spy(out, seed, threads, make_draw, elements=1):
         def make():
             draw = make_draw()
-            return lambda block: sizes.append(len(block.rngs)) or draw(block)
+            return lambda rngs: sizes.append(len(rngs)) or draw(rngs)
 
-        return inner(out, seed, threads, make, elements, gens)
+        return inner(out, seed, threads, make, elements)
 
     monkeypatch.setattr(module, "replicate", spy)
     return sizes
@@ -126,14 +127,12 @@ class TestSelection:
 
     def test_block_with_proposal_redraws(self, proposals_oracle, monkeypatch):
         # a top row that rejects all of its in-row stable proposals draws
-        # more from its replication's stream 2, and then stream 3
-        redraws = set()
-        sub = streams_module.Streams.stream
-        monkeypatch.setattr(streams_module.Streams, "stream",
-                            lambda streams, slot, t: redraws.add((len(streams.rngs), t)) or sub(streams, slot, t))
+        # a round more from its replication's generator, here in blocks of
+        # several replications
+        calls = _spy_rounds(monkeypatch)
         values, _ = _collect_os(PROPOSALS, PROPOSALS.n, SEED, 1)
         assert np.array_equal(values, proposals_oracle)
-        assert {2, 3} <= {t for size, t in redraws if size > 1}
+        assert any(size > 1 and 2 in rounds for size, rounds in calls)
 
 
 class TestRatioSamplers:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from mvos.cli import main
 from mvos.diagnostics import ks_critical_value, ks_statistic
 from mvos.dnorm import dnorm_eval
 from mvos.orderstats import IntermediateSpec, componentwise_os
-from mvos.streams import Streams, replicate, stream_rng
+from mvos.streams import replicate, stream_rng
 from mvos.wire import from_json, to_json
 
 from exact_laws import beta_quantile_grid, ecdf_on_grid, os_joint_cdf
@@ -51,11 +52,47 @@ def _reference(model, n, ranks, seed, reps):
         return replicate(np.empty((reps, model.d)), seed, 1, *os_selector(model, n, ranks))
 
 
-def _block(seed, reps, gens):
-    """A block of replications ``reps`` of the stream ``seed``, with ``gens``
-    generators each, built by numpy's own constructors."""
-    return Streams([[numpy_stream(seed, r, t) for r in reps] for t in range(gens)],
-                   lambda slot: np.random.SeedSequence(seed, spawn_key=(reps[slot], 0)))
+def _block(seed, reps):
+    """The generators of a block of replications ``reps`` of the stream
+    ``seed``, built by numpy's own constructors."""
+    return [numpy_stream(seed, r) for r in reps]
+
+
+def _spy_rounds(monkeypatch):
+    """Record the redraw rounds of every ``_MaxOrderRows._tilted_stable``
+    call as (block size, {round t >= 2: the block slots that draw in it}).
+    A round holds ``_TRIES`` proposals of each row still going, one
+    ``_log_kanter`` call each, and a redraw is the one ``random`` call on a
+    replication's generator during the call."""
+    calls, counts = [], threading.local()
+    tilted, kanter = copula_module._MaxOrderRows._tilted_stable, copula_module._log_kanter
+
+    def counted(*args):
+        counts.proposals = getattr(counts, "proposals", 0) + 1
+        return kanter(*args)
+
+    def spy(rows, u, log_theta, slots):
+        rngs, rounds = rows.rngs, {}
+        counts.proposals = 0
+
+        class Redraws:
+            def __init__(self, slot):
+                self.slot = slot
+
+            def random(self, *args, **kwargs):
+                rounds.setdefault(counts.proposals // copula_module._TRIES + 1, set()).add(self.slot)
+                return rngs[self.slot].random(*args, **kwargs)
+
+        rows.rngs = [Redraws(slot) for slot in range(len(rngs))]
+        try:
+            return tilted(rows, u, log_theta, slots)
+        finally:
+            rows.rngs = rngs
+            calls.append((len(rngs), rounds))
+
+    monkeypatch.setattr(copula_module, "_log_kanter", counted)
+    monkeypatch.setattr(copula_module._MaxOrderRows, "_tilted_stable", spy)
+    return calls
 
 
 class TestCdf:
@@ -293,13 +330,13 @@ class TestReplicationMemory:
              "gumbel-p2-all-rows"],
     )
     def test_peak_per_counted_value(self, model, n, rank, measured):
-        make, elements, gens = os_selector(model, n, rank)
+        make, elements = os_selector(model, n, rank)
         out = np.empty((1, model.d))
-        replicate(out, 1, 1, make, elements, gens)  # the thread's generator pool, built once
+        replicate(out, 1, 1, make, elements)  # the thread's generator pool, built once
         assert not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
-            replicate(out, 2, 1, make, elements, gens)
+            replicate(out, 2, 1, make, elements)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -445,16 +482,19 @@ class TestMaxOrderRows:
         # top rows at p = 2 and all n Marshall-Olkin rows at other p, and a
         # frailty-free one sums all n spacings; rank n needs only each
         # column's largest value, which top rows at p != 2 find with draws
-        # of their own, the same in blocks of one and after batches of one row
+        # of their own, the same in blocks of one at the same batches, here
+        # a first batch of one row
         n = 3000
         ranks = np.full(model.d, 1 if rank == "1" else n)
+        shared = _shares_sample_rows(model, n, ranks)
+        if not shared:
+            monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
         got = replicate(np.empty((3, model.d)), 92, 1, *os_selector(model, n, ranks))
-        if _shares_sample_rows(model, n, ranks):
+        if shared:
             for rep in range(3):
                 rows = sample_rows(model, n, stream_rng(92, rep))
                 assert np.array_equal(got[rep], rows.min(axis=0) if rank == "1" else rows.max(axis=0))
         else:
-            monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
             assert np.array_equal(got, _reference(model, n, ranks, 92, 3))
 
     @pytest.mark.parametrize("threads", [1, 3])
@@ -504,28 +544,31 @@ class TestMaxOrderRows:
 
     @pytest.mark.parametrize("model", STABLE_MODELS, ids=lambda m: m.label())
     def test_top_rows_do_not_depend_on_batches(self, model):
-        # all n rows at p = 2; at other p, 1000 rows, past L = 564 rows
-        # (where a selection would draw Marshall-Olkin rows), with many
-        # more redraws
+        # all n rows at p = 2, the same in one batch and in batches of 1, 2,
+        # 5, 17 and 64 rows; at other p a batch's Gamma variates and
+        # redraws follow its uniforms, so its rows depend on the batches,
+        # and 1000 rows, past L = 564 rows (where a selection would draw
+        # Marshall-Olkin rows), with many more redraws, come in one batch
         rows, one = copula_module._MaxOrderRows(model, 4000), np.zeros(1, np.intp)
         count = 4000 if model.p == 2.0 else 1000
-        rows.start(_block(94, [0], rows.gens))
+        rows.start(_block(94, [0]))
         whole = np.empty((model.d, 1, count))
         maxima = rows.next_rows(whole, one)
-        rows.start(_block(94, [0], rows.gens))
-        parts, start = np.empty_like(whole), 0
-        for size in itertools.cycle([1, 2, 5, 17, 64]):
-            size = min(size, count - start)
-            if not size:
-                break
-            rows.next_rows(parts[:, :, start:start + size], one)
-            start += size
-        assert np.array_equal(parts, whole)
+        if model.p == 2.0:
+            rows.start(_block(94, [0]))
+            parts, start = np.empty_like(whole), 0
+            for size in itertools.cycle([1, 2, 5, 17, 64]):
+                size = min(size, count - start)
+                if not size:
+                    break
+                rows.next_rows(parts[:, :, start:start + size], one)
+                start += size
+            assert np.array_equal(parts, whole)
         # the returned maxima are each row's largest value, in decreasing order
         assert np.array_equal(whole.max(axis=0), maxima)
         assert np.all(np.diff(maxima) <= 0)
         # in a block, a replication's rows do not depend on the others'
-        rows.start(_block(94, [1, 0, 2], rows.gens))
+        rows.start(_block(94, [1, 0, 2]))
         block = np.empty((model.d, 3, count))
         rows.next_rows(block, np.arange(3))
         assert np.array_equal(block[:, 1:2], whole)
@@ -570,21 +613,21 @@ class TestMaxOrderRows:
         monkeypatch.setattr(copula_module._MaxOrderRows, "next_rows", no_rows)
         n, ranks = 20000, np.array([19376, 19990, 19500])
         spacings = 1 if isinstance(model, Comonotone) else 3
-        make, elements, gens = os_selector(model, n, ranks)
+        make, elements = os_selector(model, n, ranks)
         mains = []
 
         def spy():
             select = make()
 
-            def draw(streams):
-                values = select(streams)
-                mains.extend(rng.bit_generator.state["state"]["state"] for rng in streams.rngs)
+            def draw(rngs):
+                values = select(rngs)
+                mains.extend(rng.bit_generator.state["state"]["state"] for rng in rngs)
                 return values
 
             return draw
 
-        replicate(np.empty((3, 3)), 99, 1, spy, elements, gens)
-        assert gens == 1 and len(mains) == 3
+        replicate(np.empty((3, 3)), 99, 1, spy, elements)
+        assert len(mains) == 3
         for rep, state in enumerate(mains):
             # the main SFC64 draws one word per uniform
             main = numpy_stream(99, rep)
@@ -600,8 +643,7 @@ class TestMaxOrderRows:
         # sample_rows spawns one child C of its generator's seed sequence
         # and draws from C's stream 0 alone; it reads no word of the Philox
         # generator itself.  The selector's blocks get the same stream of
-        # the same child, and top rows at p != 2 its stream 1 too, for
-        # their Gamma variates.
+        # the same child, and nothing else (``streams.replicate``).
         built, inner = [], streams_module.child_stream
 
         def spy(child, t):
@@ -611,9 +653,6 @@ class TestMaxOrderRows:
         monkeypatch.setattr(copula_module, "child_stream", spy)
         monkeypatch.setattr(streams_module, "child_stream", spy)
         n, rng = 1000, stream_rng(105, 0)
-        gamma = copula_module._stable(model) and model.p != 2.0
-        assert os_selector(model, n, n)[2] == 1 + gamma  # top rows at rank n
-        assert os_selector(model, n, 1)[2] == 1  # every row
         sample_rows(model, n, rng)
         assert built == [(105, (0, 0), 0)]
         assert rng.bit_generator.seed_seq.n_children_spawned == 1
@@ -646,8 +685,6 @@ class TestMaxOrderRows:
         # the selector's SFC64 states come from the replication indices of
         # a chunk of replications at once: no replication builds or reads a
         # Philox generator, and no generator's random_raw is called
-        # (at p = 3 no top row of these replications redraws its stable
-        # proposals, which would build a stream t >= 2)
         calls = []
 
         class Philox(np.random.Philox):
@@ -671,7 +708,7 @@ class TestMaxOrderRows:
         n = 20000
         ranks = IntermediateSpec.equal(model.d).ranks(n)
         got = replicate(np.empty((200, model.d)), 106, 1, *os_selector(model, n, ranks))
-        assert calls == [] and isinstance(streams_module._idle.pool[0, 0][0].bit_generator, SFC64)
+        assert calls == [] and isinstance(streams_module._idle.pool[0][0].bit_generator, SFC64)
         monkeypatch.undo()
         if _shares_sample_rows(model, n, ranks):
             for rep in (0, 199):
@@ -702,54 +739,39 @@ class TestMaxOrderRows:
         self._check(model, n, ranks, 101, reps=5, threads=threads)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("model,n,k", [(GumbelLogistic(2, 8.0), 300, 60), (GumbelLogistic(5, 3.0), 500, 22)],
+    @pytest.mark.parametrize("model,n,k,reps", [(GumbelLogistic(2, 8.0), 300, 60, 128), (GumbelLogistic(5, 3.0), 500, 22, 640)],
                              ids=["gumbel-d2-p8-n300", "gumbel-d5-p3-n500"])
-    def test_proposal_redraws_of_several_slots_at_once(self, model, n, k, threads, monkeypatch):
+    def test_proposal_redraws_of_several_slots_at_once(self, model, n, k, reps, threads, monkeypatch):
         # top rows of several replications of a block run out of in-row
         # stable proposals in one round, and redraw them in one call (p = 2
-        # draws no proposals): the replications of each redraw round
-        rounds = []
-        tilted = copula_module._MaxOrderRows._tilted_stable
+        # draws no proposals); at d = 5 a block of 64 misses that with
+        # probability 0.36, so ten blocks run
+        calls = _spy_rounds(monkeypatch)
+        self._check(model, n, np.full(model.d, n - k), 102, reps=reps, threads=threads)
+        assert max(len(slots) for _, rounds in calls for slots in rounds.values()) >= 2
 
-        def spy(rows, u, log_theta, slots):
-            redraw, seen = rows.redraw, {}
-            rows.redraw = lambda slot, t: seen.setdefault(t, set()).add(slot) or redraw(slot, t)
-            try:
-                return tilted(rows, u, log_theta, slots)
-            finally:
-                rows.redraw = redraw
-                rounds.extend(len(slots) for slots in seen.values())
-
-        monkeypatch.setattr(copula_module._MaxOrderRows, "_tilted_stable", spy)
-        self._check(model, n, np.full(model.d, n - k), 102, reps=128, threads=threads)
-        assert max(rounds) >= 2
-
-    def test_redraw_streams_are_numpys(self, monkeypatch):
-        # a top row out of in-row proposals takes round t's from its
-        # replication's stream t >= 2, numpy's SFC64(SeedSequence(seed,
-        # spawn_key=(r, 0, t))), built once in the block; only the streams
-        # t < 2 are kept, and they serve the next call
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_redraw_rounds_build_no_generator(self, threads, monkeypatch):
+        # every variate of a replication, its redraw rounds included, comes
+        # from its one pooled generator: with the thread's pool warm, a
+        # selection builds no SeedSequence, and no SFC64 but the pool
+        # entries of a new thread (streams._seeded); its values are those
+        # of blocks of one replication
         model, n, ranks = GumbelLogistic(2, 8.0), 300, np.full(2, 240)
-        built, inner = [], streams_module.child_stream
+        replicate(np.empty((64, 2)), 111, 1, *os_selector(model, n, ranks))
+        built = []
+        for name in ("SeedSequence", "SFC64"):
+            def spy(*args, cls=getattr(np.random, name), name=name, **kwargs):
+                built.append((name, sys._getframe(1).f_code.co_name))
+                return cls(*args, **kwargs)
 
-        def spy(child, t):
-            gen = inner(child, t)
-            built.append((child.entropy, child.spawn_key, t, gen.bit_generator.state["state"]["state"]))
-            return gen
-
-        monkeypatch.setattr(streams_module, "child_stream", spy)
-        streams_module._idle.pool = None
-        first = replicate(np.empty((40, 2)), 104, 1, *os_selector(model, n, ranks))
-        pool = dict(streams_module._idle.pool)
-        second = replicate(np.empty((40, 2)), 104, 1, *os_selector(model, n, ranks))
-        assert np.array_equal(first, second)
-        assert {2, 3} <= {t for *_, t, _ in built}
-        assert len({(key, t) for _, key, t, _ in built}) == len(built) / 2  # once per block and call
-        for seed, (r, zero), t, state in built:
-            assert seed == 104 and zero == 0 and t >= 2
-            assert np.array_equal(state, numpy_stream(104, r, t).bit_generator.state["state"]["state"])
-        assert (0, 1) in pool and all(t < 2 for _, t in pool)
-        assert all(streams_module._idle.pool[key] is gen for key, gen in pool.items())
+            monkeypatch.setattr(np.random, name, spy)
+        calls = _spy_rounds(monkeypatch)
+        got = replicate(np.empty((64, 2)), 112, threads, *os_selector(model, n, ranks))
+        monkeypatch.undo()
+        assert set(built) <= {("SFC64", "_seeded")} and (threads > 1 or not built)
+        assert any(rounds for _, rounds in calls)  # some call runs a second round
+        assert np.array_equal(got, _reference(model, n, ranks, 112, 64))
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_gumbel_p1_selects_the_independence_bits(self, d):
@@ -826,6 +848,12 @@ class TestTopRowLaw:
         monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
         assert self._max_z(GumbelLogistic(2, 3.0), 40, (19, 15), 8218, reps=10**4) <= self.BAND
 
+    def test_d2_joint_cdf_with_proposal_redraws(self):
+        # p = 8 top rows to depth 61 of n = 300, below L = 101 rows: many
+        # rows reject their in-row stable proposals and redraw them, in
+        # rounds from their replication's one generator
+        assert self._max_z(GumbelLogistic(2, 8.0), 300, 60, 8220) <= self.BAND
+
     def test_redraw_rounds_past_the_recursion_limit(self, monkeypatch):
         # top rows down to the last of n = 4000 (rank 1, first batch of
         # one row) accept a tilted-stable proposal with probability about
@@ -834,10 +862,9 @@ class TestTopRowLaw:
         # stack frame; the values are those of blocks of one replication
         monkeypatch.setattr(copula_module, "_first_batch", lambda model, depth: 1)
         model, n, ranks = GumbelLogistic(2, 3.0), 4000, np.ones(2, int)
-        rounds, stream = [], streams_module.Streams.stream
-        monkeypatch.setattr(streams_module.Streams, "stream", lambda streams, slot, t: rounds.append(t) or stream(streams, slot, t))
+        calls = _spy_rounds(monkeypatch)
         got = replicate(np.empty((3, 2)), 8219, 1, *os_selector(model, n, ranks))
-        assert 3 * max(rounds) > sys.getrecursionlimit()
+        assert 3 * max(max(rounds, default=1) for _, rounds in calls) > sys.getrecursionlimit()
         assert np.array_equal(got, _reference(model, n, ranks, 8219, 3))
 
     def _max_beta_z(self, model, n, ranks, seed, reps):
@@ -973,7 +1000,7 @@ class TestMinusEOverS:
         # row: every value is at most its row's maximum, and the maxima
         # never increase within or across batches
         rows, slots, reps = copula_module._MaxOrderRows(model, n), np.arange(3), 3
-        rows.start(_block(108, range(reps), rows.gens))
+        rows.start(_block(108, range(reps)))
         last = np.zeros(reps)
         for size in itertools.cycle([1, 2, 5, 17, 64]):
             size = min(size, n - rows.drawn)

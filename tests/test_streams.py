@@ -35,8 +35,6 @@ class TestStreamStates:
             states = stream_states(seed, 0, 500, t)
             assert states.dtype == np.uint64 and states.shape == (500, 4)
             assert np.array_equal(states, [_state(numpy_stream(seed, r, t)) for r in range(500)])
-        # several streams at once, from one hash of (r, 0)
-        assert np.array_equal(stream_states(seed, 0, 500, (0, 1, 5)), [stream_states(seed, 0, 500, t) for t in (0, 1, 5)])
 
     def test_seed_words(self):
         assert [s.bit_length() > 32 for s in self.SEEDS] == [False] * 3 + [True] * 5
@@ -83,20 +81,12 @@ class TestChildStream:
             spawned = np.random.SeedSequence(21, spawn_key=(4, 0)).spawn(t + 1)[t]
             assert np.array_equal(_state(child_stream(child, t)), _state(np.random.Generator(np.random.SFC64(spawned))))
 
-    @pytest.mark.parametrize("gens", [1, 2])
-    def test_stream_rng_child_seeds_the_replicated_generators(self, gens):
-        children = []
-
-        def draw(streams):
-            children.extend(streams.child(slot).spawn_key for slot in range(len(streams.rngs)))
-            return np.array([[g.random() for g in gs] for gs in zip(streams.rngs, *[streams.seconds] * (gens - 1))])
-
-        out = replicate(np.empty((5, gens)), 13, 1, lambda: draw, 1, gens)
-        assert children == [(r, 0) for r in range(5)]
+    def test_stream_rng_child_seeds_the_replicated_generators(self):
+        out = replicate(np.empty((5, 2)), 13, 1, lambda: lambda rngs: [rng.random(2) for rng in rngs])
         for r in range(5):
             (child,) = stream_rng(13, r).bit_generator.seed_seq.spawn(1)
             assert child.spawn_key == (r, 0)
-            assert np.array_equal(out[r], [child_stream(child, t).random() for t in range(gens)])
+            assert np.array_equal(out[r], child_stream(child, 0).random(2))
 
 
 class TestSfc64States:
@@ -105,20 +95,19 @@ class TestSfc64States:
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, 2**128 + 3])
     def test_equals_numpy_seeding(self, seed, monkeypatch):
         pool = {}
-        used = streams_module._seeded(pool, 0, 0, [99, 98, 97, 1, 0])
+        used = streams_module._seeded(pool, 0, [99, 98, 97, 1, 0])
         used.random(1001)  # a kept generator's past, an odd half-word included, leaves no trace
         used.integers(2**32, dtype=np.uint32)
         assert used.bit_generator.state["has_uint32"] == 1
         monkeypatch.setattr(streams_module._idle, "pool", pool, raising=False)
         handed = []
 
-        def draw(streams):
-            handed.append(streams)
-            return np.zeros((len(streams.rngs), 1))
+        def draw(rngs):
+            handed.append(rngs)
+            return np.zeros((len(rngs), 1))
 
         replicate(np.empty((1, 1)), seed, 1, lambda: draw)
-        (streams,) = handed
-        assert streams.rngs == [used] and streams.seconds == [] and streams_module._idle.pool is pool and list(pool) == [(0, 0)]
+        assert handed == [[used]] and streams_module._idle.pool is pool and list(pool) == [0]
         want = numpy_stream(seed, 0)
         assert np.array_equal(used.bit_generator.random_raw(1000), want.bit_generator.random_raw(1000))
         assert np.array_equal(used.integers(2**32, size=5, dtype=np.uint32), want.integers(2**32, size=5, dtype=np.uint32))
@@ -129,14 +118,14 @@ class TestSfc64States:
         # state words and a zero buffer word gives the state numpy's dict
         # setter gives, a buffered half-word of the generator's past dropped
         pool = {}
-        gen = streams_module._seeded(pool, 3, t, [5, 6, 7, 1, 0])
+        gen = streams_module._seeded(pool, 3, [5, 6, 7, 1, 0])
         other = np.random.Generator(np.random.SFC64(5))
         for g in (gen, other):
             g.random(3)
             g.integers(2**32, dtype=np.uint32)
         want = numpy_stream(17, 4, t).bit_generator.state
         other.bit_generator.state = want
-        assert streams_module._seeded(pool, 3, t, [*want["state"]["state"], 0]) is gen
+        assert streams_module._seeded(pool, 3, [*want["state"]["state"], 0]) is gen
         for g in (gen, other):
             got = g.bit_generator.state
             assert np.array_equal(got["state"]["state"], want["state"]["state"])
@@ -145,8 +134,8 @@ class TestSfc64States:
         assert np.array_equal(gen.bit_generator.random_raw(9), other.bit_generator.random_raw(9))
 
 
-def _draw(streams):
-    return np.array([rng.standard_normal(3) for rng in streams.rngs])
+def _draw(rngs):
+    return np.array([rng.standard_normal(3) for rng in rngs])
 
 
 class TestReplicate:
@@ -157,24 +146,6 @@ class TestReplicate:
         assert replicate(out, 5, 1, lambda: _draw) is out
         for r in range(self.COUNT):
             assert np.array_equal(out[r], numpy_stream(5, r).standard_normal(3))
-
-    def test_second_generators_and_redraw_streams(self):
-        # gens = 2 hands each replication its streams 0 and 1, and
-        # stream(slot, t) is its stream t, built at its first use in a block
-        def draw(streams):
-            return np.array([[a.random(), b.random(), streams.stream(slot, 3).random(), streams.stream(slot, 3).random()]
-                             for slot, (a, b) in enumerate(zip(streams.rngs, streams.seconds))])
-
-        out = replicate(np.empty((self.COUNT, 4)), 14, 2, lambda: draw, 1, 2)
-        for r in range(self.COUNT):
-            redraw = numpy_stream(14, r, 3)
-            want = [numpy_stream(14, r, 0).random(), numpy_stream(14, r, 1).random(), redraw.random(), redraw.random()]
-            assert np.array_equal(out[r], want)
-
-    @pytest.mark.parametrize("gens", [0, 3])
-    def test_one_or_two_generators(self, gens):
-        with pytest.raises(ValueError, match="1 or 2"):
-            replicate(np.empty((2, 3)), 13, 1, lambda: _draw, 1, gens)
 
     def test_threads_change_no_bit(self):
         serial = replicate(np.empty((self.COUNT, 3)), 6, 1, lambda: _draw)
@@ -187,10 +158,10 @@ class TestReplicate:
             assert np.array_equal(replicate(np.empty((self.COUNT, 3)), 10, 1, lambda: _draw), want)
         inner = []
 
-        def draw(streams):
+        def draw(rngs):
             # a replicate call inside a draw must leave the generators handed to it alone
             inner.append(replicate(np.empty((self.COUNT, 3)), 11, 1, lambda: _draw))
-            return _draw(streams)
+            return _draw(rngs)
 
         assert np.array_equal(replicate(np.empty((self.COUNT, 3)), 10, 1, lambda: draw), want)
         assert inner and all(np.array_equal(v, [numpy_stream(11, r).standard_normal(3) for r in range(self.COUNT)])
@@ -210,9 +181,9 @@ class TestReplicate:
             log = []
             logs.append(log)  # list.append is atomic, so ranges may call this at once
 
-            def draw(streams):
-                log.extend(streams.rngs)
-                return [rng.random() for rng in streams.rngs]
+            def draw(rngs):
+                log.extend(rngs)
+                return [rng.random() for rng in rngs]
 
             return draw
 
@@ -231,9 +202,9 @@ class TestReplicate:
         seen = {}
 
         def make_draw():
-            def draw(streams):
-                values = _draw(streams)
-                seen[values[0, 0]] = len(streams.rngs)  # keyed by the block's first value, as ranges run at once
+            def draw(rngs):
+                values = _draw(rngs)
+                seen[values[0, 0]] = len(rngs)  # keyed by the block's first value, as ranges run at once
                 return values
 
             return draw
@@ -256,9 +227,9 @@ class TestReplicate:
             seeded.append(stop - start)
             return inner(seed, start, stop, t)
 
-        def draw(streams):
-            blocks.append(len(streams.rngs))
-            return _draw(streams)
+        def draw(rngs):
+            blocks.append(len(rngs))
+            return _draw(rngs)
 
         def never(*args):
             raise AssertionError("a Philox generator was built")
