@@ -573,6 +573,49 @@ class TestMaxOrderRows:
         rows.next_rows(block, np.arange(3))
         assert np.array_equal(block[:, 1:2], whole)
 
+    @pytest.mark.parametrize("model", STABLE_MODELS, ids=lambda m: m.label())
+    def test_draw_order_of_a_batch(self, model):
+        # each replication's one generator draws a batch's uniforms, then at
+        # p != 2 its c Gamma variates, then its redraw rounds of _TRIES
+        # proposals for each of its rows still going, and nothing else: a
+        # fresh generator drawing that sequence ends in the same state
+        class Recorder:
+            def __init__(self, rng):
+                self.rng, self.log = rng, []
+
+            def random(self, size=None, out=None):
+                self.log.append(("random", size if out is None else out.shape))
+                return self.rng.random(size, out=out)
+
+            def standard_gamma(self, shape, out=None):
+                self.log.append(("standard_gamma", shape, out.shape))
+                return self.rng.standard_gamma(shape, out=out)
+
+        n, c = 300, 150
+        rows = copula_module._MaxOrderRows(model, n)
+        gens = [Recorder(rng) for rng in _block(95, range(3))]
+        rows.start(gens)
+        rows.next_rows(np.empty((model.d, 3, c)), np.arange(3))
+        redraws = 0
+        for r, gen in enumerate(gens):
+            assert gen.log[0] == ("random", (c, rows.width))
+            if model.p == 2.0:
+                assert len(gen.log) == 1
+            else:
+                assert gen.log[1] == ("standard_gamma", 2.0 - rows.alpha, (c,))
+                rounds = gen.log[2:]
+                assert all(name == "random" and size[1] == 3 * copula_module._TRIES for name, size in rounds)
+                redraws += len(rounds)
+            replay = numpy_stream(95, r)
+            replay.random((c, rows.width))
+            if model.p != 2.0:
+                replay.standard_gamma(2.0 - rows.alpha, size=c)
+                for _, size in gen.log[2:]:
+                    replay.random(size)
+            assert np.array_equal(gen.rng.bit_generator.random_raw(4), replay.bit_generator.random_raw(4))
+        # rows deep in a batch of half the sample reject their proposals often
+        assert redraws > 0 or model.p == 2.0
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.label())
     def test_small_samples(self, model, n):
