@@ -1,7 +1,6 @@
 import itertools
 import math
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -61,26 +60,21 @@ def _block(seed, reps):
 def _spy_rounds(monkeypatch):
     """Record the redraw rounds of every ``_MaxOrderRows._tilted_stable``
     call as (block size, {round t >= 2: the block slots that draw in it}).
-    A round holds ``_TRIES`` proposals of each row still going, one
-    ``_log_kanter`` call each, and a redraw is the one ``random`` call on a
-    replication's generator during the call."""
-    calls, counts = [], threading.local()
-    tilted, kanter = copula_module._MaxOrderRows._tilted_stable, copula_module._log_kanter
-
-    def counted(*args):
-        counts.proposals = getattr(counts, "proposals", 0) + 1
-        return kanter(*args)
+    Round 1 holds a row's in-row proposals, and a slot draws once in each
+    later round while it has rows going, so its j-th ``random`` call on its
+    replication's generator during the call is round j + 1."""
+    calls, tilted = [], copula_module._MaxOrderRows._tilted_stable
 
     def spy(rows, u, log_theta, slots):
         rngs, rounds = rows.rngs, {}
-        counts.proposals = 0
 
         class Redraws:
             def __init__(self, slot):
-                self.slot = slot
+                self.slot, self.round = slot, 1
 
             def random(self, *args, **kwargs):
-                rounds.setdefault(counts.proposals // copula_module._TRIES + 1, set()).add(self.slot)
+                self.round += 1
+                rounds.setdefault(self.round, set()).add(self.slot)
                 return rngs[self.slot].random(*args, **kwargs)
 
         rows.rngs = [Redraws(slot) for slot in range(len(rngs))]
@@ -90,7 +84,6 @@ def _spy_rounds(monkeypatch):
             rows.rngs = rngs
             calls.append((len(rngs), rounds))
 
-    monkeypatch.setattr(copula_module, "_log_kanter", counted)
     monkeypatch.setattr(copula_module._MaxOrderRows, "_tilted_stable", spy)
     return calls
 
