@@ -15,8 +15,9 @@ matrix, which Bartlett's decomposition draws exactly from at most d
 Gamma variates and d^2 normals, those above the diagonal completing the
 chi-squares on it, so a replication costs O(d^2) whatever n is.  At
 d = 1 it is the univariate representation.  It draws ``RATIO_CHUNK``
-replications per stream, a few generator calls a chunk, from stream 0 of
-the chunk (``streams``, numpy's SFC64 seeded by a ``SeedSequence``), and
+replications per stream, a few generator calls a chunk, from the
+chunk's one generator (``streams``, numpy's SFC64 seeded by a
+``SeedSequence``), and
 ``streams.replicate`` runs the chunks as its replications: at most
 ``streams.BLOCK_REPLICATIONS`` chunks a block and
 ``streams.BLOCK_ELEMENTS`` factor entries, with the arithmetic once per
@@ -102,7 +103,7 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
     Z[j, l] the normals above the diagonal of a d x q normal matrix.
 
     Replications come in chunks of ``RATIO_CHUNK``, each drawn in full.
-    Chunk c draws from its stream 0, ``SFC64(SeedSequence(seed,
+    Chunk c draws from its one generator, ``SFC64(SeedSequence(seed,
     spawn_key=(c, 0, 0)))`` (``streams``), the numerator's factors and
     then the remainder's, each as one ``standard_normal`` call of shape
     (RATIO_CHUNK, d, q) and one ``standard_gamma`` call of shape

@@ -30,11 +30,10 @@ rows:
 
 A block's replications each draw from their own generator, and the
 arithmetic runs once on the block's arrays.  This module only samples: a
-replication draws every variate from one SFC64 generator, stream 0 of one
-``SeedSequence`` child (``streams``).  The selector gets it from
-``streams.replicate``, and ``sample_rows`` spawns the child from its
-generator's seed sequence and seeds it through numpy's own constructors
-(``streams.child_stream``), so both draw the same values.
+replication draws every variate from one SFC64 generator (``streams``).
+The selector gets it from ``streams.replicate``, and ``sample_rows`` seeds
+it by numpy's own ``spawn``, a child of a child of its generator's seed
+sequence, so both draw the same values.
 """
 from __future__ import annotations
 
@@ -45,7 +44,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .dnorm import DNormSpec, LogisticP, SupNorm, _Dimensioned, dnorm_eval
-from .streams import child_stream, stream_rng
+from .streams import stream_rng
 
 __all__ = [
     "Independence",
@@ -56,7 +55,6 @@ __all__ = [
     "copula_sample",
     "sample_rows",
     "os_selector",
-    "first_draw",
     "log_positive_stable",
     "tail_expansion_check",
 ]
@@ -338,7 +336,7 @@ class _MaxOrderRows:
       value among them.
 
     Streams: each replication draws every variate from one SFC64
-    generator, its stream 0 (``streams``).  For each batch of c top rows
+    generator (``streams``).  For each batch of c top rows
     it draws ``width`` uniforms per row, row by row, then, at p != 2, the
     batch's c Gamma variates, then the batch's proposal redraw rounds;
     ``sample_rows`` then draws the positions of the rows (p = 2).  A top
@@ -486,46 +484,36 @@ def _depths(model: CopulaModel, n: int, ranks) -> np.ndarray:
     return (n - ranks) + 1  # n + 1 may not fit int64
 
 
-def first_draw(model: CopulaModel, n: int, ranks) -> int:
-    """The values one replication of ``os_selector(model, n, ranks)`` draws
-    at once, which ``streams.replicate`` sizes its blocks by: without a
-    positive-stable frailty, the spacings of the deepest column's depth
-    rows; for Gumbel with p > 1, the d n values of all n rows on the
-    Marshall-Olkin path (``_marshall_olkin_path``), else the uniforms of
-    the first batch of top rows, at most n (4 a row at p = 2 and d = 2,
-    d + 4 at p = 2 and other d, and d + 11 at other p)."""
-    depth = int(_depths(model, n, ranks).max())
-    if not _stable(model):
-        return _spacings(model) * depth
-    if _marshall_olkin_path(model, n, depth):
-        return model.d * n
-    return _MaxOrderRows(model, n).width * min(_first_batch(model, depth), n)
-
-
 def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callable[[list], np.ndarray]], int]:
     """Block selector of the order statistics at the 1-based ``ranks`` (one,
     or one per column), for ``streams.replicate``: returns
     ``(make, elements)``.  ``make()`` builds a selector that maps a block's
     list of SFC64 generators, one a replication, to its b x d values.
-    ``elements`` is ``first_draw(model, n, ranks)``.  Row r has the law of
-    ``componentwise_os(sample_rows(model, n, stream_rng(seed, r)), ranks)``,
-    and equals it bit for bit except for top rows at p != 2.
+    ``elements`` counts the values one replication draws at once, which
+    ``streams.replicate`` sizes its blocks by and config validation caps
+    (``streams.REPLICATION_ELEMENTS``); each path below gives its own.  Row
+    r has the law of ``componentwise_os(sample_rows(model, n,
+    stream_rng(seed, r)), ranks)``, and equals it bit for bit except for
+    top rows at p != 2.
 
     Without a positive-stable frailty (independence, comonotone, Gumbel
     with p = 1) a column's depth-th largest value is minus the sum of its
     first depth spacings: the block draws exactly the deepest column's
-    depth rows of spacings (``_spacing_terms``) and sums each column's with
-    one reduce over the row axis per distinct depth, adding them in row
-    order as ``sample_rows`` does.  With one (Gumbel, p > 1) the block
-    draws ``_MaxOrderRows``' top rows in batches, the first sized by
+    depth rows of spacings (``_spacing_terms``), the count of spacing
+    sequences times that depth, and sums each column's with one reduce
+    over the row axis per distinct depth, adding them in row order as
+    ``sample_rows`` does.  With one (Gumbel, p > 1) the block draws
+    ``_MaxOrderRows``' top rows in batches, the first sized by
     ``_first_batch``, and a replication stops once every column's value at
-    its rank is at or above the last row maximum, or all n rows are drawn.
-    A config on the Marshall-Olkin path (``_marshall_olkin_path``) draws
-    all n rows of each replication instead, as ``sample_rows`` does, and
-    selects on them with one partition per block."""
+    its rank is at or above the last row maximum, or all n rows are drawn;
+    it draws the first batch's uniforms at once, at most n rows' (4 a row
+    at p = 2 and d = 2, d + 4 at p = 2 and other d, and d + 11 at other
+    p).  A config on the Marshall-Olkin path (``_marshall_olkin_path``)
+    draws the d n values of all n rows of each replication instead, as
+    ``sample_rows`` does, and selects on them with one partition per
+    block."""
     d, depth = model.d, _depths(model, n, ranks)
     kth, need = np.unique(depth), int(depth.max())
-    elements = first_draw(model, n, ranks)
 
     if not _stable(model):
         s = _spacings(model)
@@ -547,7 +535,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
 
             return select
 
-        return make_sums, elements
+        return make_sums, s * need
 
     def pick(planes: np.ndarray) -> np.ndarray:
         """The values at the ranks."""
@@ -567,7 +555,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
 
             return select
 
-        return make_rows, elements
+        return make_rows, d * n
 
     first = _first_batch(model, need)
 
@@ -592,32 +580,32 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
 
         return select
 
-    return make, elements
+    return make, _MaxOrderRows(model, n).width * min(first, n)
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n iid rows from the model with the streams of one child of
-    ``rng``'s seed sequence, as ``streams.stream_rng`` seeds it.
+    """Draw n iid rows from the model with the SFC64 generator of one
+    child of ``rng``'s seed sequence, as ``streams.stream_rng`` seeds it.
 
     Without a positive-stable frailty each column's n values are minus the
     running sums of its n spacings (``_spacing_terms``; comonotone columns
     share one sequence), its order statistics in decreasing order, put in
-    a uniformly random order of its own, which makes them iid; the main
-    SFC64 generator draws the orders after the spacings, column by column.
+    a uniformly random order of its own, which makes them iid; the
+    generator draws the orders after the spacings, column by column.
     For Gumbel at p = 2 they are all n top rows of ``_MaxOrderRows`` for a
-    block of one replication, put in a uniformly random order drawn by its
-    main SFC64 generator; at other p > 1 they are ``_marshall_olkin``'s
-    rows from that generator.  Each call spawns the next child C of the
-    seed sequence and draws from its stream 0, ``streams.child_stream(C,
-    0)``: for a fresh ``stream_rng(seed, r)`` C is ``SeedSequence(seed,
-    spawn_key=(r, 0))``, as ``streams.replicate`` seeds replication r for
-    the selector.  A generator without a ``SeedSequence`` raises
+    block of one replication, put in a uniformly random order drawn by the
+    generator; at other p > 1 they are ``_marshall_olkin``'s rows from
+    it.  Each call spawns the next child C of the
+    seed sequence and draws from the SFC64 generator seeded by C's first
+    child: for a fresh ``stream_rng(seed, r)`` that is ``SeedSequence(seed,
+    spawn_key=(r, 0, 0))``, as ``streams.replicate`` seeds replication r
+    for the selector.  A generator without a ``SeedSequence`` raises
     ``ValueError``."""
     seq = rng.bit_generator.seed_seq
     if not isinstance(seq, np.random.SeedSequence):
         raise ValueError("sample_rows needs a generator seeded by a SeedSequence, such as streams.stream_rng returns")
     (child,) = seq.spawn(1)
-    gen = child_stream(child, 0)
+    gen = np.random.Generator(np.random.SFC64(child.spawn(1)[0]))
     if not _stable(model):
         s = _spacings(model)
         e = _spacing_terms([gen], n, n, s, {})[..., 0]

@@ -31,9 +31,10 @@ sample, draws all n rows.  For ``general`` the marginal quantile
 functions then run on the R x d selected values only.  Monotone maps
 commute with order statistics, so this gives the same values as
 transforming all n x d drawn rows and selecting afterwards.  Config
-validation bounds the values a replication draws at once by
-``copula.first_draw``, the size the selector's blocks are cut by: the
-spacings, Gumbel's first batch of top rows, or its n rows.
+validation bounds the values a replication draws at once by the count
+``copula.os_selector`` returns with its selector, the size the
+selector's blocks are cut by: the spacings, Gumbel's first batch of top
+rows, or its n rows; it builds the selector and draws nothing.
 
 Every experiment is a pure function of (config, master seed).  Replication
 r draws from the stream keyed by r, so results do not depend on the worker
@@ -52,7 +53,7 @@ from typing import Optional
 import numpy as np
 
 from .chi2rep import NotPositiveSemidefiniteError, check_correlation, correlated_ratio_sample, representation_distance
-from .copula import CopulaModel, first_draw, os_selector
+from .copula import CopulaModel, os_selector
 from .diagnostics import ks_against_standard_normal, ks_critical_value, ks_pvalue, moment_summary
 from .dnorm import is_positive_semidefinite, lambda_matrix
 from .margins import MarginalModel, norming_constants, quantile_transform
@@ -156,7 +157,7 @@ class ExperimentConfig:
             ratios = inter.ratio_matrix()
             for margin, k in zip(self.margins or (), ks):
                 norming_constants(margin, self.n, int(k))
-            drawn = {nn: first_draw(self.copula, nn, inter.ranks(nn)) for nn in sizes}
+            drawn = {nn: os_selector(self.copula, nn, inter.ranks(nn))[1] for nn in sizes}
         except ValueError as exc:
             raise InvalidConfigError(str(exc)) from exc
         for nn, elements in drawn.items():

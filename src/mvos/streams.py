@@ -7,13 +7,11 @@ workers by key (replication index, chunk index) produces output identical
 to a serial run with the same master seed.
 
 ``stream_rng(seed, r)`` is the Philox generator of the stream (seed, r).
-A replicated draw spawns one child C from its generator's seed sequence,
-``SeedSequence(seed, spawn_key=(r, 0))`` for a fresh ``stream_rng(seed,
-r)``, and draws only from numpy's SFC64 generator seeded by C's child 0
-(``child_stream``), ``SFC64(SeedSequence(seed, spawn_key=(r, 0, 0)))``:
-one generator a replication, for all of its variates.  SFC64 draws a
-block of doubles in less than half of Philox's time, and its period is
-at least 2**64.
+Replication r draws every variate from one SFC64 generator, numpy's
+``SFC64(SeedSequence(seed, spawn_key=(r, 0, 0)))``: the first child of the
+first child that a fresh ``stream_rng(seed, r)``'s seed sequence spawns
+(``copula.sample_rows``).  SFC64 draws a block of doubles in less than
+half of Philox's time, and its period is at least 2**64.
 
 ``replicate`` computes those states for up to ``STATE_CHUNK``
 replications at once, on arrays (``stream_states``, numpy's
@@ -32,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["stream_rng", "derive_seed", "child_stream", "stream_states", "check_threads", "replicate"]
+__all__ = ["stream_rng", "derive_seed", "stream_states", "check_threads", "replicate"]
 
 # array elements (uniforms, normals) a block draw may hold for all of its
 # replications at once; a block holds at most BLOCK_ELEMENTS // elements
@@ -78,35 +76,25 @@ def derive_seed(master_seed: int, *key: int) -> int:
     return int(_seed_sequence(master_seed, key).generate_state(1, np.uint64)[0] >> 1)
 
 
-def child_stream(child: np.random.SeedSequence, t: int) -> np.random.Generator:
-    """Stream t of the spawned child C: numpy's SFC64 seeded by C's child t,
-    ``SeedSequence(C.entropy, spawn_key=C.spawn_key + (t,))``."""
-    seq = np.random.SeedSequence(child.entropy, spawn_key=(*child.spawn_key, t), pool_size=child.pool_size)
-    return np.random.Generator(np.random.SFC64(seq))
-
-
-def stream_states(master_seed: int, start: int, stop: int, t: int) -> np.ndarray:
+def stream_states(master_seed: int, start: int, stop: int) -> np.ndarray:
     """The (stop - start) x 4 uint64 states of
-    ``SFC64(SeedSequence(master_seed, spawn_key=(r, 0, t)))`` for
+    ``SFC64(SeedSequence(master_seed, spawn_key=(r, 0, 0)))`` for
     start <= r < stop, before their first draw: the sequence's
     ``generate_state(3, np.uint64)`` by the same uint32 hash on arrays, then
     numpy's seeding of SFC64 from those three words, state (w0, w1, w2, 1)
     with 12 outputs discarded.
 
-    r and t must lie below 2**32, where a spawn key entry is one 32-bit word.
+    r must lie below 2**32, where a spawn key entry is one 32-bit word.
     """
     master_seed = int(master_seed)
     if master_seed < 0:
         raise ValueError("master seed must be nonnegative")
     if not 0 <= start <= stop <= 2**32:
         raise ValueError(f"replication range [{start}, {stop}) must lie in [0, 2**32)")
-    t = int(t)
-    if not 0 <= t < 2**32:
-        raise ValueError(f"stream {t} must lie in [0, 2**32)")
     # the sequence's entropy words, the run entropy padded to the pool size
     # as there is a spawn key: Python ints, but the replications' array
     words = [(master_seed >> s) & _MASK for s in range(0, max(master_seed.bit_length(), 1), 32)]
-    entropy = words + [0] * (_POOL - len(words)) + [np.arange(start, stop, dtype=np.uint32), 0, t]
+    entropy = words + [0] * (_POOL - len(words)) + [np.arange(start, stop, dtype=np.uint32), 0, 0]
     const = _INIT_A
 
     def hashmix(value):
@@ -183,8 +171,8 @@ def replicate(
     is called once per range, so each range can allocate its working
     buffers once and reuse them.  Its result is called once per block with
     the list of the block's generators, one a replication, in replication
-    order: stream 0 of each replication's child ``SeedSequence(seed,
-    spawn_key=(r, 0))``; it returns the block's rows of ``out``.  The
+    order, replication r's seeded by ``SeedSequence(seed, spawn_key=(r,
+    0, 0))``; it returns the block's rows of ``out``.  The
     states are computed for up to ``STATE_CHUNK`` consecutive replications
     at once, a whole number of blocks.  A block
     holds at most ``BLOCK_REPLICATIONS`` replications and at most
@@ -206,7 +194,7 @@ def replicate(
         for first in range(lo, hi, chunk):
             last = min(first + chunk, hi)
             states = np.zeros((last - first, _STATE_WORDS), np.uint64)
-            states[:, :4] = stream_states(seed, first, last, 0)
+            states[:, :4] = stream_states(seed, first, last)
             for start in range(first, last, block):
                 rows = states[start - first:min(start + block, last) - first]
                 out[start:start + len(rows)] = draw([_seeded(pool, slot, state) for slot, state in enumerate(rows)])

@@ -298,10 +298,11 @@ MO_MEASURED, MO_SAMPLE_MEASURED = 1.93, 1.07
 
 
 class TestReplicationMemory:
-    """Peak memory of one replication against ``first_draw``, which the
-    config cap (``streams.REPLICATION_ELEMENTS``) bounds: tracemalloc's
-    peak over a one-replication ``replicate`` call, divided by 8 bytes per
-    value ``first_draw`` counts.  Large draws measure 2.2 to 3.5 (the
+    """Peak memory of one replication against the count of values it draws
+    at once that ``os_selector`` returns, which the config cap
+    (``streams.REPLICATION_ELEMENTS``) bounds: tracemalloc's peak over a
+    one-replication ``replicate`` call, divided by 8 bytes per counted
+    value.  Large draws measure 2.2 to 3.5 (the
     uniforms, their logs and the row divisors, or the top rows' uniforms
     and the planes they become, which at p = 2 outweigh the uniforms of a
     row, 4 at d = 2 and d + 4 at other d), or 1.9 for Marshall-Olkin rows
@@ -677,20 +678,20 @@ class TestMaxOrderRows:
                                        GumbelLogistic(3, 3.0)], ids=lambda m: m.label())
     def test_stream_layout(self, model, monkeypatch):
         # sample_rows spawns one child C of its generator's seed sequence
-        # and draws from C's stream 0 alone; it reads no word of the Philox
-        # generator itself.  The selector's blocks get the same stream of
-        # the same child, and nothing else (``streams.replicate``).
-        built, inner = [], streams_module.child_stream
+        # and builds one SFC64, seeded by C's first child (105, (0, 0, 0));
+        # it reads no word of the Philox generator itself.  The selector's
+        # blocks get the same generator, and nothing else
+        # (``streams.replicate``).
+        built, inner = [], np.random.SFC64
 
-        def spy(child, t):
-            built.append((child.entropy, child.spawn_key, t))
-            return inner(child, t)
+        def spy(seq):
+            built.append((seq.entropy, seq.spawn_key))
+            return inner(seq)
 
-        monkeypatch.setattr(copula_module, "child_stream", spy)
-        monkeypatch.setattr(streams_module, "child_stream", spy)
         n, rng = 1000, stream_rng(105, 0)
+        monkeypatch.setattr(np.random, "SFC64", spy)
         sample_rows(model, n, rng)
-        assert built == [(105, (0, 0), 0)]
+        assert built == [(105, (0, 0, 0))]
         assert rng.bit_generator.seed_seq.n_children_spawned == 1
         assert rng.bit_generator.random_raw() == stream_rng(105, 0).bit_generator.random_raw()
 

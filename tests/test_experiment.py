@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from mvos.chi2rep import NotPositiveSemidefiniteError
 from mvos.copula import Comonotone, GumbelLogistic, Independence, os_selector, sample_rows
 from mvos.margins import Pareto, StandardExponential, StandardNormal, Triangular, quantile_transform
+import mvos.copula as copula_module
 import mvos.experiment as experiment
 import mvos.orderstats as orderstats
 from mvos.orderstats import IntermediateSpec, PowerKRule, componentwise_os
@@ -140,6 +141,35 @@ class TestConfig:
         ExperimentConfig(copula=Independence(2), n=n, replications=5, seed=1)
         with pytest.raises(InvalidConfigError, match=f"n = {2 * n} would draw"):
             ExperimentConfig(copula=Independence(2), n=n, replications=5, seed=1, kind="representation")
+
+    @pytest.mark.parametrize(
+        "model,n,rule,width",
+        [
+            (GumbelLogistic(2, 3.0), 10**7, PowerKRule(0.6, 0.9), None),  # first batch past n / 8 + 64
+            (GumbelLogistic(2, 2.0), 10**8, PowerKRule(400.0, 0.5), 4),
+            (GumbelLogistic(3, 2.0), 10**8, PowerKRule(200.0, 0.5), 3 + 4),
+            (GumbelLogistic(2, 3.0), 10**8, PowerKRule(150.0, 0.5), 2 + 11),
+            (GumbelLogistic(2, 2.0), 400, PowerKRule(15.0, 0.5), 4),  # a first batch of all n rows
+        ],
+        ids=["marshall-olkin", "top-rows-p2-d2", "top-rows-p2-d3", "top-rows-p3", "top-rows-p2-all-n"],
+    )
+    def test_first_draw_of_every_stable_path(self, model, n, rule, width):
+        # a Gumbel (p > 1) replication's first draw is its d n Marshall-Olkin
+        # values, or the uniforms of its first batch of top rows, at most
+        # n rows; validation compares that count with the cap and samples
+        # nothing
+        inter = IntermediateSpec((rule,) * model.d)
+        ranks = inter.ranks(n)
+        depth = n - int(ranks.min()) + 1
+        assert copula_module._marshall_olkin_path(model, n, depth) == (width is None)
+        elements = os_selector(model, n, ranks)[1]
+        assert elements == (model.d * n if width is None else width * min(copula_module._first_batch(model, depth), n))
+        config = dict(copula=model, n=n, replications=5, seed=1, intermediate=inter)
+        if elements <= REPLICATION_ELEMENTS:
+            ExperimentConfig(**config)
+        else:
+            with pytest.raises(InvalidConfigError, match=f"n = {n} would draw {elements} values at once"):
+                ExperimentConfig(**config)
 
     @pytest.mark.parametrize("abs_tol,z", [(-0.01, 4.0), (0.05, -1.0), (math.inf, 4.0), (0.05, math.nan)])
     def test_tolerance_must_be_finite_and_nonnegative(self, abs_tol, z):

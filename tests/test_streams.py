@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mvos.streams as streams_module
-from mvos.streams import child_stream, derive_seed, replicate, stream_rng, stream_states
+from mvos.streams import derive_seed, replicate, stream_rng, stream_states
 
 
 @pytest.mark.parametrize("fn", [stream_rng, derive_seed])
@@ -11,10 +11,10 @@ def test_seed_is_required(fn):
         fn(None)
 
 
-def numpy_stream(seed, r, t=0) -> np.random.Generator:
-    """Stream t of replication r: numpy's SFC64 seeded by
-    ``SeedSequence(seed, spawn_key=(r, 0, t))``."""
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(r, 0, t))))
+def numpy_stream(seed, r) -> np.random.Generator:
+    """Replication r's generator: numpy's SFC64 seeded by
+    ``SeedSequence(seed, spawn_key=(r, 0, 0))``."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(r, 0, 0))))
 
 
 def _state(gen):
@@ -23,7 +23,7 @@ def _state(gen):
 
 class TestStreamStates:
     """The vectorised hash and seeding give the states numpy's own
-    ``SFC64(SeedSequence(seed, spawn_key=(r, 0, t)))`` starts from, bit for bit."""
+    ``SFC64(SeedSequence(seed, spawn_key=(r, 0, 0)))`` starts from, bit for bit."""
 
     # one entropy word, two (real derive_seed outputs, as the runners use
     # for the sizes of a representation run), three, and past 2**64
@@ -31,10 +31,9 @@ class TestStreamStates:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_states_equal_numpy(self, seed):
-        for t in (0, 1, 5):
-            states = stream_states(seed, 0, 500, t)
-            assert states.dtype == np.uint64 and states.shape == (500, 4)
-            assert np.array_equal(states, [_state(numpy_stream(seed, r, t)) for r in range(500)])
+        states = stream_states(seed, 0, 500)
+        assert states.dtype == np.uint64 and states.shape == (500, 4)
+        assert np.array_equal(states, [_state(numpy_stream(seed, r)) for r in range(500)])
 
     def test_seed_words(self):
         assert [s.bit_length() > 32 for s in self.SEEDS] == [False] * 3 + [True] * 5
@@ -45,48 +44,45 @@ class TestStreamStates:
     def test_largest_replication(self, seed):
         # r = 2**32 - 1 is the last one-word spawn key; 2**32 would take two
         top = 2**32
-        for t in (0, 1, 2**32 - 1):
-            want = [_state(numpy_stream(seed, r, t)) for r in (top - 2, top - 1)]
-            assert np.array_equal(stream_states(seed, top - 2, top, t), want)
+        want = [_state(numpy_stream(seed, r)) for r in (top - 2, top - 1)]
+        assert np.array_equal(stream_states(seed, top - 2, top), want)
         with pytest.raises(ValueError):
-            stream_states(seed, top - 1, top + 1, 0)
-        with pytest.raises(ValueError):
-            stream_states(seed, 0, 1, 2**32)
+            stream_states(seed, top - 1, top + 1)
 
     @pytest.mark.parametrize("start,stop", [(0, 0), (3, 4), (5, 12), (100, 201)])
     def test_ranges_are_slices(self, start, stop):
         # a chunk's states are rows of any longer range: no row depends on
         # where its range starts
-        assert np.array_equal(stream_states(9, start, stop, 1), stream_states(9, 0, 201, 1)[start:stop])
+        assert np.array_equal(stream_states(9, start, stop), stream_states(9, 0, 201)[start:stop])
 
     def test_rejects_negative_seed_and_range(self):
         with pytest.raises(ValueError):
-            stream_states(-1, 0, 3, 0)
+            stream_states(-1, 0, 3)
         with pytest.raises(ValueError):
-            stream_states(1, 3, 2, 0)
-        assert stream_states(1, 3, 3, 0).shape == (0, 4)
+            stream_states(1, 3, 2)
+        assert stream_states(1, 3, 3).shape == (0, 4)
 
 
 class TestChildStream:
-    """Stream t of a spawned child C is numpy's SFC64 seeded by C's child t,
-    and the child a fresh ``stream_rng(seed, r)`` spawns is (seed, (r, 0))."""
+    """The first child of the child C that a fresh ``stream_rng(seed, r)``
+    spawns, ``C.spawn(1)[0]``, is (seed, (r, 0, 0)): its SFC64 starts from
+    replication r's state."""
 
-    @pytest.mark.parametrize("t", [0, 1, 2, 2**32 - 1])
-    def test_equals_numpy_stream(self, t):
-        child = np.random.SeedSequence(21, spawn_key=(4, 0))
-        gen = child_stream(child, t)
-        assert isinstance(gen.bit_generator, np.random.SFC64) and child.n_children_spawned == 0
-        assert np.array_equal(gen.bit_generator.random_raw(100), numpy_stream(21, 4, t).bit_generator.random_raw(100))
-        if t < 3:  # numpy's own spawn of C gives the same child t
-            spawned = np.random.SeedSequence(21, spawn_key=(4, 0)).spawn(t + 1)[t]
-            assert np.array_equal(_state(child_stream(child, t)), _state(np.random.Generator(np.random.SFC64(spawned))))
+    @pytest.mark.parametrize("seed,r", [(21, 4), (2**200 + 3, 2**31)])
+    def test_equals_numpy_stream(self, seed, r):
+        child = np.random.SeedSequence(seed, spawn_key=(r, 0))
+        (grandchild,) = child.spawn(1)
+        assert (grandchild.entropy, grandchild.spawn_key) == (seed, (r, 0, 0))
+        gen = np.random.Generator(np.random.SFC64(grandchild))
+        assert np.array_equal(_state(gen), stream_states(seed, r, r + 1)[0])
+        assert np.array_equal(gen.bit_generator.random_raw(100), numpy_stream(seed, r).bit_generator.random_raw(100))
 
     def test_stream_rng_child_seeds_the_replicated_generators(self):
         out = replicate(np.empty((5, 2)), 13, 1, lambda: lambda rngs: [rng.random(2) for rng in rngs])
         for r in range(5):
             (child,) = stream_rng(13, r).bit_generator.seed_seq.spawn(1)
             assert child.spawn_key == (r, 0)
-            assert np.array_equal(out[r], child_stream(child, 0).random(2))
+            assert np.array_equal(out[r], np.random.Generator(np.random.SFC64(child.spawn(1)[0])).random(2))
 
 
 class TestSfc64States:
@@ -112,8 +108,8 @@ class TestSfc64States:
         assert np.array_equal(used.bit_generator.random_raw(1000), want.bit_generator.random_raw(1000))
         assert np.array_equal(used.integers(2**32, size=5, dtype=np.uint32), want.integers(2**32, size=5, dtype=np.uint32))
 
-    @pytest.mark.parametrize("t", [0, 1])
-    def test_state_view_sets_what_numpys_setter_sets(self, t):
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_state_view_sets_what_numpys_setter_sets(self, r):
         # the pooled view holds numpy's SFC64 state struct: writing its four
         # state words and a zero buffer word gives the state numpy's dict
         # setter gives, a buffered half-word of the generator's past dropped
@@ -123,7 +119,7 @@ class TestSfc64States:
         for g in (gen, other):
             g.random(3)
             g.integers(2**32, dtype=np.uint32)
-        want = numpy_stream(17, 4, t).bit_generator.state
+        want = numpy_stream(17, r).bit_generator.state
         other.bit_generator.state = want
         assert streams_module._seeded(pool, 3, [*want["state"]["state"], 0]) is gen
         for g in (gen, other):
@@ -223,9 +219,9 @@ class TestReplicate:
         monkeypatch.setattr(streams_module, "STATE_CHUNK", chunk)
         seeded, blocks, inner = [], [], stream_states
 
-        def spy(seed, start, stop, t):
+        def spy(seed, start, stop):
             seeded.append(stop - start)
-            return inner(seed, start, stop, t)
+            return inner(seed, start, stop)
 
         def draw(rngs):
             blocks.append(len(rngs))
