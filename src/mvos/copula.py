@@ -29,11 +29,12 @@ rows:
   deep into the sample (``_marshall_olkin_path``), selecting on all n.
 
 A block's replications each draw from their own generator, and the
-arithmetic runs once on the block's arrays.  This module only samples: a
-replication draws every variate from one SFC64 generator (``streams``).
-The selector gets it from ``streams.replicate``, and ``sample_rows`` seeds
-it by numpy's own ``spawn``, a child of a child of its generator's seed
-sequence, so both draw the same values.
+arithmetic runs once on the block's arrays.  This module only samples,
+from the generators it is handed; ``copula_sample`` alone builds its own,
+by ``streams.stream_rng``.  A replication draws every variate from one
+generator: a selector's block gets it from ``streams.replicate``, and
+``sample_rows`` handed ``stream_rng(seed, r)`` draws from the same one,
+so both draw the same values.
 """
 from __future__ import annotations
 
@@ -584,8 +585,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
 
 
 def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n iid rows from the model with the SFC64 generator of one
-    child of ``rng``'s seed sequence, as ``streams.stream_rng`` seeds it.
+    """Draw n iid rows from the model with ``rng``, continuing its stream.
 
     Without a positive-stable frailty each column's n values are minus the
     running sums of its n spacings (``_spacing_terms``; comonotone columns
@@ -595,34 +595,25 @@ def sample_rows(model: CopulaModel, n: int, rng: np.random.Generator) -> np.ndar
     For Gumbel at p = 2 they are all n top rows of ``_MaxOrderRows`` for a
     block of one replication, put in a uniformly random order drawn by the
     generator; at other p > 1 they are ``_marshall_olkin``'s rows from
-    it.  Each call spawns the next child C of the
-    seed sequence and draws from the SFC64 generator seeded by C's first
-    child: for a fresh ``stream_rng(seed, r)`` that is ``SeedSequence(seed,
-    spawn_key=(r, 0, 0))``, as ``streams.replicate`` seeds replication r
-    for the selector.  A generator without a ``SeedSequence`` raises
-    ``ValueError``."""
-    seq = rng.bit_generator.seed_seq
-    if not isinstance(seq, np.random.SeedSequence):
-        raise ValueError("sample_rows needs a generator seeded by a SeedSequence, such as streams.stream_rng returns")
-    (child,) = seq.spawn(1)
-    gen = np.random.Generator(np.random.SFC64(child.spawn(1)[0]))
+    it.  Handed ``streams.stream_rng(seed, r)``, it draws from the
+    generator ``streams.replicate`` hands replication r for the selector."""
     if not _stable(model):
         s = _spacings(model)
-        e = _spacing_terms([gen], n, n, s, {})[..., 0]
+        e = _spacing_terms([rng], n, n, s, {})[..., 0]
         np.add.accumulate(e, axis=0, out=e)  # in row order, as the selector's reduce adds
         values = np.exp(np.negative(e, out=e), out=e)
-        placed = np.stack([values[gen.permutation(n), j] for j in range(s)], axis=1)
+        placed = np.stack([values[rng.permutation(n), j] for j in range(s)], axis=1)
         return placed if s == model.d else np.repeat(placed, model.d, axis=1)
     if model.p != 2.0:
-        latent = _marshall_olkin(model, np.empty((n, model.d)), gen)
+        latent = _marshall_olkin(model, np.empty((n, model.d)), rng)
         return _to_uniform(model, latent, out=latent)
     rows = _MaxOrderRows(model, n)
-    rows.start([gen])
+    rows.start([rng])
     top = np.empty((model.d, 1, n))
     # in batches, which keep the temporaries small and change no value
     for start in range(0, n, _CHUNK):
         rows.next_rows(top[:, :, start:start + _CHUNK], np.zeros(1, np.intp))
-    place = gen.choice(n, n, replace=False)
+    place = rng.choice(n, n, replace=False)
     out = np.empty((n, model.d))
     out[place] = top[:, 0].T
     return _to_uniform(model, out, out=out)

@@ -4,7 +4,9 @@ Monte Carlo evaluation, axiom validation, and derived matrices.
 A D-norm is ``x -> E(max_i |x_i| Z_i)`` for a nonnegative random vector Z
 with unit componentwise means.  The analytic families here are the sup-norm
 (complete dependence) and the logistic family ``(sum |x_i|^p)^(1/p)``,
-``p >= 1``, whose ``p = 1`` end is the independence case.
+``p >= 1``, whose ``p = 1`` end is the independence case.  A
+generator-based norm is a Monte Carlo average over the generator's draws
+from one stream of ``streams.stream_rng``.
 """
 from __future__ import annotations
 
@@ -195,7 +197,11 @@ def logistic_norm(x: np.ndarray, p: float) -> float:
 
 
 def mc_eval(spec: GeneratorBased, x, seed: Optional[int] = None) -> tuple[float, float]:
-    """Monte Carlo estimate of the norm with its sample standard error."""
+    """Monte Carlo estimate of the norm with its sample standard error,
+    from ``mc_samples`` generator draws on the stream ``stream_rng(seed)``
+    (seed 0 by default).  The standard error has no normal level where
+    max_i |x_i| Z_i has infinite variance, as for ``FrechetLogistic`` at
+    p <= 2."""
     x = _as_vector(x)
     if x.size != spec.gen.d:
         raise ValueError(f"x has length {x.size}, generator dimension is {spec.gen.d}")
@@ -286,7 +292,8 @@ def dnorm_validate(spec: DNormSpec, trials: int, seed: int = 0) -> ValidationRep
     sup-norm / 1-norm envelope.  Generator-based specs are evaluated with
     common random numbers inside each trial, so homogeneity, monotonicity
     and the triangle inequality are exact per sample; standardization and
-    the envelope get a 4 standard error allowance.
+    the envelope get a 4 standard error allowance.  The random vectors come
+    from the stream ``stream_rng(seed, 0xD)``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

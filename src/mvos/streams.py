@@ -1,24 +1,22 @@
 """Random streams derived from a master seed.
 
 Every stochastic routine in this package draws from a stream addressed by
-``(master_seed, *key)``, numpy's ``SeedSequence(master_seed,
-spawn_key=key)``.  Streams are independent, so a computation split across
-workers by key (replication index, chunk index) produces output identical
-to a serial run with the same master seed.
+``(master_seed, *key)``.  Streams are independent, so a computation split
+across workers by key (replication index, chunk index) produces output
+identical to a serial run with the same master seed.
 
-``stream_rng(seed, r)`` is the Philox generator of the stream (seed, r).
-Replication r draws every variate from one SFC64 generator, numpy's
-``SFC64(SeedSequence(seed, spawn_key=(r, 0, 0)))``: the first child of the
-first child that a fresh ``stream_rng(seed, r)``'s seed sequence spawns
-(``copula.sample_rows``).  SFC64 draws a block of doubles in less than
-half of Philox's time, and its period is at least 2**64.
+This module alone states the layout.  The stream (seed, *key) is the
+SFC64 generator ``stream_rng(seed, *key)``, seeded by numpy's
+``SeedSequence`` (its docstring gives the spawn key), and replication r
+of ``replicate`` draws every variate from the stream (seed, r).  SFC64
+draws doubles fast, and its period is at least 2**64.  ``derive_seed``
+hashes a key to a plain seed for APIs that take one.
 
-``replicate`` computes those states for up to ``STATE_CHUNK``
-replications at once, on arrays (``stream_states``, numpy's
-``SeedSequence`` hash and SFC64 seeding, bit for bit), and writes them
-into generators that each thread keeps between blocks and calls to them,
-through a view of each one's state struct; it hands a block's generators
-to the draw as a list.
+``replicate`` computes the states of up to ``STATE_CHUNK`` replications
+at once, on arrays (``stream_states``, numpy's ``SeedSequence`` hash and
+SFC64 seeding, bit for bit), and writes them into generators that each
+thread keeps between blocks and calls to them, through a view of each
+one's state struct; it hands a block's generators to the draw as a list.
 """
 from __future__ import annotations
 
@@ -67,8 +65,12 @@ def _seed_sequence(master_seed: int, key: tuple) -> np.random.SeedSequence:
 
 
 def stream_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Return the Philox generator addressed by (master_seed, *key)."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(master_seed, key)))
+    """The SFC64 generator of the stream (master_seed, *key), seeded by
+    ``SeedSequence(master_seed, spawn_key=(*key, 0, 0))``: for key (r,), the
+    generator ``replicate`` hands replication r, before its first draw.
+    The two trailing zeros belong to the layout: without them every
+    stream, and so every report and sample, would draw other values."""
+    return np.random.Generator(np.random.SFC64(_seed_sequence(master_seed, key + (0, 0))))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -77,9 +79,8 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 
 def stream_states(master_seed: int, start: int, stop: int) -> np.ndarray:
-    """The (stop - start) x 4 uint64 states of
-    ``SFC64(SeedSequence(master_seed, spawn_key=(r, 0, 0)))`` for
-    start <= r < stop, before their first draw: the sequence's
+    """The (stop - start) x 4 uint64 states of ``stream_rng(master_seed, r)``
+    for start <= r < stop, before their first draw: its seed sequence's
     ``generate_state(3, np.uint64)`` by the same uint32 hash on arrays, then
     numpy's seeding of SFC64 from those three words, state (w0, w1, w2, 1)
     with 12 outputs discarded.
@@ -171,8 +172,8 @@ def replicate(
     is called once per range, so each range can allocate its working
     buffers once and reuse them.  Its result is called once per block with
     the list of the block's generators, one a replication, in replication
-    order, replication r's seeded by ``SeedSequence(seed, spawn_key=(r,
-    0, 0))``; it returns the block's rows of ``out``.  The
+    order, replication r's in the state of a fresh ``stream_rng(seed, r)``;
+    it returns the block's rows of ``out``.  The
     states are computed for up to ``STATE_CHUNK`` consecutive replications
     at once, a whole number of blocks.  A block
     holds at most ``BLOCK_REPLICATIONS`` replications and at most

@@ -7,6 +7,9 @@ statistic cdfs).  ``ratio_joint_cdf`` is the joint cdf of the correlated
 chi-square ratios, from Kibble's (1941) mixture representation of the
 bivariate gamma law.  Both margins are exactly Beta(n-k, k+1).
 ``ecdf_on_grid`` is the joint empirical cdf a sample is held against them.
+
+``FRECHET2_BANDS`` bound the relative error of the Monte Carlo norm of
+``FrechetLogistic(d, 2.0)``, whose standard error has no level.
 """
 import numpy as np
 from scipy import special, stats
@@ -99,3 +102,23 @@ def ratio_joint_cdf(rho2, n, k, x):
         cdf = special.betainc((n - k + j[lo:lo + 256])[:, None], (k + 1 + jp)[None, :], x)
         out += np.einsum("gab,ab,hab->gh", cdf, wj[lo:lo + 256, None] * wjp[None, :], cdf)
     return out
+
+
+# FrechetLogistic(d, 2.0)'s Monte Carlo norm at x is ||x||_2 (1 + R): the
+# maximum of the independent Frechet(2) variates |x_i| Z_i is Frechet(2)
+# with scale ||x||_2, so R is the mean of m iid E^(-1/2) / sqrt(pi) - 1,
+# E standard exponential, whatever x and d.  Its variance is infinite, so
+# mc_eval's standard error gives a band no level; R has these bands
+# instead, m: (low, high).  A correct program's R lies below low with
+# chance at most 2.2e-8, 3.2e-8 and 5.6e-7 (Chernoff bounds, exact), and
+# above high with chance 3.95e-4, 2.6e-4 and 3.0e-4 (10^6, 10^5 and
+# 4·10^4 simulated runs of the law), each within 20% of the one-jump tail
+# 1/(pi m high^2).  The median of R at m = 2·10^4 is -0.0016: R lies at or
+# below it with chance 0.5012.
+FRECHET2_BANDS = {2 * 10**4: (-0.06, 0.2), 10**5: (-0.03, 0.1), 10**6: (-0.01, 0.03)}
+FRECHET2_MEDIAN = -0.0016
+
+
+def frechet2_error(mean, x):
+    """R of a ``FrechetLogistic(d, 2.0)`` Monte Carlo norm ``mean`` at x."""
+    return mean / np.linalg.norm(x) - 1.0

@@ -10,6 +10,8 @@ from mvos import chi2rep, experiment, streams
 from mvos.cli import main
 from mvos.margins import Triangular, smirnov_check, von_mises_check
 
+from exact_laws import FRECHET2_BANDS, frechet2_error
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -27,7 +29,9 @@ class TestDnormCommands:
         spec = '{"kind":"generator","gen":{"kind":"frechet","p":2},"d":2,"mc_samples":20000}'
         code, out, _ = run_cli(capsys, "dnorm", "eval", "--spec", spec, "--x", "1,1", "--seed", "5")
         assert code == 0
-        assert abs(float(out.strip()) - np.sqrt(2.0)) < 0.05
+        # within R's band at m = 2·10^4 (exact_laws)
+        low, high = FRECHET2_BANDS[2 * 10**4]
+        assert low <= frechet2_error(float(out.strip()), [1.0, 1.0]) <= high
 
     def test_validate(self, capsys):
         code, out, _ = run_cli(capsys, "dnorm", "validate", "--spec", '{"kind":"sup"}', "--trials", "200")

@@ -31,7 +31,7 @@ from mvos.streams import replicate, stream_rng
 from mvos.wire import from_json, to_json
 
 from exact_laws import beta_quantile_grid, ecdf_on_grid, os_joint_cdf
-from test_streams import numpy_stream
+from test_streams import _state, numpy_stream
 
 
 def _shares_sample_rows(model, n, ranks):
@@ -677,44 +677,34 @@ class TestMaxOrderRows:
     @pytest.mark.parametrize("model", [Independence(3), GumbelLogistic(3, 1.0), GumbelLogistic(3, 2.0),
                                        GumbelLogistic(3, 3.0)], ids=lambda m: m.label())
     def test_stream_layout(self, model, monkeypatch):
-        # sample_rows spawns one child C of its generator's seed sequence
-        # and builds one SFC64, seeded by C's first child (105, (0, 0, 0));
-        # it reads no word of the Philox generator itself.  The selector's
-        # blocks get the same generator, and nothing else
-        # (``streams.replicate``).
-        built, inner = [], np.random.SFC64
+        # sample_rows builds no generator or seed sequence: it draws from
+        # the generator it is handed, from where its stream stands, so a
+        # generator one uniform further on gives other rows, and it leaves
+        # the generator where its draws end
+        def never(*args, **kwargs):
+            raise AssertionError("a generator or a seed sequence was built")
 
-        def spy(seq):
-            built.append((seq.entropy, seq.spawn_key))
-            return inner(seq)
-
-        n, rng = 1000, stream_rng(105, 0)
-        monkeypatch.setattr(np.random, "SFC64", spy)
-        sample_rows(model, n, rng)
-        assert built == [(105, (0, 0, 0))]
-        assert rng.bit_generator.seed_seq.n_children_spawned == 1
-        assert rng.bit_generator.random_raw() == stream_rng(105, 0).bit_generator.random_raw()
+        n, rng, ahead = 1000, numpy_stream(105, 0), numpy_stream(105, 0)
+        ahead.random()
+        for name in ("Generator", "SFC64", "SeedSequence"):
+            monkeypatch.setattr(np.random, name, never)
+        rows, moved = sample_rows(model, n, rng), sample_rows(model, n, ahead)
+        monkeypatch.undo()
+        assert not np.array_equal(rows, moved)
+        assert not np.array_equal(_state(rng), _state(numpy_stream(105, 0)))
 
     @pytest.mark.parametrize("model", [Independence(2), Comonotone(2), GumbelLogistic(2, 2.0), GumbelLogistic(2, 3.0)],
                              ids=lambda m: m.label())
     def test_calls_on_one_generator_spawn_new_children(self, model):
-        # each call spawns the next child, so a second call on the same
-        # generator draws other rows; the first call's rows are the
-        # selector's, at a depth (301) that Gumbel p != 2 draws all n rows for
+        # a second call on the same generator continues its stream, so it
+        # draws other rows; the first call's rows are the selector's, at a
+        # depth (301) that Gumbel p != 2 draws all n rows for
         n, ranks, rng = 400, np.full(model.d, 100), stream_rng(107, 2)
         first, second = sample_rows(model, n, rng), sample_rows(model, n, rng)
         assert not np.array_equal(first, second)
         selected = replicate(np.empty((3, model.d)), 107, 1, *os_selector(model, n, ranks))
         assert np.array_equal(selected[2], componentwise_os(first, ranks))
         assert not np.array_equal(selected[2], componentwise_os(second, ranks))
-
-    @pytest.mark.parametrize("model", [Independence(2), GumbelLogistic(2, 2.0)], ids=lambda m: m.label())
-    def test_rejects_a_generator_without_a_seed_sequence(self, model):
-        # a Philox set by its key has no seed sequence to spawn a child from
-        rng = np.random.Generator(np.random.Philox(key=5))
-        assert rng.bit_generator.seed_seq is None
-        with pytest.raises(ValueError, match="stream_rng"):
-            sample_rows(model, 10, rng)
 
     @pytest.mark.parametrize("model", [GumbelLogistic(2, 2.0), GumbelLogistic(2, 3.0), Independence(3)],
                              ids=lambda m: m.label())

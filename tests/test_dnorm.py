@@ -20,6 +20,8 @@ from mvos.dnorm import (
 )
 from mvos.wire import from_json, to_json
 
+from exact_laws import FRECHET2_BANDS, FRECHET2_MEDIAN, frechet2_error
+
 
 class TestEval:
     def test_logistic_euclidean(self):
@@ -35,9 +37,11 @@ class TestEval:
         assert dnorm_eval(spec, [2.0, 3.0]) == 3.0
 
     def test_frechet_generator_matches_logistic(self):
+        # within R's band at m = 10^6 (exact_laws), not a standard error band
         spec = GeneratorBased(FrechetLogistic(2, 2.0), 10**6)
-        mean, se = mc_eval(spec, [1.0, 1.0], seed=3)
-        assert abs(mean - np.sqrt(2.0)) <= 3.0 * se
+        mean, _ = mc_eval(spec, [1.0, 1.0], seed=3)
+        low, high = FRECHET2_BANDS[10**6]
+        assert low <= frechet2_error(mean, [1.0, 1.0]) <= high
 
     def test_random_index_is_one_norm(self):
         spec = GeneratorBased(RandomIndex(3), 2 * 10**5)
@@ -136,23 +140,30 @@ class TestValidate:
         assert dnorm_validate(spec, trials=80, seed=1).passed
 
     def test_envelope_for_generator_specs(self):
-        # sup-norm <= value <= 1-norm within Monte Carlo resolution
+        # sup-norm <= value <= 1-norm within R's band at m = 10^5
         rng = np.random.default_rng(3)
         spec = GeneratorBased(FrechetLogistic(3, 2.0), 10**5)
+        low, high = FRECHET2_BANDS[10**5]
         for t in range(10):
             x = rng.uniform(-2, 2, size=3)
-            mean, se = mc_eval(spec, x, seed=t)
-            assert np.abs(x).max() - mean <= 4 * se
-            assert mean - np.abs(x).sum() <= 4 * se
+            mean, _ = mc_eval(spec, x, seed=t)
+            l2 = np.linalg.norm(x)
+            assert np.abs(x).max() + low * l2 <= mean <= np.abs(x).sum() + high * l2
 
     def test_frechet_generator_tracks_logistic_on_100_vectors(self):
+        # the 100 relative errors against R's law at m = 2·10^4: at most one
+        # outside its band (chance 7.5e-4 for a correct program) and between
+        # 33 and 67 at or below its median (4.1e-4)
         rng = np.random.default_rng(9)
         spec = GeneratorBased(FrechetLogistic(2, 2.0), 2 * 10**4)
         analytic = LogisticP(2.0)
+        errors = np.empty(100)
         for t in range(100):
             x = rng.uniform(-3, 3, size=2)
-            mean, se = mc_eval(spec, x, seed=t)
-            assert abs(mean - dnorm_eval(analytic, x)) <= 4 * se
+            errors[t] = mc_eval(spec, x, seed=t)[0] / dnorm_eval(analytic, x) - 1.0
+        low, high = FRECHET2_BANDS[2 * 10**4]
+        assert np.count_nonzero((errors < low) | (errors > high)) <= 1
+        assert 33 <= np.count_nonzero(errors <= FRECHET2_MEDIAN) <= 67
 
 
 @settings(max_examples=60, deadline=None)

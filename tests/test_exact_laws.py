@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from mvos.copula import GumbelLogistic, Independence
+from mvos.dnorm import FrechetLogistic
 
 from exact_laws import beta_quantile_grid, os_joint_cdf, ratio_joint_cdf
 
@@ -44,3 +45,12 @@ def test_laws_agree_under_independence():
     x = _grid_with_one(n, k)
     np.testing.assert_allclose(os_joint_cdf(Independence(2), n, k, x), ratio_joint_cdf(0.0, n, k, x),
                                rtol=0, atol=1e-12)
+
+
+def test_frechet2_norm_is_a_scaled_frechet():
+    # the identity under FRECHET2_BANDS: max_i |x_i| Z_i / ||x||_2 has the
+    # cdf exp(-1 / (pi w^2)) of E^(-1/2) / sqrt(pi), whatever x (KS at 1e-3)
+    x = np.array([0.3, -2.0, 1.1])
+    z = FrechetLogistic(3, 2.0).sample(10**5, np.random.default_rng(77))
+    w = np.max(np.abs(x) * z, axis=1) / np.linalg.norm(x)
+    assert stats.kstest(w, lambda v: np.exp(-1.0 / (np.pi * v * v))).pvalue > 1e-3

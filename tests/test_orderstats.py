@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from mvos.dnorm import FrechetLogistic, GeneratorBased, LogisticP, SupNorm, mc_eval
+from mvos.dnorm import FrechetLogistic, GeneratorBased, LogisticP, SupNorm
 from mvos.margins import NormingConstants, StandardExponential, norming_constants
 from mvos.orderstats import (
     IntermediateSpec,
@@ -15,6 +15,8 @@ from mvos.orderstats import (
     theoretical_sigma,
     theoretical_sigma_equal_k,
 )
+
+from exact_laws import FRECHET2_BANDS, frechet2_error
 
 
 class TestComponentwiseOS:
@@ -223,11 +225,11 @@ class TestTheoreticalSigma:
                     assert cap <= 1.0 + 1e-12
 
     def test_generator_based_sigma_close_to_analytic(self):
+        # sigma_01 = 2 - ||(1, 1)||_D, its norm within R's band at m = 10^5
         spec = GeneratorBased(FrechetLogistic(2, 2.0), 10**5)
         sigma = theoretical_sigma(spec, KRatioMatrix.ones(2), seed=5)
-        x = np.array([1.0, 1.0])
-        _, se = mc_eval(spec, x, seed=5)
-        assert abs(sigma[0, 1] - (2.0 - np.sqrt(2.0))) <= 4.0 * se
+        low, high = FRECHET2_BANDS[10**5]
+        assert low <= frechet2_error(2.0 - sigma[0, 1], [1.0, 1.0]) <= high
 
     def test_dimension_mismatch_rejected(self):
         spec = GeneratorBased(FrechetLogistic(3, 2.0), 100)

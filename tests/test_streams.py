@@ -63,26 +63,19 @@ class TestStreamStates:
         assert stream_states(1, 3, 3).shape == (0, 4)
 
 
-class TestChildStream:
-    """The first child of the child C that a fresh ``stream_rng(seed, r)``
-    spawns, ``C.spawn(1)[0]``, is (seed, (r, 0, 0)): its SFC64 starts from
-    replication r's state."""
-
-    @pytest.mark.parametrize("seed,r", [(21, 4), (2**200 + 3, 2**31)])
-    def test_equals_numpy_stream(self, seed, r):
-        child = np.random.SeedSequence(seed, spawn_key=(r, 0))
-        (grandchild,) = child.spawn(1)
-        assert (grandchild.entropy, grandchild.spawn_key) == (seed, (r, 0, 0))
-        gen = np.random.Generator(np.random.SFC64(grandchild))
-        assert np.array_equal(_state(gen), stream_states(seed, r, r + 1)[0])
-        assert np.array_equal(gen.bit_generator.random_raw(100), numpy_stream(seed, r).bit_generator.random_raw(100))
-
-    def test_stream_rng_child_seeds_the_replicated_generators(self):
+class TestStreamRng:
+    def test_is_the_replicated_generator(self):
+        # stream_rng(seed, r) starts from stream_states' row r and draws
+        # numpy's own stream of replication r, at one- and many-word seeds
+        # and the largest one-word r; and each replication of replicate
+        # draws what a fresh stream_rng(seed, r) draws
+        for seed, r in [(21, 4), (2**200 + 3, 2**31), (7, 2**32 - 1)]:
+            gen = stream_rng(seed, r)
+            assert isinstance(gen.bit_generator, np.random.SFC64)
+            assert np.array_equal(_state(gen), stream_states(seed, r, r + 1)[0])
+            assert np.array_equal(gen.bit_generator.random_raw(100), numpy_stream(seed, r).bit_generator.random_raw(100))
         out = replicate(np.empty((5, 2)), 13, 1, lambda: lambda rngs: [rng.random(2) for rng in rngs])
-        for r in range(5):
-            (child,) = stream_rng(13, r).bit_generator.seed_seq.spawn(1)
-            assert child.spawn_key == (r, 0)
-            assert np.array_equal(out[r], np.random.Generator(np.random.SFC64(child.spawn(1)[0])).random(2))
+        assert np.array_equal(out, [stream_rng(13, r).random(2) for r in range(5)])
 
 
 class TestSfc64States:
@@ -257,3 +250,26 @@ class TestReplicate:
             replicate(np.empty((200, 3)), 1, threads, never)
         with pytest.raises(ValueError, match="at least 1"):
             replicate(np.empty((0, 3)), 1, threads, never)
+
+
+def test_no_package_code_builds_a_philox(monkeypatch):
+    # every package stream is SFC64: sampling, the Monte Carlo norm, its
+    # validation and an experiment of each arm run with Philox unbuildable
+    from mvos.copula import GumbelLogistic, Independence, copula_sample
+    from mvos.dnorm import FrechetLogistic, GeneratorBased, dnorm_validate, mc_eval
+    from mvos.experiment import ExperimentConfig, run_experiment
+
+    def never(*args, **kwargs):
+        raise AssertionError("a Philox generator was built")
+
+    monkeypatch.setattr(np.random, "Philox", never)
+    # the thread's pool is built anew, under the patch
+    monkeypatch.setattr(streams_module._idle, "pool", None, raising=False)
+    for model in (Independence(2), GumbelLogistic(2, 2.0), GumbelLogistic(2, 3.0)):
+        assert copula_sample(model, 50, 3).shape == (50, 2)
+    spec = GeneratorBased(FrechetLogistic(2, 2.0), 100)
+    assert mc_eval(spec, [1.0, 2.0], seed=4)[0] > 0
+    assert len(dnorm_validate(spec, trials=3, seed=5).checks) == 5
+    for kind in ("copula", "representation"):
+        config = ExperimentConfig(copula=GumbelLogistic(2, 2.0), n=200, replications=20, seed=6, kind=kind)
+        assert run_experiment(config).kind == kind
