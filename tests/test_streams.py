@@ -64,16 +64,18 @@ class TestStreamStates:
 
 
 class TestStreamRng:
-    def test_is_the_replicated_generator(self):
+    @pytest.mark.parametrize("seed,r", [(21, 4), (2**200 + 3, 2**31), (7, 2**32 - 1)])
+    def test_is_the_replicated_generator(self, seed, r):
         # stream_rng(seed, r) starts from stream_states' row r and draws
         # numpy's own stream of replication r, at one- and many-word seeds
-        # and the largest one-word r; and each replication of replicate
-        # draws what a fresh stream_rng(seed, r) draws
-        for seed, r in [(21, 4), (2**200 + 3, 2**31), (7, 2**32 - 1)]:
-            gen = stream_rng(seed, r)
-            assert isinstance(gen.bit_generator, np.random.SFC64)
-            assert np.array_equal(_state(gen), stream_states(seed, r, r + 1)[0])
-            assert np.array_equal(gen.bit_generator.random_raw(100), numpy_stream(seed, r).bit_generator.random_raw(100))
+        # and the largest one-word r
+        gen = stream_rng(seed, r)
+        assert isinstance(gen.bit_generator, np.random.SFC64)
+        assert np.array_equal(_state(gen), stream_states(seed, r, r + 1)[0])
+        assert np.array_equal(gen.bit_generator.random_raw(100), numpy_stream(seed, r).bit_generator.random_raw(100))
+
+    def test_replicate_hands_replication_r_its_stream_rng(self):
+        # each replication of replicate draws what a fresh stream_rng(seed, r) draws
         out = replicate(np.empty((5, 2)), 13, 1, lambda: lambda rngs: [rng.random(2) for rng in rngs])
         assert np.array_equal(out, [stream_rng(13, r).random(2) for r in range(5)])
 
