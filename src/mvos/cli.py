@@ -156,8 +156,9 @@ def _cmd_check(args) -> int:
     out = _out(args)
     if args.action == "smirnov":
         k_rule = _parsed("--k-rule", make_k_rule, args.k_rule)
-        n_grid = [int(n) for n in _parsed("--n-grid", _floats, args.n_grid)]
-        _check(min(n_grid) >= 2, "--n-grid values must be >= 2")
+        sizes = _parsed("--n-grid", _floats, args.n_grid)
+        _check(all(n.is_integer() for n in sizes) and min(sizes) >= 2, "--n-grid values must be whole numbers >= 2")
+        n_grid = [int(n) for n in sizes]
         x = _parsed("--x", _floats, args.x)
         header = ["n", "k", "x", "quotient", "clipped"]
         table = _parsed("--n-grid", lambda n_grid: smirnov_check(margin, x, n_grid, k_rule), n_grid)

@@ -207,21 +207,22 @@ def standardize_general_case(values, constants: Sequence[NormingConstants]) -> n
 # the limit covariance
 
 def theoretical_sigma(dnorm: DNormSpec, ratios: KRatioMatrix, seed: Optional[int] = None) -> np.ndarray:
-    """Closed-form limit covariance for the given tail norm and rank ratios."""
+    """Closed-form limit covariance for the given tail norm and rank ratios.
+
+    The norm is evaluated once, at the stack of the d(d - 1)/2 pair points
+    k_ij e_i + k_ji e_j (i < j), so a generator-based norm draws its
+    sample once for all pairs."""
     d = ratios.d
     dim = spec_dimension(dnorm)
     if dim is not None and dim != d:
         raise ValueError(f"norm dimension {dim} does not match ratio dimension {d}")
+    i, j = np.triu_indices(d, 1)
+    kij, kji = ratios.entries[i, j], ratios.entries[j, i]
+    points = np.zeros((len(i), d))
+    points[np.arange(len(i)), i] = kij
+    points[np.arange(len(i)), j] = kji
     sigma = np.eye(d)
-    for i in range(d):
-        for j in range(i + 1, d):
-            kij = ratios.entries[i, j]
-            kji = ratios.entries[j, i]
-            x = np.zeros(d)
-            x[i] = kij
-            x[j] = kji
-            val = kij + kji - dnorm_eval(dnorm, x, seed)
-            sigma[i, j] = sigma[j, i] = val
+    sigma[i, j] = sigma[j, i] = kij + kji - dnorm_eval(dnorm, points, seed)
     return sigma
 
 

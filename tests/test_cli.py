@@ -299,6 +299,9 @@ REJECTED = [
     ("check-k-rule-2", ["check", "smirnov", "--margin", "exponential", "--k-rule", "2"], None, {}),
     # b = F^-1(1 - k/n) is inf at n = 1e300, where the density vanishes
     ("check-smirnov-n-1e300", ["check", "smirnov", "--margin", "normal", "--n-grid", "1e300"], None, {}),
+    # a sample size is a whole number: 1000.7 and 2.9 are not truncated to 1000 and 2
+    ("check-smirnov-n-fractional", ["check", "smirnov", "--margin", "exponential", "--n-grid", "1000.7,2.9"],
+     None, {}),
     ("check-grid-past-endpoint", ["check", "von-mises", "--margin", "triangular", "--x-grid", "0.5,2"],
      None, {}),
     ("dnorm-x-wrong-length", ["dnorm", "eval", "--spec", '{"kind":"generator","gen":{"kind":"constant"},"d":2}',

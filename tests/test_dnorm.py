@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import mvos.dnorm as dnorm
 from mvos.dnorm import (
     ConstantOne,
     FrechetLogistic,
@@ -164,6 +165,108 @@ class TestValidate:
         low, high = FRECHET2_BANDS[2 * 10**4]
         assert np.count_nonzero((errors < low) | (errors > high)) <= 1
         assert 33 <= np.count_nonzero(errors <= FRECHET2_MEDIAN) <= 67
+
+
+class SharedSign(Generator):
+    """Z = (3, 3) or (-1, -1), each with chance 1/2: unit means, but
+    negative components.  A unit vector's value is the mean of max(Z_i, 0)
+    = 3/2, while x's is 3/2 max|x_i| - 1/2 min|x_i|, below the envelope's
+    lower end max|x_i| * 3/2."""
+
+    d = 2
+
+    def sample(self, size, rng):
+        up = rng.integers(0, 2, size=size).astype(bool)
+        return np.where(up[:, None], [3.0, 3.0], [-1.0, -1.0])
+
+    def label(self):
+        return "shared_sign"
+
+
+SHIPPED_GENERATORS = [ConstantOne(3), RandomIndex(3), FrechetLogistic(3, 2.0)]
+EXACT_CHECKS = ("homogeneity", "triangle", "monotonicity", "bounds")
+
+
+class TestStack:
+    @pytest.mark.parametrize("gen", SHIPPED_GENERATORS, ids=lambda g: g.label())
+    def test_stack_matches_per_point_bits_across_chunks(self, gen, monkeypatch):
+        # chunks of 7 draws, so 50 draws take 8 chunks, the last one short
+        monkeypatch.setattr(dnorm, "MC_CHUNK_ELEMENTS", 7 * gen.d)
+        spec = GeneratorBased(gen, 50)
+        stack = np.random.default_rng(4).uniform(-2.0, 2.0, size=(5, gen.d))
+        means, stderrs = mc_eval(spec, stack, seed=6)
+        alone = [mc_eval(spec, x, seed=6) for x in stack]
+        assert np.array_equal(means, [m for m, _ in alone])
+        assert np.array_equal(stderrs, [se for _, se in alone])
+        assert np.array_equal(dnorm_eval(spec, stack, seed=6), means)
+
+    @pytest.mark.parametrize("spec", [SupNorm()] + [LogisticP(p) for p in (1.0, 1.5, 2.0, 3.0, 64.0)],
+                             ids=lambda s: s.label())
+    def test_analytic_stack_matches_per_point_bits(self, spec):
+        stack = np.random.default_rng(8).uniform(-3.0, 3.0, size=(6, 4))
+        assert np.array_equal(dnorm_eval(spec, stack), [dnorm_eval(spec, x) for x in stack])
+
+    def test_one_point_gives_floats_and_a_stack_gives_arrays(self):
+        spec = GeneratorBased(RandomIndex(2), 100)
+        assert isinstance(dnorm_eval(spec, [1.0, 2.0]), float)
+        assert all(isinstance(v, float) for v in mc_eval(spec, [1.0, 2.0]))
+        assert dnorm_eval(SupNorm(), [[1.0, 2.0]]).shape == (1,)
+        assert mc_eval(spec, [[1.0, 2.0], [3.0, 4.0]])[1].shape == (2,)
+
+    def test_stack_rejects_bad_shapes(self):
+        for x in ([], [[]], np.ones((2, 2, 2)), [[1.0, np.nan]]):
+            with pytest.raises(ValueError):
+                dnorm_eval(SupNorm(), x)
+        with pytest.raises(ValueError):
+            mc_eval(GeneratorBased(ConstantOne(2), 10), np.ones((3, 3)))
+
+
+class TestExactChecks:
+    @pytest.mark.parametrize("gen", SHIPPED_GENERATORS, ids=lambda g: g.label())
+    def test_shipped_generators_pass_the_exact_checks(self, gen):
+        # these hold for any sample of a nonnegative generator, at rounding tolerance
+        report = dnorm_validate(GeneratorBased(gen, 500), trials=60, seed=2)
+        for check in report.checks:
+            if check.name in EXACT_CHECKS:
+                assert check.passed and check.tolerance == dnorm._FP_TOL, check
+
+    def test_negative_component_fails_the_envelope(self):
+        report = dnorm_validate(GeneratorBased(SharedSign(), 500), trials=20, seed=0)
+        bounds = next(c for c in report.checks if c.name == "bounds")
+        assert not bounds.passed and bounds.tolerance == dnorm._FP_TOL
+
+    @pytest.mark.parametrize("spec", [LogisticP(2.0), GeneratorBased(FrechetLogistic(2, 2.0), 30)],
+                             ids=lambda s: s.label())
+    def test_one_evaluation_call_per_trial_plus_standardization(self, spec, monkeypatch):
+        # a generator spec calls mc_eval directly for standardization and
+        # through dnorm_eval for each trial; an analytic one only dnorm_eval
+        name = "mc_eval" if isinstance(spec, GeneratorBased) else "dnorm_eval"
+        original, shapes = getattr(dnorm, name), []
+
+        def spy(spec, x, seed=None):
+            shapes.append(np.shape(x))
+            return original(spec, x, seed)
+
+        monkeypatch.setattr(dnorm, name, spy)
+        dnorm_validate(spec, trials=7, seed=3)
+        d = dnorm.spec_dimension(spec) or 3
+        assert shapes == [(d, d)] + [(5 + d, d)] * 7
+
+    def test_seeds_share_no_evaluation_stream(self, monkeypatch):
+        # 7921 trials: per-trial seeds t + 7919 * seed would put seed 0's
+        # trial 7919 on the stream of seed 1's trial 0
+        original, keys = dnorm.stream_rng, {0: set(), 1: set()}
+
+        def spy(master_seed, *key):
+            keys[run].add((master_seed, *key))
+            return original(master_seed, *key)
+
+        monkeypatch.setattr(dnorm, "stream_rng", spy)
+        spec = GeneratorBased(ConstantOne(2), 1)
+        for run in keys:
+            dnorm_validate(spec, trials=7921, seed=run)
+        assert not keys[0] & keys[1]
+        assert len(keys[0]) == len(keys[1]) == 7921 + 2  # the vectors', standardization's and each trial's
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,20 @@
+from typing import Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from mvos.dnorm import FrechetLogistic, GeneratorBased, LogisticP, SupNorm
+from mvos.dnorm import (
+    DNormSpec,
+    FrechetLogistic,
+    GeneratorBased,
+    LogisticP,
+    RandomIndex,
+    SupNorm,
+    dnorm_eval,
+    spec_dimension,
+)
 from mvos.margins import NormingConstants, StandardExponential, norming_constants
 from mvos.orderstats import (
     IntermediateSpec,
@@ -237,6 +248,47 @@ class TestTheoreticalSigma:
             theoretical_sigma(spec, KRatioMatrix.ones(2))
         with pytest.raises(ValueError):
             theoretical_sigma_equal_k(spec, 2)
+
+
+def per_pair_sigma(dnorm: DNormSpec, ratios: KRatioMatrix, seed: Optional[int] = None) -> np.ndarray:
+    """Closed-form limit covariance for the given tail norm and rank ratios."""
+    # theoretical_sigma as it was when it evaluated the norm once per pair
+    d = ratios.d
+    dim = spec_dimension(dnorm)
+    if dim is not None and dim != d:
+        raise ValueError(f"norm dimension {dim} does not match ratio dimension {d}")
+    sigma = np.eye(d)
+    for i in range(d):
+        for j in range(i + 1, d):
+            kij = ratios.entries[i, j]
+            kji = ratios.entries[j, i]
+            x = np.zeros(d)
+            x[i] = kij
+            x[j] = kji
+            val = kij + kji - dnorm_eval(dnorm, x, seed)
+            sigma[i, j] = sigma[j, i] = val
+    return sigma
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+@pytest.mark.parametrize(
+    "norm",
+    ["sup", 1.0, 1.5, 2.0, 3.0, 64.0, "frechet", "random_index"],
+    ids=lambda n: n if isinstance(n, str) else f"logistic-{n}",
+)
+def test_sigma_in_one_call_equals_the_per_pair_loop(norm, d):
+    if norm == "sup":
+        spec = SupNorm()
+    elif norm == "frechet":
+        spec = GeneratorBased(FrechetLogistic(d, 3.0), 3000)
+    elif norm == "random_index":
+        spec = GeneratorBased(RandomIndex(d), 3000)
+    else:
+        spec = LogisticP(norm)
+    weights = np.random.default_rng(d).uniform(0.25, 4.0, size=d)
+    for ratios in (KRatioMatrix.from_weights(weights), KRatioMatrix.ones(d)):
+        for seed in (None, 9):
+            assert np.array_equal(theoretical_sigma(spec, ratios, seed), per_pair_sigma(spec, ratios, seed))
 
 
 @settings(max_examples=40, deadline=None)
