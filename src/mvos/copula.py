@@ -211,9 +211,11 @@ def _pair_gap(g: np.ndarray, log_u: np.ndarray, v: np.ndarray, u: np.ndarray) ->
     h^2 - g^2) = (g / h) exp(g - h) = P(g + E > h) P(g / U > h) for h >= g:
     sqrt(g^2 + X) is min(g + E, g / U) = g + D in law, and X = (g + D)^2 -
     g^2 = D (D + 2 g), a form with no cancellation.  Elementwise ufuncs
-    only, so an element's bits do not depend on its array."""
+    only, so an element's bits do not depend on its array.  E is 0 - log
+    U', +0.0 where U' = 1 (-log U' would be -0.0), so the result is never
+    -0.0, which ``_MaxOrderRows`` needs to place it by arithmetic."""
     d = np.divide(v, u)
-    np.minimum(np.multiply(d, g, out=d), np.negative(log_u), out=d)
+    np.minimum(np.multiply(d, g, out=d), np.subtract(0.0, log_u), out=d)
     return np.multiply(d, np.add(d, np.multiply(g, 2.0)), out=d)
 
 
@@ -324,8 +326,13 @@ class _MaxOrderRows:
       Laplace transform is (g / h) exp(g - h), h = sqrt(g^2 + x), which is
       X's survival function and factors as P(g + E > h) P(g / U > h), so
       X = D (D + 2 g) with D = min(E, g (1 - U) / U), E a unit exponential
-      and U uniform (``_pair_gap``): no frailty is drawn.  At other d the
-      d - 1 gaps share one S, and no such factorisation holds.
+      and U uniform (``_pair_gap``): no frailty is drawn.  The row is
+      placed by arithmetic, m - gap [coin] in column 1 and m - (gap -
+      gap [coin]) in column 0, [coin] being 1 where the maximum is in
+      column 0, with no masked copy.  That is exact: the gap is finite
+      and never -0.0, so gap [coin] is the gap or +0.0, gap - gap is
+      +0.0, and m - 0.0 is m bit for bit, m = -0.0 included.  At other d
+      the d - 1 gaps share one S, and no such factorisation holds.
     * The stop bound.  Every value is at most its row's maximum, from
       which the spread subtracts a nonnegative number (at p = 2 the
       nonnegative product (F_j - F_J) / S, or D (D + 2 g) at d = 2), and
@@ -403,14 +410,14 @@ class _MaxOrderRows:
         if self.pair:
             # the maximum -g^2 / 2 in column 0 where the coin's uniform lies
             # below 1 / 2, else in column 1, and -g^2 / 2 - D (D + 2 g) in
-            # the other; 1 - U is U's uniform exactly
+            # the other, placed by arithmetic (exact, the docstring says
+            # why); 1 - U is U's uniform exactly
             m = np.multiply(g, g)
             np.divide(m, -2.0, out=m)
-            lower = np.subtract(m, _pair_gap(g, logs[1], raw[:, :, 2], u[2]))
-            first = np.greater(u[3], 0.5)
-            np.copyto(out, m)
-            np.copyto(out[0], lower, where=~first)
-            np.copyto(out[1], lower, where=first)
+            gap = _pair_gap(g, logs[1], raw[:, :, 2], u[2])
+            np.multiply(gap, np.greater(u[3], 0.5), out=out[1])
+            np.subtract(gap, out[1], out=out[0])
+            np.subtract(m, out, out=out)
         elif self.closed_form:
             np.subtract(logs[1:-1].max(axis=0), logs[1:-1], out=out)  # F_j - F_J
             # -(g^2 / d + (F_j - F_J) / S), 1 / S drawn with sqrt(theta) = g

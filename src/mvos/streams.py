@@ -83,7 +83,12 @@ def stream_states(master_seed: int, start: int, stop: int) -> np.ndarray:
     for start <= r < stop, before their first draw: its seed sequence's
     ``generate_state(3, np.uint64)`` by the same uint32 hash on arrays, then
     numpy's seeding of SFC64 from those three words, state (w0, w1, w2, 1)
-    with 12 outputs discarded.
+    with 12 outputs discarded.  The seed's first four words are hashed on
+    Python ints.  Each later entropy word (the seed's, then the spawn
+    key's) is mixed into the four pool lanes in one pass, a (4, count)
+    uint64 array of 32-bit values, each lane with its own constants; the
+    six output words are one (6, count) pass, and the 12 rounds run in
+    place, so a call makes about 150 small ufunc calls whatever the count.
 
     r must lie below 2**32, where a spawn key entry is one 32-bit word.
     """
@@ -93,44 +98,49 @@ def stream_states(master_seed: int, start: int, stop: int) -> np.ndarray:
     if not 0 <= start <= stop <= 2**32:
         raise ValueError(f"replication range [{start}, {stop}) must lie in [0, 2**32)")
     # the sequence's entropy words, the run entropy padded to the pool size
-    # as there is a spawn key: Python ints, but the replications' array
+    # as there is a spawn key
     words = [(master_seed >> s) & _MASK for s in range(0, max(master_seed.bit_length(), 1), 32)]
-    entropy = words + [0] * (_POOL - len(words)) + [np.arange(start, stop, dtype=np.uint32), 0, 0]
-    const = _INIT_A
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK
-        value = value * const & _MASK
+    def constants(const, mult):  # numpy's hash_const before and after each step
+        while True:
+            yield const, (const := const * mult & _MASK)
+
+    def lanes(calls, count):  # the next count steps' constants, as (count, 1) arrays
+        return np.array([next(calls) for _ in range(count)], np.uint64).T[..., None]
+
+    def hashmix(value, const, after):
+        value = (value ^ const) * after & _MASK
         return value ^ (value >> 16)
 
-    def mix(x, y):
-        out = ((_MIX_L * x & _MASK) - (_MIX_R * y & _MASK)) & _MASK
+    def mix(x, y):  # on uint64 arrays the difference wraps mod 2**64, which the mask reduces
+        out = (_MIX_L * x - _MIX_R * y) & _MASK
         return out ^ (out >> 16)
 
-    pool = [hashmix(w) for w in entropy[:_POOL]]
+    calls = constants(_INIT_A, _MULT_A)
+    pool = [hashmix(w, *next(calls)) for w in (words + [0] * _POOL)[:_POOL]]
     for src in range(_POOL):
         for dst in range(_POOL):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
+                pool[dst] = mix(pool[dst], hashmix(pool[src], *next(calls)))
+    pool = np.array(pool, np.uint64)[:, None]
+    for word in words[_POOL:] + [np.arange(start, stop, dtype=np.uint64), 0, 0]:
+        pool = mix(pool, hashmix(word, *lanes(calls, _POOL)))
     # generate_state(3, np.uint64): six uint32 words from the pool in turn,
     # each pair little-endian
-    const, state = _INIT_B, []
-    for i in range(6):
-        word = pool[i % _POOL] ^ const
-        const = const * _MULT_B & _MASK
-        word = word * const & _MASK
-        state.append((word ^ (word >> 16)).astype(np.uint64))
-    a, b, c = (state[j] | state[j + 1] << np.uint64(32) for j in range(0, 6, 2))
-    for count in range(1, 13):
-        out = a + b + np.uint64(count)
-        a = b ^ (b >> np.uint64(11))
-        b = c + (c << np.uint64(3))
-        c = (c << np.uint64(24) | c >> np.uint64(40)) + out
+    state = hashmix(pool[np.arange(6) % _POOL], *lanes(constants(_INIT_B, _MULT_B), 6))
+    a, b, c = state[0::2] | state[1::2] << 32
+    # 12 rounds of out = a + b + count, (a, b, c) = (b ^ b >> 11, 9 c,
+    # (c <<< 24) + out), in place on rotating buffers (9 c is c + (c << 3)
+    # mod 2**64), with 0-d array operands, which numpy applies fastest
+    t, high = np.empty_like(a), np.empty_like(a)
+    nine, eleven, twenty_four, forty, *counts = (np.array(k, np.uint64) for k in (9, 11, 24, 40, *range(1, 13)))
+    for count in counts:
+        np.add(np.add(a, b, out=a), count, out=a)
+        np.bitwise_xor(b, np.right_shift(b, eleven, out=t), out=b)
+        np.multiply(c, nine, out=t)
+        np.right_shift(c, forty, out=high)
+        np.add(np.bitwise_or(np.left_shift(c, twenty_four, out=c), high, out=c), a, out=c)
+        a, b, c, t = b, t, c, a
     return np.stack((a, b, c, np.full(a.shape, 13, np.uint64)), axis=-1)
 
 

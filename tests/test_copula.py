@@ -1038,3 +1038,127 @@ class TestMinusEOverS:
             assert np.all(out <= maxima) and np.array_equal(out.max(axis=0), maxima)
             assert np.all(np.diff(maxima, axis=1) <= 0) and np.all(maxima[:, 0] <= last)
             last = maxima[:, -1]
+
+
+class _MaskedCopyRows(copula_module._MaxOrderRows):
+    """The oracle: p = 2, d = 2 top rows placed by masked copies, with the
+    pair branch of ``next_rows`` verbatim as it was before the placement
+    moved to arithmetic."""
+
+    def next_rows(self, out, slots):
+        assert self.pair
+        b, c, i = len(slots), out.shape[2], self.drawn
+        raw, u = copula_module._reused(self.scratch, "raw", (b, c, self.width)), copula_module._reused(self.scratch, "u", (self.width, b, c))
+        for j, slot in enumerate(slots):
+            self.rngs[slot].random(out=raw[j])
+        np.subtract(1.0, raw.transpose(2, 0, 1), out=u)
+        logs = u[:2]
+        np.log(logs, out=logs)  # log U = -E
+        g = np.divide(logs[0], np.arange(i - self.n, i + c - self.n, dtype=float), out=logs[0])  # -(n - i + 1)
+        g[:, 0] += self.g[slots]  # continue the sums of the rows drawn before
+        np.add.accumulate(g, axis=1, out=g)  # sequential, so batches do not change the sums
+        self.g[slots], self.drawn = g[:, -1], i + c
+        m = np.multiply(g, g)
+        np.divide(m, -2.0, out=m)
+        lower = np.subtract(m, copula_module._pair_gap(g, logs[1], raw[:, :, 2], u[2]))
+        first = np.greater(u[3], 0.5)
+        np.copyto(out, m)
+        np.copyto(out[0], lower, where=~first)
+        np.copyto(out[1], lower, where=first)
+        self.m[slots] = m[:, -1]
+        return m
+
+
+def _bits(x):
+    """The bytes of a float array, so -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+class _Uniforms:
+    """A generator whose ``random(out=)`` writes the next rows of a fixed
+    table of uniforms, one row per top row."""
+
+    def __init__(self, table):
+        self.table, self.at = table, 0
+
+    def random(self, out):
+        out[...] = self.table[self.at:self.at + len(out)]
+        self.at += len(out)
+
+
+# the uniforms [spacing, E, U, coin] of every combination of 0, a coin of
+# exactly 1 / 2, the largest double below 1 and an interior value, the
+# rows with a spacing uniform of 0 first, so their sums g stay +0.0 and
+# their maxima -0.0
+EDGES = np.array([0.0, 0.5, 1.0 - 2.0**-53, 0.3125])
+EDGE_TABLE = np.array(sorted(itertools.product(EDGES, repeat=4), key=lambda v: v[0] != 0.0))
+
+
+class TestPairPlacement:
+    """At p = 2 and d = 2 ``_MaxOrderRows`` places a top row's maximum m
+    and m - gap by arithmetic: the planes and maxima of every batch are
+    those of the masked copies (``_MaskedCopyRows``) bit for bit, and so
+    are ``sample_rows``' rows and the selection at 1 and 3 threads."""
+
+    MODEL = GumbelLogistic(2, 2.0)
+
+    @classmethod
+    def _check(cls, n, rngs_of, batches):
+        """Run the (slots, rows) batches on the arithmetic and on the
+        oracle, each on generators of its own in the same states, compare
+        them, and return the arithmetic's (planes, maxima) per batch."""
+        runs = []
+        for rows in (copula_module._MaxOrderRows(cls.MODEL, n), _MaskedCopyRows(cls.MODEL, n)):
+            rows.start(rngs_of())
+            runs.append([])
+            for slots, size in batches:
+                out = np.empty((2, len(slots), size))
+                runs[-1].append((out, rows.next_rows(out, slots)))
+        for (planes, maxima), (masked, masked_maxima) in zip(*runs):
+            assert np.array_equal(_bits(planes), _bits(masked))
+            assert np.array_equal(_bits(maxima), _bits(masked_maxima))
+        return runs[0]
+
+    @pytest.mark.parametrize("n,batches", [
+        # a first batch, then a second batch of two stragglers, then one
+        (20000, [(np.arange(5), 40), (np.array([1, 3]), 20), (np.array([3]), 7)]),
+        # one-row batches
+        (20000, [(np.arange(3), 1), (np.arange(3), 1), (np.array([2]), 1)]),
+        # the last batch ends at row n
+        (60, [(np.arange(4), 25), (np.array([0, 2, 3]), 35)]),
+    ], ids=["stragglers", "one-row", "to-row-n"])
+    def test_planes_equal_masked_copies(self, n, batches):
+        self._check(n, lambda: _block(8401, range(5)), batches)
+
+    def test_edge_uniforms(self):
+        # V = 0 (a spacing of 0 keeps m = -0.0, and E = -log 1), a coin of
+        # exactly 1 / 2 (U = 1 / 2 is not above it, so the maximum goes to
+        # column 1) and V = 1 - 2^-53 (U = 2^-53), in every combination,
+        # three replications, in one batch and in batches of 1, 64 and
+        # the rest, which end at row n
+        n = len(EDGE_TABLE)
+        for batches in ([(np.arange(3), n)], [(np.arange(3), 1), (np.arange(3), 64), (np.arange(3), n - 65)]):
+            got = self._check(n, lambda: [_Uniforms(EDGE_TABLE) for _ in range(3)], batches)
+        planes, maxima = np.concatenate([out for out, _ in got], axis=2), np.concatenate([m for _, m in got], axis=1)
+        zero = EDGE_TABLE[:, 0] == 0.0  # the leading rows whose sums are +0.0
+        assert np.all(np.signbit(maxima[:, zero]) & (maxima[:, zero] == 0.0))
+        # the maximum is in column 0 where the coin's uniform lies below 1 / 2, else in column 1
+        at = np.where(EDGE_TABLE[:, 3] < 0.5, 0, 1)
+        assert np.array_equal(_bits(planes[at, :, np.arange(n)].T), _bits(maxima))
+        assert np.all(np.isfinite(planes)) and np.all(planes <= maxima)
+
+    def test_sample_rows_past_one_chunk(self, monkeypatch):
+        # sample_rows draws its top rows in batches of _CHUNK
+        n = copula_module._CHUNK + 904
+        got = [sample_rows(self.MODEL, n, stream_rng(8402, rep)) for rep in range(2)]
+        monkeypatch.setattr(copula_module, "_MaxOrderRows", _MaskedCopyRows)
+        for rep, rows in enumerate(got):
+            assert np.array_equal(_bits(rows), _bits(sample_rows(self.MODEL, n, stream_rng(8402, rep))))
+
+    def test_selection_at_one_and_three_threads(self, monkeypatch):
+        # copula-gumbel's n and k, 150 replications in three blocks
+        n, ranks = 20000, np.full(2, 20000 - 141)
+        got = [replicate(np.empty((150, 2)), 8403, threads, *os_selector(self.MODEL, n, ranks)) for threads in (1, 3)]
+        monkeypatch.setattr(copula_module, "_MaxOrderRows", _MaskedCopyRows)
+        want = replicate(np.empty((150, 2)), 8403, 1, *os_selector(self.MODEL, n, ranks))
+        assert np.array_equal(_bits(got[0]), _bits(want)) and np.array_equal(_bits(got[1]), _bits(want))
