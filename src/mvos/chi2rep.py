@@ -28,13 +28,13 @@ the difference of the two joint empirical cdfs as one signed count table.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .dnorm import is_positive_semidefinite, _check_symmetric
 from .orderstats import OSBatch
-from .streams import replicate
+from .streams import _reused, range_store, replicate
 
 # replications per derived stream of the ratio sampler: chunk c holds
 # replications c * RATIO_CHUNK to (c + 1) * RATIO_CHUNK - 1; the chunk
@@ -45,7 +45,9 @@ __all__ = [
     "RATIO_CHUNK",
     "NotPositiveSemidefiniteError",
     "check_correlation",
+    "correlation_root",
     "correlated_ratio_sample",
+    "ratio_sample",
     "representation_distance",
     "quantile_grid",
 ]
@@ -77,6 +79,17 @@ def check_correlation(lam) -> np.ndarray:
     if not np.allclose(np.diag(lam), 1.0, atol=1e-9):
         raise ValueError("lambda must have unit diagonal")
     return lam
+
+
+def correlation_root(lam) -> tuple[np.ndarray, float]:
+    """Lambda's symmetric root and its smallest eigenvalue, after
+    ``check_correlation`` and the semidefiniteness gate, which raises
+    ``NotPositiveSemidefiniteError``: what ``ratio_sample`` draws from."""
+    lam = check_correlation(lam)
+    ok, min_eig = is_positive_semidefinite(lam)
+    if not ok:
+        raise NotPositiveSemidefiniteError(min_eig)
+    return _symmetric_sqrt(lam), min_eig
 
 
 def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int = 1) -> np.ndarray:
@@ -112,48 +125,59 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
     which gives each slice the bits of its own product.  So replication
     r's ratios depend only on (seed, r): neither on R nor on ``threads``.
     """
-    lam = check_correlation(lam)
+    check_correlation(lam)
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
     if not 1 <= r <= 2**32:
         raise ValueError("need 1 <= replications <= 2**32")
-    ok, min_eig = is_positive_semidefinite(lam)
-    if not ok:
-        raise NotPositiveSemidefiniteError(min_eig)
+    return ratio_sample(correlation_root(lam)[0], n, k, r, seed, threads)
 
-    root = _symmetric_sqrt(lam)
-    d = len(lam)
+
+def ratio_sample(root: np.ndarray, n: int, k: int, r: int, seed: int, threads: int = 1) -> np.ndarray:
+    """``correlated_ratio_sample``'s ratios from Lambda's symmetric root as
+    ``correlation_root`` returns it, with no checks of their own: n, k and
+    r must pass that function's, so a caller drawing at several sizes
+    checks, gates and roots Lambda once.  A block's factor stacks and
+    products are kept in the thread's store (``streams.range_store``)."""
+    d = len(root)
     # per factor: width q, Gamma shape and the mask of the entries above the diagonal
     factors = []
     for m in (2 * (n - k), 2 * (k + 1)):
         q = min(d, m)
         factors.append((q, (m - q + 1) / 2, np.triu(np.ones((d, q), dtype=bool), 1)))
 
-    def diagonal(z: np.ndarray, g: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    def diagonal(z: np.ndarray, g: np.ndarray, upper: np.ndarray, product: np.ndarray) -> np.ndarray:
         """diag(root A A^T root^T) for the factors A completed from the
-        stacked normals ``z`` and Gamma variates ``g``."""
+        stacked normals ``z`` and Gamma variates ``g``; ``product`` holds
+        root A."""
         q = g.shape[1]
         g *= 2.0
         for col in range(1, q):
             g[:, :col] += np.square(z[:, :col, col])
         z[:, upper] = 0.0
         z[:, range(q), range(q)] = np.sqrt(g, out=g)
-        return np.square(root @ z).sum(axis=2)
+        return np.square(np.matmul(root, z, out=product), out=product).sum(axis=2)
 
-    def draw(rngs: list) -> np.ndarray:
-        stacks = [(np.empty((len(rngs), RATIO_CHUNK, d, q)), np.empty((len(rngs), RATIO_CHUNK, q)))
-                  for q, _, _ in factors]
-        for j, rng in enumerate(rngs):
-            for (z, g), (_, shape, _) in zip(stacks, factors):
-                rng.standard_normal(out=z[j])
-                rng.standard_gamma(shape, out=g[j])
-        num, tail = (diagonal(z.reshape(-1, d, q), g.reshape(-1, q), upper)
-                     for (z, g), (q, _, upper) in zip(stacks, factors))
-        return (num / (num + tail)).reshape(len(rngs), RATIO_CHUNK, d)
+    def make_draw() -> Callable[[list], np.ndarray]:
+        store = range_store()
+
+        def draw(rngs: list) -> np.ndarray:
+            b = len(rngs)
+            stacks = [(_reused(store, f"z{i}", (b, RATIO_CHUNK, d, q)), _reused(store, f"g{i}", (b, RATIO_CHUNK, q)))
+                      for i, (q, _, _) in enumerate(factors)]
+            for j, rng in enumerate(rngs):
+                for (z, g), (_, shape, _) in zip(stacks, factors):
+                    rng.standard_normal(out=z[j])
+                    rng.standard_gamma(shape, out=g[j])
+            num, tail = (diagonal(z.reshape(-1, d, q), g.reshape(-1, q), upper, _reused(store, "product", (b * RATIO_CHUNK, d, q)))
+                         for (z, g), (q, _, upper) in zip(stacks, factors))
+            return (num / (num + tail)).reshape(b, RATIO_CHUNK, d)
+
+        return draw
 
     # the chunks are replicate's replications, each drawn in full
     chunks, elements = -(-r // RATIO_CHUNK), RATIO_CHUNK * sum(d * q for q, _, _ in factors)
-    out = replicate(np.empty((chunks, RATIO_CHUNK, d)), seed, threads, lambda: draw, elements)
+    out = replicate(np.empty((chunks, RATIO_CHUNK, d)), seed, threads, make_draw, elements)
     return out.reshape(-1, d)[:r]
 
 
@@ -161,17 +185,21 @@ def correlated_ratio_sample(lam, n: int, k: int, r: int, seed: int, threads: int
 # distribution distance on a quantile grid
 
 def quantile_grid(samples: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per-component pooled quantiles at levels 0.1, ..., 0.9."""
+    """Per-component pooled quantiles at levels 0.1, ..., 0.9, all
+    columns in one call."""
     levels = np.linspace(0.1, 0.9, 9)
     pooled = np.concatenate([np.asarray(s, dtype=float) for s in samples], axis=0)
-    return [np.quantile(pooled[:, i], levels) for i in range(pooled.shape[1])]
+    return list(np.quantile(pooled, levels, axis=0).T)
 
 
 def _cell_counts(values: np.ndarray, grid: Sequence[np.ndarray]) -> np.ndarray:
     """Rows of ``values`` per cell of the sorted ``grid``: a row's cell
-    is, per column, how many grid points lie below it, from 0 to len(g)."""
-    shape = tuple(len(g) + 1 for g in grid)
-    codes = [np.searchsorted(g, v, side="left") for g, v in zip(grid, values.T)]
+    is, per column, how many grid points lie below it, from 0 to
+    len(g) - 1.  A row above a column's last point lies at or below no
+    node, so it is left out, and the table has prod(len(g)) cells."""
+    shape = tuple(len(g) for g in grid)
+    codes = np.array([np.searchsorted(g, v, side="left") for g, v in zip(grid, values.T)])
+    codes = codes[:, np.all(codes < np.array(shape)[:, None], axis=0)]
     return np.bincount(np.ravel_multi_index(codes, shape), minlength=math.prod(shape)).reshape(shape)
 
 
@@ -203,5 +231,7 @@ def representation_distance(os_batch: OSBatch, ratios: np.ndarray) -> float:
         raise ValueError(f"replication mismatch: R = {len(values)} vs {len(ratios)}")
     # the ecdfs at the sorted nodes are those at the nodes in any order
     grid = [np.sort(g) for g in quantile_grid([values, ratios])]
-    diff = _running_sums(_cell_counts(values, grid) - _cell_counts(ratios, grid))
-    return float(np.abs(diff[(slice(-1),) * diff.ndim]).max() / len(values))
+    diff = _cell_counts(values, grid)
+    diff -= _cell_counts(ratios, grid)
+    _running_sums(diff)
+    return float(max(diff.max(), -diff.min()) / len(values))

@@ -45,7 +45,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .dnorm import DNormSpec, LogisticP, SupNorm, _Dimensioned, dnorm_eval
-from .streams import stream_rng
+from .streams import _reused, range_store, stream_rng
 
 __all__ = [
     "Independence",
@@ -192,17 +192,23 @@ def _inverse_frailty_half(r: np.ndarray, log_u: np.ndarray, u: np.ndarray, v: np
     with z = 8 / (sqrt(t + 4) + sqrt(t))^2 and t = nu / r, which has no
     cancellation and is 2 at nu = 0; 1 / S is that root where
     V (2 + z) <= 2, else the larger one, 4 r / z.  Elementwise ufuncs only,
-    so an element's bits do not depend on its array."""
-    t = np.sin(np.multiply(u, math.pi / 2.0))
-    np.multiply(np.multiply(t, t, out=t), np.multiply(log_u, -2.0), out=t)  # nu
+    so an element's bits do not depend on its array.  It overwrites the
+    arrays of log U, U' and V with its temporaries, and returns 1 / S in
+    log U's."""
+    t = np.sin(np.multiply(u, math.pi / 2.0, out=u), out=u)
+    np.multiply(np.multiply(t, t, out=t), np.multiply(log_u, -2.0, out=log_u), out=t)  # nu
     np.divide(t, r, out=t)
-    z = np.sqrt(t + 4.0)
+    z = np.sqrt(np.add(t, 4.0, out=log_u), out=log_u)
     z += np.sqrt(t, out=t)
     np.divide(8.0, np.multiply(z, z, out=z), out=z)
-    return np.where(np.multiply(v, 2.0 + z) <= 2.0, r * z, 4.0 * r / z)
+    smaller = np.less_equal(np.multiply(v, np.add(2.0, z, out=t), out=v), 2.0)
+    larger = np.divide(np.multiply(4.0, r, out=t), z, out=t)
+    inverse = np.multiply(r, z, out=z)
+    np.copyto(inverse, larger, where=np.logical_not(smaller, out=smaller))
+    return inverse
 
 
-def _pair_gap(g: np.ndarray, log_u: np.ndarray, v: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _pair_gap(g: np.ndarray, log_u: np.ndarray, v: np.ndarray, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """D (D + 2 g), D = min(E, g V / U), from E = -log U' and uniforms U'
     (given as log U') and U = 1 - V on (0, 1]: the gap X = Delta / S below
     a top row's maximum -g^2 / 2 at p = 2 and d = 2, where Delta is a unit
@@ -213,10 +219,12 @@ def _pair_gap(g: np.ndarray, log_u: np.ndarray, v: np.ndarray, u: np.ndarray) ->
     g^2 = D (D + 2 g), a form with no cancellation.  Elementwise ufuncs
     only, so an element's bits do not depend on its array.  E is 0 - log
     U', +0.0 where U' = 1 (-log U' would be -0.0), so the result is never
-    -0.0, which ``_MaxOrderRows`` needs to place it by arithmetic."""
-    d = np.divide(v, u)
-    np.minimum(np.multiply(d, g, out=d), np.subtract(0.0, log_u), out=d)
-    return np.multiply(d, np.add(d, np.multiply(g, 2.0)), out=d)
+    -0.0, which ``_MaxOrderRows`` needs to place it by arithmetic.  The
+    result goes to ``out`` (a new array if None), and U's array, which it
+    overwrites, holds the temporaries."""
+    d = np.divide(v, u, out=out)
+    np.minimum(np.multiply(d, g, out=d), np.subtract(0.0, log_u, out=u), out=d)
+    return np.multiply(d, np.add(d, np.multiply(g, 2.0, out=u), out=u), out=d)
 
 
 def _stable(model: CopulaModel) -> bool:
@@ -256,16 +264,6 @@ def _marshall_olkin(model: GumbelLogistic, out: np.ndarray, rng: np.random.Gener
         rng.standard_exponential(out=f)
         np.subtract(log_s, np.log(f, out=f), out=f)
     return out
-
-
-def _reused(store: dict, name: str, shape: tuple) -> np.ndarray:
-    """An array of the given shape that a range's blocks reuse: a freed
-    block-sized temporary lets malloc hand its pages back, and the next
-    block faults them in again."""
-    size = math.prod(shape)
-    if name not in store or store[name].size < size:
-        store[name] = np.empty(size)
-    return store[name][:size].reshape(shape)
 
 
 def _spacing_terms(rngs: Sequence[np.random.Generator], n: int, rows: int, width: int, scratch: dict) -> np.ndarray:
@@ -373,7 +371,7 @@ class _MaxOrderRows:
     replication at a time and computed in one call per round.
     """
 
-    def __init__(self, model: GumbelLogistic, n: int):
+    def __init__(self, model: GumbelLogistic, n: int, scratch: Optional[dict] = None):
         self.n, self.d = n, model.d
         self.p, self.alpha, self.log_d = model.p, 1.0 / model.p, math.log(model.d)
         # at p = 2 a top row's frailty is drawn in closed form, on the -E / S
@@ -381,7 +379,8 @@ class _MaxOrderRows:
         self.closed_form = model.p == 2.0
         self.pair = self.closed_form and self.d == 2
         self.width = 4 if self.pair else self.d + (4 if self.closed_form else 2 + 3 * _TRIES)
-        self.scratch: dict[str, np.ndarray] = {}
+        # the working arrays, in a store that may outlive the instance
+        self.scratch: dict[str, np.ndarray] = {} if scratch is None else scratch
 
     def start(self, rngs: list) -> None:
         """Begin a block of the replications whose SFC64 generators ``rngs``
@@ -414,12 +413,13 @@ class _MaxOrderRows:
             # why); 1 - U is U's uniform exactly
             m = np.multiply(g, g)
             np.divide(m, -2.0, out=m)
-            gap = _pair_gap(g, logs[1], raw[:, :, 2], u[2])
+            gap = _pair_gap(g, logs[1], raw[:, :, 2], u[2], out=out[0])
             np.multiply(gap, np.greater(u[3], 0.5), out=out[1])
             np.subtract(gap, out[1], out=out[0])
             np.subtract(m, out, out=out)
         elif self.closed_form:
-            np.subtract(logs[1:-1].max(axis=0), logs[1:-1], out=out)  # F_j - F_J
+            spread = logs[1:-1]
+            np.subtract(spread.max(axis=0, out=_reused(self.scratch, "top", (b, c))), spread, out=out)  # F_j - F_J
             # -(g^2 / d + (F_j - F_J) / S), 1 / S drawn with sqrt(theta) = g
             inverse = _inverse_frailty_half(g, logs[-1], u[-2], u[-1])
             m = np.multiply(g, g)
@@ -529,7 +529,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
         at = (np.searchsorted(kth, depth), np.arange(d) if s > 1 else np.zeros(d, np.intp))
 
         def make_sums() -> Callable[[list], np.ndarray]:
-            scratch = {}
+            scratch = range_store()
 
             def select(rngs: list) -> np.ndarray:
                 e = _spacing_terms(rngs, n, need, s, scratch)
@@ -553,7 +553,7 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
 
     if _marshall_olkin_path(model, n, need):
         def make_rows() -> Callable[[list], np.ndarray]:
-            scratch = {}
+            scratch = range_store()
 
             def select(rngs: list) -> np.ndarray:
                 rows = _reused(scratch, "rows", (len(rngs), n, d))
@@ -568,14 +568,16 @@ def os_selector(model: CopulaModel, n: int, ranks) -> tuple[Callable[[], Callabl
     first = _first_batch(model, need)
 
     def make() -> Callable[[list], np.ndarray]:
-        rows = _MaxOrderRows(model, n)
+        rows = _MaxOrderRows(model, n, range_store())
 
         def select(rngs: list) -> np.ndarray:
             rows.start(rngs)
             out = np.empty((len(rngs), d))
             slots, planes, size = np.arange(len(rngs)), None, first
             while slots.size:
-                batch = np.empty((d, len(slots), min(size, n - rows.drawn)))
+                shape = (d, len(slots), min(size, n - rows.drawn))
+                # the first batch in the store; later ones join its planes
+                batch = _reused(rows.scratch, "batch", shape) if planes is None else np.empty(shape)
                 last = rows.next_rows(batch, slots)[:, -1]
                 planes = batch if planes is None else np.concatenate((planes, batch), axis=2)
                 if rows.drawn >= need:

@@ -363,10 +363,16 @@ class PSDResult(NamedTuple):
 
 
 def _check_symmetric(m: np.ndarray, what: str) -> np.ndarray:
+    """``m`` as a float matrix, which must be square and symmetric to
+    1e-12 absolute: ``np.allclose(m, m.T, atol=1e-12, rtol=0)``'s
+    decision, mirrored infinities accepted and NaN rejected, without its
+    call overhead."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
-    if not np.allclose(m, m.T, atol=1e-12, rtol=0.0):
+    with np.errstate(invalid="ignore"):  # inf - inf
+        close = (m == m.T) | (np.abs(m - m.T) <= 1e-12)
+    if not close.all():
         raise ValueError(f"{what} must be symmetric")
     return m
 

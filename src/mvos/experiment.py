@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chi2rep import NotPositiveSemidefiniteError, check_correlation, correlated_ratio_sample, representation_distance
+from .chi2rep import check_correlation, correlation_root, ratio_sample, representation_distance
 from .copula import CopulaModel, os_selector
 from .diagnostics import ks_against_standard_normal, ks_critical_value, ks_pvalue, moment_summary
 from .dnorm import is_positive_semidefinite, lambda_matrix
@@ -343,11 +343,9 @@ def _run_moments(config: ExperimentConfig, sigma: np.ndarray, threads: int) -> t
 def _run_representation(config: ExperimentConfig, sigma: np.ndarray, threads: int) -> tuple[list[CriterionResult], dict]:
     """The representation kind: raw order statistics against the correlated
     chi-square ratios at n and 2n, both arms drawn at the same (n, k).
-    Lambda is gated before any sampling."""
+    Lambda is checked, gated and rooted once, before any sampling."""
     lam = config.lambda_override if config.lambda_override is not None else lambda_matrix(sigma)
-    ok, min_eig = is_positive_semidefinite(lam)
-    if not ok:
-        raise NotPositiveSemidefiniteError(min_eig)
+    root, min_eig = correlation_root(lam)
 
     distances = {}
     for tag, nn in (("n", config.n), ("2n", 2 * config.n)):
@@ -361,7 +359,7 @@ def _run_representation(config: ExperimentConfig, sigma: np.ndarray, threads: in
             seed=config.seed,
             scale="raw",
         )
-        ratios = correlated_ratio_sample(lam, nn, k, config.replications, derive_seed(config.seed, 2, nn), threads)
+        ratios = ratio_sample(root, nn, k, config.replications, derive_seed(config.seed, 2, nn), threads)
         distances[tag] = {"n": nn, "k": k, "distance": representation_distance(batch, ratios)}
 
     d_n = distances["n"]["distance"]

@@ -17,6 +17,10 @@ at once, on arrays (``stream_states``, numpy's ``SeedSequence`` hash and
 SFC64 seeding, bit for bit), and writes them into generators that each
 thread keeps between blocks and calls to them, through a view of each
 one's state struct; it hands a block's generators to the draw as a list.
+Each thread also keeps the draws' working arrays between calls, by name
+(``range_store``, ``_reused``), so a steady run of calls maps no fresh
+pages; it keeps only arrays of at most ``BLOCK_ELEMENTS`` elements, a few
+MB a thread, and frees larger ones at the end of the call.
 """
 from __future__ import annotations
 
@@ -55,8 +59,10 @@ STATE_CHUNK = 1024
 # uint64 words of numpy's SFC64 state struct: s[4], then has_uint32 and uinteger
 _STATE_WORDS = 5
 
-# each thread's idle generators of replicate, by block slot; a range takes them
-# for its duration, so a replicate call made inside a draw builds its own
+# each thread's idle state of replicate: its generators by block slot (pool)
+# and its working arrays by name (store).  A range takes both for its
+# duration, so a replicate call made inside a draw builds its own, and its
+# store is the thread's active one (range_store) meanwhile
 _idle = threading.local()
 
 
@@ -161,6 +167,27 @@ def _seeded(pool: dict, slot: int, state: np.ndarray) -> np.random.Generator:
     return gen
 
 
+def range_store() -> dict:
+    """The working-array store of the ``replicate`` range running on this
+    thread, which ``make_draw()`` may take to keep its arrays in
+    (``_reused``); a fresh dict outside any range."""
+    store = getattr(_idle, "active", None)
+    return {} if store is None else store
+
+
+def _reused(store: dict, name: str, shape: tuple) -> np.ndarray:
+    """An array of the given shape, kept in ``store`` under ``name`` and
+    reused while it is large enough.  Allocated afresh, a block-sized
+    array lets malloc hand its pages back when it is freed, and the next
+    one faults them in again; from a range's store it is reused by later
+    blocks, and by later calls on the thread if it holds at most
+    ``BLOCK_ELEMENTS`` elements."""
+    size = math.prod(shape)
+    if name not in store or store[name].size < size:
+        store[name] = np.empty(size)
+    return store[name][:size].reshape(shape)
+
+
 def check_threads(threads: int, error: type = ValueError) -> None:
     """Raise ``error`` unless 1 <= threads <= ``MAX_THREADS``."""
     if not 1 <= threads <= MAX_THREADS:
@@ -180,7 +207,10 @@ def replicate(
     The replications are split into contiguous ranges, one per thread, and
     each range into blocks of consecutive replications.  ``make_draw()``
     is called once per range, so each range can allocate its working
-    buffers once and reuse them.  Its result is called once per block with
+    buffers once and reuse them; it may keep them in ``range_store()``,
+    which the thread keeps for its next range and its next call, holding
+    only arrays of at most ``BLOCK_ELEMENTS`` elements.  Its result is
+    called once per block with
     the list of the block's generators, one a replication, in replication
     order, replication r's in the state of a fresh ``stream_rng(seed, r)``;
     it returns the block's rows of ``out``.  The
@@ -201,15 +231,21 @@ def replicate(
     chunk = block * max(1, STATE_CHUNK // block)
 
     def run_range(lo: int, hi: int) -> None:
-        draw, pool, _idle.pool = make_draw(), getattr(_idle, "pool", None) or {}, None
-        for first in range(lo, hi, chunk):
-            last = min(first + chunk, hi)
-            states = np.zeros((last - first, _STATE_WORDS), np.uint64)
-            states[:, :4] = stream_states(seed, first, last)
-            for start in range(first, last, block):
-                rows = states[start - first:min(start + block, last) - first]
-                out[start:start + len(rows)] = draw([_seeded(pool, slot, state) for slot, state in enumerate(rows)])
-        _idle.pool = pool
+        pool, store = getattr(_idle, "pool", None) or {}, getattr(_idle, "store", None) or {}
+        _idle.pool = _idle.store = None
+        outer, _idle.active = getattr(_idle, "active", None), store
+        try:
+            draw = make_draw()
+            for first in range(lo, hi, chunk):
+                last = min(first + chunk, hi)
+                states = np.zeros((last - first, _STATE_WORDS), np.uint64)
+                states[:, :4] = stream_states(seed, first, last)
+                for start in range(first, last, block):
+                    rows = states[start - first:min(start + block, last) - first]
+                    out[start:start + len(rows)] = draw([_seeded(pool, slot, state) for slot, state in enumerate(rows)])
+        finally:
+            _idle.active = outer
+        _idle.pool, _idle.store = pool, {name: a for name, a in store.items() if a.size <= BLOCK_ELEMENTS}
 
     if threads == 1:
         run_range(0, count)

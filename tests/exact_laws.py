@@ -29,7 +29,7 @@ def ecdf_on_grid(values, grid):
     One count per grid cell, summed cumulatively along every axis, gives
     the number of rows at or below each grid node: code c <= m exactly
     when the m-th smallest grid point is >= the value.  Memory is
-    O(R d + prod(len(g) + 1)), and the exact integer counts make the
+    O(R d + prod(len(g))), and the exact integer counts make the
     result equal to the mean of the R x grid indicator array.
     """
     values = np.asarray(values, dtype=float)
@@ -40,7 +40,7 @@ def ecdf_on_grid(values, grid):
     orders = [np.argsort(g, kind="stable") for g in grid]
     counts = _running_sums(_cell_counts(values, [g[order] for g, order in zip(grid, orders)]))
     for axis, order in enumerate(orders):
-        # back to the grid's own order, which drops the cell above the last point
+        # back to the grid's own order
         counts = counts.take(np.argsort(order), axis=axis)
     return counts / r
 

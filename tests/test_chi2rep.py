@@ -310,7 +310,7 @@ class TestRepresentationDistance:
         with pytest.raises(ValueError, match="replication mismatch"):
             representation_distance(self._batch(ratios[:49], 100, 9), ratios)
 
-    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_distance_equals_direct_mask_count(self, d):
         # the largest difference of the two samples' counts at or below a
         # node of the pooled quantile grid, over R
@@ -322,6 +322,20 @@ class TestRepresentationDistance:
             want = np.abs(self._mask_counts(a, grid) - self._mask_counts(b, grid)).max() / reps
             batch = OSBatch(values=a, n=100, k=(9,) * d, convention="n-k", seed=0)
             assert representation_distance(batch, b) == want
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_quantile_grid_is_the_per_column_quantiles(self, d):
+        # one quantile call over all columns gives each column's own
+        # quantiles bit for bit, on ties (eighths) and on continuous values
+        rng = np.random.default_rng(60 + d)
+        levels = np.linspace(0.1, 0.9, 9)
+        for reps in (1, 7, 300):
+            samples = [np.round(8.0 * rng.random((reps, d))) / 8.0, rng.random((reps, d))]
+            pooled = np.concatenate(samples)
+            got = quantile_grid(samples)
+            assert len(got) == d
+            for col, g in enumerate(got):
+                assert g.tobytes() == np.quantile(pooled[:, col], levels).tobytes()
 
     def test_ecdf_on_grid_matches_direct_count(self):
         rng = np.random.default_rng(3)

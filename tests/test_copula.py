@@ -308,7 +308,10 @@ class TestReplicationMemory:
     row, 4 at d = 2 and d + 4 at other d), or 1.9 for Marshall-Olkin rows
     at n = 2·10^4 (the rows, and one chunk's temporaries, which weigh less
     as n grows); small ones reach 4, where fixed costs dominate.  Each case keeps 15% headroom over its measured
-    factor."""
+    factor.  The measured call runs on a cold kept store: a thread keeps
+    its working arrays of at most ``streams.BLOCK_ELEMENTS`` elements
+    between calls, and a warm call at gumbel-p2-top-rows' size, whose
+    arrays all fit, allocated 0.43 of them."""
 
     @pytest.mark.parametrize(
         "model,n,rank,measured",
@@ -327,6 +330,7 @@ class TestReplicationMemory:
         make, elements = os_selector(model, n, rank)
         out = np.empty((1, model.d))
         replicate(out, 1, 1, make, elements)  # the thread's generator pool, built once
+        streams_module._idle.store = None  # and its working arrays dropped
         assert not tracemalloc.is_tracing()
         tracemalloc.start()
         try:
@@ -363,6 +367,86 @@ class TestReplicationMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.15 * MO_SAMPLE_MEASURED * 8 * n * model.d
+
+
+class TestKeptArrays:
+    """Each thread keeps its working arrays of at most
+    ``streams.BLOCK_ELEMENTS`` elements between ``replicate`` calls
+    (``streams.range_store``), so a warm call allocates a fraction of
+    what a cold one does, and what it keeps changes no value."""
+
+    # copula-gumbel's selection, and representation's at n
+    CONFIGS = [(GumbelLogistic(2, 2.0), 20000, 500), (GumbelLogistic(2, 2.0), 10000, 150)]
+
+    @pytest.mark.parametrize("model,n,reps", CONFIGS, ids=["copula-gumbel", "representation"])
+    def test_warm_call_allocates_a_fifth_of_a_cold_one(self, model, n, reps):
+        # tracemalloc's peak over the call: a warm one measured 0.16 and
+        # 0.17 of a cold one (the maxima and the stop test's arrays are
+        # still allocated), with 15% headroom
+        make, elements = os_selector(model, n, IntermediateSpec.equal(2).ranks(n))
+        out = np.empty((reps, model.d))
+        replicate(out, 1, 1, make, elements)  # the thread's generator pool, built once
+        peaks = []
+        for cold in (True, False):
+            if cold:
+                streams_module._idle.store = None
+            assert not tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                replicate(out, 2, 1, make, elements)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 0.2 * peaks[0]
+
+    @pytest.mark.parametrize(
+        "model,rank",
+        [(Independence(2), 10**6 - 200000), (GumbelLogistic(2, 3.0), 10**6 - 10**4 + 1), (GumbelLogistic(2, 2.0), 10**6 - 10**4 + 1)],
+        ids=lambda x: x.label() if hasattr(x, "label") else None,
+    )
+    def test_keeps_no_array_above_a_block(self, model, rank, monkeypatch):
+        # at n = 10^6 the first two draw arrays of more than BLOCK_ELEMENTS
+        # values, which the call frees; the thread keeps the others
+        n, sizes, reused = 10**6, {}, copula_module._reused
+
+        def spy(store, name, shape):
+            sizes[name] = max(sizes.get(name, 0), math.prod(shape))
+            return reused(store, name, shape)
+
+        monkeypatch.setattr(copula_module, "_reused", spy)
+        streams_module._idle.store = None
+        make, elements = os_selector(model, n, rank)
+        replicate(np.empty((2, model.d)), 3, 1, make, elements)
+        block = streams_module.BLOCK_ELEMENTS
+        assert (max(sizes.values()) > block) == (elements > block)
+        assert {name for name, size in sizes.items() if size <= block} == set(streams_module._idle.store)
+        assert all(array.size <= block for array in streams_module._idle.store.values())
+
+    def test_kept_arrays_change_no_value(self, monkeypatch):
+        # copula-gumbel's selection after other draws on the thread's kept
+        # arrays, and with another selection run after each of its batches,
+        # while its first batch waits in its range's store, against a cold call
+        model, n, ranks = GumbelLogistic(2, 2.0), 20000, IntermediateSpec.equal(2).ranks(20000)
+        other = os_selector(GumbelLogistic(5, 2.0), 500, IntermediateSpec.equal(5).ranks(500))
+        streams_module._idle.store = None
+        want = replicate(np.empty((130, 2)), 4, 1, *os_selector(model, n, ranks))
+        alone = replicate(np.empty((70, 5)), 5, 1, *other)
+        for between in (lambda: sample_rows(model, n, stream_rng(6, 0)),
+                        lambda: replicate(np.empty((70, 5)), 5, 1, *other),
+                        lambda: replicate(np.empty((70, 3)), 7, 1, *os_selector(Independence(3), n, ranks[:1]))):
+            between()
+            assert np.array_equal(replicate(np.empty((130, 2)), 4, 1, *os_selector(model, n, ranks)), want)
+        inner, next_rows = [], copula_module._MaxOrderRows.next_rows
+
+        def nested(rows, out, slots):
+            maxima = next_rows(rows, out, slots)
+            if rows.d == 2:  # the other selection's own batches nest nothing
+                inner.append(replicate(np.empty((70, 5)), 5, 1, *other))
+            return maxima
+
+        monkeypatch.setattr(copula_module._MaxOrderRows, "next_rows", nested)
+        assert np.array_equal(replicate(np.empty((130, 2)), 4, 1, *os_selector(model, n, ranks)), want)
+        assert inner and all(np.array_equal(values, alone) for values in inner)
 
 
 class TestFrailtyGivenMaximum:

@@ -333,6 +333,27 @@ class TestPSD:
         with pytest.raises(ValueError):
             is_positive_semidefinite(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
+    # off-diagonal pairs at the 1e-12 edge and past it, signed zeros,
+    # mirrored and opposed infinities, NaN, and an asymmetry of one ulp of
+    # 1e20, far above 1e-12 with no relative tolerance
+    PAIRS = [(0.5, 0.5), (0.5, 0.5 + 1e-12), (0.0, 1e-12), (0.0, 1.5e-12), (0.0, 2e-12), (0.0, -0.0), (np.inf, np.inf),
+             (-np.inf, -np.inf), (np.inf, -np.inf), (np.inf, 1e300), (np.nan, np.nan), (np.nan, 0.5),
+             (1e20, np.nextafter(1e20, np.inf))]
+
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_symmetry_check_decides_as_allclose(self, a, b):
+        # _check_symmetric accepts exactly what np.allclose(m, m.T,
+        # atol=1e-12, rtol=0) accepts, with a finite, infinite or NaN diagonal
+        for corner in (1.0, np.inf, np.nan):
+            m = np.array([[corner, a], [b, 1.0]])
+            want = bool(np.allclose(m, m.T, atol=1e-12, rtol=0.0))
+            try:
+                dnorm._check_symmetric(m, "m")
+                got = True
+            except ValueError:
+                got = False
+            assert got == want
+
     def test_matches_principal_minor_rule(self):
         # brute-force PSD check on random symmetric 3x3 matrices
         rng = np.random.default_rng(2)
